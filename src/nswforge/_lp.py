@@ -41,7 +41,7 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     basis[row] = col
 
 
@@ -52,12 +52,9 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
         c_b = cost[basis]
         reduced = cost - c_b @ tab[:, :-1]
         reduced[~allowed] = 0.0
-        entering = -1
-        for j in range(reduced.size):  # Bland: smallest eligible index
-            if reduced[j] > _COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = reduced > _COST_TOL
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             return
         col = tab[:, entering]
         leaving = -1

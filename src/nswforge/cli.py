@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exact", help="exact NSW optimum by enumeration")
+    p = sub.add_parser("exact", help="exact NSW optimum by subset DP")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_exact)

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Allocation, Instance, InvariantViolation, Matching
-from .valuations import singleton_max
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,3 @@ def extension_pi(best_alloc: Allocation, targets, tau: Matching,
     pi = Matching(assignment)
     pi.validate()
     return pi
-
-
-def best_singleton(inst: Instance, agent: int, pool) -> float:
-    return singleton_max(inst.valuations[agent], pool)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -393,9 +392,3 @@ def validate_valuation(v: Valuation, m: int, cap: int = 16,
                            subadditive=sub_ok, xos_consistent=xos_ok,
                            subadditive_counterexample=sub_ce,
                            monotone_counterexample=mono_ce)
-
-
-def subinstance_positive_agents(inst: Instance, items: Iterable[int]) -> list[int]:
-    """Agents that derive positive value from the given item pool."""
-    pool = frozenset(items)
-    return [i for i in inst.agents if inst.valuations[i].value(pool) > 0.0]

@@ -1,8 +1,16 @@
-"""Brute-force exact solvers used as ground truth by the verification suite.
+"""Exact solvers used as ground truth by the verification suite.
 
-These are deliberately simple: full mixed-radix enumeration for integral
-optima and an explicitly enumerated column LP for the fractional one.
-Enumeration caps are hard errors, never silent truncation.
+Integral optima come from a subset DP over agents (Held and Karp's
+layering): `f_i[mask] = max over sub of f_(i-1)[mask ^ sub] (x) v_i[sub]`,
+with (x) the product for NSW and the sum of target-scaled values for
+welfare. A layer visits all 3^k (mask, submask) pairs of k items and the
+last one only the 2^k submasks of the full mask, so n agents cost
+`(n-2)*3^k + 2^k` combinations. Values combine in agent order and rounding
+is monotone, so optima are bit-identical to enumerating all n^k
+assignments. The fractional optimum is an explicit `n*2^k`-column LP.
+Caps (at most `EXHAUSTIVE_CAP` items for the DP's 2^k value tables, `cap`
+on its combinations, a column cap for the LP) are hard errors, never
+silent truncation.
 """
 
 from __future__ import annotations
@@ -14,10 +22,11 @@ import numpy as np
 
 from ._lp import maximize
 from .model import Allocation, ConfigSolution, Instance
-from .valuations import CapExceeded
+from .valuations import EXHAUSTIVE_CAP, CapExceeded
 
-NSW_ENUM_CAP = 10**7
+NSW_DP_CAP = 10**8
 CONFIG_LP_CAP = 10**6
+_CHUNK_ITEMS = 8  # a chunk of 3^8 (mask, submask) pairs leaves peak memory unmoved
 
 
 @dataclass
@@ -42,62 +51,87 @@ def _value_tables(inst: Instance, agents: Sequence[int],
     return [inst.valuations[i].value_rows(rows) for i in agents]
 
 
-def _enumerate_assignments(n_agents: int, k_items: int, leaf):
-    """DFS over all agent assignments of k items, lowest counter first.
+def _disjoint_pairs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 3^bits pairs (rest, sub) of disjoint masks, sorted by rest | sub,
+    and the offset at which each mask's run starts."""
+    rest = sub = np.zeros(1, dtype=np.int64)
+    for t in range(bits):
+        rest, sub = (np.concatenate([rest, rest | 1 << t, rest]),
+                     np.concatenate([sub, sub, sub | 1 << t]))
+    order = np.argsort(rest | sub, kind="stable")
+    rest, sub = rest[order], sub[order]
+    return rest, sub, np.flatnonzero(np.diff(rest | sub, prepend=-1))
 
-    `leaf(masks)` is called once per assignment with per-agent local masks.
-    """
-    masks = [0] * n_agents
 
-    def rec(t: int):
-        if t == k_items:
-            leaf(masks)
-            return
-        bit = 1 << t
-        for a in range(n_agents):
-            masks[a] |= bit
-            rec(t + 1)
-            masks[a] ^= bit
+def _subset_dp(tables: list[np.ndarray], combine) -> tuple[float, list[int]]:
+    """Best `combine`-fold, in agent order, of one table entry per agent over
+    all partitions of the full mask, and each agent's mask in it. On ties
+    the later agent takes the smallest mask, so an all-zero instance gives
+    everything to agent 0."""
+    n, k = len(tables), len(tables[0]).bit_length() - 1
+    layers = [tables[0]]
+    if n > 2:
+        lo = min(k, _CHUNK_ITEMS)
+        width = 1 << lo
+        rest_lo, sub_lo, starts = _disjoint_pairs(lo)
+        rest_hi, sub_hi, _ = _disjoint_pairs(k - lo)
+        chunks = list(zip((rest_hi << lo).tolist(), (sub_hi << lo).tolist()))
+        for table in tables[1:-1]:
+            prev, layer = layers[-1], np.full(1 << k, -np.inf)
+            for r, s in chunks:
+                vals = combine(prev[r:r + width][rest_lo], table[s:s + width][sub_lo])
+                seg = layer[r | s:(r | s) + width]
+                np.maximum(seg, np.maximum.reduceat(vals, starts), out=seg)
+            layers.append(layer)
 
-    rec(0)
+    all_masks = np.arange(1 << k, dtype=np.int64)
+    mask = (1 << k) - 1
+    masks, best = [0] * n, float(tables[0][mask])
+    for i in range(n - 1, 0, -1):
+        subs = all_masks[(all_masks & mask) == all_masks]
+        cand = combine(layers[i - 1][mask ^ subs], tables[i][subs])
+        pick = int(np.argmax(cand))
+        if i == n - 1:
+            best = float(cand[pick])
+        masks[i] = int(subs[pick])
+        mask ^= masks[i]
+    masks[0] = mask
+    return best, masks
+
+
+def _best_partition(inst: Instance, agents: list[int], items: list[int], cap: int,
+                    combine, scales=None) -> tuple[float, Allocation]:
+    n, k = len(agents), len(items)
+    if k > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"{k} items exceed the value-table cap of {EXHAUSTIVE_CAP}")
+    products = max(n - 2, 0) * 3 ** k + 2 ** k
+    if products > cap:
+        raise CapExceeded(f"{products} subset-DP products exceed the cap of {cap}")
+    tables = _value_tables(inst, agents, items)
+    if scales is not None:
+        tables = [table * scale for table, scale in zip(tables, scales)]
+    best, masks = _subset_dp(tables, combine)
+    witness = Allocation({i: frozenset(j for t, j in enumerate(items) if mask >> t & 1)
+                          for i, mask in zip(agents, masks)})
+    witness.validate(inst)
+    return best, witness
 
 
 def exact_nsw(inst: Instance, items: Iterable[int] | None = None,
-              cap: int = NSW_ENUM_CAP) -> ExactResult:
-    """Maximum NSW over all assignments of `items` (default: all items)."""
+              cap: int = NSW_DP_CAP) -> ExactResult:
+    """Maximum NSW over all assignments of `items` (default: all items).
+    `nodes` counts those assignments, n^k."""
     item_list = _item_list(inst, items)
-    n, k = inst.n, len(item_list)
-    if n ** k > cap:
-        raise CapExceeded(f"{n}^{k} assignments exceed the cap of {cap}")
-    tables = _value_tables(inst, list(inst.agents), item_list)
-
-    best = {"product": -1.0, "masks": None}
-
-    def leaf(masks):
-        prod = 1.0
-        for i in range(n):
-            prod *= tables[i][masks[i]]
-            if prod <= 0.0:
-                prod = 0.0
-                break
-        if prod > best["product"]:
-            best["product"] = prod
-            best["masks"] = list(masks)
-
-    _enumerate_assignments(n, k, leaf)
-    bundles = {
-        i: frozenset(item_list[t] for t in range(k) if best["masks"][i] >> t & 1)
-        for i in range(n)
-    }
-    witness = Allocation(bundles)
-    witness.validate(inst)
-    optimum = best["product"] ** (1.0 / n) if best["product"] > 0 else 0.0
-    return ExactResult(optimum=float(optimum), witness=witness, nodes=n ** k)
+    product, witness = _best_partition(inst, list(inst.agents), item_list, cap,
+                                       np.multiply)
+    optimum = product ** (1.0 / inst.n) if product > 0 else 0.0
+    return ExactResult(optimum=float(optimum), witness=witness,
+                       nodes=inst.n ** len(item_list))
 
 
 def exact_scaled_welfare(inst: Instance, targets, agents: Iterable[int] | None = None,
                          items: Iterable[int] | None = None,
-                         cap: int = NSW_ENUM_CAP) -> ExactResult:
+                         cap: int = NSW_DP_CAP) -> ExactResult:
     """max over allocations of sum_i v_i(T_i) / V_i, integral witness."""
     agent_list = sorted(inst.agents if agents is None else set(agents))
     item_list = _item_list(inst, items)
@@ -105,29 +139,10 @@ def exact_scaled_welfare(inst: Instance, targets, agents: Iterable[int] | None =
     for i, v in targets.items():
         if v <= 0:
             raise ValueError(f"target for agent {i} must be positive")
-    n, k = len(agent_list), len(item_list)
-    if n ** k > cap:
-        raise CapExceeded(f"{n}^{k} assignments exceed the cap of {cap}")
-    tables = _value_tables(inst, agent_list, item_list)
-    scale = np.array([1.0 / targets[i] for i in agent_list])
-
-    best = {"welfare": -1.0, "masks": None}
-
-    def leaf(masks):
-        welfare = sum(tables[i][masks[i]] * scale[i] for i in range(n))
-        if welfare > best["welfare"]:
-            best["welfare"] = welfare
-            best["masks"] = list(masks)
-
-    _enumerate_assignments(n, k, leaf)
-    bundles = {
-        agent_list[i]: frozenset(item_list[t] for t in range(k)
-                                 if best["masks"][i] >> t & 1)
-        for i in range(n)
-    }
-    witness = Allocation(bundles)
-    witness.validate(inst)
-    return ExactResult(optimum=float(best["welfare"]), witness=witness, nodes=n ** k)
+    welfare, witness = _best_partition(inst, agent_list, item_list, cap, np.add,
+                                       [1.0 / targets[i] for i in agent_list])
+    return ExactResult(optimum=welfare, witness=witness,
+                       nodes=len(agent_list) ** len(item_list))
 
 
 def exact_config_lp(inst: Instance, objective: str = "welfare", targets=None,

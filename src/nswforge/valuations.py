@@ -266,16 +266,3 @@ def singleton_max(v: Valuation, items: Iterable[int]) -> float:
     if idx.size == 0:
         return 0.0
     return float(v.singleton_values()[idx].max())
-
-
-def valuation_from_config(config: dict) -> Valuation:
-    kind = config.get("kind")
-    if kind == "additive":
-        return Additive(config["weights"])
-    if kind == "xos":
-        return Xos(config["clauses"])
-    if kind == "budgeted_additive":
-        return BudgetedAdditive(config["weights"], config["cap"])
-    if kind == "table":
-        raise ValueError("table valuations are built via model.load_instance")
-    raise ValueError(f"unknown valuation kind: {kind!r}")

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nswforge._lp import LpInfeasible, maximize
+from nswforge.generators import GenSpec, generate
 
 
 def random_feasible_lp(rng, n=6, mu=4, me=2):
@@ -63,3 +64,41 @@ def test_infeasible_equality_detected():
         maximize(np.array([1.0, 1.0]),
                  a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([0.3]),
                  a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955): the largest-coefficient rule cycles here forever;
+    # Bland's smallest-index rule must reach the optimum 1/20.
+    c = np.array([0.75, -150.0, 0.02, -6.0])
+    a_ub = np.array([[0.25, -60.0, -0.04, 9.0],
+                     [0.5, -90.0, -0.02, 3.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+    res = maximize(c, a_ub=a_ub, b_ub=np.array([0.0, 0.0, 1.0]))
+    assert res.value == pytest.approx(0.05, abs=1e-12)
+    assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def xos_configuration_lp(seed, n=3, m=8):
+    """Welfare configuration LP of a generated xos instance: one column per
+    (agent, subset), unit mass per agent, unit capacity per item."""
+    inst = generate(GenSpec("xos", n=n, m=m, seed=seed))
+    masks = np.arange(1 << m)
+    contains = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
+    c = np.concatenate([v.value_rows(contains) for v in inst.valuations])
+    a_ub = np.tile(contains.T.astype(float), (1, n))
+    a_eq = np.kron(np.eye(n), np.ones(1 << m))
+    return c, a_ub, np.ones(m), a_eq, np.ones(n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_matches_scipy_on_configuration_lps(seed):
+    # 768 columns: the entering-column pick scans long reduced-cost vectors
+    c, a_ub, b_ub, a_eq, b_eq = xos_configuration_lp(seed)
+    res = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+    assert (a_ub @ res.x <= b_ub + 1e-8).all()
+    assert a_eq @ res.x == pytest.approx(b_eq, abs=1e-8)
+    assert res.x.min() >= -1e-12
