@@ -4,7 +4,21 @@ Maximizes c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0, with all
 right-hand sides nonnegative. Bland's rule keeps degenerate instances
 (e.g. zero-capacity rows in restricted column LPs) from cycling. Returns
 exact basic solutions together with the dual vector of the final basis,
-which callers use as optimality certificates.
+which callers use as optimality certificates, and the final basis.
+
+A caller that re-solves a similar LP may pass that basis back as a hint.
+The tableau is then built in one factorization, B^-1 [A | I | b], rather
+than by pivots from the slack basis. If the hinted basis is
+primal-feasible, phase 2 runs from it; this also covers columns appended
+to the LP since the hint was taken. If it is only dual-feasible, which is
+what a change of the right-hand side typically leaves, a dual simplex
+(Lemke 1954) with the smallest-index rule restores primal feasibility
+before phase 2 finishes. Every other case runs the cold two-phase solve
+from the slack basis: a hint that does not fit the LP's rows and columns,
+a singular or ill-conditioned B, an artificial variable in the hint, a
+basis that is neither primal- nor dual-feasible, a dual simplex that finds
+no entering column, or an iteration cap reached on the warm path. Warm and
+cold solves read x and the duals off their final basis the same way.
 """
 
 from __future__ import annotations
@@ -31,10 +45,19 @@ class LpUnbounded(LpError):
 
 @dataclass(frozen=True)
 class LpResult:
+    """Optimum with its duals and final basis.
+
+    `basis` names one variable per constraint row, a_ub rows first: j >= 0
+    is column j of c, and -1 - r is the slack of row r (the artificial, on
+    an equality row). Slacks are numbered by row, not by position after
+    the columns, so the basis stays a valid hint when columns are appended.
+    """
+
     x: np.ndarray
     value: float
     dual_ub: np.ndarray
     dual_eq: np.ndarray
+    basis: tuple[int, ...]
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -73,13 +96,93 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
     raise LpError("simplex iteration cap exceeded")
 
 
+def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
+                  allowed: np.ndarray, max_iter: int) -> bool:
+    """Dual simplex from a dual-feasible basis until the rhs is nonnegative.
+
+    Smallest-index rule: the leaving row is the infeasible row with the
+    smallest basic index, the entering column the minimum ratio with ties
+    to the smallest index. Returns False when the leaving row has no
+    entering column (the LP is infeasible, or the basis numerically lost).
+    """
+    for _ in range(max_iter):
+        infeasible = np.flatnonzero(tab[:, -1] < -_PIVOT_TOL)
+        if not infeasible.size:
+            return True
+        row = min(infeasible, key=basis.__getitem__)
+        entries = tab[row, :-1]
+        candidates = np.flatnonzero(allowed & (entries < -_PIVOT_TOL))
+        if not candidates.size:
+            return False
+        reduced = cost[candidates] - cost[basis] @ tab[:, candidates]
+        ratios = reduced / entries[candidates]
+        entering = int(candidates[np.argmax(ratios <= ratios.min() + _PIVOT_TOL)])
+        _pivot(tab, basis, row, entering)
+    raise LpError("dual simplex iteration cap exceeded")
+
+
+def _warm_start(tab0: np.ndarray, cost: np.ndarray, allowed: np.ndarray,
+                hint, n: int, max_iter: int):
+    """Optimal tableau and basis reached from the hinted basis, or None
+    where the cold path must run instead. `tab0` is the initial tableau
+    [A | I | b]; it is left unchanged."""
+    rows = tab0.shape[0]
+    if not rows or len(hint) != rows or not all(-rows <= j < n for j in hint):
+        return None
+    basis = [j if j >= 0 else n - 1 - j for j in hint]
+    if len(set(basis)) != rows or not allowed[basis].all():
+        return None
+    try:
+        tab = np.linalg.inv(tab0[:, basis]) @ tab0
+    except np.linalg.LinAlgError:
+        return None
+    eye = np.eye(rows)
+    if np.abs(tab[:, basis] - eye).max() > 1e-9:  # B too ill-conditioned to trust
+        return None
+    tab[:, basis] = eye
+    try:
+        if tab[:, -1].min() < -_PIVOT_TOL:
+            reduced = cost - cost[basis] @ tab[:, :-1]
+            if reduced[allowed].max() > _COST_TOL:
+                return None
+            if not _dual_iterate(tab, basis, cost, allowed, max_iter):
+                return None
+        _iterate(tab, basis, cost, allowed, max_iter)
+    except LpError:
+        return None
+    return tab, basis
+
+
+def _result(c: np.ndarray, tab: np.ndarray, basis: list[int], a_orig: np.ndarray,
+            cost2: np.ndarray, mu: int) -> LpResult:
+    """x, value and duals read off an optimal tableau and its basis."""
+    n = c.size
+    x_full = np.zeros(a_orig.shape[1])
+    for r, b_idx in enumerate(basis):
+        x_full[b_idx] = tab[r, -1]
+    x = x_full[:n]
+
+    # Duals from the final basis: solve B^T y = c_B on the original columns.
+    b_mat = a_orig[:, basis]
+    c_b = cost2[basis]
+    try:
+        y = np.linalg.solve(b_mat.T, c_b)
+    except np.linalg.LinAlgError:
+        y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
+    return LpResult(x=x, value=float(c @ x), dual_ub=y[:mu], dual_eq=y[mu:],
+                    basis=tuple(b if b < n else n - 1 - b for b in basis))
+
+
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             max_iter: int = 50_000) -> LpResult:
+             max_iter: int = 50_000, basis=None) -> LpResult:
     """Solve max c.x with a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
     Requires b_ub >= 0 and b_eq >= 0 (all callers in this package satisfy
     this by construction). Raises LpInfeasible / LpUnbounded accordingly.
+    `basis` is an optional hint in the form of `LpResult.basis`, usually
+    from an earlier solve of the same rows.
     """
+    hint = basis  # the name `basis` is the cold path's working basis below
     c = np.asarray(c, dtype=float)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
@@ -106,6 +209,12 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     artificial = np.zeros(n_total, dtype=bool)
     artificial[n + mu:] = True
 
+    if hint is not None:
+        cost2 = np.concatenate([c, np.zeros(mu + me)])
+        warm = _warm_start(tab, cost2, ~artificial, hint, n, max_iter)
+        if warm is not None:
+            return _result(c, *warm, tab[:, :-1], cost2, mu)
+
     if me:
         cost1 = np.where(artificial, -1.0, 0.0)
         allowed = np.ones(n_total, dtype=bool)
@@ -124,21 +233,9 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     cost2 = np.concatenate([c, np.zeros(mu + me)])
     _iterate(tab, basis, cost2, ~artificial, max_iter)
 
-    x_full = np.zeros(n_total)
-    for r, b_idx in enumerate(basis):
-        x_full[b_idx] = tab[r, -1]
-    x = x_full[:n]
-
-    # Duals from the final basis: solve B^T y = c_B on the original columns.
     a_orig = np.zeros((rows, n_total))
     a_orig[:mu, :n] = a_ub
     a_orig[mu:, :n] = a_eq
     a_orig[:mu, n:n + mu] = np.eye(mu)
     a_orig[mu:, n + mu:] = np.eye(me)
-    b_mat = a_orig[:, basis]
-    c_b = cost2[basis]
-    try:
-        y = np.linalg.solve(b_mat.T, c_b)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
-    return LpResult(x=x, value=float(c @ x), dual_ub=y[:mu], dual_eq=y[mu:])
+    return _result(c, tab, basis, a_orig, cost2, mu)

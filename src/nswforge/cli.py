@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -41,7 +39,7 @@ from .model import (
 )
 from .oracle import exact_nsw
 from .pipeline import PipelineParams, run_subadditive, run_xos
-from .relaxation import concave_ext, scaled_optimum_check, solve_eg
+from .relaxation import concave_ext, scaled_optimum_check, solve_eg, trace_csv
 from .rounding import RngStream, round_xos
 from .splitting import split_subadditive, split_xos
 from .valuations import Additive, BudgetedAdditive, CapExceeded, Xos
@@ -52,14 +50,6 @@ EXIT_INVARIANT = 2
 EXIT_CAP = 3
 
 CSV_SCHEMA_LINE = "# schema=1"
-
-
-def _threads() -> int:
-    raw = os.environ.get("NSW_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _child_seed(master: int, index: int) -> int:
@@ -108,6 +98,9 @@ def cmd_solve(args) -> int:
     inst = load_instance(Path(args.instance).read_text())
     report = _run_pipeline(inst, args.pipeline, _pipeline_params(args))
     text = report.to_json(inst, include_timings=args.timings)
+    if args.trace:
+        # no active agent means no relaxation ran: the trace has no rows
+        Path(args.trace).write_text(trace_csv(report.eg.trace if report.eg else ()))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -166,8 +159,7 @@ def cmd_ratio(args) -> int:
                 "exact": exact, "ratio": ratio, "seed": params.seed,
                 "wall_time": wall}
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(solve_one, jobs))
+    rows = [solve_one(job) for job in jobs]
     _write_csv(args.out, ["instance", "n", "m", "family", "nsw", "exact",
                           "ratio", "seed", "wall_time"], rows)
     ratios = sorted(r["ratio"] for r in rows)
@@ -277,11 +269,10 @@ def cmd_fuzz(args) -> int:
             fuzzer(seed)
         except (InvariantViolation, AssertionError) as exc:
             raise InvariantViolation(f"module={args.module} seed={seed}: {exc}") from exc
-        return seed
 
     try:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            list(pool.map(run_one, seeds))
+        for seed in seeds:
+            run_one(seed)
     except InvariantViolation as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -375,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="write the Eisenberg-Gale iteration trace as CSV "
+                        "(no rows when no relaxation runs)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 

@@ -8,9 +8,19 @@ separation oracle of the dual, so each round either certifies optimality
 pair (q, p) satisfies q + p(S) >= v(S) for every set over the universe,
 which is what makes the log-supergradient construction sound.
 
+The restricted LP of column generation lives in a `RestrictedMaster`:
+the columns found so far, their values (each computed once, when the
+column joins) and the last optimal basis. Between two solves with the same
+master only the item masses x change, which is the right-hand side of the
+LP, so each solve warm-starts the simplex from the previous basis (the
+restricted master of Gilmore and Gomory's column generation). A basis
+that x left primal-feasible is still optimal; otherwise it stays
+dual-feasible and a few dual simplex pivots repair it (see `_lp`).
+
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps, by projected supergradient
-ascent with diminishing steps. The floor is what converts approximate
+ascent with diminishing steps. It keeps one restricted master per agent
+for all of its iterations. The floor is what converts approximate
 optimality into the scaled-optimum contract checked by
 `scaled_optimum_check`.
 """
@@ -52,60 +62,95 @@ class ConcaveExtValue:
     pool: list[frozenset[int]] = field(default_factory=list, repr=False)
 
 
-def _solve_restricted(v: Valuation, cols: list[frozenset[int]],
-                      universe: np.ndarray, x: np.ndarray):
-    n_cols = len(cols)
-    a_ub = np.zeros((universe.size, n_cols))
-    pos = {int(j): r for r, j in enumerate(universe)}
-    c = np.empty(n_cols)
-    for k, col in enumerate(cols):
-        c[k] = v.value(col)
-        for j in col:
-            a_ub[pos[j], k] = 1.0
-    res = maximize(c, a_ub=a_ub, b_ub=x[universe],
-                   a_eq=np.ones((1, n_cols)), b_eq=np.array([1.0]))
-    return res, c
+class RestrictedMaster:
+    """The restricted master LP of one valuation's concave extension.
+
+    It holds the columns in the order they joined, each column's value
+    (computed once, when the column joins), the 0/1 item incidence matrix
+    over the universe and the last optimal basis. Across solves only the
+    item masses x change, so each solve restarts the LP from that basis.
+    """
+
+    def __init__(self, v: Valuation, universe: np.ndarray):
+        self.v = v
+        self.universe = universe
+        self._row = {int(j): r for r, j in enumerate(universe)}
+        self.columns: list[frozenset[int]] = []
+        self._seen: set[frozenset[int]] = set()
+        self.values = np.zeros(0)
+        self.incidence = np.zeros((universe.size, 0))
+        self.basis: tuple[int, ...] | None = None
+        self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
+
+    def __contains__(self, col: frozenset[int]) -> bool:
+        return col in self._seen
+
+    def extend(self, cols: Iterable[frozenset[int]]) -> None:
+        """Append the columns that are new and lie inside the universe."""
+        new = []
+        for col in cols:
+            if col not in self._seen and all(j in self._row for j in col):
+                new.append(col)
+                self._seen.add(col)
+        if not new:
+            return
+        block = np.zeros((self.universe.size, len(new)))
+        for k, col in enumerate(new):
+            block[[self._row[j] for j in col], k] = 1.0
+        self.columns.extend(new)
+        self.values = np.concatenate([self.values, [self.v.value(col) for col in new]])
+        self.incidence = np.hstack([self.incidence, block])
+
+    def solve(self, x_universe: np.ndarray):
+        """max sum_k value_k y_k over y >= 0 with incidence.y <= x and
+        sum y = 1, warm-started from the previous solve's basis."""
+        res = maximize(self.values, a_ub=self.incidence, b_ub=x_universe,
+                       a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1),
+                       basis=self.basis)
+        self.basis = res.basis
+        return res
 
 
 def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
                 method: str = "colgen", tol: float = 1e-9,
                 max_rounds: int = 500,
-                initial_columns: Sequence[frozenset[int]] | None = None) -> ConcaveExtValue:
+                initial_columns: Sequence[frozenset[int]] | None = None,
+                *, master: RestrictedMaster | None = None) -> ConcaveExtValue:
     """Concave extension of v at item masses x over the given universe.
 
     method="colgen" runs demand-oracle column generation and certifies the
     dual over every subset of the universe. method="enumerate" solves the
     LP over all subsets of the support of x in one shot (desk-scale
     fallback; its dual is only certified on the enumerated sets).
+
+    `master` carries the restricted master of an earlier call with the
+    same valuation and universe, so that its columns and basis are reused
+    and the new columns stay in it; without one a fresh master starts from
+    the empty set and the singletons.
     """
     x = np.asarray(x, dtype=float)
     universe = (np.arange(v.m, dtype=np.int64) if items is None
                 else np.unique(np.fromiter(items, dtype=np.int64)))
     if x[universe].min() < -tol or x[universe].max() > 1 + tol:
         raise ValueError("item masses must lie in [0, 1]")
-    support = [int(j) for j in universe if x[j] > 0]
-
-    cols: list[frozenset[int]] = [frozenset()]
-    cols.extend(frozenset({int(j)}) for j in universe)
+    if method not in ("colgen", "enumerate"):
+        raise ValueError(f"unknown method {method!r}")
+    if master is None:
+        master = RestrictedMaster(v, universe)
+    elif master.v is not v or not np.array_equal(master.universe, universe):
+        raise ValueError("restricted master of another valuation or universe")
     if method == "enumerate":
+        support = [int(j) for j in universe if x[j] > 0]
         if len(support) > 20:
             raise ValueError("enumeration fallback supports at most 20 support items")
-        for mask in range(1, 1 << len(support)):
-            sub = frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
-            if len(sub) > 1:
-                cols.append(sub)
-    elif method != "colgen":
-        raise ValueError(f"unknown method {method!r}")
-    seen = set(cols)
-    allowed = frozenset(int(j) for j in universe)
-    for col in initial_columns or ():
-        if col not in seen and col <= allowed:
-            cols.append(col)
-            seen.add(col)
+        master.extend(frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
+                      for mask in range(1, 1 << len(support)))
+    master.extend(initial_columns or ())
 
+    x_univ = x[universe]
     rounds = 0
     while True:
-        res, c = _solve_restricted(v, cols, universe, x)
+        res = master.solve(x_univ)
         q = float(res.dual_eq[0])
         p_univ = np.maximum(res.dual_ub, 0.0)
         if method == "enumerate":
@@ -117,27 +162,26 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         gap = hit.utility - q
         if gap <= tol * max(1.0, abs(res.value)):
             break
-        if hit.items in seen:
+        if hit.items in master:
             # the dual already prices this column; residual gap is numerical
             if gap <= 1e-7 * max(1.0, abs(res.value)):
                 break
             raise ConvergenceError("column generation stalled", gap)
         if rounds >= max_rounds:
             raise ConvergenceError("column generation round cap exceeded", gap)
-        cols.append(hit.items)
-        seen.add(hit.items)
+        master.extend([hit.items])
 
     prices = np.zeros(v.m)
     prices[universe] = p_univ
-    columns = [(cols[k], float(res.x[k])) for k in np.flatnonzero(res.x > 1e-12)]
+    columns = [(master.columns[k], float(res.x[k])) for k in np.flatnonzero(res.x > 1e-12)]
     total = sum(w for _, w in columns)
     columns = [(s, w / total) for s, w in columns]
     value = float(res.value)
-    dual_value = q + float(prices[universe] @ x[universe])
+    dual_value = q + float(p_univ @ x_univ)
     if abs(value - dual_value) > 1e-6 * (1.0 + abs(value)):
         raise ConvergenceError("duality certificate failed", abs(value - dual_value))
     return ConcaveExtValue(value=value, q=q, prices=prices, columns=columns,
-                           rounds=rounds, pool=list(cols))
+                           rounds=rounds, pool=list(master.columns))
 
 
 @dataclass
@@ -193,6 +237,13 @@ class EgParams:
         return eps
 
 
+def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
+    """CSV of an EG trace, one row per iteration; no rows for no trace."""
+    lines = ["# schema=1", "iteration,objective,gap,step"]
+    lines.extend(f"{t},{obj!r},{gap!r},{step!r}" for t, obj, gap, step in trace)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class EgResult:
     agents: list[int]
@@ -211,10 +262,7 @@ class EgResult:
 
     def trace_csv(self) -> str:
         """Diagnostics stream: iteration, objective, gap certificate, step."""
-        lines = ["# schema=1", "iteration,objective,gap,step"]
-        lines.extend(f"{t},{obj!r},{gap!r},{step!r}"
-                     for t, obj, gap, step in self.trace)
-        return "\n".join(lines) + "\n"
+        return trace_csv(self.trace)
 
     def config(self):
         from .model import ConfigSolution
@@ -222,19 +270,25 @@ class EgResult:
         return ConfigSolution({i: list(self.extensions[i].columns) for i in self.agents})
 
 
-def _project_capped(col: np.ndarray, eps: float) -> np.ndarray:
-    """Euclidean projection of one item's agent-masses onto
-    {z >= eps, sum z <= 1}."""
-    w = col - eps
-    budget = 1.0 - eps * col.size
+def _project_capped(mat: np.ndarray, eps: float) -> np.ndarray:
+    """Euclidean projection of each item's agent-masses (a column of the
+    agents x items matrix) onto {z >= eps, sum z <= 1}.
+
+    Works on the transpose, so that every item's sums run along a
+    contiguous axis in numpy's pairwise order, as a 1-D sum would.
+    """
+    w = np.ascontiguousarray(mat.T) - eps
+    n_a = mat.shape[0]
+    budget = 1.0 - eps * n_a
     w0 = np.maximum(w, 0.0)
-    if w0.sum() <= budget + 1e-15:
-        return w0 + eps
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - budget
-    rho = np.nonzero(u - css / np.arange(1, col.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(w - theta, 0.0) + eps
+    inside = w0.sum(axis=1) <= budget + 1e-15
+    u = np.sort(w, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - budget
+    positive = u - css / np.arange(1, n_a + 1) > 0
+    rho = n_a - 1 - np.argmax(positive[:, ::-1], axis=1)
+    theta = css[np.arange(css.shape[0]), rho] / (rho + 1.0)
+    out = np.where(inside[:, None], w0, np.maximum(w - theta[:, None], 0.0)) + eps
+    return np.ascontiguousarray(out.T)
 
 
 def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
@@ -245,7 +299,13 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     iterate is tracked and returned with fresh dual certificates. Stops on
     a duality-gap certificate of eps^4 per agent (against the best vertex
     of the linearization), or when the objective stalls for `patience`
-    accepted iterations.
+    accepted iterations. The reported `gap` bounds the returned iterate:
+    the smallest objective-plus-gap over the trace, less its objective.
+
+    Each agent keeps one `RestrictedMaster` for the whole solve: columns
+    found by column generation stay in it with their values, and since an
+    iteration changes only the item masses, every restricted LP restarts
+    from the previous iteration's optimal basis.
     """
     params = params or EgParams()
     agent_list = sorted(set(agents))
@@ -261,7 +321,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     eps = params.floor(n_a)
     gap_target = eps ** 4 * n_a
     x_mat = np.full((n_a, m_i), 1.0 / n_a)
-    pools: dict[int, list[frozenset[int]]] = {i: [] for i in agent_list}
+    masters = {i: RestrictedMaster(inst.valuations[i], item_idx) for i in agent_list}
 
     def evaluate(mat):
         exts, grads, obj = {}, np.zeros_like(mat), 0.0
@@ -269,8 +329,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
             x_full = np.zeros(inst.m)
             x_full[item_idx] = mat[k]
             ext = concave_ext(inst.valuations[i], x_full, items=item_list,
-                              tol=params.colgen_tol, initial_columns=pools[i])
-            pools[i] = ext.pool
+                              tol=params.colgen_tol, master=masters[i])
             sg = supergradient_log(inst.valuations[i], x_full, ext=ext)
             exts[i] = ext
             grads[k] = sg.grad[item_idx]
@@ -304,9 +363,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
             break
         if stale >= params.patience:
             break
-        x_mat = x_mat + step * grads
-        for j in range(m_i):
-            x_mat[:, j] = _project_capped(x_mat[:, j], eps)
+        x_mat = _project_capped(x_mat + step * grads, eps)
 
     if best_mat is None:  # pragma: no cover - first evaluate always records
         raise ConvergenceError("no iterate evaluated", gap)
@@ -314,8 +371,11 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
             for k, i in enumerate(agent_list)}
     frac = ItemFractional(mass)
     frac.validate(inst.m)
+    # OPT <= obj_t + gap_t at every evaluated t, so the tightest of these
+    # bounds the returned iterate's own gap
+    bound = min(o + g for _, o, g, _ in trace)
     return EgResult(agents=agent_list, items=item_list, x=frac,
-                    extensions=best_exts, objective=best_obj, gap=gap,
+                    extensions=best_exts, objective=best_obj, gap=bound - best_obj,
                     epsilon=eps, iterations=iterations, converged=converged,
                     trace=trace)
 

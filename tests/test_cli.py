@@ -51,6 +51,31 @@ class TestSolve:
         assert main(["solve", "--instance", str(tmp_path / "nope.json"),
                      "--pipeline", "xos"]) == EXIT_USAGE
 
+    def test_trace_has_one_row_per_iteration(self, instance_file, tmp_path, capsys):
+        base = ["solve", "--instance", str(instance_file), "--pipeline", "xos",
+                "--seed", "7"]
+        assert main(base) == EXIT_OK
+        plain = capsys.readouterr().out
+        trace = tmp_path / "trace.csv"
+        assert main(base + ["--trace", str(trace)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "# schema=1"
+        assert lines[1] == "iteration,objective,gap,step"
+        iterations = json.loads(plain)["stages"]["relaxation"]["iterations"]
+        assert len(lines) - 2 == iterations > 0
+        assert [int(line.split(",")[0]) for line in lines[2:]] == list(range(1, iterations + 1))
+
+    def test_trace_without_relaxation_has_no_rows(self, tmp_path, capsys):
+        # as many items as agents: the reservation matching takes them all
+        path = tmp_path / "square.json"
+        path.write_text(serialize_instance(generate(GenSpec("xos", 2, 2, seed=1))))
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", "--instance", str(path), "--pipeline", "xos",
+                     "--trace", str(trace)]) == EXIT_OK
+        assert "relaxation" not in json.loads(capsys.readouterr().out)["stages"]
+        assert trace.read_text().splitlines() == ["# schema=1", "iteration,objective,gap,step"]
+
     def test_subadditive_lane(self, budgeted_file, capsys):
         code = main(["solve", "--instance", str(budgeted_file),
                      "--pipeline", "subadditive", "--proc", "oracle"])
@@ -109,6 +134,17 @@ class TestRatio:
         ratio_col = header.index("ratio")
         assert all(float(r[ratio_col]) >= 1 - 1e-9 for r in rows)
 
+    def test_identical_runs_give_identical_rows(self, tmp_path):
+        args = ["ratio", "--family", "additive", "--n", "2", "--m", "4",
+                "--count", "4", "--pipeline", "xos", "--seed", "12"]
+        assert main(args + ["--out", str(tmp_path / "one.csv")]) == EXIT_OK
+        assert main(args + ["--out", str(tmp_path / "two.csv")]) == EXIT_OK
+
+        def strip_wall_time(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert strip_wall_time(tmp_path / "one.csv") == strip_wall_time(tmp_path / "two.csv")
+
 
 class TestFuzz:
     def test_zero_count_vacuous(self, capsys):
@@ -159,21 +195,6 @@ class TestExitCodes:
         assert main(["fuzz", "--module", "split", "--count", "3",
                      "--seed", "1"]) == EXIT_INVARIANT
         assert "seed=" in capsys.readouterr().err
-
-
-class TestThreads:
-    def test_ratio_rows_independent_of_thread_count(self, tmp_path, monkeypatch):
-        args = ["ratio", "--family", "additive", "--n", "2", "--m", "4",
-                "--count", "4", "--pipeline", "xos", "--seed", "12"]
-        monkeypatch.setenv("NSW_FORGE_THREADS", "1")
-        assert main(args + ["--out", str(tmp_path / "one.csv")]) == EXIT_OK
-        monkeypatch.setenv("NSW_FORGE_THREADS", "3")
-        assert main(args + ["--out", str(tmp_path / "three.csv")]) == EXIT_OK
-
-        def strip_wall_time(path):
-            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-
-        assert strip_wall_time(tmp_path / "one.csv") == strip_wall_time(tmp_path / "three.csv")
 
 
 class TestReport:

@@ -1,9 +1,13 @@
-"""The in-house simplex against scipy's HiGHS as an independent oracle."""
+"""The in-house simplex against scipy's HiGHS as an independent oracle,
+and its warm starts against its own cold solves."""
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import nswforge._lp as lp_mod
 from nswforge._lp import LpInfeasible, maximize
 from nswforge.generators import GenSpec, generate
 
@@ -102,3 +106,164 @@ def test_matches_scipy_on_configuration_lps(seed):
     assert (a_ub @ res.x <= b_ub + 1e-8).all()
     assert a_eq @ res.x == pytest.approx(b_eq, abs=1e-8)
     assert res.x.min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# warm starts from a basis hint
+
+
+def assert_certified(res, c, a_ub, b_ub, a_eq, b_eq, tol=1e-9):
+    """Primal feasibility, dual feasibility and strong duality."""
+    assert res.x.min() >= -tol
+    assert (a_ub @ res.x <= b_ub + tol).all()
+    assert a_eq @ res.x == pytest.approx(b_eq, abs=tol)
+    assert res.dual_ub.min() >= -tol
+    assert (c - res.dual_ub @ a_ub - res.dual_eq @ a_eq).max() <= tol
+    assert res.dual_ub @ b_ub + res.dual_eq @ b_eq == pytest.approx(res.value, abs=tol)
+
+
+def restricted_master_lp(rng, m=6, k=14):
+    """An LP shaped like a concave extension's restricted master: 0/1
+    columns over m items, item masses as capacities, unit total mass."""
+    incidence = (rng.uniform(size=(m, k)) < 0.4).astype(float)
+    incidence[:, :m] = np.eye(m)
+    c = incidence.sum(axis=0) * rng.uniform(0.5, 1.0, k)
+    return c, incidence, rng.uniform(0, 1, m), np.ones((1, k)), np.ones(1)
+
+
+@pytest.fixture
+def warm_paths(monkeypatch):
+    """Record whether each hinted solve stayed warm and whether it needed
+    the dual simplex."""
+    seen = {"warm": 0, "cold": 0, "dual": 0}
+    warm, dual = lp_mod._warm_start, lp_mod._dual_iterate
+
+    def spy_warm(*args):
+        out = warm(*args)
+        seen["warm" if out is not None else "cold"] += 1
+        return out
+
+    def spy_dual(*args):
+        seen["dual"] += 1
+        return dual(*args)
+    monkeypatch.setattr(lp_mod, "_warm_start", spy_warm)
+    monkeypatch.setattr(lp_mod, "_dual_iterate", spy_dual)
+    return seen
+
+
+def rhs_change(trial):
+    """An LP, its optimal basis, and a changed rhs that keeps it feasible."""
+    rng = np.random.default_rng(3000 + trial)
+    if trial % 2:
+        c, a_ub, b_ub, a_eq, b_eq = restricted_master_lp(rng)
+        new_b = np.clip(b_ub + rng.normal(0, 0.15, b_ub.size), 0, 1)
+    else:
+        c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
+        new_b = b_ub * rng.uniform(0.9, 1.3, b_ub.size)  # keeps x0 feasible
+    first = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return (c, a_ub, new_b, a_eq, b_eq), first.basis
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_warm_start_after_rhs_change_matches_cold(trial, warm_paths):
+    (c, a_ub, b_ub, a_eq, b_eq), hint = rhs_change(trial)
+    cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=hint)
+    assert warm_paths["warm"] == 1
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert_certified(warm, c, a_ub, b_ub, a_eq, b_eq)
+
+
+def test_rhs_changes_reach_both_warm_paths(warm_paths):
+    # some hints stay primal-feasible, the others need the dual simplex
+    for trial in range(30):
+        (c, a_ub, b_ub, a_eq, b_eq), hint = rhs_change(trial)
+        maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=hint)
+    assert warm_paths["warm"] == 30
+    assert 5 <= warm_paths["dual"] <= 25
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_hint_from_before_appended_columns(trial, warm_paths):
+    rng = np.random.default_rng(4000 + trial)
+    c, a_ub, b_ub, a_eq, b_eq = restricted_master_lp(rng, k=16)
+    k0 = 10
+    # as in column generation: the rhs stays, new columns join at the end
+    first = maximize(c[:k0], a_ub=a_ub[:, :k0], b_ub=b_ub, a_eq=a_eq[:, :k0], b_eq=b_eq)
+    cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=first.basis)
+    assert warm_paths == {"warm": 1, "cold": 0, "dual": 0}
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert_certified(warm, c, a_ub, b_ub, a_eq, b_eq)
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert a.value == b.value
+    assert np.array_equal(a.dual_ub, b.dual_ub)
+    assert np.array_equal(a.dual_eq, b.dual_eq)
+    assert a.basis == b.basis
+
+
+def neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq):
+    """A basis (as a hint) that is neither primal- nor dual-feasible."""
+    n, mu = c.size, a_ub.shape[0]
+    a = np.hstack([np.vstack([a_ub, a_eq]), np.eye(mu + a_eq.shape[0])])
+    cost = np.concatenate([c, np.zeros(mu + a_eq.shape[0])])
+    b = np.concatenate([b_ub, b_eq])
+    rows = a.shape[0]
+    for cols in itertools.combinations(range(n + mu), rows):
+        basis = np.array(cols)
+        if abs(np.linalg.det(a[:, basis])) < 1e-6:
+            continue
+        tab = np.linalg.solve(a[:, basis], np.hstack([a, b[:, None]]))
+        reduced = cost - cost[basis] @ tab[:, :-1]
+        if tab[:, -1].min() < -1e-6 and reduced[:n + mu].max() > 1e-6:
+            return tuple(int(j) if j < n else n - 1 - int(j) for j in basis)
+    raise AssertionError("no such basis")
+
+
+def test_fallbacks_equal_the_cold_solve(warm_paths):
+    rng = np.random.default_rng(5000)
+    c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng, n=5, mu=2, me=1)
+    cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    n, mu = c.size, a_ub.shape[0]
+    # a duplicated column makes any basis holding both copies singular
+    c2, a_ub2, a_eq2 = (np.append(c, c[0]), np.hstack([a_ub, a_ub[:, :1]]),
+                        np.hstack([a_eq, a_eq[:, :1]]))
+    cold2 = maximize(c2, a_ub=a_ub2, b_ub=b_ub, a_eq=a_eq2, b_eq=b_eq)
+    singular = (0, n, -2, -3)
+    with_artificial = (-1, -2, -3, -(mu + 1))
+    neither = neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq)
+    wrong_length = cold.basis[:-1]
+    out_of_range = (n + 5,) + cold.basis[1:]
+    for hint in (with_artificial, neither, wrong_length, out_of_range):
+        assert_same_result(maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                                    basis=hint), cold)
+    assert_same_result(maximize(c2, a_ub=a_ub2, b_ub=b_ub, a_eq=a_eq2, b_eq=b_eq,
+                                basis=singular), cold2)
+    assert warm_paths["warm"] == 0 and warm_paths["cold"] == 5
+
+
+def test_warm_start_reuses_an_optimal_basis(warm_paths):
+    rng = np.random.default_rng(5100)
+    c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
+    cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    again = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=cold.basis)
+    assert warm_paths == {"warm": 1, "cold": 0, "dual": 0}
+    assert again.basis == cold.basis
+    assert again.value == pytest.approx(cold.value, abs=1e-12)
+
+
+def test_beale_cycling_example_terminates_from_warm_hints(warm_paths):
+    c = np.array([0.75, -150.0, 0.02, -6.0])
+    a_ub = np.array([[0.25, -60.0, -0.04, 9.0],
+                     [0.5, -90.0, -0.02, 3.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+    b_ub = np.array([0.0, 0.0, 1.0])
+    shifted = maximize(c, a_ub=a_ub, b_ub=np.array([0.3, 0.1, 0.5]))
+    for hint in ((-1, -2, -3), shifted.basis):
+        res = maximize(c, a_ub=a_ub, b_ub=b_ub, basis=hint)
+        assert res.value == pytest.approx(0.05, abs=1e-12)
+        assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    assert warm_paths["warm"] == 2

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from nswforge.generators import GenSpec, generate
 from nswforge.matching import initial_matching
 from nswforge.model import Instance
 from nswforge.relaxation import (
     EgParams,
+    RestrictedMaster,
+    _project_capped,
     concave_ext,
     default_epsilon,
     scaled_optimum_check,
@@ -103,6 +106,33 @@ class TestConcaveExt:
         assert ext.value == 0.0
 
 
+class TestRestrictedMaster:
+    def test_reuse_keeps_values_and_counts_each_column_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        v = Xos(rng.uniform(0, 1, (4, 6)))
+        valued = []
+        monkeypatch.setattr(v, "value", lambda items, f=v.value: valued.append(
+            frozenset(items)) or f(items))
+        master = RestrictedMaster(v, np.arange(6))
+        for _ in range(8):
+            x = rng.uniform(0, 1, 6)
+            ext = concave_ext(v, x, master=master)
+            fresh = concave_ext(Xos(v.clauses), x)
+            assert ext.value == pytest.approx(fresh.value, abs=1e-9)
+            assert ext.value == pytest.approx(ext.q + ext.prices @ x, abs=1e-9)
+        assert len(valued) == len(set(valued)) == len(master.columns)
+        assert ext.pool == master.columns
+
+    def test_master_of_another_universe_rejected(self):
+        v = Additive([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="another valuation or universe"):
+            concave_ext(v, [0.5, 0.5, 0.5], items=[0, 1],
+                        master=RestrictedMaster(v, np.arange(3)))
+        with pytest.raises(ValueError, match="another valuation or universe"):
+            concave_ext(v, [0.5, 0.5, 0.5],
+                        master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
+
+
 class TestSupergradient:
     def test_additive_gradient_formula(self):
         rng = np.random.default_rng(2)
@@ -186,6 +216,73 @@ class TestSolveEg:
             x = eg.x.agent_vector(i, 2)
             assert (x >= eg.epsilon - 1e-9).all()
         assert eg.epsilon == pytest.approx(default_epsilon(0.25, 2))
+
+
+    def test_extensions_match_fresh_solves(self):
+        # the persistent, warm-started masters give the same v+ and valid
+        # certificates at the returned iterate as a cold solve
+        for family, seed in (("xos", 1), ("table", 0), ("budgeted_additive", 2)):
+            inst = generate(GenSpec(family, n=3, m=7, seed=seed))
+            _, _, remaining, active = initial_matching(inst)
+            eg = solve_eg(inst, active, remaining, EgParams(max_iterations=60))
+            for i in eg.agents:
+                x = eg.x.agent_vector(i, inst.m)
+                fresh = concave_ext(inst.valuations[i], x, items=eg.items)
+                ext = eg.extensions[i]
+                assert ext.value == pytest.approx(fresh.value, abs=1e-9)
+                assert ext.value == pytest.approx(ext.q + ext.prices @ x, abs=1e-9)
+
+    def test_gap_bounds_the_returned_iterate_when_capped(self):
+        inst = generate(GenSpec("xos", n=3, m=6, seed=1))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining, EgParams(max_iterations=40))
+        assert not eg.converged and eg.iterations == 40
+        assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
+        best_row_gap = next(gap for _, obj, gap, _ in eg.trace if obj == eg.objective)
+        assert 0 <= eg.gap <= best_row_gap
+
+    def test_gap_of_a_converged_run_meets_the_target(self):
+        inst = generate(GenSpec("xos", n=3, m=6, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert eg.converged and eg.iterations < EgParams().max_iterations
+        assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
+        assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
+
+
+def project_item_reference(col: np.ndarray, eps: float) -> np.ndarray:
+    """Euclidean projection of one item's agent-masses onto
+    {z >= eps, sum z <= 1}: the per-item form the solver once looped over."""
+    w = col - eps
+    budget = 1.0 - eps * col.size
+    w0 = np.maximum(w, 0.0)
+    if w0.sum() <= budget + 1e-15:
+        return w0 + eps
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - budget
+    rho = np.nonzero(u - css / np.arange(1, col.size + 1) > 0)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(w - theta, 0.0) + eps
+
+
+class TestProjection:
+    @pytest.mark.parametrize("n_agents", range(1, 11))
+    def test_bit_identical_to_per_item_projection(self, n_agents):
+        rng = np.random.default_rng(800 + n_agents)
+        eps = default_epsilon(0.25, n_agents)
+        budget = 1.0 - eps * n_agents
+        outside = rng.uniform(-0.5, 1.5, (n_agents, 12))
+        inside = eps + rng.dirichlet(np.ones(n_agents), 6).T * budget * rng.uniform(0, 1, 6)
+        floor = np.full((n_agents, 3), eps)
+        # masses summing to the budget within an ulp or two: from 8 agents
+        # on, whether they count as inside depends on the summation order
+        boundary = eps + rng.dirichlet(np.ones(n_agents), 40).T * (budget + 1e-15)
+        mat = np.hstack([outside, inside, floor, boundary])[:, rng.permutation(61)]
+        got = _project_capped(mat, eps)
+        want = np.stack([project_item_reference(mat[:, j], eps) for j in range(61)], axis=1)
+        assert np.array_equal(got, want)
+        assert got.min() >= eps
+        assert (got.sum(axis=0) <= 1.0 + 1e-12).all()
 
 
 class TestScaledOptimum:
