@@ -51,7 +51,6 @@ from .valuations import (
     BudgetedAdditive,
     CapExceeded,
     ExplicitTable,
-    PriceVector,
     Valuation,
     Xos,
     demand,
@@ -66,9 +65,9 @@ __all__ = [
     "ConcaveExtValue", "ConfigSolution", "EgParams", "EgResult",
     "ExactResult", "ExplicitTable", "GenSpec", "Instance",
     "InvariantViolation", "ItemFractional", "Matching", "PipelineParams",
-    "PipelineReport", "PriceVector", "RngStream", "RoundOutcome",
-    "SchemaError", "SubaddSplitOutput", "TailExperiment", "Valuation",
-    "Xos", "XosSplitOutput", "concave_ext", "cr_procedure", "demand",
+    "PipelineReport", "RngStream", "RoundOutcome", "SchemaError",
+    "SubaddSplitOutput", "TailExperiment", "Valuation", "Xos",
+    "XosSplitOutput", "concave_ext", "cr_procedure", "demand",
     "exact_config_lp", "exact_nsw", "exact_scaled_welfare",
     "expectation_lower", "extension_pi", "finalize_xos", "generate",
     "initial_matching", "iterated_round", "load_instance", "lower_tail",

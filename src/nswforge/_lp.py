@@ -29,6 +29,7 @@ import numpy as np
 
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
+_MAX_ITER = 50_000  # pivots per simplex phase before LpError
 
 
 class LpError(RuntimeError):
@@ -69,9 +70,9 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
-             allowed: np.ndarray, max_iter: int) -> None:
+             allowed: np.ndarray) -> None:
     n_rows = tab.shape[0]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         c_b = cost[basis]
         reduced = cost - c_b @ tab[:, :-1]
         reduced[~allowed] = 0.0
@@ -97,7 +98,7 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
 
 
 def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
-                  allowed: np.ndarray, max_iter: int) -> bool:
+                  allowed: np.ndarray) -> bool:
     """Dual simplex from a dual-feasible basis until the rhs is nonnegative.
 
     Smallest-index rule: the leaving row is the infeasible row with the
@@ -105,7 +106,7 @@ def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
     to the smallest index. Returns False when the leaving row has no
     entering column (the LP is infeasible, or the basis numerically lost).
     """
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         infeasible = np.flatnonzero(tab[:, -1] < -_PIVOT_TOL)
         if not infeasible.size:
             return True
@@ -122,7 +123,7 @@ def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
 
 
 def _warm_start(tab0: np.ndarray, cost: np.ndarray, allowed: np.ndarray,
-                hint, n: int, max_iter: int):
+                hint, n: int):
     """Optimal tableau and basis reached from the hinted basis, or None
     where the cold path must run instead. `tab0` is the initial tableau
     [A | I | b]; it is left unchanged."""
@@ -145,9 +146,9 @@ def _warm_start(tab0: np.ndarray, cost: np.ndarray, allowed: np.ndarray,
             reduced = cost - cost[basis] @ tab[:, :-1]
             if reduced[allowed].max() > _COST_TOL:
                 return None
-            if not _dual_iterate(tab, basis, cost, allowed, max_iter):
+            if not _dual_iterate(tab, basis, cost, allowed):
                 return None
-        _iterate(tab, basis, cost, allowed, max_iter)
+        _iterate(tab, basis, cost, allowed)
     except LpError:
         return None
     return tab, basis
@@ -174,7 +175,7 @@ def _result(c: np.ndarray, tab: np.ndarray, basis: list[int], a_orig: np.ndarray
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             max_iter: int = 50_000, basis=None) -> LpResult:
+             basis=None) -> LpResult:
     """Solve max c.x with a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
     Requires b_ub >= 0 and b_eq >= 0 (all callers in this package satisfy
@@ -211,14 +212,14 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
     if hint is not None:
         cost2 = np.concatenate([c, np.zeros(mu + me)])
-        warm = _warm_start(tab, cost2, ~artificial, hint, n, max_iter)
+        warm = _warm_start(tab, cost2, ~artificial, hint, n)
         if warm is not None:
             return _result(c, *warm, tab[:, :-1], cost2, mu)
 
     if me:
         cost1 = np.where(artificial, -1.0, 0.0)
         allowed = np.ones(n_total, dtype=bool)
-        _iterate(tab, basis, cost1, allowed, max_iter)
+        _iterate(tab, basis, cost1, allowed)
         if cost1[basis] @ tab[:, -1] < -1e-7:
             raise LpInfeasible("equality system infeasible")
         # Drive leftover artificials out of the basis where possible;
@@ -231,7 +232,7 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                         break
 
     cost2 = np.concatenate([c, np.zeros(mu + me)])
-    _iterate(tab, basis, cost2, ~artificial, max_iter)
+    _iterate(tab, basis, cost2, ~artificial)
 
     a_orig = np.zeros((rows, n_total))
     a_orig[:mu, :n] = a_ub

@@ -71,13 +71,6 @@ class TailCheckResult:
     passed: bool
     details: dict[str, float] = field(default_factory=dict)
 
-    def row(self) -> dict:
-        out = {"check": self.name, "empirical": self.empirical,
-               "bound": self.bound, "slack": self.slack,
-               "passed": int(self.passed)}
-        out.update(self.details)
-        return out
-
 
 def _se(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)

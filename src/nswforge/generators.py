@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import Instance
 from .rounding import STREAM_GENERATE, RngStream
-from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos
+from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos, _all_subset_rows
 
 FAMILIES = ("additive", "xos", "budgeted_additive", "table")
 WEIGHT_DISTRIBUTIONS = ("uniform", "integers", "heavy")
@@ -50,9 +50,7 @@ def _draw_weights(gen: np.random.Generator, dist: str, m: int) -> np.ndarray:
 
 
 def _all_subset_values(v: Valuation, m: int) -> np.ndarray:
-    masks = np.arange(1 << m, dtype=np.int64)
-    rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    return v.value_rows(rows)
+    return v.value_rows(_all_subset_rows(np.arange(m), m))
 
 
 def _agent_valuation(spec: GenSpec, gen: np.random.Generator) -> Valuation:

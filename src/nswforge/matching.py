@@ -9,26 +9,11 @@ values are zero (a fully positive matching is found whenever one exists).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Allocation, Instance, InvariantViolation, Matching
-
-
-@dataclass(frozen=True)
-class MatchingProblem:
-    """Scores (agents x items) whose product is to be maximized."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        s = self.scores
-        if s.ndim != 2:
-            raise ValueError("scores must be a 2-d array")
-        if not np.all(np.isfinite(s)) or s.min(initial=0.0) < 0:
-            raise ValueError("scores must be finite and nonnegative")
 
 
 def matching_objective(scores: np.ndarray, matching: Matching) -> tuple[int, float]:
@@ -42,13 +27,18 @@ def matching_objective(scores: np.ndarray, matching: Matching) -> tuple[int, flo
     return count, logsum
 
 
-def product_matching(prob: MatchingProblem | np.ndarray) -> Matching:
+def product_matching(scores) -> Matching:
     """Injective assignment with lexicographically maximal (count, log-sum).
 
+    `scores` is an agents x items array of finite nonnegative values.
     Zero-score pairs are allowed but never preferred over positive ones;
     agents with no positive option receive an arbitrary unused item.
     """
-    scores = prob.scores if isinstance(prob, MatchingProblem) else np.asarray(prob, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2:
+        raise ValueError("scores must be a 2-d array")
+    if not np.all(np.isfinite(scores)) or scores.min(initial=0.0) < 0:
+        raise ValueError("scores must be finite and nonnegative")
     n, m = scores.shape
     if m < n:
         raise ValueError(f"fewer items ({m}) than agents ({n})")

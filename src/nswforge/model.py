@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos
+from .valuations import (
+    EXHAUSTIVE_CAP,
+    Additive,
+    BudgetedAdditive,
+    ExplicitTable,
+    Valuation,
+    Xos,
+    _all_subset_rows,
+)
 
 #: absolute tolerance for <=/>= constraint checks on O(1)-normalized values
 CHECK_TOL = 1e-9
@@ -115,9 +123,6 @@ class ConfigSolution:
 
     columns: dict[int, list[tuple[frozenset[int], float]]]
 
-    def agent_total(self, agent: int) -> float:
-        return sum(w for _, w in self.columns.get(agent, []))
-
     def item_load(self, m: int) -> np.ndarray:
         load = np.zeros(m)
         for cols in self.columns.values():
@@ -210,8 +215,8 @@ def _parse_weights(raw, m: int, path: str) -> np.ndarray:
 
 def _parse_table(raw, m: int, path: str) -> ExplicitTable:
     _require(isinstance(raw, dict), "expected a subset-value map", path)
-    if m > 16:
-        raise SchemaError("table valuations support at most 16 items", path)
+    if m > EXHAUSTIVE_CAP:
+        raise SchemaError(f"table valuations support at most {EXHAUSTIVE_CAP} items", path)
     table = np.zeros(1 << m)
     seen: set[int] = set()
     for key, val in raw.items():
@@ -261,11 +266,11 @@ def _parse_valuation(raw, m: int, path: str) -> Valuation:
     raise SchemaError(f"unknown valuation kind {kind!r}", f"{path}/kind")
 
 
-def load_instance(text: str, validate_tables: bool = True) -> Instance:
+def load_instance(text: str) -> Instance:
     """Parse and validate an instance document.
 
     Identifiers are densified in file order. Explicit tables are checked
-    for monotonicity and subadditivity unless `validate_tables` is False.
+    for monotonicity and subadditivity.
     """
     try:
         doc = json.loads(text)
@@ -291,13 +296,11 @@ def load_instance(text: str, validate_tables: bool = True) -> Instance:
         names.append(name)
         vals.append(_parse_valuation(entry.get("valuation"), m, f"{path}/valuation"))
     _require(len(set(names)) == len(names), "duplicate identifier", "/agents")
-    if validate_tables:
-        for k, v in enumerate(vals):
-            if isinstance(v, ExplicitTable):
-                report = validate_valuation(v, m)
-                _require(report.passed(),
-                         f"table valuation invalid: {report.summary()}",
-                         f"/agents/{k}/valuation/values")
+    for k, v in enumerate(vals):
+        if isinstance(v, ExplicitTable):
+            report = validate_valuation(v, m)
+            _require(report.passed(), f"table valuation invalid: {report.summary()}",
+                     f"/agents/{k}/valuation/values")
     return Instance(tuple(names), tuple(items), tuple(vals))
 
 
@@ -344,7 +347,7 @@ def _mask_set(mask: int, m: int) -> frozenset[int]:
     return frozenset(j for j in range(m) if mask >> j & 1)
 
 
-def validate_valuation(v: Valuation, m: int, cap: int = 16,
+def validate_valuation(v: Valuation, m: int, cap: int = EXHAUSTIVE_CAP,
                        tol: float = CHECK_TOL) -> ValuationReport:
     """Exhaustive monotonicity and subadditivity check over all subsets.
 
@@ -363,8 +366,7 @@ def validate_valuation(v: Valuation, m: int, cap: int = 16,
                                subadditive=None, xos_consistent=xos_ok, skipped=True)
 
     masks = np.arange(1 << m, dtype=np.int64)
-    rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    vals = v.value_rows(rows)
+    vals = v.value_rows(_all_subset_rows(np.arange(m), m))
 
     zero_ok = abs(vals[0]) <= tol
     mono_ok, mono_ce = True, None

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._lp import maximize
 from .model import Allocation, ConfigSolution, Instance
-from .valuations import EXHAUSTIVE_CAP, CapExceeded
+from .valuations import EXHAUSTIVE_CAP, CapExceeded, _all_subset_rows
 
 NSW_DP_CAP = 10**8
 CONFIG_LP_CAP = 10**6
@@ -43,11 +43,7 @@ def _item_list(inst: Instance, items: Iterable[int] | None) -> list[int]:
 def _value_tables(inst: Instance, agents: Sequence[int],
                   items: Sequence[int]) -> list[np.ndarray]:
     """Per-agent value of every subset of `items`, indexed by local mask."""
-    k = len(items)
-    masks = np.arange(1 << k, dtype=np.int64)
-    rows = np.zeros((1 << k, inst.m), dtype=bool)
-    for pos, j in enumerate(items):
-        rows[:, j] = ((masks >> pos) & 1).astype(bool)
+    rows = _all_subset_rows(np.asarray(items, dtype=np.int64), inst.m)
     return [inst.valuations[i].value_rows(rows) for i in agents]
 
 

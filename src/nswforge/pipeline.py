@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .matching import initial_matching, rematch_rho
@@ -49,25 +49,12 @@ class PipelineParams:
     seed: int = 0
     append_residual: bool = False
     check_rematch: bool = False
-    eg_max_iterations: int = 600
-    eg_step_scale: float = 0.4
-    eg_patience: int = 80
 
     def eg_params(self) -> EgParams:
-        return EgParams(alpha=self.alpha, epsilon=self.epsilon,
-                        max_iterations=self.eg_max_iterations,
-                        step_scale=self.eg_step_scale, patience=self.eg_patience)
+        return EgParams(alpha=self.alpha, epsilon=self.epsilon)
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "epsilon": self.epsilon, "delta": self.delta,
-            "d": self.d, "proc": self.proc, "seed": self.seed,
-            "append_residual": self.append_residual,
-            "check_rematch": self.check_rematch,
-            "eg_max_iterations": self.eg_max_iterations,
-            "eg_step_scale": self.eg_step_scale,
-            "eg_patience": self.eg_patience,
-        }
+        return asdict(self)
 
 
 @dataclass

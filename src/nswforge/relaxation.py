@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +37,12 @@ from ._lp import maximize
 from .model import Instance, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Valuation, demand
+
+COLGEN_TOL = 1e-9  # relative gap at which column generation stops
+COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
+STEP_SCALE = 0.4  # EG step at iteration t is STEP_SCALE / sqrt(t)
+PATIENCE = 80  # EG stops after this many iterations without improvement
+OBJECTIVE_TOL = 1e-10  # smallest EG objective gain that counts as one
 
 
 class ConvergenceError(RuntimeError):
@@ -59,7 +65,6 @@ class ConcaveExtValue:
     prices: np.ndarray
     columns: list[tuple[frozenset[int], float]]
     rounds: int
-    pool: list[frozenset[int]] = field(default_factory=list, repr=False)
 
 
 class RestrictedMaster:
@@ -112,16 +117,17 @@ class RestrictedMaster:
 
 
 def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
-                method: str = "colgen", tol: float = 1e-9,
-                max_rounds: int = 500,
-                initial_columns: Sequence[frozenset[int]] | None = None,
-                *, master: RestrictedMaster | None = None) -> ConcaveExtValue:
+                method: str = "colgen", *,
+                master: RestrictedMaster | None = None) -> ConcaveExtValue:
     """Concave extension of v at item masses x over the given universe.
 
     method="colgen" runs demand-oracle column generation and certifies the
-    dual over every subset of the universe. method="enumerate" solves the
-    LP over all subsets of the support of x in one shot (desk-scale
-    fallback; its dual is only certified on the enumerated sets).
+    dual over every subset of the universe. It stops once no set's
+    utility at the prices exceeds q by more than `COLGEN_TOL` (relative
+    to the value), and raises `ConvergenceError` after
+    `COLGEN_MAX_ROUNDS` rounds. method="enumerate" solves the LP over all
+    subsets of the support of x in one shot (desk-scale fallback; its dual
+    is only certified on the enumerated sets).
 
     `master` carries the restricted master of an earlier call with the
     same valuation and universe, so that its columns and basis are reused
@@ -131,7 +137,7 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     x = np.asarray(x, dtype=float)
     universe = (np.arange(v.m, dtype=np.int64) if items is None
                 else np.unique(np.fromiter(items, dtype=np.int64)))
-    if x[universe].min() < -tol or x[universe].max() > 1 + tol:
+    if x[universe].min() < -COLGEN_TOL or x[universe].max() > 1 + COLGEN_TOL:
         raise ValueError("item masses must lie in [0, 1]")
     if method not in ("colgen", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -145,7 +151,6 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
             raise ValueError("enumeration fallback supports at most 20 support items")
         master.extend(frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
                       for mask in range(1, 1 << len(support)))
-    master.extend(initial_columns or ())
 
     x_univ = x[universe]
     rounds = 0
@@ -160,14 +165,14 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         prices[universe] = p_univ
         hit = demand(v, prices, items=universe)
         gap = hit.utility - q
-        if gap <= tol * max(1.0, abs(res.value)):
+        if gap <= COLGEN_TOL * max(1.0, abs(res.value)):
             break
         if hit.items in master:
             # the dual already prices this column; residual gap is numerical
             if gap <= 1e-7 * max(1.0, abs(res.value)):
                 break
             raise ConvergenceError("column generation stalled", gap)
-        if rounds >= max_rounds:
+        if rounds >= COLGEN_MAX_ROUNDS:
             raise ConvergenceError("column generation round cap exceeded", gap)
         master.extend([hit.items])
 
@@ -181,20 +186,19 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     if abs(value - dual_value) > 1e-6 * (1.0 + abs(value)):
         raise ConvergenceError("duality certificate failed", abs(value - dual_value))
     return ConcaveExtValue(value=value, q=q, prices=prices, columns=columns,
-                           rounds=rounds, pool=list(master.columns))
+                           rounds=rounds)
 
 
 @dataclass
 class LogSupergradient:
     base: float
     grad: np.ndarray
-    ext: ConcaveExtValue
 
     def linearization(self, y: np.ndarray, x: np.ndarray) -> float:
         return self.base + float(self.grad @ (y - x))
 
 
-def supergradient_log(v: Valuation, x, items: Iterable[int] | None = None,
+def supergradient_log(v: Valuation, x,
                       ext: ConcaveExtValue | None = None) -> LogSupergradient:
     """Supergradient of log v+ at x: grad = p / (q + p.x).
 
@@ -203,11 +207,11 @@ def supergradient_log(v: Valuation, x, items: Iterable[int] | None = None,
     """
     x = np.asarray(x, dtype=float)
     if ext is None:
-        ext = concave_ext(v, x, items=items)
+        ext = concave_ext(v, x)
     denom = ext.q + float(ext.prices @ x)
     if ext.value <= 0 or denom <= 0:
         raise ValueError("supergradient undefined where the extension is zero")
-    return LogSupergradient(base=math.log(denom), grad=ext.prices / denom, ext=ext)
+    return LogSupergradient(base=math.log(denom), grad=ext.prices / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +229,6 @@ class EgParams:
     alpha: float = 0.25
     epsilon: float | None = None
     max_iterations: int = 600
-    step_scale: float = 0.4
-    objective_tol: float = 1e-10
-    patience: int = 80
-    colgen_tol: float = 1e-9
 
     def floor(self, n_agents: int) -> float:
         eps = self.epsilon if self.epsilon is not None else default_epsilon(self.alpha, n_agents)
@@ -295,11 +295,12 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
              params: EgParams | None = None) -> EgResult:
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope.
 
-    Projected supergradient ascent with steps step_scale/sqrt(t); the best
+    Projected supergradient ascent with steps `STEP_SCALE`/sqrt(t); the best
     iterate is tracked and returned with fresh dual certificates. Stops on
     a duality-gap certificate of eps^4 per agent (against the best vertex
-    of the linearization), or when the objective stalls for `patience`
-    accepted iterations. The reported `gap` bounds the returned iterate:
+    of the linearization), when the objective has not gained
+    `OBJECTIVE_TOL` for `PATIENCE` iterations, or after
+    `params.max_iterations`. The reported `gap` bounds the returned iterate:
     the smallest objective-plus-gap over the trace, less its objective.
 
     Each agent keeps one `RestrictedMaster` for the whole solve: columns
@@ -329,7 +330,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
             x_full = np.zeros(inst.m)
             x_full[item_idx] = mat[k]
             ext = concave_ext(inst.valuations[i], x_full, items=item_list,
-                              tol=params.colgen_tol, master=masters[i])
+                              master=masters[i])
             sg = supergradient_log(inst.valuations[i], x_full, ext=ext)
             exts[i] = ext
             grads[k] = sg.grad[item_idx]
@@ -345,7 +346,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     for t in range(1, params.max_iterations + 1):
         iterations = t
         exts, grads, obj = evaluate(x_mat)
-        if obj > best_obj + params.objective_tol:
+        if obj > best_obj + OBJECTIVE_TOL:
             best_obj, best_mat, best_exts = obj, x_mat.copy(), exts
             stale = 0
         else:
@@ -354,14 +355,14 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
         winners = np.argmax(grads, axis=0)
         vertex[winners, np.arange(m_i)] += 1.0 - n_a * eps
         gap = float((grads * (vertex - x_mat)).sum())
-        step = params.step_scale / math.sqrt(t)
+        step = STEP_SCALE / math.sqrt(t)
         trace.append((t, obj, gap, step))
         if gap <= gap_target:
             converged = True
-            if obj >= best_obj - params.objective_tol:
+            if obj >= best_obj - OBJECTIVE_TOL:
                 best_obj, best_mat, best_exts = obj, x_mat.copy(), exts
             break
-        if stale >= params.patience:
+        if stale >= PATIENCE:
             break
         x_mat = _project_capped(x_mat + step * grads, eps)
 

@@ -29,6 +29,7 @@ STREAM_TRIALS = 4
 
 ORACLE_CHOICE_CAP = 10**6
 ORACLE_NODE_CAP = 10**7
+WELFARE_SUBSET_CAP = 12  # most agents whose every subset is measured for d
 
 
 class RngStream:
@@ -238,14 +239,14 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
 
 
 def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valuation],
-                            proc: RoundingProcedure, rng: RngStream,
-                            subset_cap: int = 12) -> float:
+                            proc: RoundingProcedure, rng: RngStream) -> float:
     """Measured d of a rounding procedure on a split solution.
 
     The iterated-rounding analysis needs the welfare guarantee on every
     subset of agents it may recurse on, so d is the worst |B| / welfare(B)
-    over all nonempty agent subsets B. Beyond `subset_cap` agents only the
-    full set is measured and a 1.25 safety factor is applied instead.
+    over all nonempty agent subsets B. Beyond `WELFARE_SUBSET_CAP` agents
+    only the full set is measured and a 1.25 safety factor is applied
+    instead.
     """
     agents = sorted(split.columns)
     if not agents:
@@ -260,7 +261,7 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
             raise InvariantViolation("rounding procedure produced zero scaled welfare")
         return len(group) / welfare
 
-    if len(agents) > subset_cap:
+    if len(agents) > WELFARE_SUBSET_CAP:
         return 1.25 * factor(tuple(agents))
     worst = 0.0
     for size in range(1, len(agents) + 1):

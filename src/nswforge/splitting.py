@@ -36,20 +36,12 @@ class XosSplitOutput:
     columns: dict[int, list[SplitColumn]]
     v_plus: dict[int, float]
 
-    def config(self) -> ConfigSolution:
-        return ConfigSolution({i: [(c.items, c.weight) for c in cols]
-                               for i, cols in self.columns.items()})
-
 
 @dataclass
 class SubaddSplitOutput:
     columns: dict[int, list[SplitColumn]]
     targets: dict[int, float]
     nu: dict[int, float]
-
-    def config(self) -> ConfigSolution:
-        return ConfigSolution({i: [(c.items, c.weight) for c in cols]
-                               for i, cols in self.columns.items()})
 
 
 def _check_weight_sum(agent: int, cols) -> None:

@@ -19,11 +19,6 @@ class CapExceeded(RuntimeError):
     """An enumeration-based oracle was asked to search too large a space."""
 
 
-def _as_index_array(items: Iterable[int]) -> np.ndarray:
-    arr = np.fromiter(items, dtype=np.int64)
-    return arr
-
-
 class Valuation:
     """Base class; subclasses provide vectorized evaluation over rows."""
 
@@ -33,7 +28,7 @@ class Valuation:
     def value(self, items: Iterable[int]) -> float:
         """v(S) for a set of item indices."""
         row = np.zeros((1, self.m), dtype=bool)
-        idx = _as_index_array(items)
+        idx = np.fromiter(items, dtype=np.int64)
         if idx.size:
             row[0, idx] = True
         return float(self.value_rows(row)[0])
@@ -167,19 +162,6 @@ class ExplicitTable(Valuation):
                 and np.array_equal(self.table, other.table))
 
 
-class PriceVector(NamedTuple):
-    """Per-item prices; any sign, finite entries."""
-
-    prices: np.ndarray
-
-    @classmethod
-    def of(cls, prices) -> "PriceVector":
-        arr = np.asarray(prices, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("prices must be finite")
-        return cls(arr)
-
-
 class DemandResult(NamedTuple):
     items: frozenset[int]
     utility: float
@@ -197,10 +179,12 @@ def _lex_key(items: frozenset[int]) -> tuple[int, ...]:
 def _all_subset_rows(universe: np.ndarray, m: int) -> np.ndarray:
     """Indicator rows for every subset of `universe`, in mask-counter order."""
     k = universe.size
-    masks = np.arange(1 << k, dtype=np.int64)
-    picked = (masks[:, None] >> np.arange(k)) & 1
+    masks = np.arange(1 << k, dtype="<u4")
+    # bit t of every mask is column t of its unpacked little-endian bytes;
+    # shifting instead makes (2^k, k) int64 intermediates, 8 MB each at k=16
+    picked = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
     rows = np.zeros((1 << k, m), dtype=bool)
-    rows[:, universe] = picked.astype(bool)
+    rows[:, universe] = picked[:, :k]
     return rows
 
 
@@ -212,9 +196,11 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandRe
     allowed universe, which therefore must have at most 16 items. Ties in
     the enumerated families go to the lexicographically smallest set.
     """
-    p = PriceVector.of(prices).prices
+    p = np.asarray(prices, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("prices must be finite")
     universe = (np.arange(v.m, dtype=np.int64) if items is None
-                else np.unique(_as_index_array(items)))
+                else np.unique(np.fromiter(items, dtype=np.int64)))
     if isinstance(v, Additive):
         gains = v.weights[universe] - p[universe]
         chosen = universe[gains > 0]
@@ -252,7 +238,7 @@ def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
     if not isinstance(v, Xos):
         raise TypeError(f"XOS oracle called on a {v.kind} valuation")
     row = np.zeros(v.m, dtype=bool)
-    idx = _as_index_array(items)
+    idx = np.fromiter(items, dtype=np.int64)
     if idx.size:
         row[idx] = True
     scores = v.clauses @ row
@@ -262,7 +248,7 @@ def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
 
 def singleton_max(v: Valuation, items: Iterable[int]) -> float:
     """max of v({j}) over j in `items`; 0 on the empty collection."""
-    idx = _as_index_array(items)
+    idx = np.fromiter(items, dtype=np.int64)
     if idx.size == 0:
         return 0.0
     return float(v.singleton_values()[idx].max())

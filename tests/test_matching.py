@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nswforge.matching import (
-    MatchingProblem,
     extension_pi,
     initial_matching,
     matching_objective,
@@ -40,7 +39,7 @@ def brute_force_best(scores):
 class TestProductMatching:
     def test_two_agent_example(self):
         scores = np.array([[3.0, 1.0], [2.0, 2.0]])
-        matching = product_matching(MatchingProblem(scores))
+        matching = product_matching(scores)
         assert matching.assignment == {0: 0, 1: 1}
         product = math.prod(scores[i, j] for i, j in matching.assignment.items())
         assert product == 6.0
@@ -57,6 +56,16 @@ class TestProductMatching:
     def test_requires_enough_items(self):
         with pytest.raises(ValueError, match="fewer items"):
             product_matching(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("scores, message", [
+        ([[math.nan, 1.0], [1.0, 2.0]], "finite and nonnegative"),
+        ([[math.inf, 1.0], [1.0, -math.inf]], "finite and nonnegative"),
+        ([[1.0, -0.5], [1.0, 2.0]], "finite and nonnegative"),
+        ([1.0, 2.0], "2-d array"),
+    ], ids=["nan", "inf", "negative", "1-d"])
+    def test_rejects_invalid_scores(self, scores, message):
+        with pytest.raises(ValueError, match=message):
+            product_matching(np.array(scores))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_optimal_against_brute_force(self, seed):

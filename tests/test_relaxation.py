@@ -121,7 +121,6 @@ class TestRestrictedMaster:
             assert ext.value == pytest.approx(fresh.value, abs=1e-9)
             assert ext.value == pytest.approx(ext.q + ext.prices @ x, abs=1e-9)
         assert len(valued) == len(set(valued)) == len(master.columns)
-        assert ext.pool == master.columns
 
     def test_master_of_another_universe_rejected(self):
         v = Additive([1.0, 2.0, 3.0])

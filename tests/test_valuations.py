@@ -13,6 +13,7 @@ from nswforge.valuations import (
     CapExceeded,
     ExplicitTable,
     Xos,
+    _all_subset_rows,
     demand,
     singleton_max,
     xos_clause,
@@ -142,6 +143,19 @@ class TestXosClause:
                 assert cl.weights[list(s)].sum() == pytest.approx(v.value(s), abs=1e-12)
                 for t in itertools.combinations(range(m), 2):
                     assert cl.weights[list(t)].sum() <= v.value(t) + 1e-12
+
+
+@pytest.mark.parametrize("universe, m", [
+    ([], 3), ([2], 3), ([0, 1, 2], 3), ([1, 4, 6], 8), (list(range(9)), 9),
+    (list(range(1, 17)), 18),
+], ids=["empty", "one", "full", "sparse", "9", "16"])
+def test_all_subset_rows_in_mask_order(universe, m):
+    rows = _all_subset_rows(np.array(universe, dtype=np.int64), m)
+    assert rows.dtype == bool and rows.shape == (1 << len(universe), m)
+    for mask in range(0, 1 << len(universe), max(1, (1 << len(universe)) // 500)):
+        expected = np.zeros(m, dtype=bool)
+        expected[[j for t, j in enumerate(universe) if mask >> t & 1]] = True
+        assert np.array_equal(rows[mask], expected)
 
 
 class TestSingletonMax:
