@@ -19,6 +19,7 @@ from nswforge import (
     solve_eg,
     supergradient_log,
 )
+from nswforge.relaxation import trace_csv
 
 v = Xos([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
 x = np.array([0.5, 0.5, 0.4])
@@ -57,5 +58,5 @@ print(f"\n  scaled config-LP optimum: {ratio:.4f} <= "
 print(f"  (exact fractional welfare optimum: "
       f"{exact_config_lp(inst).optimum:.4f})")
 print("\n  first diagnostics rows:")
-for line in eg.trace_csv().splitlines()[:6]:
+for line in trace_csv(eg.trace).splitlines()[:6]:
     print("   ", line)

@@ -40,7 +40,6 @@ from .rounding import (
     RngStream,
     RoundOutcome,
     cr_procedure,
-    finalize_xos,
     iterated_round,
     oracle_procedure,
     round_xos,
@@ -69,7 +68,7 @@ __all__ = [
     "SubaddSplitOutput", "TailExperiment", "Valuation", "Xos",
     "XosSplitOutput", "concave_ext", "cr_procedure", "demand",
     "exact_config_lp", "exact_nsw", "exact_scaled_welfare",
-    "expectation_lower", "extension_pi", "finalize_xos", "generate",
+    "expectation_lower", "extension_pi", "generate",
     "initial_matching", "iterated_round", "load_instance", "lower_tail",
     "median_expectation", "nsw_product_identity", "nsw_value",
     "oracle_procedure", "product_matching", "rematch_rho", "round_xos",

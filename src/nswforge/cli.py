@@ -20,29 +20,14 @@ from time import perf_counter
 
 import numpy as np
 
-from .concentration import (
-    TailExperiment,
-    expectation_lower,
-    lower_tail,
-    median_expectation,
-    two_sided_tail,
-)
+from . import fuzz
+from .concentration import tail_checks
 from .generators import FAMILIES, GenSpec, generate
-from .matching import initial_matching, matching_objective, product_matching, rematch_rho
-from .model import (
-    ConfigSolution,
-    InvariantViolation,
-    Matching,
-    SchemaError,
-    load_instance,
-    serialize_instance,
-)
+from .model import InvariantViolation, SchemaError, load_instance, serialize_instance
 from .oracle import exact_nsw
 from .pipeline import PipelineParams, run_subadditive, run_xos
-from .relaxation import concave_ext, scaled_optimum_check, solve_eg, trace_csv
-from .rounding import RngStream, round_xos
-from .splitting import split_subadditive, split_xos
-from .valuations import Additive, BudgetedAdditive, CapExceeded, Xos
+from .relaxation import trace_csv
+from .valuations import CapExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,6 +48,12 @@ def _pipeline_params(args) -> PipelineParams:
                           check_rematch=args.check_rematch)
 
 
+def _gen_spec(args, idx: int) -> GenSpec:
+    return GenSpec(family=args.family, n=args.n, m=args.m, weights=args.weights,
+                   clauses=args.clauses, cap_ratio=args.cap_ratio,
+                   table_style=args.table_style, seed=_child_seed(args.seed, idx))
+
+
 def _write_csv(path: str | None, header: list[str], rows: list[dict]) -> None:
     sink = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -79,11 +70,8 @@ def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
-        spec = GenSpec(family=args.family, n=args.n, m=args.m, weights=args.weights,
-                       clauses=args.clauses, cap_ratio=args.cap_ratio,
-                       table_style=args.table_style, seed=_child_seed(args.seed, idx))
         path = out_dir / f"{args.family}_{args.n}x{args.m}_{idx:04d}.json"
-        path.write_text(serialize_instance(generate(spec)))
+        path.write_text(serialize_instance(generate(_gen_spec(args, idx))))
     print(f"wrote {args.count} instances to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -132,34 +120,26 @@ def _ratio_instances(args):
         paths = sorted(Path(args.instances).glob("*.json"))
         if not paths:
             raise SchemaError("no instance files found", args.instances)
-        for idx, path in enumerate(paths):
+        for path in paths:
             yield path.stem, load_instance(path.read_text())
     else:
         for idx in range(args.count):
-            spec = GenSpec(family=args.family, n=args.n, m=args.m,
-                           weights=args.weights, clauses=args.clauses,
-                           cap_ratio=args.cap_ratio, table_style=args.table_style,
-                           seed=_child_seed(args.seed, idx))
-            yield f"{args.family}_{idx:04d}", generate(spec)
+            yield f"{args.family}_{idx:04d}", generate(_gen_spec(args, idx))
 
 
 def cmd_ratio(args) -> int:
     params = _pipeline_params(args)
-    jobs = list(_ratio_instances(args))
-
-    def solve_one(job):
-        name, inst = job
+    rows = []
+    for name, inst in _ratio_instances(args):
         t0 = perf_counter()
         report = _run_pipeline(inst, args.pipeline, params)
         wall = perf_counter() - t0
         exact = exact_nsw(inst).optimum
         ratio = report.nsw / exact if exact > 0 else math.inf
-        return {"instance": name, "n": inst.n, "m": inst.m,
-                "family": inst.valuations[0].kind, "nsw": report.nsw,
-                "exact": exact, "ratio": ratio, "seed": params.seed,
-                "wall_time": wall}
-
-    rows = [solve_one(job) for job in jobs]
+        rows.append({"instance": name, "n": inst.n, "m": inst.m,
+                     "family": inst.valuations[0].kind, "nsw": report.nsw,
+                     "exact": exact, "ratio": ratio, "seed": params.seed,
+                     "wall_time": wall})
     _write_csv(args.out, ["instance", "n", "m", "family", "nsw", "exact",
                           "ratio", "seed", "wall_time"], rows)
     ratios = sorted(r["ratio"] for r in rows)
@@ -168,114 +148,22 @@ def cmd_ratio(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# fuzz suites
-
-
-def _fuzz_instance(rng_seed: int, families=("additive", "xos", "budgeted_additive", "table")):
-    rng = np.random.default_rng(rng_seed)
-    family = families[int(rng.integers(0, len(families)))]
-    n = int(rng.integers(2, 4))
-    m = int(rng.integers(max(n, 4), 7))
-    return generate(GenSpec(family=family, n=n, m=m, seed=rng_seed))
-
-
-def _fuzz_split(seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(8, 13))
-    weights = rng.uniform(0.5, 1.0, m)
-    v = (Additive(weights) if rng.random() < 0.5
-         else Xos(np.stack([weights, rng.uniform(0.4, 1.0, m)])))
-    n_sets = int(rng.integers(1, 4))
-    w = rng.dirichlet(np.ones(n_sets))
-    cols = []
-    for k in range(n_sets):
-        size = int(rng.integers(max(2, m - 4), m + 1))
-        cols.append((frozenset(int(j) for j in rng.choice(m, size, replace=False)),
-                     float(w[k])))
-    config = ConfigSolution({0: cols})
-    target = sum(v.value(s) * wt for s, wt in cols)
-    split_xos(config, [v], {0: target})
-    vb = BudgetedAdditive(weights, cap=float(rng.uniform(0.6, 1.0) * weights.sum()))
-    target_b = sum(vb.value(s) * wt for s, wt in cols)
-    nu_b = float(vb.singleton_values().max())
-    if target_b >= 6.0 * nu_b:
-        split_subadditive(config, [vb], {0: target_b}, {0: nu_b})
-
-
-def _fuzz_round(seed: int) -> None:
-    inst = _fuzz_instance(seed, families=("additive", "xos"))
-    report = run_xos(inst, PipelineParams(seed=seed))
-    outcome = report.outcome
-    if outcome is None:
-        return
-    for i, kept in outcome.allocation.bundles.items():
-        if not kept <= outcome.tentative[i]:
-            raise InvariantViolation("agent kept an item outside its tentative set")
-    again = run_xos(inst, PipelineParams(seed=seed))
-    if again.outcome.to_json() != outcome.to_json():
-        raise InvariantViolation("rounding is not deterministic under a fixed seed")
-
-
-def _fuzz_relax(seed: int) -> None:
-    inst = _fuzz_instance(seed)
-    _, _, remaining, active = initial_matching(inst)
-    if not active:
-        return
-    eg = solve_eg(inst, active, remaining)
-    ratio, ok = scaled_optimum_check(inst, eg, alpha=0.25)
-    if not ok:
-        raise InvariantViolation(f"scaled-optimum contract failed: {ratio}")
-    rng = np.random.default_rng(seed)
-    i = sorted(active)[0]
-    x = np.zeros(inst.m)
-    x[sorted(remaining)] = rng.uniform(0, 1, len(remaining))
-    a = concave_ext(inst.valuations[i], x, items=remaining)
-    b = concave_ext(inst.valuations[i], x, items=remaining, method="enumerate")
-    if abs(a.value - b.value) > 1e-6:
-        raise InvariantViolation(f"colgen {a.value} != enumeration {b.value}")
-
-
-def _fuzz_match(seed: int) -> None:
-    inst = _fuzz_instance(seed)
-    tau, matched, remaining, _ = initial_matching(inst)
-    rng = np.random.default_rng(seed)
-    items = sorted(matched)
-    pi = Matching({i: items[k] for k, i in enumerate(rng.permutation(inst.n))})
-    big_w = rng.uniform(0, 1, inst.n)
-    nu = np.array([rng.uniform(0, 1) * max((inst.valuations[i].value((j,))
-                                            for j in remaining), default=0.0)
-                   for i in inst.agents])
-    rematch_rho(tau, pi, big_w, nu, inst)
-    scores = np.stack([inst.valuations[i].singleton_values() for i in inst.agents])
-    best = product_matching(scores)
-    if matching_objective(scores, best) < matching_objective(scores, tau):
-        raise InvariantViolation("initial matching is not product-optimal")
-
-
-FUZZERS = {"split": _fuzz_split, "round": _fuzz_round,
-           "relax": _fuzz_relax, "match": _fuzz_match}
+FUZZERS = {"split": fuzz.split_case, "round": fuzz.round_case,
+           "relax": fuzz.relax_case, "match": fuzz.match_case}
 
 
 def cmd_fuzz(args) -> int:
     if args.count == 0:
         print("warning: count=0, vacuous pass", file=sys.stderr)
         return EXIT_OK
-    fuzzer = FUZZERS[args.module]
-    seeds = [_child_seed(args.seed, idx) for idx in range(args.count)]
-
-    def run_one(seed):
+    suite = FUZZERS[args.module]
+    for idx in range(args.count):
+        seed = _child_seed(args.seed, idx)
         try:
-            fuzzer(seed)
+            suite(seed)
         except (InvariantViolation, AssertionError) as exc:
-            raise InvariantViolation(f"module={args.module} seed={seed}: {exc}") from exc
-
-    try:
-        for seed in seeds:
-            run_one(seed)
-    except InvariantViolation as exc:
-        print(f"FAIL {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+            print(f"FAIL module={args.module} seed={seed}: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
     print(f"fuzz {args.module}: {args.count} runs clean", file=sys.stderr)
     return EXIT_OK
 
@@ -284,24 +172,13 @@ def cmd_conc(args) -> int:
     rows = []
     low_power = args.trials < 1000
     for idx in range(args.count):
-        seed = _child_seed(args.seed, idx)
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(8, 15)) if args.family != "table" else int(rng.integers(6, 11))
-        inst = generate(GenSpec(family=args.family, n=1, m=m, seed=seed))
-        v = inst.valuations[0]
-        exp = TailExperiment.bernoulli(v, range(m), 0.5, trials=args.trials,
-                                       q=args.q, k=args.k, seed=seed)
-        nu = exp.singleton_cap()
-        med = float(np.sort(exp.sample_values() / nu)[(args.trials - 1) // 2])
-        checks = [expectation_lower(exp, k=max(args.k, 1)),
-                  two_sided_tail(exp, a=med),
-                  median_expectation(exp),
-                  lower_tail(exp)]
-        for res in checks:
-            row = {"experiment": idx, "family": args.family, "q": args.q,
-                   "k": args.k, "check": res.name, "empirical": res.empirical,
-                   "bound": res.bound, "slack": res.slack, "passed": int(res.passed)}
-            rows.append(row)
+        exp = fuzz.conc_experiment(_child_seed(args.seed, idx), args.family,
+                                   args.trials, args.q, args.k)
+        for res in tail_checks(exp):
+            rows.append({"experiment": idx, "family": args.family, "q": args.q,
+                         "k": args.k, "check": res.name, "empirical": res.empirical,
+                         "bound": res.bound, "slack": res.slack,
+                         "passed": int(res.passed)})
     _write_csv(args.out, ["experiment", "family", "q", "k", "check",
                           "empirical", "bound", "slack", "passed"], rows)
     failed = [r for r in rows if not r["passed"]]

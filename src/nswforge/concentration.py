@@ -145,6 +145,15 @@ def lower_tail(exp: TailExperiment) -> TailCheckResult:
                            details={"threshold": threshold, "mean": mean})
 
 
+def tail_checks(exp: TailExperiment) -> list[TailCheckResult]:
+    """The four checks above, the two-sided tail at a = the sampled lower
+    median of f / nu."""
+    values = np.sort(exp.sample_values() / exp.singleton_cap())
+    median = float(values[(exp.trials - 1) // 2])
+    return [expectation_lower(exp), two_sided_tail(exp, a=median),
+            median_expectation(exp), lower_tail(exp)]
+
+
 def nsw_product_identity(terms: int = 40) -> float:
     """prod_{i<=terms} (2^-i)^(2^-i): the cascade behind iterated rounding.
 

@@ -325,14 +325,12 @@ class ValuationReport:
     zero_at_empty: bool
     monotone: bool | None
     subadditive: bool | None
-    xos_consistent: bool | None
     subadditive_counterexample: tuple[frozenset[int], frozenset[int]] | None = None
     monotone_counterexample: tuple[frozenset[int], int] | None = None
     skipped: bool = False
 
     def passed(self) -> bool:
-        checks = [self.zero_at_empty, self.monotone, self.subadditive,
-                  self.xos_consistent]
+        checks = [self.zero_at_empty, self.monotone, self.subadditive]
         return all(c is not False for c in checks)
 
     def summary(self) -> str:
@@ -340,7 +338,7 @@ class ValuationReport:
             return "skipped" if flag is None else ("ok" if flag else "FAIL")
 
         return (f"empty={show(self.zero_at_empty)} monotone={show(self.monotone)} "
-                f"subadditive={show(self.subadditive)} xos={show(self.xos_consistent)}")
+                f"subadditive={show(self.subadditive)}")
 
 
 def _mask_set(mask: int, m: int) -> frozenset[int]:
@@ -357,13 +355,9 @@ def validate_valuation(v: Valuation, m: int, cap: int = EXHAUSTIVE_CAP,
     """
     if v.m != m:
         raise ValueError("valuation universe does not match the item count")
-    xos_ok = None
-    if isinstance(v, (Xos, Additive)):
-        clauses = v.clauses if isinstance(v, Xos) else v.weights[None, :]
-        xos_ok = bool(np.all(np.isfinite(clauses)) and clauses.min() >= 0)
     if m > cap:
         return ValuationReport(zero_at_empty=v.value(()) <= tol, monotone=None,
-                               subadditive=None, xos_consistent=xos_ok, skipped=True)
+                               subadditive=None, skipped=True)
 
     masks = np.arange(1 << m, dtype=np.int64)
     vals = v.value_rows(_all_subset_rows(np.arange(m), m))
@@ -391,6 +385,6 @@ def validate_valuation(v: Valuation, m: int, cap: int = EXHAUSTIVE_CAP,
             break
 
     return ValuationReport(zero_at_empty=zero_ok, monotone=mono_ok,
-                           subadditive=sub_ok, xos_consistent=xos_ok,
+                           subadditive=sub_ok,
                            subadditive_counterexample=sub_ce,
                            monotone_counterexample=mono_ce)

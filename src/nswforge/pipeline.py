@@ -23,7 +23,6 @@ from .rounding import (
     RoundOutcome,
     cr_procedure,
     final_matching,
-    finalize_xos,
     iterated_round,
     measured_welfare_factor,
     oracle_procedure,
@@ -195,7 +194,7 @@ def run_xos(inst: Instance, params: PipelineParams | None = None) -> PipelineRep
         clock.lap("splitting")
         outcome = round_xos(split, inst.valuations, rng)
         clock.lap("rounding")
-        alloc, sigma = finalize_xos(outcome, inst, reserved)
+        alloc, sigma = final_matching(outcome.allocation.bundles, inst, reserved)
     else:
         alloc, sigma = final_matching({}, inst, reserved)
     clock.lap("rematching")

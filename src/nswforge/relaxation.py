@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from ._lp import maximize
-from .model import Instance, ItemFractional
+from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Valuation, demand
 
@@ -260,13 +260,7 @@ class EgResult:
     def values(self) -> dict[int, float]:
         return {i: self.extensions[i].value for i in self.agents}
 
-    def trace_csv(self) -> str:
-        """Diagnostics stream: iteration, objective, gap certificate, step."""
-        return trace_csv(self.trace)
-
-    def config(self):
-        from .model import ConfigSolution
-
+    def config(self) -> ConfigSolution:
         return ConfigSolution({i: list(self.extensions[i].columns) for i in self.agents})
 
 

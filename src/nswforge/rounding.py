@@ -16,7 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import Allocation, Instance, InvariantViolation
+from . import matching  # called as matching.product_matching, so wrappers of it see this caller
+from .model import Allocation, Instance, InvariantViolation, Matching
 from .splitting import SubaddSplitOutput, XosSplitOutput
 from .valuations import CapExceeded, Valuation
 
@@ -345,28 +346,17 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
 def final_matching(bundles: Mapping[int, frozenset[int]], inst: Instance,
                    reserved: frozenset[int]):
     """Product-optimal assignment of the reserved items on top of bundles."""
-    from .matching import product_matching
-
     reserved_list = sorted(reserved)
     scores = np.zeros((inst.n, len(reserved_list)))
     for i in inst.agents:
         base = bundles.get(i, frozenset())
         for k, h in enumerate(reserved_list):
             scores[i, k] = inst.valuations[i].value(base | {h})
-    local = product_matching(scores)
+    local = matching.product_matching(scores)
     sigma_map = {i: reserved_list[k] for i, k in local.assignment.items()}
-    from .model import Matching
-
     sigma = Matching(sigma_map)
     sigma.validate()
     out = Allocation({i: bundles.get(i, frozenset()) | {sigma_map[i]}
                       for i in inst.agents})
     out.validate(inst)
     return out, sigma
-
-
-def finalize_xos(outcome: RoundOutcome, inst: Instance,
-                 reserved: frozenset[int]):
-    """Rematch the reserved items on top of the rounded bundles."""
-    bundles = {i: outcome.allocation.bundle(i) for i in inst.agents}
-    return final_matching(bundles, inst, reserved)

@@ -5,9 +5,10 @@ surviving support set is worth a constant fraction of the agent's target,
 which is what keeps the value of a sampled set from collapsing for some
 agents. The XOS variant reserves each source's largest clause item and
 splits the rest; the subadditive variant splits and then trims overweight
-parts. Every documented bound is asserted on every run: a violation means
-the inputs were inconsistent (or a valuation is not actually subadditive)
-and is raised as InvariantViolation.
+parts. Every documented bound is asserted on every run, by the same
+`check_xos_split`/`check_subadditive_split` the fuzz suites call: a
+violation means the inputs were inconsistent (or a valuation is not
+actually subadditive) and is raised as InvariantViolation.
 """
 
 from __future__ import annotations
@@ -50,13 +51,53 @@ def _check_weight_sum(agent: int, cols) -> None:
         raise ValueError(f"agent {agent}: column weights sum to {total}, expected 1")
 
 
-def _item_load(columns: Mapping[int, list[SplitColumn]]) -> dict[int, float]:
+def _check_load(columns: Mapping[int, list[SplitColumn]], cap: float) -> None:
     load: dict[int, float] = {}
     for cols in columns.values():
         for col in cols:
             for j in col.items:
                 load[j] = load.get(j, 0.0) + col.weight
-    return load
+    for j, mass in load.items():
+        if mass > cap + _B_TOL:
+            raise InvariantViolation(f"item {j}: split load {mass} exceeds {cap}")
+
+
+def check_xos_split(out: XosSplitOutput, valuations: Sequence[Valuation]) -> None:
+    """Each part lies in its source without the reserved item, and with it
+    clears a quarter of v+; each agent's mass is in [1, 3] and each item's
+    load at most 3/4."""
+    for agent, cols in out.columns.items():
+        threshold = out.v_plus[agent] / 4.0
+        for col in cols:
+            if col.large_item in col.items or not col.items <= col.source:
+                raise InvariantViolation(
+                    f"agent {agent}: part {sorted(col.items)} + {col.large_item} "
+                    f"does not fit its source {sorted(col.source)}")
+            value = valuations[agent].value(col.items | {col.large_item})
+            if value < threshold - _B_TOL:
+                raise InvariantViolation(f"agent {agent}: part worth {value} below "
+                                         f"the quarter threshold {threshold}")
+        total = sum(c.weight for c in cols)
+        if not 1.0 - _B_TOL <= total <= 3.0 + _B_TOL:
+            raise InvariantViolation(f"agent {agent}: split mass {total} outside [1, 3]")
+    _check_load(out.columns, 0.75)
+
+
+def check_subadditive_split(out: SubaddSplitOutput, valuations: Sequence[Valuation]) -> None:
+    """Each part is worth between V/3 - nu and V; each agent's mass is 1
+    and each item's load at most 1."""
+    for agent, cols in out.columns.items():
+        target = out.targets[agent]
+        floor = target / 3.0 - out.nu[agent]
+        total = sum(c.weight for c in cols)
+        if abs(total - 1.0) > _B_TOL:
+            raise InvariantViolation(f"agent {agent}: split mass {total} != 1")
+        for col in cols:
+            value = valuations[agent].value(col.items)
+            if not floor - _B_TOL <= value <= target + _B_TOL:
+                raise InvariantViolation(
+                    f"agent {agent}: part worth {value} outside [{floor}, {target}]")
+    _check_load(out.columns, 1.0)
 
 
 def split_xos(config: ConfigSolution, valuations: Sequence[Valuation],
@@ -104,32 +145,16 @@ def split_xos(config: ConfigSolution, valuations: Sequence[Valuation],
                         break
                 parts.append(cur)
             parts.append(list(rest[idx:]))
-            for part in parts:
-                items = frozenset(part)
-                if v.value(items | {large}) < threshold - _B_TOL:
-                    raise InvariantViolation(
-                        f"agent {agent}: split part {sorted(items)} + {large} "
-                        f"below the quarter threshold")
-                parts_out.append(SplitColumn(items, 0.75 * weight, source, large))
+            parts_out.extend(SplitColumn(frozenset(part), 0.75 * weight, source, large)
+                             for part in parts)
         if not parts_out:
             raise InvariantViolation(
                 f"agent {agent}: no set cleared the quarter threshold; "
                 f"weights and v+ are inconsistent")
         out[agent] = parts_out
-
-    for agent, cols in out.items():
-        total = sum(c.weight for c in cols)
-        if not 1.0 - _B_TOL <= total <= 3.0 + _B_TOL:
-            raise InvariantViolation(
-                f"agent {agent}: split mass {total} outside [1, 3]")
-        for col in cols:
-            if col.large_item in col.items:
-                raise InvariantViolation("reserved item leaked into a part")
-    load = _item_load(out)
-    for j, mass in load.items():
-        if mass > 0.75 + _B_TOL:
-            raise InvariantViolation(f"item {j}: split load {mass} exceeds 3/4")
-    return XosSplitOutput(columns=out, v_plus=dict(v_plus))
+    result = XosSplitOutput(columns=out, v_plus=dict(v_plus))
+    check_xos_split(result, valuations)
+    return result
 
 
 def _trim(part: list[int], v: Valuation, cap: float) -> list[int]:
@@ -192,13 +217,7 @@ def split_subadditive(config: ConfigSolution, valuations: Sequence[Valuation],
                     raise InvariantViolation(
                         f"agent {agent}: greedy split of {sorted(source)} "
                         f"failed; valuation is not subadditive?")
-                part = _trim(part, v, target)
-                val_part = v.value(part)
-                if not part_target - _B_TOL <= val_part <= target + _B_TOL:
-                    raise InvariantViolation(
-                        f"agent {agent}: trimmed part {part} worth {val_part} "
-                        f"outside [{part_target}, {target}]")
-                raw.append(SplitColumn(frozenset(part), weight, source, None))
+                raw.append(SplitColumn(frozenset(_trim(part, v, target)), weight, source, None))
         mass = sum(c.weight for c in raw)
         if mass < 1.0 - _B_TOL:
             raise InvariantViolation(
@@ -206,13 +225,6 @@ def split_subadditive(config: ConfigSolution, valuations: Sequence[Valuation],
                 f"weights and targets are inconsistent")
         out[agent] = [SplitColumn(c.items, c.weight / mass, c.source, None)
                       for c in raw]
-
-    load = _item_load(out)
-    for j, item_mass in load.items():
-        if item_mass > 1.0 + _B_TOL:
-            raise InvariantViolation(f"item {j}: split load {item_mass} exceeds 1")
-    for agent, cols in out.items():
-        total = sum(c.weight for c in cols)
-        if abs(total - 1.0) > _B_TOL:
-            raise InvariantViolation(f"agent {agent}: normalized mass {total} != 1")
-    return SubaddSplitOutput(columns=out, targets=dict(targets), nu=dict(nu))
+    result = SubaddSplitOutput(columns=out, targets=dict(targets), nu=dict(nu))
+    check_subadditive_split(result, valuations)
+    return result

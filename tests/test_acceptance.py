@@ -12,37 +12,24 @@ import math
 import numpy as np
 import pytest
 
+from nswforge import fuzz
 from nswforge.cli import main as cli_main
-from nswforge.concentration import (
-    TailExperiment,
-    expectation_lower,
-    lower_tail,
-    median_expectation,
-    nsw_product_identity,
-    two_sided_tail,
-)
-from nswforge.generators import GenSpec, generate
-from nswforge.matching import initial_matching, rematch_rho
-from nswforge.model import ConfigSolution, Instance, Matching, serialize_instance
+from nswforge.concentration import TailExperiment, nsw_product_identity, tail_checks
+from nswforge.generators import FAMILIES, GenSpec, generate
+from nswforge.matching import initial_matching
+from nswforge.model import Instance, serialize_instance
 from nswforge.oracle import exact_config_lp, exact_nsw
 from nswforge.pipeline import PipelineParams, run_subadditive, run_xos
-from nswforge.relaxation import EgParams, concave_ext, scaled_optimum_check, solve_eg
+from nswforge.relaxation import concave_ext, solve_eg
 from nswforge.rounding import (
     RngStream,
     iterated_round,
     measured_welfare_factor,
     oracle_procedure,
     round_xos,
-    scaled_targets,
 )
 from nswforge.splitting import split_subadditive, split_xos
-from nswforge.valuations import (
-    Additive,
-    BudgetedAdditive,
-    ExplicitTable,
-    Xos,
-    demand,
-)
+from nswforge.valuations import Additive
 
 
 def _instance(valuations):
@@ -51,18 +38,11 @@ def _instance(valuations):
                     tuple(f"item{j}" for j in range(m)), tuple(valuations))
 
 
-def _grid_sizes(rng):
-    return int(rng.integers(2, 4)), int(rng.integers(4, 7))
-
-
 def test_criterion_01_xos_end_to_end_factor():
     """200 seeded additive/XOS instances: NSW >= exact optimum / 1440."""
     ratios = []
     for trial in range(200):
-        rng = np.random.default_rng(1_000_000 + trial)
-        n, m = _grid_sizes(rng)
-        family = "additive" if trial % 2 == 0 else "xos"
-        inst = generate(GenSpec(family, n, m, clauses=3, seed=1_000_000 + trial))
+        inst = fuzz.grid_instance(1_000_000 + trial, ("additive", "xos")[trial % 2])
         report = run_xos(inst, PipelineParams(seed=trial))
         opt = exact_nsw(inst).optimum
         if opt <= 0:
@@ -80,10 +60,7 @@ def test_criterion_02_subadditive_end_to_end_factor():
     """100 budgeted/table instances: NSW >= exact optimum / 375000."""
     ratios = []
     for trial in range(100):
-        rng = np.random.default_rng(2_000_000 + trial)
-        n, m = _grid_sizes(rng)
-        family = "budgeted_additive" if trial % 2 == 0 else "table"
-        inst = generate(GenSpec(family, n, m, seed=2_000_000 + trial))
+        inst = fuzz.grid_instance(2_000_000 + trial, ("budgeted_additive", "table")[trial % 2])
         report = run_subadditive(inst, PipelineParams(seed=trial, epsilon=0.1,
                                                       proc="oracle"))
         opt = exact_nsw(inst).optimum
@@ -96,81 +73,28 @@ def test_criterion_02_subadditive_end_to_end_factor():
           f"min ratio {min(ratios):.4f} (gate 1/375000)")
 
 
-def _synthetic_columns(rng, m, n_sets, min_size):
-    weights = rng.dirichlet(np.ones(n_sets))
-    cols = []
-    for k in range(n_sets):
-        size = int(rng.integers(min_size, m + 1))
-        cols.append((frozenset(int(j) for j in rng.choice(m, size, replace=False)),
-                     float(weights[k])))
-    return cols
-
-
 def test_criterion_03_set_splitting_invariants():
     """500 fuzzed runs per variant; every documented bound within 1e-9."""
-    xos_runs = sub_runs = 0
+    runs = dict.fromkeys(fuzz.SPLIT_VARIANTS, 0)
     seed = 0
-    while xos_runs < 500 or sub_runs < 500:
+    while min(runs.values()) < 500:
         seed += 1
-        rng = np.random.default_rng(3_000_000 + seed)
-        m = int(rng.integers(6, 13))
-        if xos_runs < 500:
-            v = Xos(rng.uniform(0, 1, (int(rng.integers(1, 4)), m)))
-            cols = _synthetic_columns(rng, m, int(rng.integers(1, 5)), 1)
-            target = sum(v.value(s) * w for s, w in cols)
-            if target > 0:
-                out = split_xos(ConfigSolution({0: cols}), [v], {0: target})
-                for col in out.columns[0]:
-                    assert v.value(col.items | {col.large_item}) >= target / 4 - 1e-9
-                total = sum(c.weight for c in out.columns[0])
-                assert 1 - 1e-9 <= total <= 3 + 1e-9
-                load = {}
-                for c in out.columns[0]:
-                    for j in c.items:
-                        load[j] = load.get(j, 0.0) + c.weight
-                assert all(x <= 0.75 + 1e-9 for x in load.values())
-                xos_runs += 1
-        if sub_runs < 500:
-            w = rng.uniform(0.5, 1.0, m)
-            vb = BudgetedAdditive(w, cap=float(rng.uniform(0.7, 1.0) * w.sum()))
-            cols = _synthetic_columns(rng, m, int(rng.integers(1, 4)), max(2, m - 3))
-            target = sum(vb.value(s) * wt for s, wt in cols)
-            nu = float(vb.singleton_values().max())
-            if target >= 6.0 * nu:
-                out = split_subadditive(ConfigSolution({0: cols}), [vb],
-                                        {0: target}, {0: nu})
-                total = sum(c.weight for c in out.columns[0])
-                assert abs(total - 1.0) <= 1e-9
-                for col in out.columns[0]:
-                    assert target / 3 - nu - 1e-9 <= vb.value(col.items) <= target + 1e-9
-                load = {}
-                for c in out.columns[0]:
-                    for j in c.items:
-                        load[j] = load.get(j, 0.0) + c.weight
-                assert all(x <= 1.0 + 1e-9 for x in load.values())
-                sub_runs += 1
+        for variant in fuzz.split_case(3_000_000 + seed,
+                                       [v for v, done in runs.items() if done < 500]):
+            runs[variant] += 1
     print(f"\nPASS criterion 3: splitting bounds clean over 500+500 fuzzed runs")
 
 
 def test_criterion_04_relaxation_solver_contract():
     """50 instances, alpha=0.25: scaled config-LP optimum <= 1.25 n + 1e-6."""
-    families = ("additive", "xos", "budgeted_additive", "table")
-    checked = 0
-    trial = 0
+    checked = trial = 0
     worst = 0.0
     while checked < 50:
-        rng = np.random.default_rng(4_000_000 + trial)
-        n, m = _grid_sizes(rng)
-        inst = generate(GenSpec(families[trial % 4], n, m, seed=4_000_000 + trial))
+        score = fuzz.contract_case(4_000_000 + trial, FAMILIES[trial % 4])
         trial += 1
-        _, _, remaining, active = initial_matching(inst)
-        if not active:
-            continue
-        eg = solve_eg(inst, active, remaining, EgParams(alpha=0.25))
-        ratio, ok = scaled_optimum_check(inst, eg, alpha=0.25, tol=1e-6)
-        assert ok, f"instance {trial}: ratio {ratio} > 1.25 * {len(eg.agents)}"
-        worst = max(worst, ratio / (1.25 * len(eg.agents)))
-        checked += 1
+        if score is not None:
+            worst = max(worst, score)
+            checked += 1
     print(f"\nPASS criterion 4: relaxation contract on 50 instances; "
           f"worst ratio/bound {worst:.4f}")
 
@@ -179,27 +103,7 @@ def test_criterion_05_concave_extension_oracle_equivalence():
     """100 (valuation, x) pairs, m <= 10: |colgen - enumeration| <= 1e-6."""
     worst_diff = worst_gap = 0.0
     for trial in range(100):
-        rng = np.random.default_rng(5_000_000 + trial)
-        m = int(rng.integers(2, 11))
-        kind = trial % 4
-        if kind == 0:
-            v = Additive(rng.uniform(0, 1, m))
-        elif kind == 1:
-            v = Xos(rng.uniform(0, 1, (3, m)))
-        elif kind == 2:
-            v = BudgetedAdditive(rng.uniform(0, 1, m), cap=float(rng.uniform(0.5, 2)))
-        else:
-            src = Xos(rng.uniform(0, 1, (2, m)))
-            masks = np.arange(1 << m)
-            rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-            v = ExplicitTable(src.value_rows(rows), m)
-        x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.85)
-        a = concave_ext(v, x)
-        b = concave_ext(v, x, method="enumerate")
-        diff = abs(a.value - b.value)
-        gap = abs(a.value - (a.q + float(a.prices @ x)))
-        assert diff <= 1e-6, f"trial {trial}: colgen/enumeration differ by {diff}"
-        assert gap <= 1e-6 * (1 + abs(a.value)), f"trial {trial}: dual gap {gap}"
+        diff, gap = fuzz.extension_case(5_000_000 + trial, FAMILIES[trial % 4])
         worst_diff = max(worst_diff, diff)
         worst_gap = max(worst_gap, gap)
     print(f"\nPASS criterion 5: concave extension equivalence on 100 pairs; "
@@ -208,36 +112,9 @@ def test_criterion_05_concave_extension_oracle_equivalence():
 
 def test_criterion_06_demand_oracle_equivalence():
     """500 (valuation, price) pairs per family, m <= 12: exact utility match."""
-    def brute_max(v, prices, m):
-        masks = np.arange(1 << m, dtype=np.int64)
-        rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-        return float((v.value_rows(rows) - rows @ prices).max())
-
-    families = ["additive", "xos", "budgeted_additive", "table"]
-    for family in families:
+    for family in FAMILIES:
         for trial in range(500):
-            rng = np.random.default_rng(6_000_000 + trial)
-            m = int(rng.integers(2, 13))
-            if family == "additive":
-                v = Additive(rng.uniform(0, 1, m))
-            elif family == "xos":
-                v = Xos(rng.uniform(0, 1, (int(rng.integers(1, 4)), m)))
-            elif family == "budgeted_additive":
-                v = BudgetedAdditive(rng.uniform(0, 1, m),
-                                     cap=float(rng.uniform(0.3, 2)))
-            else:
-                if m > 10:
-                    m = 10
-                src = Xos(rng.uniform(0, 1, (2, m)))
-                masks = np.arange(1 << m)
-                rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-                v = ExplicitTable(src.value_rows(rows), m)
-            prices = rng.uniform(-0.3, 1.2, m)
-            res = demand(v, prices)
-            ref = brute_max(v, prices, m)
-            assert abs(res.utility - ref) <= 1e-12, (family, trial)
-            realized = v.value(res.items) - prices[sorted(res.items)].sum()
-            assert abs(realized - res.utility) <= 1e-12
+            fuzz.demand_case(6_000_000 + trial, family)
     print("\nPASS criterion 6: demand oracle equals brute force, "
           "500 pairs x 4 families")
 
@@ -319,30 +196,8 @@ def test_criterion_08_iterated_rounding_structure():
 def test_criterion_09_rematching_guarantee():
     """1000 fuzzed (tau, pi, W, nu) tuples: rho is a matching and the
     product inequality holds (rematch_rho raises on any violation)."""
-    done = 0
-    seed = 0
-    while done < 1000:
-        seed += 1
-        rng = np.random.default_rng(9_000_000 + seed)
-        n = int(rng.integers(2, 5))
-        m = n + int(rng.integers(1, 4))
-        vals = []
-        for _ in range(n):
-            if rng.random() < 0.5:
-                vals.append(Additive(rng.uniform(0, 1, m)))
-            else:
-                vals.append(Xos(rng.uniform(0, 1, (3, m))))
-        inst = _instance(vals)
-        tau, matched, remaining, _ = initial_matching(inst)
-        items = sorted(matched)
-        pi = Matching({i: items[k] for k, i in enumerate(rng.permutation(n))})
-        big_w = rng.uniform(0, 1, n)
-        nu = np.array([rng.uniform(0, 1) * max((vals[i].value((j,))
-                                                for j in remaining), default=0.0)
-                       for i in range(n)])
-        rho = rematch_rho(tau, pi, big_w, nu, inst)
-        rho.validate()
-        done += 1
+    for seed in range(1, 1001):
+        fuzz.match_case(9_000_000 + seed)
     print("\nPASS criterion 9: rematching product inequality on 1000 tuples")
 
 
@@ -351,25 +206,10 @@ def test_criterion_10_concentration_suite():
     fuzzed subadditive functions (q=2, k=3)."""
     results = []
     for idx in range(20):
-        rng = np.random.default_rng(10_000_000 + idx)
-        m = int(rng.integers(8, 15))
-        kind = idx % 3
-        if kind == 0:
-            v = BudgetedAdditive(rng.uniform(0.3, 1, m), cap=float(rng.uniform(1, 4)))
-        elif kind == 1:
-            v = Xos(rng.uniform(0.2, 1, (3, m)))
-        else:
-            mm = min(m, 10)
-            src = Xos(rng.uniform(0.2, 1, (2, mm)))
-            masks = np.arange(1 << mm)
-            rows = ((masks[:, None] >> np.arange(mm)) & 1).astype(bool)
-            v = ExplicitTable(src.value_rows(rows), mm)
+        v = fuzz.tail_function(10_000_000 + idx, ("budgeted_additive", "xos", "table")[idx % 3])
         exp = TailExperiment.bernoulli(v, range(v.m), 0.5, trials=100_000,
                                        q=2, k=3, seed=idx)
-        med = float(np.sort(exp.sample_values() / exp.singleton_cap())
-                    [(exp.trials - 1) // 2])
-        for res in (expectation_lower(exp, k=3), two_sided_tail(exp, a=med),
-                    median_expectation(exp), lower_tail(exp)):
+        for res in tail_checks(exp):
             assert res.passed, f"function {idx}: {res.name} broke its bound: {res}"
             results.append(res)
     print(f"\nPASS criterion 10: {len(results)} concentration checks clean "

@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, determinism, CSV schema."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from nswforge import fuzz
 from nswforge.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from nswforge.generators import GenSpec, generate
-from nswforge.model import serialize_instance
+from nswforge.model import Matching, serialize_instance
 
 
 @pytest.fixture
@@ -151,11 +153,45 @@ class TestFuzz:
         assert main(["fuzz", "--module", "split", "--count", "0"]) == EXIT_OK
         assert "vacuous" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("module", ["split", "match"])
+    @pytest.mark.parametrize("module", ["split", "match", "relax", "round"])
     def test_small_runs_clean(self, module, capsys):
         assert main(["fuzz", "--module", module, "--count", "5",
                      "--seed", "4"]) == EXIT_OK
         assert "runs clean" in capsys.readouterr().err
+
+    def test_split_part_below_quarter_threshold_fails(self, monkeypatch, capsys):
+        split_xos = fuzz.split_xos
+
+        def leaky_split(config, valuations, v_plus):
+            # keep only each source's least valuable item: the part no
+            # longer clears a quarter of v+
+            out = split_xos(config, valuations, v_plus)
+            v = valuations[0]
+            out.columns[0] = [
+                replace(col, items=frozenset(),
+                        large_item=min(col.source, key=lambda j: v.value((j,))))
+                for col in out.columns[0]]
+            return out
+
+        monkeypatch.setattr(fuzz, "split_xos", leaky_split)
+        assert main(["fuzz", "--module", "split", "--count", "10",
+                     "--seed", "4"]) == EXIT_INVARIANT
+        assert "below the quarter threshold" in capsys.readouterr().err
+
+    def test_suboptimal_initial_matching_fails(self, monkeypatch, capsys):
+        initial_matching = fuzz.initial_matching
+
+        def rotated(inst):
+            # hand each agent the next agent's reserved item
+            tau, matched, remaining, active = initial_matching(inst)
+            items = [tau.assignment[i] for i in inst.agents]
+            worse = Matching({i: items[(i + 1) % inst.n] for i in inst.agents})
+            return worse, matched, remaining, active
+
+        monkeypatch.setattr(fuzz, "initial_matching", rotated)
+        assert main(["fuzz", "--module", "match", "--count", "5",
+                     "--seed", "4"]) == EXIT_INVARIANT
+        assert "not product-optimal" in capsys.readouterr().err
 
 
 class TestConc:

@@ -299,7 +299,7 @@ class TestFinalizeXos:
 
         from nswforge.matching import initial_matching
         from nswforge.model import Allocation, Instance
-        from nswforge.rounding import RoundOutcome, finalize_xos
+        from nswforge.rounding import RoundOutcome, final_matching
 
         inst = Instance(
             ("a0", "a1"), ("g0", "g1", "g2", "g3"),
@@ -310,7 +310,7 @@ class TestFinalizeXos:
         outcome = RoundOutcome(
             allocation=Allocation({0: frozenset({2}), 1: frozenset({3})}),
             tentative={0: frozenset({2}), 1: frozenset({3})}, contention={})
-        alloc, sigma = finalize_xos(outcome, inst, reserved)
+        alloc, sigma = final_matching(outcome.allocation.bundles, inst, reserved)
         assert sigma.assignment == {0: 1, 1: 0}
         achieved = _math.prod(inst.valuations[i].value(alloc.bundle(i))
                               for i in inst.agents)

@@ -3,48 +3,19 @@
 import numpy as np
 import pytest
 
+from nswforge.fuzz import split_case
 from nswforge.model import ConfigSolution, InvariantViolation
-from nswforge.splitting import split_subadditive, split_xos
-from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, Xos
+from nswforge.splitting import (
+    check_subadditive_split,
+    check_xos_split,
+    split_subadditive,
+    split_xos,
+)
+from nswforge.valuations import Additive, ExplicitTable, Xos
 
 
 def one_agent_config(*cols):
     return ConfigSolution({0: [(frozenset(s), w) for s, w in cols]})
-
-
-def xos_bounds_hold(out, valuations):
-    for agent, cols in out.columns.items():
-        v = valuations[agent]
-        threshold = out.v_plus[agent] / 4.0
-        total = 0.0
-        for col in cols:
-            assert col.large_item not in col.items
-            assert col.items <= col.source
-            assert v.value(col.items | {col.large_item}) >= threshold - 1e-9
-            total += col.weight
-        assert 1.0 - 1e-9 <= total <= 3.0 + 1e-9
-    load = {}
-    for cols in out.columns.values():
-        for col in cols:
-            for j in col.items:
-                load[j] = load.get(j, 0.0) + col.weight
-    assert all(mass <= 0.75 + 1e-9 for mass in load.values())
-
-
-def subadditive_bounds_hold(out, valuations):
-    for agent, cols in out.columns.items():
-        v = valuations[agent]
-        target = out.targets[agent]
-        floor = target / 3.0 - out.nu[agent]
-        assert sum(c.weight for c in cols) == pytest.approx(1.0, abs=1e-9)
-        for col in cols:
-            assert floor - 1e-9 <= v.value(col.items) <= target + 1e-9
-    load = {}
-    for cols in out.columns.values():
-        for col in cols:
-            for j in col.items:
-                load[j] = load.get(j, 0.0) + col.weight
-    assert all(mass <= 1.0 + 1e-9 for mass in load.values())
 
 
 class TestSplitXos:
@@ -58,13 +29,13 @@ class TestSplitXos:
         assert all(c.large_item == 0 for c in cols)
         assert all(c.weight == pytest.approx(0.75) for c in cols)
         assert sum(c.weight for c in cols) == pytest.approx(3.0)
-        xos_bounds_hold(out, [v])
+        check_xos_split(out, [v])
 
     def test_boundary_set_is_kept(self):
         v = Xos([[1, 1, 0], [0, 0, 2]])
         out = split_xos(one_agent_config(({0, 1}, 1.0)), [v], {0: 2.0})
         assert len(out.columns[0]) == 4  # k = floor(4 * 2/2)
-        xos_bounds_hold(out, [v])
+        check_xos_split(out, [v])
 
     def test_low_value_set_discarded_and_mass_recovered(self):
         # v(S1)=1 < V+/4 = 1.125 is discarded; the survivor's k = 7 parts
@@ -77,7 +48,7 @@ class TestSplitXos:
         assert all(c.source == s2 for c in cols)
         assert len(cols) == 7
         assert sum(c.weight for c in cols) == pytest.approx(2.625)
-        xos_bounds_hold(out, [v])
+        check_xos_split(out, [v])
 
     def test_rejects_inconsistent_weights(self):
         v = Additive([1.0, 1.0])
@@ -86,21 +57,7 @@ class TestSplitXos:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_fuzzed_bounds(self, seed):
-        rng = np.random.default_rng(40_000 + seed)
-        m = int(rng.integers(4, 10))
-        v = Xos(rng.uniform(0, 1, (int(rng.integers(1, 4)), m)))
-        n_sets = int(rng.integers(1, 5))
-        weights = rng.dirichlet(np.ones(n_sets))
-        cols = []
-        for k in range(n_sets):
-            size = int(rng.integers(1, m + 1))
-            members = frozenset(int(j) for j in rng.choice(m, size, replace=False))
-            cols.append((members, float(weights[k])))
-        if all(v.value(s) <= 0 for s, _ in cols):
-            return
-        target = sum(v.value(s) * w for s, w in cols)
-        out = split_xos(one_agent_config(*cols), [v], {0: target})
-        xos_bounds_hold(out, [v])
+        split_case(40_000 + seed, ("xos",))
 
 
 class TestSplitSubadditive:
@@ -115,7 +72,7 @@ class TestSplitSubadditive:
         assert all(c.weight == pytest.approx(1 / 3) for c in cols)
         covered = sorted(j for c in cols for j in c.items)
         assert covered == list(range(6))
-        subadditive_bounds_hold(out, [v])
+        check_subadditive_split(out, [v])
 
     def test_low_value_set_discarded_then_renormalized(self):
         v = Additive([1.0] * 12)
@@ -123,7 +80,7 @@ class TestSplitSubadditive:
         target = 0.3 * 1 + 0.7 * 12  # 8.7, so v({0}) = 1 < 2.9 is dropped
         out = split_subadditive(cols, [v], {0: target}, {0: 1.0})
         assert all(c.source == frozenset(range(12)) for c in out.columns[0])
-        subadditive_bounds_hold(out, [v])
+        check_subadditive_split(out, [v])
 
     def test_oversized_remainder_gets_trimmed(self):
         # 40 unit items at weight 0.2 next to a discarded empty set:
@@ -135,7 +92,7 @@ class TestSplitSubadditive:
         values = sorted(v.value(c.items) for c in out.columns[0])
         assert values[-1] <= 8.0 + 1e-9
         assert len(out.columns[0]) == 15  # floor(3 * 40 / 8)
-        subadditive_bounds_hold(out, [v])
+        check_subadditive_split(out, [v])
 
     def test_requires_target_dominating_singletons(self):
         v = Additive([1.0, 1.0])
@@ -157,20 +114,4 @@ class TestSplitSubadditive:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_fuzzed_bounds(self, seed):
-        rng = np.random.default_rng(41_000 + seed)
-        m = int(rng.integers(8, 14))
-        weights = rng.uniform(0.5, 1.0, m)
-        v = BudgetedAdditive(weights, cap=float(rng.uniform(0.7, 1.0) * weights.sum()))
-        n_sets = int(rng.integers(1, 4))
-        mix = rng.dirichlet(np.ones(n_sets))
-        cols = []
-        for k in range(n_sets):
-            size = int(rng.integers(max(2, m - 3), m + 1))
-            cols.append((frozenset(int(j) for j in rng.choice(m, size, replace=False)),
-                         float(mix[k])))
-        target = sum(v.value(s) * w for s, w in cols)
-        nu = float(v.singleton_values().max())
-        if target < 6.0 * nu:
-            return
-        out = split_subadditive(one_agent_config(*cols), [v], {0: target}, {0: nu})
-        subadditive_bounds_hold(out, [v])
+        split_case(41_000 + seed, ("subadditive",))
