@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class TailExperiment:
         rows = (draws < self.probs) & base
         return self.valuation.value_rows(rows)
 
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """`sample_values()`, drawn once and shared by the checks below."""
+        return self.sample_values()
+
 
 @dataclass
 class TailCheckResult:
@@ -98,7 +104,7 @@ def two_sided_tail(exp: TailExperiment, a: float) -> TailCheckResult:
     if nu < 0:
         raise ValueError("negative singleton cap")
     # nu == 0 forces f to vanish on the base set; the rescale is vacuous
-    values = exp.sample_values() / nu if nu > 0 else exp.sample_values()
+    values = exp._samples / nu if nu > 0 else exp._samples
     q, k = exp.q, exp.k
     upper = float((values >= (q + 1) * a + k).mean())
     lower = float((values <= a).mean())
@@ -118,7 +124,7 @@ def median_expectation(exp: TailExperiment) -> TailCheckResult:
     nu = exp.singleton_cap()
     if nu < 0:
         raise ValueError("negative singleton cap")
-    values = np.sort(exp.sample_values() / nu if nu > 0 else exp.sample_values())
+    values = np.sort(exp._samples / nu if nu > 0 else exp._samples)
     mean = float(values.mean())
     median = float(values[(exp.trials - 1) // 2])  # lower median
     bound = 5.0 * (median + 1.0)
@@ -133,7 +139,7 @@ def lower_tail(exp: TailExperiment) -> TailCheckResult:
     if exp.q < 1 or exp.k < 1:
         raise ValueError("q and k must be at least 1")
     nu = exp.singleton_cap()
-    values = exp.sample_values()
+    values = exp._samples
     mean = float(values.mean())
     q, k = exp.q, exp.k
     threshold = mean / (5.0 * (q + 1)) - (k + 1) * nu / (q + 1)
@@ -147,8 +153,8 @@ def lower_tail(exp: TailExperiment) -> TailCheckResult:
 
 def tail_checks(exp: TailExperiment) -> list[TailCheckResult]:
     """The four checks above, the two-sided tail at a = the sampled lower
-    median of f / nu."""
-    values = np.sort(exp.sample_values() / exp.singleton_cap())
+    median of f / nu. The last three share the experiment's one draw."""
+    values = np.sort(exp._samples / exp.singleton_cap())
     median = float(values[(exp.trials - 1) // 2])
     return [expectation_lower(exp), two_sided_tail(exp, a=median),
             median_expectation(exp), lower_tail(exp)]

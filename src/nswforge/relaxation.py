@@ -15,7 +15,8 @@ master only the item masses x change, which is the right-hand side of the
 LP, so each solve warm-starts the simplex from the previous basis (the
 restricted master of Gilmore and Gomory's column generation). A basis
 that x left primal-feasible is still optimal; otherwise it stays
-dual-feasible and a few dual simplex pivots repair it (see `_lp`).
+dual-feasible and a few dual simplex pivots repair it. The first solve
+starts from the empty-set column and the capacity slacks (see `_lp`).
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps, by projected supergradient
@@ -130,20 +131,23 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     is only certified on the enumerated sets).
 
     `master` carries the restricted master of an earlier call with the
-    same valuation and universe, so that its columns and basis are reused
-    and the new columns stay in it; without one a fresh master starts from
-    the empty set and the singletons.
+    same valuation, so that its columns and basis are reused and the new
+    columns stay in it; its universe is the default for `items`. Without
+    one a fresh master starts from the empty set and the singletons.
     """
     x = np.asarray(x, dtype=float)
-    universe = (np.arange(v.m, dtype=np.int64) if items is None
-                else np.unique(np.fromiter(items, dtype=np.int64)))
+    if items is None:
+        universe = np.arange(v.m, dtype=np.int64) if master is None else master.universe
+    else:
+        universe = np.unique(np.fromiter(items, dtype=np.int64))
     if x[universe].min() < -COLGEN_TOL or x[universe].max() > 1 + COLGEN_TOL:
         raise ValueError("item masses must lie in [0, 1]")
     if method not in ("colgen", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     if master is None:
         master = RestrictedMaster(v, universe)
-    elif master.v is not v or not np.array_equal(master.universe, universe):
+    elif master.v is not v or (items is not None
+                               and not np.array_equal(master.universe, universe)):
         raise ValueError("restricted master of another valuation or universe")
     if method == "enumerate":
         support = [int(j) for j in universe if x[j] > 0]
@@ -158,11 +162,11 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         res = master.solve(x_univ)
         q = float(res.dual_eq[0])
         p_univ = np.maximum(res.dual_ub, 0.0)
+        prices = np.zeros(v.m)
+        prices[universe] = p_univ
         if method == "enumerate":
             break
         rounds += 1
-        prices = np.zeros(v.m)
-        prices[universe] = p_univ
         hit = demand(v, prices, items=universe)
         gap = hit.utility - q
         if gap <= COLGEN_TOL * max(1.0, abs(res.value)):
@@ -176,8 +180,6 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
             raise ConvergenceError("column generation round cap exceeded", gap)
         master.extend([hit.items])
 
-    prices = np.zeros(v.m)
-    prices[universe] = p_univ
     columns = [(master.columns[k], float(res.x[k])) for k in np.flatnonzero(res.x > 1e-12)]
     total = sum(w for _, w in columns)
     columns = [(s, w / total) for s, w in columns]
@@ -323,8 +325,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
         for k, i in enumerate(agent_list):
             x_full = np.zeros(inst.m)
             x_full[item_idx] = mat[k]
-            ext = concave_ext(inst.valuations[i], x_full, items=item_list,
-                              master=masters[i])
+            ext = concave_ext(inst.valuations[i], x_full, master=masters[i])
             sg = supergradient_log(inst.valuations[i], x_full, ext=ext)
             exts[i] = ext
             grads[k] = sg.grad[item_idx]

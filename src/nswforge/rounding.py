@@ -108,21 +108,29 @@ def _pick_index(weights: Sequence[float], u: float) -> int:
     return len(weights) - 1
 
 
-def _resolve_contention(tentative: dict[int, frozenset[int]], rng: RngStream,
-                        *prefix: int) -> tuple[dict[int, tuple[int, ...]], dict[int, set[int]]]:
-    """Assign each requested item uniformly among its requesting agents."""
+def _contention_round(columns: Mapping[int, Sequence[tuple[frozenset[int], float]]],
+                      rng: RngStream, *prefix: int):
+    """Each agent samples one tentative set in proportion to the weights,
+    from substream (_TENTATIVE, *prefix, agent); each requested item j goes
+    to a uniform requester, from (*prefix, _WINNERS, j). Returns the picked
+    column indices, each item's requesters and the items each agent won."""
+    picks: dict[int, int] = {}
     requests: dict[int, list[int]] = {}
-    for agent in sorted(tentative):
-        for j in tentative[agent]:
+    for agent in sorted(columns):
+        cols = columns[agent]
+        total = sum(w for _, w in cols)
+        u = rng.uniform(_TENTATIVE, *prefix, agent)
+        picks[agent] = _pick_index([w / total for _, w in cols], u)
+        for j in cols[picks[agent]][0]:
             requests.setdefault(j, []).append(agent)
-    won: dict[int, set[int]] = {i: set() for i in tentative}
+    won: dict[int, set[int]] = {i: set() for i in picks}
     contention: dict[int, tuple[int, ...]] = {}
     for j in sorted(requests):
-        agents = sorted(requests[j])
+        agents = requests[j]  # in agent order
         contention[j] = tuple(agents)
         u = rng.uniform(*prefix, _WINNERS, j)
         won[agents[min(int(u * len(agents)), len(agents) - 1)]].add(j)
-    return contention, won
+    return picks, contention, won
 
 
 def round_xos(split: XosSplitOutput, valuations: Sequence[Valuation],
@@ -133,27 +141,23 @@ def round_xos(split: XosSplitOutput, valuations: Sequence[Valuation],
     its split weight (the normalizer c_i lands in [1/3, 1]); every
     requested item then goes to a uniformly random requester.
     """
-    tentative_cols = {}
     normalizers = {}
     for agent in sorted(split.columns):
-        cols = split.columns[agent]
-        total = sum(c.weight for c in cols)
+        total = sum(c.weight for c in split.columns[agent])
         if not 1.0 - 1e-9 <= total <= 3.0 + 1e-9:
             raise InvariantViolation(
                 f"agent {agent}: split mass {total} outside [1, 3]")
         normalizers[agent] = 1.0 / total
-        probs = [c.weight / total for c in cols]
-        u = rng.uniform(_TENTATIVE, agent)
-        tentative_cols[agent] = cols[_pick_index(probs, u)]
-    tentative = {i: col.items for i, col in tentative_cols.items()}
-    contention, won = _resolve_contention(tentative, rng)
-    bundles = {i: frozenset(won[i]) for i in tentative}
+    picks, contention, won = _contention_round(
+        {i: [(c.items, c.weight) for c in cols] for i, cols in split.columns.items()}, rng)
+    tentative_cols = {i: split.columns[i][k] for i, k in picks.items()}
+    bundles = {i: frozenset(won[i]) for i in picks}
     for i, col in tentative_cols.items():
         if not bundles[i] <= col.items:
             raise InvariantViolation("an agent won an item it never requested")
     return RoundOutcome(
         allocation=Allocation(bundles),
-        tentative=tentative,
+        tentative={i: col.items for i, col in tentative_cols.items()},
         contention=contention,
         large_items={i: col.large_item for i, col in tentative_cols.items()},
         normalizers=normalizers,
@@ -169,15 +173,8 @@ def cr_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     contested item uniformly among the requesters.
     """
     del targets
-    tentative = {}
-    for agent in sorted(columns):
-        cols = columns[agent]
-        total = sum(w for _, w in cols)
-        probs = [w / total for _, w in cols]
-        u = rng.uniform(_TENTATIVE, round_index, agent)
-        tentative[agent] = cols[_pick_index(probs, u)][0]
-    _, won = _resolve_contention(tentative, rng, round_index)
-    return {i: frozenset(won[i]) for i in tentative}
+    _, _, won = _contention_round(columns, rng, round_index)
+    return {i: frozenset(items) for i, items in won.items()}
 
 
 def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],

@@ -12,6 +12,7 @@ from nswforge.concentration import (
     lower_tail,
     median_expectation,
     nsw_product_identity,
+    tail_checks,
     two_sided_tail,
 )
 from nswforge.valuations import Additive, BudgetedAdditive, Xos
@@ -130,6 +131,19 @@ class TestDeterminism:
         a = experiment(seed=7).sample_values()
         b = experiment(seed=7).sample_values()
         assert (a == b).all()
+
+
+class TestTailChecks:
+    def test_one_draw_per_distribution(self, monkeypatch):
+        draw, calls = TailExperiment.sample_values, []
+        monkeypatch.setattr(TailExperiment, "sample_values",
+                            lambda self: calls.append(self) or draw(self))
+        results = tail_checks(experiment(trials=5000, seed=11))
+        assert len(calls) == 2  # the base probabilities, expectation_lower's 1/k
+        exp = experiment(trials=5000, seed=11)
+        med = float(np.sort(draw(exp))[(exp.trials - 1) // 2])  # nu = 1
+        assert results == [expectation_lower(exp), two_sided_tail(exp, a=med),
+                           median_expectation(exp), lower_tail(exp)]
 
 
 class TestCascadeIdentity:

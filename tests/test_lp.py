@@ -1,5 +1,5 @@
 """The in-house simplex against scipy's HiGHS as an independent oracle,
-and its warm starts against its own cold solves."""
+and its warm starts against its own solves from the identity basis."""
 
 import itertools
 
@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 import nswforge._lp as lp_mod
-from nswforge._lp import LpInfeasible, maximize
+from nswforge._lp import maximize
 from nswforge.generators import GenSpec, generate
 
 
@@ -22,7 +22,10 @@ def random_feasible_lp(rng, n=6, mu=4, me=2):
     # bounding box keeps the maximization finite
     a_ub = np.vstack([a_ub, np.ones(n)])
     b_ub = np.append(b_ub, x0.sum() + 10.0)
-    return c, a_ub, b_ub, a_eq, b_eq
+    # a zero-cost unit column per equality row, like a configuration LP's
+    # empty set: the simplex starts from these and the slacks
+    return (np.append(c, np.zeros(me)), np.hstack([a_ub, np.zeros((mu + 1, me))]),
+            b_ub, np.hstack([a_eq, np.eye(me)]), b_eq)
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -63,8 +66,10 @@ def test_degenerate_zero_capacity_rows():
     assert res.x[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_infeasible_equality_detected():
-    with pytest.raises(LpInfeasible):
+def test_equality_row_without_unit_column_raises():
+    # column 0 is not a unit vector (it uses the a_ub row), so no identity
+    # basis exists for the equality row
+    with pytest.raises(ValueError, match="equality row 0 has no unit column"):
         maximize(np.array([1.0, 1.0]),
                  a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([0.3]),
                  a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
@@ -124,23 +129,24 @@ def assert_certified(res, c, a_ub, b_ub, a_eq, b_eq, tol=1e-9):
 
 def restricted_master_lp(rng, m=6, k=14):
     """An LP shaped like a concave extension's restricted master: 0/1
-    columns over m items, item masses as capacities, unit total mass."""
+    columns over m items (the empty set first, then the singletons), item
+    masses as capacities, unit total mass."""
     incidence = (rng.uniform(size=(m, k)) < 0.4).astype(float)
-    incidence[:, :m] = np.eye(m)
+    incidence[:, :m + 1] = np.eye(m, m + 1, 1)
     c = incidence.sum(axis=0) * rng.uniform(0.5, 1.0, k)
     return c, incidence, rng.uniform(0, 1, m), np.ones((1, k)), np.ones(1)
 
 
 @pytest.fixture
 def warm_paths(monkeypatch):
-    """Record whether each hinted solve stayed warm and whether it needed
-    the dual simplex."""
-    seen = {"warm": 0, "cold": 0, "dual": 0}
+    """Record whether each hinted solve stayed warm or fell back to the
+    identity start, and whether it needed the dual simplex."""
+    seen = {"warm": 0, "identity": 0, "dual": 0}
     warm, dual = lp_mod._warm_start, lp_mod._dual_iterate
 
     def spy_warm(*args):
         out = warm(*args)
-        seen["warm" if out is not None else "cold"] += 1
+        seen["warm" if out is not None else "identity"] += 1
         return out
 
     def spy_dual(*args):
@@ -192,7 +198,7 @@ def test_hint_from_before_appended_columns(trial, warm_paths):
     first = maximize(c[:k0], a_ub=a_ub[:, :k0], b_ub=b_ub, a_eq=a_eq[:, :k0], b_eq=b_eq)
     cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=first.basis)
-    assert warm_paths == {"warm": 1, "cold": 0, "dual": 0}
+    assert warm_paths == {"warm": 1, "identity": 0, "dual": 0}
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     assert_certified(warm, c, a_ub, b_ub, a_eq, b_eq)
 
@@ -208,17 +214,17 @@ def assert_same_result(a, b):
 def neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq):
     """A basis (as a hint) that is neither primal- nor dual-feasible."""
     n, mu = c.size, a_ub.shape[0]
-    a = np.hstack([np.vstack([a_ub, a_eq]), np.eye(mu + a_eq.shape[0])])
-    cost = np.concatenate([c, np.zeros(mu + a_eq.shape[0])])
+    rows = mu + a_eq.shape[0]
+    a = np.hstack([np.vstack([a_ub, a_eq]), np.eye(rows, mu)])
+    cost = np.concatenate([c, np.zeros(mu)])
     b = np.concatenate([b_ub, b_eq])
-    rows = a.shape[0]
     for cols in itertools.combinations(range(n + mu), rows):
         basis = np.array(cols)
         if abs(np.linalg.det(a[:, basis])) < 1e-6:
             continue
         tab = np.linalg.solve(a[:, basis], np.hstack([a, b[:, None]]))
         reduced = cost - cost[basis] @ tab[:, :-1]
-        if tab[:, -1].min() < -1e-6 and reduced[:n + mu].max() > 1e-6:
+        if tab[:, -1].min() < -1e-6 and reduced.max() > 1e-6:
             return tuple(int(j) if j < n else n - 1 - int(j) for j in basis)
     raise AssertionError("no such basis")
 
@@ -233,16 +239,16 @@ def test_fallbacks_equal_the_cold_solve(warm_paths):
                         np.hstack([a_eq, a_eq[:, :1]]))
     cold2 = maximize(c2, a_ub=a_ub2, b_ub=b_ub, a_eq=a_eq2, b_eq=b_eq)
     singular = (0, n, -2, -3)
-    with_artificial = (-1, -2, -3, -(mu + 1))
+    equality_slack = (-1, -2, -3, -(mu + 1))  # equality rows have no slack
     neither = neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq)
     wrong_length = cold.basis[:-1]
     out_of_range = (n + 5,) + cold.basis[1:]
-    for hint in (with_artificial, neither, wrong_length, out_of_range):
+    for hint in (equality_slack, neither, wrong_length, out_of_range):
         assert_same_result(maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                                     basis=hint), cold)
     assert_same_result(maximize(c2, a_ub=a_ub2, b_ub=b_ub, a_eq=a_eq2, b_eq=b_eq,
                                 basis=singular), cold2)
-    assert warm_paths["warm"] == 0 and warm_paths["cold"] == 5
+    assert warm_paths["warm"] == 0 and warm_paths["identity"] == 5
 
 
 def test_warm_start_reuses_an_optimal_basis(warm_paths):
@@ -250,7 +256,7 @@ def test_warm_start_reuses_an_optimal_basis(warm_paths):
     c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
     cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     again = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=cold.basis)
-    assert warm_paths == {"warm": 1, "cold": 0, "dual": 0}
+    assert warm_paths == {"warm": 1, "identity": 0, "dual": 0}
     assert again.basis == cold.basis
     assert again.value == pytest.approx(cold.value, abs=1e-12)
 
