@@ -18,11 +18,17 @@ change of the right-hand side typically leaves, first runs a dual simplex
 the identity start: one that does not fit the LP's rows and columns, a
 singular or ill-conditioned B, a basis neither primal- nor dual-feasible,
 a dual simplex that finds no entering column, or an iteration cap.
+
+A hinted solve that makes no pivot keeps B^-1 and its initial tableau in
+the result. `resolve` re-solves those rows and that hint at a new
+right-hand side with the one product B^-1 [A | I | b] and the cached duals
+(they depend only on B and the columns), bit-identical to `maximize`, or
+returns None where B^-1 b is infeasible and the dual simplex must run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +48,8 @@ class LpResult:
     `basis` names one variable per constraint row, a_ub rows first: j >= 0
     is column j of c, and -1 - r is the slack of a_ub row r. Slacks are
     numbered by row, not by position after the columns, so the basis stays
-    a valid hint when columns are appended.
+    a valid hint when columns are appended. `factor` holds (B^-1, initial
+    tableau, c) after a hinted solve that made no pivot, for `resolve`.
     """
 
     x: np.ndarray
@@ -50,6 +57,7 @@ class LpResult:
     dual_ub: np.ndarray
     dual_eq: np.ndarray
     basis: tuple[int, ...]
+    factor: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -60,13 +68,14 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    for _ in range(_MAX_ITER):
+def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
+    """Primal simplex to optimality; returns the number of pivots."""
+    for pivots in range(_MAX_ITER):
         reduced = cost - cost[basis] @ tab[:, :-1]
         eligible = reduced > _COST_TOL
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
-            return
+            return pivots
         col = tab[:, entering]
         leaving = -1
         best_ratio = np.inf
@@ -111,9 +120,11 @@ def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> bool:
     raise LpError("dual simplex iteration cap exceeded")
 
 
-def _warm_start(tab0: np.ndarray, cost: np.ndarray, hint, n: int):
-    """Optimal tableau and basis reached from the hinted basis, or None
-    where the identity start must run; the initial tableau `tab0` stays."""
+def _warm_start(tab0: np.ndarray, c: np.ndarray, cost: np.ndarray, hint):
+    """Optimal tableau and basis reached from the hinted basis, with the
+    `LpResult.factor` where that took no pivot; or None where the identity
+    start must run. The initial tableau `tab0` stays."""
+    n = c.size
     rows, mu = tab0.shape[0], tab0.shape[1] - 1 - n
     if not rows or len(hint) != rows or not all(-mu <= j < n for j in hint):
         return None
@@ -121,24 +132,26 @@ def _warm_start(tab0: np.ndarray, cost: np.ndarray, hint, n: int):
     if len(set(basis)) != rows:
         return None
     try:
-        tab = np.linalg.inv(tab0[:, basis]) @ tab0
+        inv_b = np.linalg.inv(tab0[:, basis])
     except np.linalg.LinAlgError:
         return None
+    tab = inv_b @ tab0
     eye = np.eye(rows)
     if np.abs(tab[:, basis] - eye).max() > 1e-9:  # B too ill-conditioned to trust
         return None
     tab[:, basis] = eye
     try:
-        if tab[:, -1].min() < -_PIVOT_TOL and not _dual_iterate(tab, basis, cost):
+        dual = tab[:, -1].min() < -_PIVOT_TOL
+        if dual and not _dual_iterate(tab, basis, cost):
             return None
-        _iterate(tab, basis, cost)
+        pivots = _iterate(tab, basis, cost)
     except LpError:
         return None
-    return tab, basis
+    return tab, basis, None if dual or pivots else (inv_b, tab0, c)
 
 
-def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, tab: np.ndarray,
-            basis: list[int], cost: np.ndarray) -> LpResult:
+def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
+            tab: np.ndarray, basis: list[int], factor=None) -> LpResult:
     """x, value and duals read off an optimal tableau and its basis."""
     n, mu = c.size, a_ub.shape[0]
     idx = np.array(basis, dtype=int)
@@ -156,7 +169,15 @@ def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, tab: np.ndarray,
     except np.linalg.LinAlgError:
         y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
     return LpResult(x=x, value=float(c @ x), dual_ub=y[:mu], dual_eq=y[mu:],
-                    basis=tuple(b if b < n else n - 1 - b for b in basis))
+                    basis=tuple(b if b < n else n - 1 - b for b in basis),
+                    factor=factor)
+
+
+def _rhs(b_ub: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+    rhs = np.concatenate([b_ub, b_eq])
+    if rhs.size and rhs.min() < -_PIVOT_TOL:
+        raise ValueError("negative rhs not supported")
+    return np.maximum(rhs, 0.0)
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
@@ -175,22 +196,20 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    rhs = np.concatenate([b_ub, b_eq])
-    if rhs.size and rhs.min() < -_PIVOT_TOL:
-        raise ValueError("negative rhs not supported")
+    rhs = _rhs(b_ub, b_eq)
 
     mu = a_ub.shape[0]
     tab = np.zeros((rhs.size, n + mu + 1))
     tab[:mu, :n] = a_ub
     tab[mu:, :n] = a_eq
     tab[:mu, n:-1] = np.eye(mu)
-    tab[:, -1] = np.maximum(rhs, 0.0)
+    tab[:, -1] = rhs
     cost = np.concatenate([c, np.zeros(mu)])
 
     if basis is not None:
-        warm = _warm_start(tab, cost, basis, n)
+        warm = _warm_start(tab, c, cost, basis)
         if warm is not None:
-            return _result(c, a_ub, a_eq, *warm, cost)
+            return _result(c, a_ub, a_eq, cost, *warm)
     single = np.count_nonzero(tab[:, :n], axis=0) == 1
     start = list(range(n, n + mu))
     for r in range(mu, tab.shape[0]):
@@ -199,4 +218,22 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
             raise ValueError(f"equality row {r - mu} has no unit column")
         start.append(int(units[0]))  # the tableau already has B = I
     _iterate(tab, start, cost)
-    return _result(c, a_ub, a_eq, tab, start, cost)
+    return _result(c, a_ub, a_eq, cost, tab, start)
+
+
+def resolve(res: LpResult, b_ub, b_eq) -> LpResult | None:
+    """`res` re-solved at a new right-hand side from its `factor`: the
+    same result as `maximize` on res's rows with res.basis as the hint.
+    None where res holds no factor or the basis leaves primal feasibility."""
+    if res.factor is None:
+        return None
+    inv_b, tab, c = res.factor
+    tab = tab.copy()
+    tab[:, -1] = _rhs(np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float))
+    x_b = (inv_b @ tab)[:, -1]  # the whole product, as in _warm_start, for its bits
+    if x_b.min() < -_PIVOT_TOL:
+        return None
+    idx = np.array(res.basis)
+    x = np.zeros(c.size)
+    x[idx[idx >= 0]] = x_b[idx >= 0]
+    return LpResult(x, float(c @ x), res.dual_ub, res.dual_eq, res.basis, res.factor)

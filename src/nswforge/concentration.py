@@ -67,6 +67,15 @@ class TailExperiment:
         """`sample_values()`, drawn once and shared by the checks below."""
         return self.sample_values()
 
+    @cached_property
+    def _rescaled(self) -> np.ndarray:
+        """`_samples` over the singleton cap nu, for the nu-rescaled checks;
+        nu == 0 forces f to vanish on the base set, so they stay as drawn."""
+        nu = self.singleton_cap()
+        if nu < 0:
+            raise ValueError("negative singleton cap")
+        return self._samples / nu if nu > 0 else self._samples
+
 
 @dataclass
 class TailCheckResult:
@@ -100,11 +109,7 @@ def expectation_lower(exp: TailExperiment, k: int | None = None) -> TailCheckRes
 
 def two_sided_tail(exp: TailExperiment, a: float) -> TailCheckResult:
     """P[f >= (q+1) a + k] * P[f <= a]^q <= q^-k, on the nu-rescaled scale."""
-    nu = exp.singleton_cap()
-    if nu < 0:
-        raise ValueError("negative singleton cap")
-    # nu == 0 forces f to vanish on the base set; the rescale is vacuous
-    values = exp._samples / nu if nu > 0 else exp._samples
+    values = exp._rescaled
     q, k = exp.q, exp.k
     upper = float((values >= (q + 1) * a + k).mean())
     lower = float((values <= a).mean())
@@ -121,10 +126,7 @@ def two_sided_tail(exp: TailExperiment, a: float) -> TailCheckResult:
 
 def median_expectation(exp: TailExperiment) -> TailCheckResult:
     """E[f(R)] <= 5 (med(f(R)) + 1) on the nu-rescaled scale."""
-    nu = exp.singleton_cap()
-    if nu < 0:
-        raise ValueError("negative singleton cap")
-    values = np.sort(exp._samples / nu if nu > 0 else exp._samples)
+    values = np.sort(exp._rescaled)
     mean = float(values.mean())
     median = float(values[(exp.trials - 1) // 2])  # lower median
     bound = 5.0 * (median + 1.0)
@@ -154,8 +156,7 @@ def lower_tail(exp: TailExperiment) -> TailCheckResult:
 def tail_checks(exp: TailExperiment) -> list[TailCheckResult]:
     """The four checks above, the two-sided tail at a = the sampled lower
     median of f / nu. The last three share the experiment's one draw."""
-    values = np.sort(exp._samples / exp.singleton_cap())
-    median = float(values[(exp.trials - 1) // 2])
+    median = float(np.sort(exp._rescaled)[(exp.trials - 1) // 2])
     return [expectation_lower(exp), two_sided_tail(exp, a=median),
             median_expectation(exp), lower_tail(exp)]
 

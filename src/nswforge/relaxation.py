@@ -17,6 +17,9 @@ restricted master of Gilmore and Gomory's column generation). A basis
 that x left primal-feasible is still optimal; otherwise it stays
 dual-feasible and a few dual simplex pivots repair it. The first solve
 starts from the empty-set column and the capacity slacks (see `_lp`).
+Until a column joins, a solve that kept its basis with no pivot leaves its
+factorization, and the next solves whose x keeps that basis feasible reuse
+it and its duals (`_lp.resolve`), bypassing `maximize` bit-identically.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps, by projected supergradient
@@ -34,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._lp import maximize
+from ._lp import LpResult, maximize, resolve
 from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Valuation, demand
@@ -74,7 +77,8 @@ class RestrictedMaster:
     It holds the columns in the order they joined, each column's value
     (computed once, when the column joins), the 0/1 item incidence matrix
     over the universe and the last optimal basis. Across solves only the
-    item masses x change, so each solve restarts the LP from that basis.
+    item masses x change, so each solve restarts the LP from that basis,
+    or re-solves from the last factorization while no column has joined.
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -86,6 +90,7 @@ class RestrictedMaster:
         self.values = np.zeros(0)
         self.incidence = np.zeros((universe.size, 0))
         self.basis: tuple[int, ...] | None = None
+        self._last: LpResult | None = None  # last simplex result since a column joined
         self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
 
     def __contains__(self, col: frozenset[int]) -> bool:
@@ -103,6 +108,7 @@ class RestrictedMaster:
         block = np.zeros((self.universe.size, len(new)))
         for k, col in enumerate(new):
             block[[self._row[j] for j in col], k] = 1.0
+        self._last = None
         self.columns.extend(new)
         self.values = np.concatenate([self.values, [self.v.value(col) for col in new]])
         self.incidence = np.hstack([self.incidence, block])
@@ -110,10 +116,12 @@ class RestrictedMaster:
     def solve(self, x_universe: np.ndarray):
         """max sum_k value_k y_k over y >= 0 with incidence.y <= x and
         sum y = 1, warm-started from the previous solve's basis."""
-        res = maximize(self.values, a_ub=self.incidence, b_ub=x_universe,
-                       a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1),
-                       basis=self.basis)
-        self.basis = res.basis
+        res = self._last and resolve(self._last, x_universe, np.ones(1))
+        if res is None:
+            res = self._last = maximize(
+                self.values, a_ub=self.incidence, b_ub=x_universe,
+                a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1), basis=self.basis)
+            self.basis = res.basis
         return res
 
 
@@ -140,7 +148,8 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         universe = np.arange(v.m, dtype=np.int64) if master is None else master.universe
     else:
         universe = np.unique(np.fromiter(items, dtype=np.int64))
-    if x[universe].min() < -COLGEN_TOL or x[universe].max() > 1 + COLGEN_TOL:
+    x_univ = x[universe]
+    if x_univ.min() < -COLGEN_TOL or x_univ.max() > 1 + COLGEN_TOL:
         raise ValueError("item masses must lie in [0, 1]")
     if method not in ("colgen", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -156,7 +165,6 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         master.extend(frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
                       for mask in range(1, 1 << len(support)))
 
-    x_univ = x[universe]
     rounds = 0
     while True:
         res = master.solve(x_univ)

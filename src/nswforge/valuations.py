@@ -194,27 +194,30 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandRe
     Additive and XOS demands are analytic (strict inequality keeps the
     returned set minimal); other families enumerate all subsets of the
     allowed universe, which therefore must have at most 16 items. Ties in
-    the enumerated families go to the lexicographically smallest set.
+    the enumerated families go to the lexicographically smallest set. A
+    sorted int64 array of distinct items (a master's universe) is used as is.
     """
     p = np.asarray(prices, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("prices must be finite")
-    universe = (np.arange(v.m, dtype=np.int64) if items is None
-                else np.unique(np.fromiter(items, dtype=np.int64)))
+    universe = np.arange(v.m, dtype=np.int64) if items is None else items
+    if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
+            and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
+        universe = np.unique(np.fromiter(universe, dtype=np.int64))
     if isinstance(v, Additive):
         gains = v.weights[universe] - p[universe]
-        chosen = universe[gains > 0]
-        return DemandResult(frozenset(int(j) for j in chosen), float(gains[gains > 0].sum()))
+        pos = gains > 0
+        return DemandResult(frozenset(universe[pos].tolist()), float(gains[pos].sum()))
     if isinstance(v, Xos):
-        best: DemandResult | None = None
-        for clause in v.clauses:
-            gains = clause[universe] - p[universe]
-            chosen = frozenset(int(j) for j in universe[gains > 0])
-            util = float(gains[gains > 0].sum())
-            if best is None or util > best.utility or (
-                    util == best.utility and _lex_key(chosen) < _lex_key(best.items)):
-                best = DemandResult(chosen, util)
-        return best
+        best, best_util = None, 0.0
+        for gains in v.clauses[:, universe] - p[universe]:
+            pos = gains > 0
+            util = float(gains[pos].sum())
+            # the universe is sorted, so universe[pos] is the set's _lex_key
+            if best is None or util > best_util or (
+                    util == best_util and universe[pos].tolist() < best.tolist()):
+                best, best_util = universe[pos], util
+        return DemandResult(frozenset(best.tolist()), best_util)
     if universe.size > EXHAUSTIVE_CAP:
         raise CapExceeded(
             f"no analytic demand for {v.kind}; universe of {universe.size} items "

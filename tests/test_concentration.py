@@ -1,6 +1,7 @@
 """Monte-Carlo concentration checks and the cascade identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ class TestTailChecks:
         med = float(np.sort(draw(exp))[(exp.trials - 1) // 2])  # nu = 1
         assert results == [expectation_lower(exp), two_sided_tail(exp, a=med),
                            median_expectation(exp), lower_tail(exp)]
+
+
+    def test_all_zero_valuation_takes_the_tail_at_zero(self):
+        # nu == 0: the rescale is vacuous, and f <= 0 holds on every draw
+        exp = experiment(Additive(np.zeros(6)), p=0.5, trials=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = tail_checks(exp)
+        assert results[1].details["a"] == 0.0
+        assert results[1].details["lower"] == 1.0
+        assert results[1].passed
 
 
 class TestCascadeIdentity:

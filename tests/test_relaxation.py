@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from nswforge import _lp, relaxation
+from nswforge._lp import maximize
 from nswforge.generators import GenSpec, generate
 from nswforge.matching import initial_matching
 from nswforge.model import Instance
@@ -20,6 +22,7 @@ from nswforge.relaxation import (
     supergradient_log,
 )
 from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, Xos
+from test_lp import assert_same_result
 
 
 def make_instance(*valuations):
@@ -130,6 +133,87 @@ class TestRestrictedMaster:
         with pytest.raises(ValueError, match="another valuation or universe"):
             concave_ext(v, [0.5, 0.5, 0.5],
                         master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
+
+
+def hinted_solve(master, x, hint):
+    """A fresh hinted maximize on the master's current rows."""
+    return maximize(master.values, a_ub=master.incidence, b_ub=x,
+                    a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1), basis=hint)
+
+
+@pytest.fixture
+def checked_solves(monkeypatch):
+    """Check every master solve bit for bit against a fresh hinted maximize
+    on the same rows, and count the solves and those that ran the simplex."""
+    seen = {"solves": 0, "simplex": 0, "dual": 0}
+    solve, dual = RestrictedMaster.solve, _lp._dual_iterate
+
+    def spy_solve(master, x):
+        hint = master.basis
+        res = solve(master, x)
+        dual_runs = seen["dual"]
+        assert_same_result(res, hinted_solve(master, x, hint))
+        seen["dual"] = dual_runs  # not counting the reference solve's
+        seen["solves"] += 1
+        return res
+
+    def spy_maximize(*args, **kw):
+        seen["simplex"] += 1
+        return maximize(*args, **kw)
+
+    def spy_dual(*args):
+        seen["dual"] += 1
+        return dual(*args)
+    monkeypatch.setattr(RestrictedMaster, "solve", spy_solve)
+    monkeypatch.setattr(relaxation, "maximize", spy_maximize)
+    monkeypatch.setattr(_lp, "_dual_iterate", spy_dual)
+    return seen
+
+
+class TestFactoredResolve:
+    @pytest.mark.parametrize("fam", [1, 2, 3])  # xos, budgeted, table
+    @pytest.mark.parametrize("seed", range(4))
+    def test_resolves_equal_hinted_solves(self, fam, seed, checked_solves):
+        rng = np.random.default_rng(6000 + 10 * fam + seed)
+        v = random_valuation(rng, 6, fam)
+        master = RestrictedMaster(v, np.arange(6))
+        x = rng.uniform(0.2, 0.8, 6)
+        for _ in range(60):  # small steps of the item masses, as in solve_eg
+            x = np.clip(x + rng.normal(0, 0.01, 6), 0.0, 1.0)
+            concave_ext(v, x, master=master)
+        assert checked_solves["solves"] - checked_solves["simplex"] >= 20
+
+    def test_extend_drops_the_factorization(self, checked_solves):
+        v = Xos([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+        master = RestrictedMaster(v, np.arange(3))
+        x = np.array([0.3, 0.4, 0.5])
+        for _ in range(3):  # identity start, hinted without pivots, cached
+            master.solve(x)
+        assert checked_solves == {"solves": 3, "simplex": 2, "dual": 0}
+        master.extend([frozenset({0, 1})])
+        assert master.solve(x).x.size == len(master.columns) == 5
+        assert checked_solves["simplex"] == 3
+
+    def test_infeasible_basis_falls_back_to_the_dual_simplex(self, checked_solves):
+        v = Xos([[2.0, 0.0], [0.0, 2.0]])
+        master = RestrictedMaster(v, np.arange(2))
+        for _ in range(3):  # basis {0}, {1}, {} with y_{} = 0.4
+            master.solve(np.array([0.3, 0.3]))
+        assert checked_solves == {"solves": 3, "simplex": 2, "dual": 0}
+        res = master.solve(np.array([0.6, 0.6]))  # y_{} = -0.2 in that basis
+        assert checked_solves == {"solves": 4, "simplex": 3, "dual": 1}
+        assert res.value == pytest.approx(2.0)
+
+    def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
+        solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
+        assert checked_solves["simplex"] <= checked_solves["solves"] / 2
+
+    def test_solve_eg_on_xos_keeps_its_bits(self, checked_solves):
+        # the ascent bounces between bases at the XOS kink, so most of these
+        # solves run the dual simplex; the few re-solves must still match
+        solve_eg(generate(GenSpec("xos", 4, 12, seed=0)), range(4), range(12),
+                 EgParams(max_iterations=150))
+        assert checked_solves["simplex"] < checked_solves["solves"]
 
 
 class TestSupergradient:

@@ -108,6 +108,26 @@ class TestDemand:
         assert res.items == frozenset({1, 2})
         assert res.utility == 7.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_iterable_universe_gives_the_same_demand(self, seed):
+        rng = np.random.default_rng(350 + seed)
+        prices = rng.uniform(-0.2, 1.0, 7)
+        sub = np.sort(rng.choice(7, 5, replace=False)).astype(np.int64)
+        for v in all_families(7, rng):
+            ref = demand(v, prices, items=sub.tolist())
+            for items in (sub, sub[::-1], np.repeat(sub, 2), sub.astype(np.int32),
+                          iter(sub.tolist()), set(sub.tolist())):
+                assert demand(v, prices, items=items) == ref
+
+    def test_sorted_int64_universe_is_used_as_given(self, monkeypatch):
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        v, universe = Xos([[2, 0, 1, 1], [0, 2, 1, 0]]), np.array([0, 2, 3], dtype=np.int64)
+        res = demand(v, np.full(4, 0.5), items=universe)
+        assert not calls
+        assert demand(v, np.full(4, 0.5), items=universe[::-1]) == res
+        assert len(calls) == 1
+
 
 class TestXosClause:
     def test_unique_maximizer(self):
