@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fuzz
 from .concentration import tail_checks
-from .generators import FAMILIES, GenSpec, generate
+from .generators import FAMILIES, WEIGHT_DISTRIBUTIONS, GenSpec, generate
 from .model import InvariantViolation, SchemaError, load_instance, serialize_instance
 from .oracle import exact_nsw
 from .pipeline import PipelineParams, run_subadditive, run_xos
@@ -213,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=FAMILIES, default="additive")
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int, default=6)
-        p.add_argument("--weights", choices=("uniform", "integers", "heavy"),
-                       default="uniform")
+        p.add_argument("--weights", choices=WEIGHT_DISTRIBUTIONS, default="uniform")
         p.add_argument("--clauses", type=int, default=3)
         p.add_argument("--cap-ratio", dest="cap_ratio", type=float, default=0.4)
         p.add_argument("--table-style", dest="table_style",

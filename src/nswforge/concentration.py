@@ -68,13 +68,18 @@ class TailExperiment:
         return self.sample_values()
 
     @cached_property
-    def _rescaled(self) -> np.ndarray:
-        """`_samples` over the singleton cap nu, for the nu-rescaled checks;
-        nu == 0 forces f to vanish on the base set, so they stay as drawn."""
+    def _unit(self) -> float:
+        """The unit of the nu-rescaled checks: the singleton cap nu, or 1
+        when nu == 0 forces f to vanish on the base set."""
         nu = self.singleton_cap()
         if nu < 0:
             raise ValueError("negative singleton cap")
-        return self._samples / nu if nu > 0 else self._samples
+        return nu if nu > 0 else 1.0
+
+    @cached_property
+    def _rescaled(self) -> np.ndarray:
+        """`_samples` in the unit above, for the nu-rescaled checks."""
+        return self._samples / self._unit
 
 
 @dataclass
@@ -137,10 +142,12 @@ def median_expectation(exp: TailExperiment) -> TailCheckResult:
 
 
 def lower_tail(exp: TailExperiment) -> TailCheckResult:
-    """P[f <= E[f]/(5(q+1)) - (k+1) nu / (q+1)] <= (2 / q^k)^(1/q)."""
+    """P[f <= E[f]/(5(q+1)) - (k+1) nu / (q+1)] <= (2 / q^k)^(1/q), with nu
+    in the unit of the rescaled checks: at nu == 0 the threshold is
+    negative and the check holds vacuously."""
     if exp.q < 1 or exp.k < 1:
         raise ValueError("q and k must be at least 1")
-    nu = exp.singleton_cap()
+    nu = exp._unit
     values = exp._samples
     mean = float(values.mean())
     q, k = exp.q, exp.k

@@ -11,7 +11,7 @@ from .rounding import STREAM_GENERATE, RngStream
 from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos, _all_subset_rows
 
 FAMILIES = ("additive", "xos", "budgeted_additive", "table")
-WEIGHT_DISTRIBUTIONS = ("uniform", "integers", "heavy")
+WEIGHT_DISTRIBUTIONS = ("uniform", "integers", "heavy", "near_uniform")
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ def _draw_weights(gen: np.random.Generator, dist: str, m: int) -> np.ndarray:
         return gen.uniform(0.0, 1.0, m)
     if dist == "integers":
         return gen.integers(1, 11, m).astype(float)
+    if dist == "near_uniform":
+        # every item worth about the same: the subadditive lane's 6*nu
+        # filter passes once an agent's target spans six items
+        return gen.uniform(0.9, 1.0, m)
     # heavy-tailed: Pareto(1.5), clipped to keep values desk-scale
     return np.minimum(1.0 + gen.pareto(1.5, m), 50.0)
 

@@ -31,6 +31,7 @@ STREAM_TRIALS = 4
 ORACLE_CHOICE_CAP = 10**6
 ORACLE_NODE_CAP = 10**7
 WELFARE_SUBSET_CAP = 12  # most agents whose every subset is measured for d
+_ORACLE_BLOCK = 1 << 14  # oracle array cells per block: (profile, agent, item) or (node, slot)
 
 
 class RngStream:
@@ -177,61 +178,139 @@ def cr_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     return {i: frozenset(items) for i, items in won.items()}
 
 
+def _dense_keys(words: np.ndarray) -> np.ndarray:
+    """One int64 per row of 64-bit words, equal exactly when the rows are:
+    the word itself for one-word rows, dense ranks folded word by word for
+    wider ones."""
+    keys = words[:, 0]
+    for word in words.T[1:]:
+        keys = (np.unique(keys, return_inverse=True)[1] * len(words)
+                + np.unique(word, return_inverse=True)[1])
+    return keys
+
+
 def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
                      valuations: Sequence[Valuation], targets: Mapping[int, float],
                      rng: RngStream | None = None, round_index: int = 1,
                      ) -> dict[int, frozenset[int]]:
     """Exhaustive scaled-welfare-maximizing rounding procedure.
 
-    Tries every choice of one support set per agent and, for each choice,
-    every way of awarding each contested item to one of its requesters;
-    returns the combination maximizing sum_i v_i(S_i) / V_i. Deterministic:
-    the first maximizer in enumeration order wins.
+    Tries every choice of one support set per agent (a profile, in
+    `itertools.product` order over each agent's distinct supports sorted by
+    their sorted items) and, for each profile, every way of awarding each
+    contested item to one of its holders (contested items ascending, the
+    last one fastest; holders in agent order). A node's welfare is
+    sum_i v_i(S_i) / V_i, added in agent order from 0.0. The scan keeps a
+    record, not an argmax: a node replaces the best only when its welfare
+    exceeds the best by more than 1e-15. Deterministic.
+
+    Both caps are checked before any enumeration: more than
+    `ORACLE_CHOICE_CAP` profiles, or more than `ORACLE_NODE_CAP`
+    (profile, winner) nodes in total, raises `CapExceeded`. The profiles
+    and nodes are enumerated in numpy blocks of about `_ORACLE_BLOCK` array
+    cells, each kept set as a bitmask over the items of the supports, and
+    `v_i` is called once per distinct (agent, kept set).
     """
     del rng, round_index
     agents = sorted(columns)
+    n = len(agents)
     supports = [sorted({s for s, _ in columns[i]}, key=lambda s: tuple(sorted(s)))
                 for i in agents]
-    n_choices = math.prod(len(s) for s in supports)
+    counts = [len(s) for s in supports]
+    n_choices = math.prod(counts)
     if n_choices > ORACLE_CHOICE_CAP:
         raise CapExceeded(f"{n_choices} support combinations exceed the cap")
 
-    memo: dict[tuple[int, frozenset[int]], float] = {}
+    universe = np.array(sorted(set().union(*(s for sets in supports for s in sets))),
+                        dtype=np.int64)
+    u = universe.size
+    # held[pos][k, t]: support k of agent pos holds item universe[t]
+    held = [np.zeros((len(sets), u), dtype=bool) for sets in supports]
+    for sets, rows in zip(supports, held):
+        for k, s in enumerate(sets):
+            rows[k, np.searchsorted(universe, sorted(s))] = True
+    choice_stride = [math.prod(counts[pos + 1:]) for pos in range(n)]
+    chunk = max(1, _ORACLE_BLOCK // max(n * u, 1))
 
-    def scaled(agent: int, items: frozenset[int]) -> float:
-        key = (agent, items)
-        if key not in memo:
-            memo[key] = valuations[agent].value(items) / targets[agent]
-        return memo[key]
+    def profiles(q0: int, q1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Holdings (profile, agent, item) of profiles q0..q1-1, and each
+        item's number of holders."""
+        q = np.arange(q0, q1)
+        holds = np.zeros((q1 - q0, n, u), dtype=bool)
+        for pos in range(n):
+            holds[:, pos] = held[pos][q // choice_stride[pos] % counts[pos]]
+        return holds, holds.sum(axis=1)
 
-    best_welfare = -1.0
-    best: dict[int, frozenset[int]] | None = None
-    nodes = 0
-    for profile in itertools.product(*supports):
-        holders: dict[int, list[int]] = {}
-        for pos, chosen in enumerate(profile):
-            for j in chosen:
-                holders.setdefault(j, []).append(pos)
-        contested = sorted(j for j, who in holders.items() if len(who) > 1)
-        combos = math.prod(len(holders[j]) for j in contested)
-        nodes += max(combos, 1)
+    nodes = 0.0
+    for q0 in range(0, n_choices, chunk):
+        _, holders = profiles(q0, min(q0 + chunk, n_choices))
+        nodes += float(np.prod(np.maximum(holders, 1), axis=1, dtype=float).sum())
         if nodes > ORACLE_NODE_CAP:
             raise CapExceeded("winner enumeration exceeded the node cap")
-        for winners in itertools.product(*(holders[j] for j in contested)):
-            lost: list[set[int]] = [set() for _ in agents]
-            for j, winner in zip(contested, winners):
-                for pos in holders[j]:
-                    if pos != winner:
-                        lost[pos].add(j)
-            welfare = 0.0
-            resolved = {}
+
+    words = -(-max(u, 1) // 64)  # 64-bit words of a kept-set bitmask over universe
+    shift = np.arange(u, dtype=np.uint64) % np.uint64(64)  # item t is bit t % 64 of word t // 64
+    memo: list[dict[bytes, tuple[frozenset[int], float]]] = [{} for _ in agents]
+    best_welfare = -1.0
+    best: dict[int, frozenset[int]] | None = None
+    for q0 in range(0, n_choices, chunk):
+        holds, holders = profiles(q0, min(q0 + chunk, n_choices))
+        # each profile's contested items, ascending, in slots padded to the
+        # profile with the most; a node's rank in its profile, in mixed
+        # radix over the slots (the last fastest), picks each slot's winner
+        cprof, citem = np.nonzero(holders > 1)
+        per_profile = np.bincount(cprof, minlength=len(holders))
+        width = int(per_profile.max(initial=0))
+        slot = np.arange(len(cprof)) - (np.cumsum(per_profile) - per_profile)[cprof]
+        radix = np.ones((len(holders), width), dtype=np.int32)  # ranks <= the node cap
+        radix[cprof, slot] = holders[cprof, citem]
+        stride = np.ones_like(radix)
+        stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        combos = np.prod(radix, axis=1)
+        # holder[p, s, r]: the r-th holder, in agent order, of slot s's item
+        holder = np.zeros((len(holders), width, n), dtype=np.min_scalar_type(n))
+        holder[cprof, slot] = np.argsort(~holds[cprof, :, citem], axis=1, kind="stable")
+        bit = np.zeros((len(holders), width, words), dtype=np.uint64)
+        bit[cprof, slot, citem // 64] = np.uint64(1) << shift[citem]
+        # every agent keeps the items no one else holds
+        packed = np.packbits(holds & (holders == 1)[:, None, :], axis=-1, bitorder="little")
+        sole = np.zeros((len(holders), n, 8 * words), dtype=np.uint8)
+        sole[..., :packed.shape[-1]] = packed
+        sole = sole.view("<u8")
+        ends = np.cumsum(combos)
+        window = max(1, _ORACLE_BLOCK // max(width * words, 1))
+        for a in range(0, int(ends[-1]), window):
+            node = np.arange(a, min(a + window, int(ends[-1])))
+            prof = np.searchsorted(ends, node, side="right")
+            rank = (node - ends[prof] + combos[prof]).astype(np.int32)
+            digit = rank[:, None] // stride[prof] % radix[prof]
+            winner = holder[prof[:, None], np.arange(width), digit]
+            won_bits = bit[prof]
+            welfare = np.zeros(len(node))
+            picks = []
             for pos, agent in enumerate(agents):
-                items = profile[pos] - frozenset(lost[pos])
-                resolved[agent] = items
-                welfare += scaled(agent, items)
-            if welfare > best_welfare + 1e-15:
-                best_welfare = welfare
-                best = resolved
+                kept = sole[prof, pos] | ((winner == pos)[..., None] * won_bits).sum(axis=1)
+                _, first, inverse = np.unique(_dense_keys(kept), return_index=True,
+                                              return_inverse=True)
+                blob = kept[first].tobytes()
+                keys = [blob[o:o + 8 * words] for o in range(0, len(blob), 8 * words)]
+                for f, key in zip(first, keys):
+                    if key not in memo[pos]:
+                        held_bits = kept[f][np.arange(u) // 64] >> shift & np.uint64(1)
+                        items = frozenset(universe[held_bits.astype(bool)].tolist())
+                        memo[pos][key] = (items, valuations[agent].value(items) / targets[agent])
+                found = [memo[pos][key] for key in keys]
+                welfare += np.array([v for _, v in found])[inverse]
+                picks.append((found, inverse))
+            # a record beats every earlier node, so it is a strict running max
+            earlier = np.empty_like(welfare)
+            earlier[0] = -np.inf
+            np.maximum.accumulate(welfare[:-1], out=earlier[1:])
+            for k in np.flatnonzero((welfare > best_welfare + 1e-15) & (welfare > earlier)):
+                if welfare[k] > best_welfare + 1e-15:
+                    best_welfare = float(welfare[k])
+                    best = {agent: found[inverse[k]][0]
+                            for agent, (found, inverse) in zip(agents, picks)}
     assert best is not None
     return best
 

@@ -73,6 +73,23 @@ def test_criterion_02_subadditive_end_to_end_factor():
           f"min ratio {min(ratios):.4f} (gate 1/375000)")
 
 
+def test_criterion_02_engaged_subadditive_lane():
+    """20 near-uniform additive 2x16 instances: NSW >= exact optimum / 375000,
+    with the 6*nu filter passing and rounding finishing on at least 90%."""
+    ratios, engaged = [], 0
+    for trial in range(20):
+        inst = generate(GenSpec("additive", 2, 16, weights="near_uniform",
+                                seed=2_100_000 + trial))
+        report = run_subadditive(inst, PipelineParams(seed=trial, proc="oracle"))
+        ratio = report.nsw / exact_nsw(inst).optimum
+        assert ratio >= 1.0 / 375_000.0, f"trial {trial}: ratio {ratio}"
+        ratios.append(ratio)
+        engaged += bool(report.filtered) and not report.outcome.rounds_capped
+    assert engaged >= 18, f"the lane engaged on {engaged} of 20 instances"
+    print(f"\nPASS criterion 2 (engaged lane): {engaged}/20 engaged; "
+          f"min ratio {min(ratios):.4f} (gate 1/375000)")
+
+
 def test_criterion_03_set_splitting_invariants():
     """500 fuzzed runs per variant; every documented bound within 1e-9."""
     runs = dict.fromkeys(fuzz.SPLIT_VARIANTS, 0)

@@ -155,7 +155,9 @@ class TestTailChecks:
             results = tail_checks(exp)
         assert results[1].details["a"] == 0.0
         assert results[1].details["lower"] == 1.0
-        assert results[1].passed
+        assert results[3].details["threshold"] < 0.0
+        assert results[3].empirical == 0.0
+        assert all(r.passed for r in results)
 
 
 class TestCascadeIdentity:

@@ -20,6 +20,12 @@ class TestGenerate:
             assert v.weights.min() >= 1 and v.weights.max() <= 10
             assert (v.weights == np.round(v.weights)).all()
 
+    @pytest.mark.parametrize("family", ["additive", "budgeted_additive"])
+    def test_near_uniform_weights_in_range(self, family):
+        inst = generate(GenSpec(family, 3, 12, weights="near_uniform", seed=9))
+        for v in inst.valuations:
+            assert v.weights.min() >= 0.9 and v.weights.max() < 1.0
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_passes_validation(self, family):
         for seed in range(5):

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from nswforge import rounding
 from nswforge.model import ConfigSolution
 from nswforge.rounding import (
+    ORACLE_CHOICE_CAP,
+    ORACLE_NODE_CAP,
     RngStream,
     cr_procedure,
     geometric_round,
@@ -18,7 +22,7 @@ from nswforge.rounding import (
     scaled_targets,
 )
 from nswforge.splitting import split_subadditive, split_xos
-from nswforge.valuations import Additive, BudgetedAdditive, Xos
+from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, ExplicitTable, Xos
 
 
 def xos_split(valuations, columns):
@@ -191,6 +195,141 @@ class TestProcedures:
         cr_out = cr_procedure(cols, vals, targets, RngStream(seed), 1)
         cr_welfare = sum(vals[i].value(cr_out[i]) / targets[i] for i in cols)
         assert oracle_welfare >= cr_welfare - 1e-12
+
+
+def _reference_oracle(columns, valuations, targets):
+    """The exhaustive procedure as one Python pass per (profile, winner)
+    node, without the caps: the reference `oracle_procedure` must match."""
+    agents = sorted(columns)
+    supports = [sorted({s for s, _ in columns[i]}, key=lambda s: tuple(sorted(s)))
+                for i in agents]
+    memo = {}
+
+    def scaled(agent, items):
+        key = (agent, items)
+        if key not in memo:
+            memo[key] = valuations[agent].value(items) / targets[agent]
+        return memo[key]
+
+    best_welfare = -1.0
+    best = None
+    for profile in itertools.product(*supports):
+        holders = {}
+        for pos, chosen in enumerate(profile):
+            for j in chosen:
+                holders.setdefault(j, []).append(pos)
+        contested = sorted(j for j, who in holders.items() if len(who) > 1)
+        for winners in itertools.product(*(holders[j] for j in contested)):
+            lost = [set() for _ in agents]
+            for j, winner in zip(contested, winners):
+                for pos in holders[j]:
+                    if pos != winner:
+                        lost[pos].add(j)
+            welfare = 0.0
+            resolved = {}
+            for pos, agent in enumerate(agents):
+                items = profile[pos] - frozenset(lost[pos])
+                resolved[agent] = items
+                welfare += scaled(agent, items)
+            if welfare > best_welfare + 1e-15:
+                best_welfare = welfare
+                best = resolved
+    return best
+
+
+def _oracle_case(rng, style):
+    """Seeded oracle input: 1-3 of four agents, 1-6 support sets each.
+    `ties` uses small integer weights and targets so that many nodes tie
+    exactly; `wide` spreads the supports over up to 200 items."""
+    agents = sorted(int(i) for i in rng.choice(4, int(rng.integers(1, 4)), replace=False))
+    m = int(rng.integers(150, 201)) if style == "wide" else int(rng.integers(1, 9))
+    valuations = []
+    for _ in range(4):
+        if style == "ties":
+            valuations.append(Additive(rng.integers(0, 3, m).astype(float)))
+        elif style == "budgeted":
+            w = rng.uniform(0.2, 1.0, m)
+            valuations.append(BudgetedAdditive(w, cap=float(rng.uniform(0.3, 0.8) * w.sum())))
+        elif style == "table":
+            valuations.append(ExplicitTable(rng.integers(0, 4, 1 << m).astype(float), m))
+        else:
+            valuations.append(Additive(rng.uniform(0.0, 1.0, m)))
+    columns = {}
+    for i in agents:
+        k = int(rng.integers(1, 7 if style != "wide" else 5))
+        if style == "wide":
+            sets = [rng.choice(m, 16, replace=False) for _ in range(k)]
+        else:
+            sets = [np.flatnonzero(rng.random(m) < 0.6) for _ in range(k)]
+        columns[i] = [(frozenset(int(j) for j in s), 1.0 / k) for s in sets]
+    if style == "ties":
+        targets = {i: float(rng.integers(1, 3)) for i in agents}
+    else:
+        targets = {i: float(rng.uniform(0.5, 2.0)) for i in agents}
+    return columns, valuations, targets
+
+
+class TestOracleProcedure:
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
+    def test_matches_the_nested_loop(self, style, block, monkeypatch):
+        # a tiny block splits profiles across chunks and windows
+        if block is not None:
+            monkeypatch.setattr(rounding, "_ORACLE_BLOCK", block)
+        rng = np.random.default_rng(["uniform", "ties", "budgeted", "table", "wide"].index(style))
+        for case in range(25):
+            columns, valuations, targets = _oracle_case(rng, style)
+            assert oracle_procedure(columns, valuations, targets) == \
+                _reference_oracle(columns, valuations, targets), f"{style} case {case}"
+
+    def test_evaluates_each_kept_set_once(self, monkeypatch):
+        calls = []
+        value = Additive.value
+        monkeypatch.setattr(Additive, "value", lambda self, items: calls.append(
+            (id(self), items)) or value(self, items))
+        columns, valuations, targets = _oracle_case(np.random.default_rng(5), "uniform")
+        oracle_procedure(columns, valuations, targets)
+        blocked = calls[:]
+        calls.clear()
+        _reference_oracle(columns, valuations, targets)
+        assert len(blocked) == len(set(blocked)) == len(calls) > 10
+        assert set(blocked) == set(calls)
+
+    def test_near_tie_keeps_the_first_record(self):
+        # {2} beats {1} by less than 1e-15: an argmax would pick it
+        vals = [Additive([1.0, 1.0 + 2e-15, 1.0 + 2.5e-15])]
+        cols = {0: [(frozenset({0}), 0.3), (frozenset({1}), 0.3), (frozenset({2}), 0.4)]}
+        assert oracle_procedure(cols, vals, {0: 1.0}) == {0: frozenset({1})}
+        assert _reference_oracle(cols, vals, {0: 1.0}) == {0: frozenset({1})}
+
+    def test_no_agents(self):
+        assert oracle_procedure({}, [], {}) == {}
+
+    def test_choice_cap(self):
+        vals = [Additive(np.ones(1001))] * 2
+        cols = {0: [(frozenset({j}), 1.0) for j in range(1001)],
+                1: [(frozenset({j}), 1.0) for j in range(1000)]}
+        assert 1001 * 1000 > ORACLE_CHOICE_CAP
+        with pytest.raises(CapExceeded, match="support combinations exceed the cap"):
+            oracle_procedure(cols, vals, {0: 1.0, 1: 1.0})
+
+    @pytest.mark.parametrize("supports", [1, 64])
+    def test_node_cap_is_checked_before_enumerating(self, supports, monkeypatch):
+        # one profile of 2^24 nodes, or 64 x 64 profiles of 2^12 nodes each,
+        # none of which passes the cap alone
+        def unreachable(self, items):
+            raise AssertionError("a node was enumerated")
+
+        monkeypatch.setattr(Additive, "value", unreachable)
+        shared = frozenset(range(24 if supports == 1 else 12))
+        cols = {i: [(shared | {100 + supports * i + k}, 1.0) for k in range(supports)]
+                for i in (0, 1)}
+        vals = [Additive(np.ones(100 + 2 * supports))] * 2
+        assert supports ** 2 * 2 ** len(shared) > ORACLE_NODE_CAP
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="winner enumeration exceeded the node cap"):
+            oracle_procedure(cols, vals, {0: 1.0, 1: 1.0})
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIteratedRound:
