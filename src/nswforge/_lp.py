@@ -9,21 +9,25 @@ phase 1, and Bland's rule keeps degenerate LPs, such as restricted masters
 with zero item masses, from cycling. Callers use the duals of the final
 basis as optimality certificates.
 
-A caller that re-solves a similar LP may pass that basis back as a hint.
-The tableau is then B^-1 [A | I | b], built in one factorization. A
-primal-feasible hint, which covers columns appended since it was taken,
-goes straight to the primal simplex. A dual-feasible one, which is what a
-change of the right-hand side typically leaves, first runs a dual simplex
-(Lemke 1954) with the smallest-index rule. Every other hint falls back to
-the identity start: one that does not fit the LP's rows and columns, a
-singular or ill-conditioned B, a basis neither primal- nor dual-feasible,
-a dual simplex that finds no entering column, or an iteration cap.
+Every solve runs one routine: the simplex from a starting basis B on the
+tableau B^-1 [A | I | b]. Without a `warm` result the start is that
+identity basis, where the initial tableau already is B^-1 [A | I | b]. A
+caller that re-solves a similar LP passes its last result as `warm`, and
+the solve starts from that basis, factorized once. A primal-feasible
+basis, which covers columns appended since, goes straight to the primal
+simplex. A dual-feasible one, which is what a change of the right-hand
+side typically leaves, first runs a dual simplex (Lemke 1954) with the
+smallest-index rule. Every other warm basis falls back to the identity
+start: one that does not fit the LP's rows and columns, a singular or
+ill-conditioned B, a basis neither primal- nor dual-feasible, a dual
+simplex that finds no entering column, or an iteration cap.
 
-A hinted solve that makes no pivot keeps B^-1 and its initial tableau in
-the result. `resolve` re-solves those rows and that hint at a new
-right-hand side with the one product B^-1 [A | I | b] and the cached duals
-(they depend only on B and the columns), bit-identical to `maximize`, or
-returns None where B^-1 b is infeasible and the dual simplex must run.
+A solve that makes no pivot keeps B^-1 and its initial tableau in the
+result. While no column is appended, a warm solve from that result forms
+the one product B^-1 [A | I | b] at the new right-hand side: a feasible
+B^-1 b returns the held basis and duals (they depend only on B and the
+columns), and an infeasible one starts the dual simplex without a second
+inversion.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ class LpResult:
     `basis` names one variable per constraint row, a_ub rows first: j >= 0
     is column j of c, and -1 - r is the slack of a_ub row r. Slacks are
     numbered by row, not by position after the columns, so the basis stays
-    a valid hint when columns are appended. `factor` holds (B^-1, initial
-    tableau, c) after a hinted solve that made no pivot, for `resolve`.
+    valid as a warm start when columns are appended. `factor` holds
+    (B^-1, initial tableau) after a solve that made no pivot.
     """
 
     x: np.ndarray
@@ -120,34 +124,33 @@ def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> bool:
     raise LpError("dual simplex iteration cap exceeded")
 
 
-def _warm_start(tab0: np.ndarray, c: np.ndarray, cost: np.ndarray, hint):
-    """Optimal tableau and basis reached from the hinted basis, with the
-    `LpResult.factor` where that took no pivot; or None where the identity
-    start must run. The initial tableau `tab0` stays."""
-    n = c.size
+def _simplex(tab0: np.ndarray, cost: np.ndarray, n: int, hint, inv_b=None, tab=None):
+    """Optimal tableau and basis reached from the basis `hint` (in the form
+    of `LpResult.basis`), with the `LpResult.factor` where that took no
+    pivot. inv_b and tab are B^-1 and B^-1 tab0 where already known.
+    Returns None where the basis does not fit the tableau, B is singular
+    or too ill-conditioned to trust, the basis is neither primal- nor
+    dual-feasible, or the dual simplex stalls; raises LpError on an
+    unbounded objective or an iteration cap. tab0 stays."""
     rows, mu = tab0.shape[0], tab0.shape[1] - 1 - n
-    if not rows or len(hint) != rows or not all(-mu <= j < n for j in hint):
-        return None
     basis = [j if j >= 0 else n - 1 - j for j in hint]
-    if len(set(basis)) != rows:
+    if len(basis) != rows or len(set(basis)) != rows or not all(-mu <= j < n for j in hint):
         return None
-    try:
-        inv_b = np.linalg.inv(tab0[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    tab = inv_b @ tab0
+    if inv_b is None:
+        try:
+            inv_b = np.linalg.inv(tab0[:, basis])
+        except np.linalg.LinAlgError:
+            return None
+        tab = inv_b @ tab0
     eye = np.eye(rows)
-    if np.abs(tab[:, basis] - eye).max() > 1e-9:  # B too ill-conditioned to trust
+    if np.abs(tab[:, basis] - eye).max(initial=0.0) > 1e-9:
         return None
     tab[:, basis] = eye
-    try:
-        dual = tab[:, -1].min() < -_PIVOT_TOL
-        if dual and not _dual_iterate(tab, basis, cost):
-            return None
-        pivots = _iterate(tab, basis, cost)
-    except LpError:
+    dual = tab[:, -1].min(initial=0.0) < -_PIVOT_TOL
+    if dual and not _dual_iterate(tab, basis, cost):
         return None
-    return tab, basis, None if dual or pivots else (inv_b, tab0, c)
+    pivots = _iterate(tab, basis, cost)
+    return tab, basis, None if dual or pivots else (inv_b, tab0)
 
 
 def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
@@ -181,59 +184,58 @@ def _rhs(b_ub: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-             basis=None) -> LpResult:
+             warm: LpResult | None = None) -> LpResult:
     """Solve max c.x with a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0.
 
     Requires b_ub >= 0, b_eq >= 0 and, where the identity start runs, a
     unit column for every equality row (every caller in this package meets
-    both by construction); raises ValueError otherwise. `basis` is an
-    optional hint in the form of `LpResult.basis`, usually from an earlier
-    solve of the same rows.
+    both by construction); raises ValueError otherwise. `warm` is an
+    optional earlier result on the same rows whose columns are a prefix
+    of c's; the solve starts from its basis.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     rhs = _rhs(b_ub, b_eq)
-
-    mu = a_ub.shape[0]
-    tab = np.zeros((rhs.size, n + mu + 1))
-    tab[:mu, :n] = a_ub
-    tab[mu:, :n] = a_eq
-    tab[:mu, n:-1] = np.eye(mu)
-    tab[:, -1] = rhs
+    mu = b_ub.size
+    shape = (rhs.size, n + mu + 1)
+    known = ()
+    if warm is not None and warm.factor is not None and warm.factor[1].shape == shape:
+        inv_b, tab0 = warm.factor  # no column joined since it was stored
+        tab0 = tab0.copy()
+        tab0[:, -1] = rhs
+        tab = inv_b @ tab0  # the whole product: B^-1 b alone rounds otherwise
+        if tab[:, -1].min() >= -_PIVOT_TOL:  # B stays optimal, with its duals
+            idx = np.array(warm.basis)
+            x = np.zeros(n)
+            x[idx[idx >= 0]] = tab[idx >= 0, -1]
+            return LpResult(x, float(c @ x), warm.dual_ub, warm.dual_eq,
+                            warm.basis, warm.factor)
+        known = inv_b, tab
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
     cost = np.concatenate([c, np.zeros(mu)])
+    if not known:
+        tab0 = np.zeros(shape)
+        tab0[:mu, :n] = a_ub
+        tab0[mu:, :n] = a_eq
+        tab0[:mu, n:-1] = np.eye(mu)
+        tab0[:, -1] = rhs
 
-    if basis is not None:
-        warm = _warm_start(tab, c, cost, basis)
-        if warm is not None:
-            return _result(c, a_ub, a_eq, cost, *warm)
-    single = np.count_nonzero(tab[:, :n], axis=0) == 1
-    start = list(range(n, n + mu))
-    for r in range(mu, tab.shape[0]):
-        units = np.flatnonzero(single & (tab[r, :n] == 1.0))
+    if warm is not None:
+        try:
+            out = _simplex(tab0, cost, n, warm.basis, *known)
+        except LpError:
+            out = None
+        if out is not None:
+            return _result(c, a_ub, a_eq, cost, *out)
+    single = np.count_nonzero(tab0[:, :n], axis=0) == 1
+    hint = list(range(-1, -1 - mu, -1))  # the slacks, then a unit column per equality row
+    for r in range(mu, shape[0]):
+        units = np.flatnonzero(single & (tab0[r, :n] == 1.0))
         if not units.size:
             raise ValueError(f"equality row {r - mu} has no unit column")
-        start.append(int(units[0]))  # the tableau already has B = I
-    _iterate(tab, start, cost)
-    return _result(c, a_ub, a_eq, cost, tab, start)
-
-
-def resolve(res: LpResult, b_ub, b_eq) -> LpResult | None:
-    """`res` re-solved at a new right-hand side from its `factor`: the
-    same result as `maximize` on res's rows with res.basis as the hint.
-    None where res holds no factor or the basis leaves primal feasibility."""
-    if res.factor is None:
-        return None
-    inv_b, tab, c = res.factor
-    tab = tab.copy()
-    tab[:, -1] = _rhs(np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float))
-    x_b = (inv_b @ tab)[:, -1]  # the whole product, as in _warm_start, for its bits
-    if x_b.min() < -_PIVOT_TOL:
-        return None
-    idx = np.array(res.basis)
-    x = np.zeros(c.size)
-    x[idx[idx >= 0]] = x_b[idx >= 0]
-    return LpResult(x, float(c @ x), res.dual_ub, res.dual_eq, res.basis, res.factor)
+        hint.append(int(units[0]))
+    # B = I: the initial tableau is its own B^-1 tab0
+    return _result(c, a_ub, a_eq, cost, *_simplex(tab0, cost, n, hint, np.eye(shape[0]), tab0))

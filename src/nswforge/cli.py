@@ -143,8 +143,10 @@ def cmd_ratio(args) -> int:
     _write_csv(args.out, ["instance", "n", "m", "family", "nsw", "exact",
                           "ratio", "seed", "wall_time"], rows)
     ratios = sorted(r["ratio"] for r in rows)
-    print(f"instances={len(rows)} min_ratio={ratios[0]:.6g} "
-          f"median_ratio={ratios[len(ratios) // 2]:.6g}", file=sys.stderr)
+    summary = f"instances={len(rows)}"
+    if ratios:
+        summary += f" min_ratio={ratios[0]:.6g} median_ratio={ratios[len(ratios) // 2]:.6g}"
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 
@@ -197,6 +199,9 @@ def cmd_report(args) -> int:
         return EXIT_USAGE
     col = args.column
     values = sorted(float(r[col]) for r in rows if r.get(col) not in (None, ""))
+    if not values:
+        print(f"no values in column {col!r}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"rows={len(values)} min={values[0]:.6g} "
           f"median={values[len(values) // 2]:.6g} "
           f"mean={sum(values) / len(values):.6g} max={values[-1]:.6g}")

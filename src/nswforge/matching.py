@@ -159,8 +159,7 @@ def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance,
     return rho
 
 
-def extension_pi(best_alloc: Allocation, targets, tau: Matching,
-                 inst: Instance) -> Matching:
+def extension_pi(best_alloc: Allocation, tau: Matching, inst: Instance) -> Matching:
     """Matching that keeps each agent's most valuable reserved item.
 
     From an allocation, each agent keeps the highest-singleton-value item
@@ -168,7 +167,6 @@ def extension_pi(best_alloc: Allocation, targets, tau: Matching,
     an arbitrary unused reserved item. Used by the verification harness to
     certify the matching-extension bound.
     """
-    del targets  # constrain the caller, not the construction itself
     matched = tau.items()
     assignment: dict[int, int] = {}
     for i in inst.agents:

@@ -35,7 +35,8 @@ PROCEDURES: dict[str, Callable] = {
     "cr": cr_procedure,
     "oracle": oracle_procedure,
 }
-NOMINAL_D = {"cr": 4.0, "oracle": None}  # None: measure on the instance
+# None: a deterministic procedure, whose d is measured on the instance
+NOMINAL_D = {"cr": 4.0, "oracle": None}
 
 
 @dataclass
@@ -170,6 +171,20 @@ def _check_rematch_dominated(report: PipelineReport, inst: Instance) -> None:
         raise InvariantViolation("final matching lost to the rematch baseline")
 
 
+def _searched_once(proc: Callable) -> Callable:
+    """`proc` run at most once per agent group, for a deterministic
+    procedure that ignores its stream and round index: within one run a
+    group's columns and targets never change, and so its sets do not."""
+    found: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
+
+    def search(columns, valuations, targets, rng, round_index=1):
+        group = tuple(sorted(columns))
+        if group not in found:
+            found[group] = proc(columns, valuations, targets, rng, round_index)
+        return found[group]
+    return search
+
+
 def run_xos(inst: Instance, params: PipelineParams | None = None) -> PipelineReport:
     """XOS lane: match, relax, split, contention-resolve, rematch.
 
@@ -211,7 +226,9 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
 
     Works for any monotone subadditive family. Agents whose relaxation
     target stays below six times their best remaining singleton are served
-    by the final matching alone.
+    by the final matching alone. A deterministic procedure searches each
+    agent group once: iterated rounding reuses the sets it found while d
+    was measured.
     """
     params = params or PipelineParams()
     if inst.m < inst.n:
@@ -219,6 +236,8 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
     if params.proc not in PROCEDURES:
         raise ValueError(f"unknown rounding procedure {params.proc!r}")
     proc = PROCEDURES[params.proc]
+    if NOMINAL_D[params.proc] is None:
+        proc = _searched_once(proc)
     rng = RngStream(params.seed)
     clock = _Clock()
     tau, reserved, remaining, active = initial_matching(inst)

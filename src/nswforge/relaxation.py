@@ -10,16 +10,14 @@ which is what makes the log-supergradient construction sound.
 
 The restricted LP of column generation lives in a `RestrictedMaster`:
 the columns found so far, their values (each computed once, when the
-column joins) and the last optimal basis. Between two solves with the same
+column joins) and the last LP result. Between two solves with the same
 master only the item masses x change, which is the right-hand side of the
-LP, so each solve warm-starts the simplex from the previous basis (the
+LP, so each solve warm-starts `_lp.maximize` from the previous result (the
 restricted master of Gilmore and Gomory's column generation). A basis
-that x left primal-feasible is still optimal; otherwise it stays
-dual-feasible and a few dual simplex pivots repair it. The first solve
-starts from the empty-set column and the capacity slacks (see `_lp`).
-Until a column joins, a solve that kept its basis with no pivot leaves its
-factorization, and the next solves whose x keeps that basis feasible reuse
-it and its duals (`_lp.resolve`), bypassing `maximize` bit-identically.
+that x left primal-feasible is still optimal, and until a column joins
+its held factorization gives x and the duals with one product; otherwise
+it stays dual-feasible and a few dual simplex pivots repair it. The first
+solve starts from the empty-set column and the capacity slacks.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps, by projected supergradient
@@ -37,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._lp import LpResult, maximize, resolve
+from ._lp import LpResult, maximize
 from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Valuation, demand
@@ -76,9 +74,8 @@ class RestrictedMaster:
 
     It holds the columns in the order they joined, each column's value
     (computed once, when the column joins), the 0/1 item incidence matrix
-    over the universe and the last optimal basis. Across solves only the
-    item masses x change, so each solve restarts the LP from that basis,
-    or re-solves from the last factorization while no column has joined.
+    over the universe and the last LP result. Across solves only the item
+    masses x change, so each solve restarts the LP from that result.
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -89,8 +86,7 @@ class RestrictedMaster:
         self._seen: set[frozenset[int]] = set()
         self.values = np.zeros(0)
         self.incidence = np.zeros((universe.size, 0))
-        self.basis: tuple[int, ...] | None = None
-        self._last: LpResult | None = None  # last simplex result since a column joined
+        self._last: LpResult | None = None
         self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
 
     def __contains__(self, col: frozenset[int]) -> bool:
@@ -108,21 +104,17 @@ class RestrictedMaster:
         block = np.zeros((self.universe.size, len(new)))
         for k, col in enumerate(new):
             block[[self._row[j] for j in col], k] = 1.0
-        self._last = None
         self.columns.extend(new)
         self.values = np.concatenate([self.values, [self.v.value(col) for col in new]])
         self.incidence = np.hstack([self.incidence, block])
 
     def solve(self, x_universe: np.ndarray):
         """max sum_k value_k y_k over y >= 0 with incidence.y <= x and
-        sum y = 1, warm-started from the previous solve's basis."""
-        res = self._last and resolve(self._last, x_universe, np.ones(1))
-        if res is None:
-            res = self._last = maximize(
-                self.values, a_ub=self.incidence, b_ub=x_universe,
-                a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1), basis=self.basis)
-            self.basis = res.basis
-        return res
+        sum y = 1, warm-started from the previous solve."""
+        self._last = maximize(self.values, a_ub=self.incidence, b_ub=x_universe,
+                              a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1),
+                              warm=self._last)
+        return self._last
 
 
 def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,

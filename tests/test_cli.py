@@ -111,6 +111,15 @@ class TestRatio:
         assert len(lines) == 6
         assert "min_ratio=" in capsys.readouterr().err
 
+    def test_zero_count_writes_the_header_only(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["ratio", "--family", "additive", "--n", "2", "--m", "4",
+                     "--count", "0", "--pipeline", "xos", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines() == [
+            "# schema=1", "instance,n,m,family,nsw,exact,ratio,seed,wall_time"]
+        assert capsys.readouterr().err.strip() == "instances=0"
+
     def test_instance_directory(self, tmp_path, capsys):
         gen_dir = tmp_path / "instances"
         main(["gen", "--family", "xos", "--n", "2", "--m", "4", "--count", "2",
@@ -220,6 +229,14 @@ class TestExitCodes:
         path.write_text(serialize_instance(inst))
         assert main(["exact", "--instance", str(path)]) == EXIT_CAP
 
+    def test_demand_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys):
+        # 2x19: the matching reserves 2 items, and budgeted demand enumerates
+        # the 17 that remain, one past its 16-item cap
+        path = tmp_path / "budgeted.json"
+        path.write_text(serialize_instance(generate(GenSpec("budgeted_additive", 2, 19))))
+        assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
+        assert "enumeration cap:" in capsys.readouterr().err
+
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):
         import nswforge.cli as cli_mod
         from nswforge.model import InvariantViolation
@@ -247,3 +264,9 @@ class TestReport:
     def test_usage_errors(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "missing.csv")]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
+
+    def test_unknown_column_is_usage_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "r.csv"
+        csv_path.write_text("# schema=1\nratio\n0.5\n")
+        assert main(["report", "--in", str(csv_path), "--column", "nosuch"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "no values in column 'nosuch'\n"

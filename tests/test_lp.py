@@ -1,6 +1,7 @@
 """The in-house simplex against scipy's HiGHS as an independent oracle,
 and its warm starts against its own solves from the identity basis."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -114,7 +115,7 @@ def test_matches_scipy_on_configuration_lps(seed):
 
 
 # ---------------------------------------------------------------------------
-# warm starts from a basis hint
+# warm starts from an earlier result's basis
 
 
 def assert_certified(res, c, a_ub, b_ub, a_eq, b_eq, tol=1e-9):
@@ -139,26 +140,32 @@ def restricted_master_lp(rng, m=6, k=14):
 
 @pytest.fixture
 def warm_paths(monkeypatch):
-    """Record whether each hinted solve stayed warm or fell back to the
+    """Record whether each warm solve stayed warm or fell back to the
     identity start, and whether it needed the dual simplex."""
     seen = {"warm": 0, "identity": 0, "dual": 0}
-    warm, dual = lp_mod._warm_start, lp_mod._dual_iterate
+    simplex, dual = lp_mod._simplex, lp_mod._dual_iterate
 
-    def spy_warm(*args):
-        out = warm(*args)
-        seen["warm" if out is not None else "identity"] += 1
-        return out
+    def spy_simplex(tab0, cost, n, hint, inv_b=None, tab=None):
+        if tab is tab0:  # the identity start: B = I, its own tableau
+            return simplex(tab0, cost, n, hint, inv_b, tab)
+        out = None
+        try:
+            out = simplex(tab0, cost, n, hint, inv_b, tab)
+            return out
+        finally:  # None or LpError: the solve falls back
+            seen["warm" if out is not None else "identity"] += 1
 
     def spy_dual(*args):
         seen["dual"] += 1
         return dual(*args)
-    monkeypatch.setattr(lp_mod, "_warm_start", spy_warm)
+    monkeypatch.setattr(lp_mod, "_simplex", spy_simplex)
     monkeypatch.setattr(lp_mod, "_dual_iterate", spy_dual)
     return seen
 
 
 def rhs_change(trial):
-    """An LP, its optimal basis, and a changed rhs that keeps it feasible."""
+    """An LP with a changed rhs that keeps it feasible, and its result at
+    the old rhs."""
     rng = np.random.default_rng(3000 + trial)
     if trial % 2:
         c, a_ub, b_ub, a_eq, b_eq = restricted_master_lp(rng)
@@ -167,24 +174,24 @@ def rhs_change(trial):
         c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
         new_b = b_ub * rng.uniform(0.9, 1.3, b_ub.size)  # keeps x0 feasible
     first = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    return (c, a_ub, new_b, a_eq, b_eq), first.basis
+    return (c, a_ub, new_b, a_eq, b_eq), first
 
 
 @pytest.mark.parametrize("trial", range(30))
 def test_warm_start_after_rhs_change_matches_cold(trial, warm_paths):
-    (c, a_ub, b_ub, a_eq, b_eq), hint = rhs_change(trial)
+    (c, a_ub, b_ub, a_eq, b_eq), first = rhs_change(trial)
     cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=hint)
+    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, warm=first)
     assert warm_paths["warm"] == 1
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     assert_certified(warm, c, a_ub, b_ub, a_eq, b_eq)
 
 
 def test_rhs_changes_reach_both_warm_paths(warm_paths):
-    # some hints stay primal-feasible, the others need the dual simplex
+    # some bases stay primal-feasible, the others need the dual simplex
     for trial in range(30):
-        (c, a_ub, b_ub, a_eq, b_eq), hint = rhs_change(trial)
-        maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=hint)
+        (c, a_ub, b_ub, a_eq, b_eq), first = rhs_change(trial)
+        maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, warm=first)
     assert warm_paths["warm"] == 30
     assert 5 <= warm_paths["dual"] <= 25
 
@@ -197,7 +204,7 @@ def test_hint_from_before_appended_columns(trial, warm_paths):
     # as in column generation: the rhs stays, new columns join at the end
     first = maximize(c[:k0], a_ub=a_ub[:, :k0], b_ub=b_ub, a_eq=a_eq[:, :k0], b_eq=b_eq)
     cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=first.basis)
+    warm = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, warm=first)
     assert warm_paths == {"warm": 1, "identity": 0, "dual": 0}
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     assert_certified(warm, c, a_ub, b_ub, a_eq, b_eq)
@@ -212,7 +219,8 @@ def assert_same_result(a, b):
 
 
 def neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq):
-    """A basis (as a hint) that is neither primal- nor dual-feasible."""
+    """A basis (as in `LpResult.basis`) that is neither primal- nor
+    dual-feasible."""
     n, mu = c.size, a_ub.shape[0]
     rows = mu + a_eq.shape[0]
     a = np.hstack([np.vstack([a_ub, a_eq]), np.eye(rows, mu)])
@@ -243,11 +251,13 @@ def test_fallbacks_equal_the_cold_solve(warm_paths):
     neither = neither_feasible_basis(c, a_ub, b_ub, a_eq, b_eq)
     wrong_length = cold.basis[:-1]
     out_of_range = (n + 5,) + cold.basis[1:]
-    for hint in (equality_slack, neither, wrong_length, out_of_range):
+    for basis in (equality_slack, neither, wrong_length, out_of_range):
+        warm = dataclasses.replace(cold, basis=basis, factor=None)
         assert_same_result(maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                                    basis=hint), cold)
+                                    warm=warm), cold)
+    warm = dataclasses.replace(cold2, basis=singular, factor=None)
     assert_same_result(maximize(c2, a_ub=a_ub2, b_ub=b_ub, a_eq=a_eq2, b_eq=b_eq,
-                                basis=singular), cold2)
+                                warm=warm), cold2)
     assert warm_paths["warm"] == 0 and warm_paths["identity"] == 5
 
 
@@ -255,21 +265,23 @@ def test_warm_start_reuses_an_optimal_basis(warm_paths):
     rng = np.random.default_rng(5100)
     c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
     cold = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-    again = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, basis=cold.basis)
+    again = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, warm=cold)
     assert warm_paths == {"warm": 1, "identity": 0, "dual": 0}
     assert again.basis == cold.basis
     assert again.value == pytest.approx(cold.value, abs=1e-12)
 
 
 def test_beale_cycling_example_terminates_from_warm_hints(warm_paths):
+    # from the slack basis and from the optimum at another rhs
     c = np.array([0.75, -150.0, 0.02, -6.0])
     a_ub = np.array([[0.25, -60.0, -0.04, 9.0],
                      [0.5, -90.0, -0.02, 3.0],
                      [0.0, 0.0, 1.0, 0.0]])
     b_ub = np.array([0.0, 0.0, 1.0])
     shifted = maximize(c, a_ub=a_ub, b_ub=np.array([0.3, 0.1, 0.5]))
-    for hint in ((-1, -2, -3), shifted.basis):
-        res = maximize(c, a_ub=a_ub, b_ub=b_ub, basis=hint)
+    for basis in ((-1, -2, -3), shifted.basis):
+        warm = dataclasses.replace(shifted, basis=basis, factor=None)
+        res = maximize(c, a_ub=a_ub, b_ub=b_ub, warm=warm)
         assert res.value == pytest.approx(0.05, abs=1e-12)
         assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
     assert warm_paths["warm"] == 2

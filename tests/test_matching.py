@@ -168,7 +168,7 @@ class TestExtensionPi:
         tau, matched, _, _ = initial_matching(inst)
         assert matched == {0, 2}
         best = exact_nsw(inst).witness
-        pi = extension_pi(best, [1.0, 1.0], tau, inst)
+        pi = extension_pi(best, tau, inst)
         pi.validate()
         for i in inst.agents:
             held = best.bundle(i) & matched
@@ -190,7 +190,7 @@ class TestExtensionPi:
         contract = exact_scaled_welfare(inst, targets, agents=active,
                                         items=remaining).optimum / len(active)
         exact = exact_nsw(inst)
-        pi = extension_pi(exact.witness, targets, tau, inst)
+        pi = extension_pi(exact.witness, tau, inst)
         lhs = math.prod(targets.get(i, 0.0) + inst.valuations[i].value((pi.assignment[i],))
                         for i in inst.agents) ** (1 / n)
         assert lhs >= exact.optimum / (contract + 1) - 1e-9

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nswforge import pipeline
 from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance
 from nswforge.oracle import exact_nsw
@@ -117,6 +118,25 @@ class TestRunSubadditive:
             import math as _math
 
             assert len(stats.exited) >= _math.ceil(report.delta_used * stats.active)
+
+    @pytest.mark.parametrize("proc", ["oracle", "cr"])
+    def test_each_search_goes_through_the_procedure_table(self, proc, monkeypatch):
+        # the deterministic oracle searches each agent group once (iterated
+        # rounding reuses what measuring d found); cr draws anew every round
+        rng = np.random.default_rng(29)
+        inst = make_instance(*[Additive(rng.uniform(0.9, 1.0, 16)) for _ in range(2)])
+        groups = []
+
+        def spy(columns, *args, search=pipeline.PROCEDURES[proc]):
+            groups.append(tuple(sorted(columns)))
+            return search(columns, *args)
+        monkeypatch.setitem(pipeline.PROCEDURES, proc, spy)
+        report = run_subadditive(inst, PipelineParams(seed=2, proc=proc))
+        assert report.filtered == {0, 1} and report.outcome.round_log
+        if proc == "oracle":
+            assert sorted(groups) == [(0,), (0, 1), (1,)]
+        else:
+            assert groups == [(0, 1)] * len(report.outcome.round_log)
 
     def test_unknown_procedure_rejected(self):
         inst = generate(GenSpec("budgeted_additive", 2, 5, seed=1))

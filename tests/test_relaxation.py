@@ -1,5 +1,6 @@
 """Concave extension, supergradients, and the Eisenberg-Gale solver."""
 
+import dataclasses
 import itertools
 import math
 
@@ -135,37 +136,36 @@ class TestRestrictedMaster:
                         master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
 
 
-def hinted_solve(master, x, hint):
-    """A fresh hinted maximize on the master's current rows."""
+def refactored_solve(master, x, last):
+    """A fresh maximize on the master's current rows from the basis of
+    `last`, factorized anew."""
     return maximize(master.values, a_ub=master.incidence, b_ub=x,
-                    a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1), basis=hint)
+                    a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1),
+                    warm=last and dataclasses.replace(last, factor=None))
 
 
 @pytest.fixture
 def checked_solves(monkeypatch):
-    """Check every master solve bit for bit against a fresh hinted maximize
-    on the same rows, and count the solves and those that ran the simplex."""
-    seen = {"solves": 0, "simplex": 0, "dual": 0}
+    """Check every master solve bit for bit against a fresh maximize from
+    the previous solve's basis, factorized anew, on the same rows; count
+    the solves, those the held factor served and the dual simplex runs."""
+    seen = {"solves": 0, "held": 0, "dual": 0}
     solve, dual = RestrictedMaster.solve, _lp._dual_iterate
 
     def spy_solve(master, x):
-        hint = master.basis
+        last = master._last
         res = solve(master, x)
         dual_runs = seen["dual"]
-        assert_same_result(res, hinted_solve(master, x, hint))
+        assert_same_result(res, refactored_solve(master, x, last))
         seen["dual"] = dual_runs  # not counting the reference solve's
         seen["solves"] += 1
+        seen["held"] += last is not None and res.factor is last.factor is not None
         return res
-
-    def spy_maximize(*args, **kw):
-        seen["simplex"] += 1
-        return maximize(*args, **kw)
 
     def spy_dual(*args):
         seen["dual"] += 1
         return dual(*args)
     monkeypatch.setattr(RestrictedMaster, "solve", spy_solve)
-    monkeypatch.setattr(relaxation, "maximize", spy_maximize)
     monkeypatch.setattr(_lp, "_dual_iterate", spy_dual)
     return seen
 
@@ -181,39 +181,60 @@ class TestFactoredResolve:
         for _ in range(60):  # small steps of the item masses, as in solve_eg
             x = np.clip(x + rng.normal(0, 0.01, 6), 0.0, 1.0)
             concave_ext(v, x, master=master)
-        assert checked_solves["solves"] - checked_solves["simplex"] >= 20
+        assert checked_solves["held"] >= 20
 
-    def test_extend_drops_the_factorization(self, checked_solves):
+    def test_appended_column_skips_the_held_factor(self, checked_solves):
         v = Xos([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
         master = RestrictedMaster(v, np.arange(3))
         x = np.array([0.3, 0.4, 0.5])
-        for _ in range(3):  # identity start, hinted without pivots, cached
+        for _ in range(3):  # identity start, warm without pivots, held
             master.solve(x)
-        assert checked_solves == {"solves": 3, "simplex": 2, "dual": 0}
+        assert checked_solves == {"solves": 3, "held": 1, "dual": 0}
+        held = master._last
         master.extend([frozenset({0, 1})])
-        assert master.solve(x).x.size == len(master.columns) == 5
-        assert checked_solves["simplex"] == 3
+        assert master._last is held  # extend leaves the solver state alone
+        res = master.solve(x)
+        assert res.x.size == len(master.columns) == 5
+        assert res.factor is not held.factor
+        assert checked_solves["held"] == 1
 
     def test_infeasible_basis_falls_back_to_the_dual_simplex(self, checked_solves):
         v = Xos([[2.0, 0.0], [0.0, 2.0]])
         master = RestrictedMaster(v, np.arange(2))
         for _ in range(3):  # basis {0}, {1}, {} with y_{} = 0.4
             master.solve(np.array([0.3, 0.3]))
-        assert checked_solves == {"solves": 3, "simplex": 2, "dual": 0}
+        assert checked_solves == {"solves": 3, "held": 1, "dual": 0}
         res = master.solve(np.array([0.6, 0.6]))  # y_{} = -0.2 in that basis
-        assert checked_solves == {"solves": 4, "simplex": 3, "dual": 1}
+        assert checked_solves == {"solves": 4, "held": 1, "dual": 1}
+        assert res.value == pytest.approx(2.0)
+
+    def test_infeasible_rhs_reuses_the_held_inverse(self, monkeypatch):
+        v = Xos([[2.0, 0.0], [0.0, 2.0]])
+        master = RestrictedMaster(v, np.arange(2))
+        for _ in range(2):
+            master.solve(np.array([0.3, 0.3]))
+        held = master._last.factor
+        assert held is not None
+        inverted, starts = [], []
+        inv, simplex = np.linalg.inv, _lp._simplex
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        monkeypatch.setattr(_lp, "_simplex", lambda *args: starts.append(args) or simplex(*args))
+        res = master.solve(np.array([0.6, 0.6]))
+        assert not inverted
+        assert starts[0][4] is held[0]  # the dual simplex starts from B^-1 as held
         assert res.value == pytest.approx(2.0)
 
     def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
         solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
-        assert checked_solves["simplex"] <= checked_solves["solves"] / 2
+        assert checked_solves["held"] >= checked_solves["solves"] / 2
 
     def test_solve_eg_on_xos_keeps_its_bits(self, checked_solves):
         # the ascent bounces between bases at the XOS kink, so most of these
-        # solves run the dual simplex; the few re-solves must still match
+        # solves run the dual simplex; the few the held factor serves must
+        # still match
         solve_eg(generate(GenSpec("xos", 4, 12, seed=0)), range(4), range(12),
                  EgParams(max_iterations=150))
-        assert checked_solves["simplex"] < checked_solves["solves"]
+        assert checked_solves["held"] > 0
 
 
 class TestSupergradient:
