@@ -19,6 +19,12 @@ its held factorization gives x and the duals with one product; otherwise
 it stays dual-feasible and a few dual simplex pivots repair it. The first
 solve starts from the empty-set column and the capacity slacks.
 
+The pricing step reuses the master too. Budgeted-additive and table
+valuations have no analytic demand, so the master holds the subset table
+of its universe (every subset's indicator row, value and lexicographic
+rank), enumerated on its first demand query. Each later query costs one
+product with the prices, and the table goes when the master does.
+
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps, by projected supergradient
 ascent with diminishing steps. It keeps one restricted master per agent
@@ -38,7 +44,7 @@ import numpy as np
 from ._lp import LpResult, maximize
 from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
-from .valuations import Valuation, demand
+from .valuations import SubsetTable, Valuation, demand
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
@@ -75,7 +81,9 @@ class RestrictedMaster:
     It holds the columns in the order they joined, each column's value
     (computed once, when the column joins), the 0/1 item incidence matrix
     over the universe and the last LP result. Across solves only the item
-    masses x change, so each solve restarts the LP from that result.
+    masses x change, so each solve restarts the LP from that result. It
+    also holds the `SubsetTable` its demand queries search, enumerated on
+    the first query that needs it (none does for additive or XOS).
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -87,6 +95,7 @@ class RestrictedMaster:
         self.values = np.zeros(0)
         self.incidence = np.zeros((universe.size, 0))
         self._last: LpResult | None = None
+        self.subsets = SubsetTable(v, universe)
         self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
 
     def __contains__(self, col: frozenset[int]) -> bool:
@@ -167,7 +176,7 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         if method == "enumerate":
             break
         rounds += 1
-        hit = demand(v, prices, items=universe)
+        hit = demand(v, prices, items=universe, table=master.subsets)
         gap = hit.utility - q
         if gap <= COLGEN_TOL * max(1.0, abs(res.value)):
             break

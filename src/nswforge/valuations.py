@@ -4,6 +4,14 @@ All families are monotone with value 0 on the empty set by construction
 (explicit tables are checked separately by ``model.validate_valuation``).
 Valuations are immutable and every oracle is a pure function, so they are
 safe to share across concurrent workers.
+
+Budgeted-additive and table valuations have no analytic demand: their
+demand oracle searches a `SubsetTable`, every subset of the universe with
+its value and lexicographic rank, and breaks ties by that rank. One table
+serves every query over its universe; whoever repeats queries (a
+restricted master of the relaxation) holds it, and a call without one
+enumerates afresh. A table fills itself on first use, and two workers
+filling one at once compute the same arrays.
 """
 
 from __future__ import annotations
@@ -172,10 +180,6 @@ class XosClause(NamedTuple):
     weights: np.ndarray
 
 
-def _lex_key(items: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(items))
-
-
 def _all_subset_rows(universe: np.ndarray, m: int) -> np.ndarray:
     """Indicator rows for every subset of `universe`, in mask-counter order."""
     k = universe.size
@@ -188,14 +192,61 @@ def _all_subset_rows(universe: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandResult:
+def _lex_ranks(k: int) -> np.ndarray:
+    """Rank of every subset of k positions, indexed by mask, in the
+    lexicographic order of its sorted positions (the empty set first).
+
+    The sets before S are its |S| proper prefixes and, for each position
+    u missing from S below its largest, the 2^(k-1-u) sets that agree with
+    S below u and hold u.
+    """
+    masks = np.arange(1 << k, dtype=np.int64)
+    rank = np.zeros(1 << k, dtype=np.int64)
+    for u in range(k):
+        bit = masks >> u & 1
+        below_max = masks >> (u + 1) > 0
+        rank += np.where(bit == 1, 1, below_max << (k - 1 - u))
+    return rank
+
+
+class SubsetTable:
+    """Every subset of one universe under one valuation, enumerated on
+    first use and then kept.
+
+    It holds the float64 indicator rows at full width m in mask-counter
+    order (so `rows @ p` rounds exactly as the boolean product did), their
+    values under v and each subset's lexicographic rank. Valuations are
+    immutable, so the table never goes stale; it lives as long as its
+    holder, such as a restricted master. At the 16-item cap with m = 16
+    it takes about 8 MB.
+    """
+
+    def __init__(self, v: Valuation, universe: np.ndarray):
+        self.v = v
+        self.universe = universe
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, values, rank), enumerated on the first call."""
+        if self._arrays is None:
+            mask_rows = _all_subset_rows(self.universe, self.v.m)
+            self._arrays = (mask_rows.astype(float), self.v.value_rows(mask_rows),
+                            _lex_ranks(self.universe.size))
+        return self._arrays
+
+
+def demand(v: Valuation, prices, items: Iterable[int] | None = None,
+           table: SubsetTable | None = None) -> DemandResult:
     """Utility-maximizing set for v(S) - p(S), restricted to `items`.
 
     Additive and XOS demands are analytic (strict inequality keeps the
-    returned set minimal); other families enumerate all subsets of the
-    allowed universe, which therefore must have at most 16 items. Ties in
-    the enumerated families go to the lexicographically smallest set. A
-    sorted int64 array of distinct items (a master's universe) is used as is.
+    returned set minimal); other families search the `SubsetTable` of the
+    allowed universe, which therefore must have at most 16 items. `table`
+    is one held for v and this universe, so that repeated queries
+    enumerate once; without one, each call enumerates afresh. Ties in the
+    enumerated families go to the lexicographically smallest set, the one
+    of least rank. A sorted int64 array of distinct items (a master's
+    universe) is used as is.
     """
     p = np.asarray(prices, dtype=float)
     if not np.all(np.isfinite(p)):
@@ -213,7 +264,7 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandRe
         for gains in v.clauses[:, universe] - p[universe]:
             pos = gains > 0
             util = float(gains[pos].sum())
-            # the universe is sorted, so universe[pos] is the set's _lex_key
+            # the universe is sorted, so universe[pos] lists the set in order
             if best is None or util > best_util or (
                     util == best_util and universe[pos].tolist() < best.tolist()):
                 best, best_util = universe[pos], util
@@ -222,13 +273,17 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandRe
         raise CapExceeded(
             f"no analytic demand for {v.kind}; universe of {universe.size} items "
             f"exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
-    rows = _all_subset_rows(universe, v.m)
-    utilities = v.value_rows(rows) - rows @ p
+    if table is None:
+        table = SubsetTable(v, universe)
+    elif table.v is not v or (table.universe is not universe
+                              and not np.array_equal(table.universe, universe)):
+        raise ValueError("subset table of another valuation or universe")
+    rows, values, rank = table.arrays()
+    utilities = values - rows @ p
     best_util = utilities.max()
     ties = np.flatnonzero(utilities == best_util)
-    best_set = min((frozenset(int(j) for j in np.flatnonzero(rows[t])) for t in ties),
-                   key=_lex_key)
-    return DemandResult(best_set, float(best_util))
+    best = ties[np.argmin(rank[ties])]
+    return DemandResult(frozenset(np.flatnonzero(rows[best]).tolist()), float(best_util))
 
 
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:

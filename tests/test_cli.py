@@ -237,6 +237,16 @@ class TestExitCodes:
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
         assert "enumeration cap:" in capsys.readouterr().err
 
+    def test_oracle_choice_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys):
+        # near-uniform 4x32 passes the 6*nu filter, and the rounding oracle
+        # meets about 2.4 million support profiles, past its cap of 10^6
+        path = tmp_path / "near_uniform.json"
+        path.write_text(serialize_instance(
+            generate(GenSpec("additive", 4, 32, seed=0, weights="near_uniform"))))
+        assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "enumeration cap:" in err and "support combinations exceed the cap" in err
+
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):
         import nswforge.cli as cli_mod
         from nswforge.model import InvariantViolation

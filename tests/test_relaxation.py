@@ -1,13 +1,15 @@
 """Concave extension, supergradients, and the Eisenberg-Gale solver."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from nswforge import _lp, relaxation
+from nswforge import _lp, relaxation, valuations
 from nswforge._lp import maximize
 from nswforge.generators import GenSpec, generate
 from nswforge.matching import initial_matching
@@ -22,7 +24,7 @@ from nswforge.relaxation import (
     solve_eg,
     supergradient_log,
 )
-from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, Xos
+from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, SubsetTable, Xos
 from test_lp import assert_same_result
 
 
@@ -134,6 +136,67 @@ class TestRestrictedMaster:
         with pytest.raises(ValueError, match="another valuation or universe"):
             concave_ext(v, [0.5, 0.5, 0.5],
                         master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Records each universe enumeration and each value_rows batch of more
+    than one row (value() evaluates a single row), and a weak reference to
+    every subset table that is filled."""
+    seen = {"rows": [], "values": [], "tables": []}
+    all_rows = valuations._all_subset_rows
+    monkeypatch.setattr(valuations, "_all_subset_rows",
+                        lambda u, m: seen["rows"].append(u.size) or all_rows(u, m))
+    for cls in (Additive, Xos, BudgetedAdditive, ExplicitTable):
+        def value_rows(v, rows, _f=cls.value_rows):
+            if rows.shape[0] > 1:
+                seen["values"].append(rows.shape[0])
+            return _f(v, rows)
+        monkeypatch.setattr(cls, "value_rows", value_rows)
+    arrays = SubsetTable.arrays
+
+    def spy_arrays(table):
+        if table._arrays is None:
+            seen["tables"].append(weakref.ref(table))
+        return arrays(table)
+    monkeypatch.setattr(SubsetTable, "arrays", spy_arrays)
+    return seen
+
+
+class TestSubsetTableReuse:
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
+    def test_each_master_enumerates_once_per_solve(self, family, enumerations, monkeypatch):
+        inst = generate(GenSpec(family, 3, 8, seed=4))
+        enumerations["values"].clear()  # the generator evaluates its tables' sources
+        queries = []
+        monkeypatch.setattr(relaxation, "demand",
+                            lambda *a, _f=relaxation.demand, **k: queries.append(1) or _f(*a, **k))
+        eg = solve_eg(inst, range(3), range(8))
+        assert eg.iterations > 1 and len(queries) > 3 * eg.iterations
+        assert enumerations["rows"] == [8, 8, 8]
+        assert enumerations["values"] == [256, 256, 256]
+        gc.collect()
+        assert len(enumerations["tables"]) == 3
+        assert all(ref() is None for ref in enumerations["tables"])
+
+    @pytest.mark.parametrize("family", ["additive", "xos"])
+    def test_analytic_masters_build_no_table(self, family, enumerations):
+        inst = generate(GenSpec(family, 3, 8, seed=4))
+        enumerations["values"].clear()
+        solve_eg(inst, range(3), range(8))
+        assert enumerations == {"rows": [], "values": [], "tables": []}
+
+    def test_dropped_master_takes_its_table(self, enumerations):
+        rng = np.random.default_rng(9)
+        v = BudgetedAdditive(rng.uniform(0, 1, 6), cap=1.2)
+        master = RestrictedMaster(v, np.arange(6))
+        for _ in range(3):
+            concave_ext(v, rng.uniform(0, 1, 6), master=master)
+        assert enumerations["rows"] == [6]
+        rows = weakref.ref(master.subsets.arrays()[0])
+        del master
+        gc.collect()
+        assert rows() is None and enumerations["tables"][0]() is None
 
 
 def refactored_solve(master, x, last):

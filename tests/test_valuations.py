@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nswforge import valuations
 from nswforge.valuations import (
     Additive,
     BudgetedAdditive,
     CapExceeded,
+    DemandResult,
     ExplicitTable,
+    SubsetTable,
     Xos,
     _all_subset_rows,
+    _lex_ranks,
     demand,
     singleton_max,
     xos_clause,
@@ -127,6 +131,103 @@ class TestDemand:
         assert not calls
         assert demand(v, np.full(4, 0.5), items=universe[::-1]) == res
         assert len(calls) == 1
+
+
+def enumerated_demand_reference(v, prices, universe):
+    """`demand`'s enumeration body as it was before the subset table: fresh
+    boolean rows and values per call, and a frozenset per tied set."""
+    p = np.asarray(prices, dtype=float)
+    rows = _all_subset_rows(universe, v.m)
+    utilities = v.value_rows(rows) - rows @ p
+    best_util = utilities.max()
+    ties = np.flatnonzero(utilities == best_util)
+    best_set = min((frozenset(int(j) for j in np.flatnonzero(rows[t])) for t in ties),
+                   key=lambda items: tuple(sorted(items)))
+    return DemandResult(best_set, float(best_util))
+
+
+def tie_heavy_valuation(family, m, rng):
+    """Small-integer weights, caps and table values, so that many sets tie."""
+    if family == "budgeted_additive":
+        return BudgetedAdditive(rng.integers(0, 4, m).astype(float),
+                                cap=float(rng.integers(1, 2 * m)))
+    sizes = _all_subset_rows(np.arange(m), m).sum(axis=1)
+    return ExplicitTable(np.minimum(sizes, rng.integers(1, m + 1)).astype(float), m)
+
+
+def price_vectors(v, rng):
+    m = v.m
+    weights = v.weights if isinstance(v, BudgetedAdditive) else v.singleton_values()
+    return [rng.uniform(-0.3, 1.2, m), np.zeros(m), rng.integers(0, 3, m).astype(float),
+            weights.copy()]
+
+
+class TestSubsetTableDemand:
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_enumeration_it_replaces(self, family, seed):
+        rng = np.random.default_rng(500 + seed)
+        k = (2, 12, 3, 11, 5, 9, 7, 6)[seed]
+        m = k if seed % 2 == 0 else min(k + int(rng.integers(1, 4)), 14)
+        universe = np.sort(rng.choice(m, k, replace=False)).astype(np.int64)
+        if family == "budgeted_additive" and seed % 4 < 2:
+            v = BudgetedAdditive(rng.uniform(0, 1, m), cap=float(rng.uniform(0.5, 2.0)))
+        elif family == "budgeted_additive":
+            v = tie_heavy_valuation(family, m, rng)
+        elif seed % 4 < 2:
+            v = ExplicitTable(Xos(rng.uniform(0, 1, (2, m))).value_rows(
+                _all_subset_rows(np.arange(m), m)), m)
+        else:
+            v = tie_heavy_valuation(family, m, rng)
+        table = SubsetTable(v, universe)
+        for prices in price_vectors(v, rng):
+            ref = enumerated_demand_reference(v, prices, universe)
+            for held in (table, None):
+                res = demand(v, prices, items=universe, table=held)
+                assert res.items == ref.items
+                assert np.float64(res.utility).tobytes() == np.float64(ref.utility).tobytes()
+
+    def test_ties_go_to_the_lexicographically_smallest_set(self):
+        v = BudgetedAdditive([1.0, 1.0, 1.0, 1.0], cap=2.0)
+        res = demand(v, np.zeros(4), table=SubsetTable(v, np.arange(4, dtype=np.int64)))
+        assert res.items == frozenset({0, 1})
+        assert res.utility == 2.0
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_lex_ranks_sort_the_subsets(self, k):
+        order = sorted(range(1 << k), key=lambda mask: [t for t in range(k) if mask >> t & 1])
+        assert _lex_ranks(k)[order].tolist() == list(range(1 << k))
+
+    def test_enumerates_once_for_many_queries(self, monkeypatch):
+        calls = []
+        all_rows = valuations._all_subset_rows
+        monkeypatch.setattr(valuations, "_all_subset_rows",
+                            lambda u, m: calls.append(u.size) or all_rows(u, m))
+        rng = np.random.default_rng(7)
+        v = BudgetedAdditive(rng.uniform(0, 1, 6), cap=1.5)
+        table = SubsetTable(v, np.array([0, 2, 3, 5], dtype=np.int64))
+        for _ in range(5):
+            demand(v, rng.uniform(0, 1, 6), items=[5, 3, 2, 0], table=table)
+        assert calls == [4]
+
+    def test_cap_is_checked_before_any_table_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(valuations, "_all_subset_rows", lambda *a: calls.append(a))
+        v = BudgetedAdditive(np.ones(17), cap=3.0)
+        table = SubsetTable(v, np.arange(17, dtype=np.int64))
+        for held in (table, None):
+            with pytest.raises(CapExceeded):
+                demand(v, np.zeros(17), table=held)
+        assert not calls and table._arrays is None
+
+    def test_table_of_another_valuation_or_universe_rejected(self):
+        v = BudgetedAdditive([1.0, 2.0, 3.0], cap=4.0)
+        other = BudgetedAdditive([1.0, 2.0, 3.0], cap=4.0)
+        table = SubsetTable(v, np.array([0, 1], dtype=np.int64))
+        with pytest.raises(ValueError, match="subset table"):
+            demand(v, np.zeros(3), items=(0, 2), table=table)
+        with pytest.raises(ValueError, match="subset table"):
+            demand(other, np.zeros(3), items=(0, 1), table=table)
 
 
 class TestXosClause:
