@@ -42,7 +42,11 @@ _MAX_ITER = 50_000  # pivots per simplex run before LpError
 
 
 class LpError(RuntimeError):
-    """An unbounded objective, or an iteration cap reached."""
+    """An unbounded objective, or an iteration cap reached (`capped`)."""
+
+    def __init__(self, message: str, capped: bool = False):
+        super().__init__(message)
+        self.capped = capped
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
         if leaving < 0:
             raise LpError("objective unbounded above")
         _pivot(tab, basis, leaving, entering)
-    raise LpError("simplex iteration cap exceeded")
+    raise LpError("simplex iteration cap exceeded", capped=True)
 
 
 def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> bool:
@@ -121,7 +125,7 @@ def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> bool:
         ratios = reduced / entries[candidates]
         entering = int(candidates[np.argmax(ratios <= ratios.min() + _PIVOT_TOL)])
         _pivot(tab, basis, row, entering)
-    raise LpError("dual simplex iteration cap exceeded")
+    raise LpError("dual simplex iteration cap exceeded", capped=True)
 
 
 def _simplex(tab0: np.ndarray, cost: np.ndarray, n: int, hint, inv_b=None, tab=None):

@@ -1,10 +1,13 @@
 """Command-line entry point: gen, solve, exact, ratio, fuzz, conc, report.
 
 Exit codes are a stable contract: 0 success, 1 usage or I/O error,
-2 stage-invariant violation, 3 enumeration cap exceeded. All randomness
-flows from --seed; there is no ambient entropy anywhere, so identical
-invocations produce byte-identical machine output. Human-readable
-summaries go to stderr, machine output to stdout or files.
+2 stage-invariant violation (including a column-generation stall, a
+failed duality certificate or an unbounded LP), 3 enumeration or
+iteration cap exceeded (including the column-generation round cap and
+the simplex pivot cap). All randomness flows from --seed; there is no
+ambient entropy anywhere, so identical invocations produce byte-identical
+machine output. Human-readable summaries go to stderr, machine output to
+stdout or files.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from time import perf_counter
 import numpy as np
 
 from . import fuzz
+from ._lp import LpError
 from .concentration import tail_checks
 from .generators import FAMILIES, WEIGHT_DISTRIBUTIONS, GenSpec, generate
 from .model import InvariantViolation, SchemaError, load_instance, serialize_instance
 from .oracle import exact_nsw
 from .pipeline import PipelineParams, run_subadditive, run_xos
-from .relaxation import trace_csv
+from .relaxation import ConvergenceError, trace_csv
 from .valuations import CapExceeded
 
 EXIT_OK = 0
@@ -136,12 +140,14 @@ def cmd_ratio(args) -> int:
         wall = perf_counter() - t0
         exact = exact_nsw(inst).optimum
         ratio = report.nsw / exact if exact > 0 else math.inf
+        # empty where no agent was left for the relaxation
+        converged = "" if report.eg is None else int(report.eg.converged)
         rows.append({"instance": name, "n": inst.n, "m": inst.m,
                      "family": inst.valuations[0].kind, "nsw": report.nsw,
-                     "exact": exact, "ratio": ratio, "seed": params.seed,
-                     "wall_time": wall})
+                     "exact": exact, "ratio": ratio, "converged": converged,
+                     "seed": params.seed, "wall_time": wall})
     _write_csv(args.out, ["instance", "n", "m", "family", "nsw", "exact",
-                          "ratio", "seed", "wall_time"], rows)
+                          "ratio", "converged", "seed", "wall_time"], rows)
     ratios = sorted(r["ratio"] for r in rows)
     summary = f"instances={len(rows)}"
     if ratios:
@@ -305,6 +311,12 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"enumeration cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (ConvergenceError, LpError) as exc:
+        if exc.capped:
+            print(f"iteration cap: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -117,7 +117,7 @@ class TestRatio:
                      "--count", "0", "--pipeline", "xos", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().splitlines() == [
-            "# schema=1", "instance,n,m,family,nsw,exact,ratio,seed,wall_time"]
+            "# schema=1", "instance,n,m,family,nsw,exact,ratio,converged,seed,wall_time"]
         assert capsys.readouterr().err.strip() == "instances=0"
 
     def test_instance_directory(self, tmp_path, capsys):
@@ -127,6 +127,28 @@ class TestRatio:
         code = main(["ratio", "--instances", str(gen_dir), "--pipeline", "xos",
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("family", ["additive", "xos"])
+    def test_converged_column(self, family, tmp_path, capsys):
+        # 2x2: the reservation matching takes every item and no relaxation
+        # runs, so the column is empty
+        out, square = tmp_path / "r.csv", tmp_path / "square.csv"
+        for path, n, m in ((out, 3, 6), (square, 2, 2)):
+            assert main(["ratio", "--family", family, "--n", str(n), "--m", str(m),
+                         "--count", "6", "--pipeline", "xos", "--seed", "3",
+                         "--out", str(path)]) == EXIT_OK
+        header = out.read_text().splitlines()[1].split(",")
+        col = header.index("converged")
+        flags = [line.split(",")[col] for line in out.read_text().splitlines()[2:]]
+        assert len(flags) == 6 and set(flags) <= {"0", "1"}
+        if family == "additive":
+            assert set(flags) == {"1"}
+        assert [line.split(",")[col] for line in square.read_text().splitlines()[2:]] == [""] * 6
+        capsys.readouterr()
+        assert main(["report", "--in", str(out), "--column", "converged"]) == EXIT_OK
+        share = flags.count("1") / 6
+        assert f"mean={share:.6g}" in capsys.readouterr().out
+        assert main(["report", "--in", str(square), "--column", "converged"]) == EXIT_USAGE
 
     def test_empty_directory_errors(self, tmp_path):
         empty = tmp_path / "empty"
@@ -239,13 +261,41 @@ class TestExitCodes:
 
     def test_oracle_choice_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys):
         # near-uniform 4x32 passes the 6*nu filter, and the rounding oracle
-        # meets about 2.4 million support profiles, past its cap of 10^6
+        # meets about 1.08 million support profiles, past its cap of 10^6
         path = tmp_path / "near_uniform.json"
         path.write_text(serialize_instance(
             generate(GenSpec("additive", 4, 32, seed=0, weights="near_uniform"))))
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
         err = capsys.readouterr().err
         assert "enumeration cap:" in err and "support combinations exceed the cap" in err
+
+    @pytest.mark.parametrize("fault, code, message", [
+        ("round_cap", EXIT_CAP, "iteration cap: column generation round cap exceeded"),
+        ("pivot_cap", EXIT_CAP, "iteration cap: simplex iteration cap exceeded"),
+        ("stall", EXIT_INVARIANT, "invariant violation: column generation stalled"),
+        ("certificate", EXIT_INVARIANT, "invariant violation: duality certificate failed"),
+        ("unbounded", EXIT_INVARIANT, "invariant violation: objective unbounded above"),
+    ])
+    def test_relaxation_errors_map_to_typed_exits(self, fault, code, message, instance_file,
+                                                  monkeypatch, capsys):
+        from nswforge import _lp, relaxation
+        from nswforge.valuations import DemandResult
+
+        if fault == "round_cap":  # the first round's demand query finds a new column
+            monkeypatch.setattr(relaxation, "COLGEN_MAX_ROUNDS", 1)
+        elif fault == "pivot_cap":
+            monkeypatch.setattr(_lp, "_MAX_ITER", 0)
+        elif fault == "stall":  # a known column that claims to beat its price
+            monkeypatch.setattr(relaxation, "demand",
+                                lambda *a, **k: DemandResult(frozenset(), 1.0))
+        elif fault == "certificate":
+            solve = relaxation.RestrictedMaster.solve
+            monkeypatch.setattr(relaxation.RestrictedMaster, "solve",
+                                lambda master, x: replace(solve(master, x), value=-1.0))
+        else:  # no row passes the ratio test
+            monkeypatch.setattr(_lp, "_PIVOT_TOL", 1e9)
+        assert main(["solve", "--instance", str(instance_file), "--pipeline", "xos"]) == code
+        assert message in capsys.readouterr().err
 
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):
         import nswforge.cli as cli_mod

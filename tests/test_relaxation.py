@@ -21,8 +21,11 @@ from nswforge.relaxation import (
     concave_ext,
     default_epsilon,
     scaled_optimum_check,
+    additive_subproblems,
+    lagrangian_bound,
     solve_eg,
     supergradient_log,
+    systematic_columns,
 )
 from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, SubsetTable, Xos
 from test_lp import assert_same_result
@@ -32,6 +35,12 @@ def make_instance(*valuations):
     m = valuations[0].m
     return Instance(tuple(f"agent{i}" for i in range(len(valuations))),
                     tuple(f"item{j}" for j in range(m)), tuple(valuations))
+
+
+def as_one_clause_xos(inst):
+    """The instance with each additive agent's weights as a one-clause XOS."""
+    return Instance(inst.agent_names, inst.item_names,
+                    tuple(Xos([v.weights]) for v in inst.valuations))
 
 
 def random_valuation(rng, m, fam):
@@ -288,7 +297,11 @@ class TestFactoredResolve:
         assert res.value == pytest.approx(2.0)
 
     def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
-        solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
+        # additive weights as one-clause XOS: an all-additive agent set
+        # would take the barrier path, which solves no LP
+        inst = generate(GenSpec("additive", 3, 10, seed=0))
+        solve_eg(as_one_clause_xos(inst), range(3), range(10))
+        assert checked_solves["solves"] > 0
         assert checked_solves["held"] >= checked_solves["solves"] / 2
 
     def test_solve_eg_on_xos_keeps_its_bits(self, checked_solves):
@@ -366,7 +379,9 @@ class TestSolveEg:
         assert (x1[2:] >= 1 - eps - 1e-6).all()
 
     def test_objective_is_running_maximum_of_trace(self):
-        inst = make_instance(Additive([1.0, 0.3]), Additive([0.4, 1.0]))
+        # the supergradient path returns its best iterate; the barrier
+        # path returns its last, so its agents are one-clause XOS here
+        inst = make_instance(Xos([[1.0, 0.3]]), Xos([[0.4, 1.0]]))
         eg = solve_eg(inst, [0, 1], [0, 1])
         best = max(row[1] for row in eg.trace)
         assert eg.objective == pytest.approx(best, abs=1e-12)
@@ -415,6 +430,164 @@ class TestSolveEg:
         assert eg.converged and eg.iterations < EgParams().max_iterations
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
+
+
+def subproblem_reference(w, p, eps):
+    """max over x in [eps, 1]^m of log(w.x) - p.x by brute force: every
+    item at eps or 1, or one item free at its stationary point (clipped),
+    which covers a maximizer of this concave program."""
+    best = -np.inf
+    for levels in itertools.product((eps, 1.0, None), repeat=w.size):
+        free = [j for j, lv in enumerate(levels) if lv is None]
+        if len(free) > 1:
+            continue
+        x = np.array([eps if lv is None else lv for lv in levels])
+        if free:
+            j = free[0]
+            rest = float(w @ x) - w[j] * eps
+            if w[j] > 0 and p[j] > 0:
+                x[j] = min(1.0, max(eps, 1.0 / p[j] - rest / w[j]))
+            elif w[j] > 0:
+                x[j] = 1.0
+        if w @ x > 0:
+            best = max(best, math.log(w @ x) - p @ x)
+    return best
+
+
+def additive_instance(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return make_instance(*[Additive(rng.uniform(0.05, 1, m)) for _ in range(n)])
+
+
+class TestAdditiveBarrier:
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_subproblem_matches_brute_force(self, m):
+        rng = np.random.default_rng(900 + m)
+        eps = 0.05
+        for _ in range(60):
+            w = rng.uniform(0, 1, (3, m)) * (rng.uniform(size=(3, m)) < 0.8)
+            w[:, 0] += 0.01  # a positive weight in every row
+            p = rng.uniform(0, 2, m) * (rng.uniform(size=m) < 0.85)
+            if rng.uniform() < 0.3:  # exact ties in w/p
+                w[:, -1], p[-1] = w[:, 0], p[0]
+            got = additive_subproblems(w, p, eps)
+            want = [subproblem_reference(row, p, eps) for row in w]
+            assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_dominates_feasible_points_at_any_prices(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        inst = additive_instance(seed, n, m)
+        eg = solve_eg(inst, range(n), range(m))
+        weights = np.stack([v.weights for v in inst.valuations])
+        eps = eg.epsilon
+        for _ in range(40):
+            p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
+            bound = lagrangian_bound(weights, p, eps)
+            assert bound >= eg.objective - 1e-12
+            x = eps + rng.dirichlet(np.ones(n + 1), m).T[:n] * (1 - n * eps)
+            assert bound >= float(np.log((weights * x).sum(axis=1)).sum()) - 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 6), (3, 10), (4, 12), (6, 20)])
+    def test_converges_with_true_bounds_in_every_row(self, shape):
+        n, m = shape
+        eg = solve_eg(additive_instance(sum(shape), n, m), range(n), range(m))
+        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert 0 <= eg.gap <= eg.epsilon ** 4 * n
+        assert eg.trace[-1][1] == eg.objective
+        assert eg.trace[-1][2] <= eg.epsilon ** 4 * n
+        best = max(obj for _, obj, _, _ in eg.trace)
+        assert all(obj + gap >= best for _, obj, gap, _ in eg.trace)
+
+    def test_solves_no_lp_and_asks_no_demand(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the additive path called the LP machinery")
+        for name in ("maximize", "demand", "concave_ext"):
+            monkeypatch.setattr(relaxation, name, forbidden)
+        monkeypatch.setattr(RestrictedMaster, "__init__", forbidden)
+        eg = solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
+        assert eg.converged and all(ext.rounds == 0 for ext in eg.extensions.values())
+
+    def test_a_non_additive_agent_keeps_the_supergradient_path(self):
+        rng = np.random.default_rng(3)
+        inst = make_instance(Additive(rng.uniform(0.1, 1, 5)), Xos(rng.uniform(0.1, 1, (2, 5))))
+        eg = solve_eg(inst, [0, 1], range(5), EgParams(max_iterations=5))
+        assert [step for *_, step in eg.trace] == [
+            relaxation.STEP_SCALE / math.sqrt(t) for t in range(1, 6)]
+
+    def test_extensions_are_closed_form_and_certified(self):
+        inst = generate(GenSpec("additive", 3, 12, seed=5))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert math.log(math.prod(eg.values().values())) == pytest.approx(eg.objective,
+                                                                         abs=1e-12)
+        for i in eg.agents:
+            v, ext = inst.valuations[i], eg.extensions[i]
+            x = eg.x.agent_vector(i, inst.m)
+            assert ext.q == 0.0 and ext.rounds == 0
+            assert np.array_equal(ext.prices[eg.items], v.weights[eg.items])
+            assert ext.value == pytest.approx(float(v.weights @ x), abs=1e-12)
+            # strong duality, the column mixture, and masses respected
+            assert ext.value == pytest.approx(ext.q + float(ext.prices @ x), abs=1e-12)
+            assert ext.value == pytest.approx(sum(w * v.value(s) for s, w in ext.columns),
+                                              abs=1e-12)
+            assert sum(w for _, w in ext.columns) == pytest.approx(1.0, abs=1e-12)
+            load = np.zeros(inst.m)
+            for s, w in ext.columns:
+                assert s <= set(eg.items)
+                load[list(s)] += w
+            assert load == pytest.approx(x, abs=1e-12)
+            # the dual certifies every set of the universe
+            for r in range(len(eg.items) + 1):
+                for s in itertools.islice(itertools.combinations(eg.items, r), 50):
+                    assert ext.q + ext.prices[list(s)].sum() >= v.value(s) - 1e-12
+
+    def test_zero_weight_masses_stay_on_the_floor(self):
+        inst = make_instance(Additive([1.0, 2.0, 0.0]), Additive([0.0, 1.0, 3.0]))
+        eg = solve_eg(inst, [0, 1], range(3))
+        assert eg.x.mass[0][2] == eg.epsilon and eg.x.mass[1][0] == eg.epsilon
+        assert eg.x.mass[0][0] == pytest.approx(1 - eg.epsilon, abs=1e-15)
+
+
+class TestSystematicColumns:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_decomposition_of_x(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        m = int(rng.integers(1, 30))
+        x = rng.uniform(0, 1, m)
+        x[rng.uniform(size=m) < 0.2] = 0.0
+        x[rng.uniform(size=m) < 0.2] = 1.0
+        items = sorted(rng.choice(100, m, replace=False).tolist())
+        cols = systematic_columns(x, items)
+        assert len(cols) <= m + 1
+        assert len({s for s, _ in cols}) == len(cols)
+        assert sum(w for _, w in cols) == pytest.approx(1.0, abs=1e-12)
+        assert all(w > 0 for _, w in cols)
+        total = float(x.sum())
+        assert all(len(s) in (math.floor(total), math.ceil(total)) for s, _ in cols)
+        load = dict.fromkeys(items, 0.0)
+        for s, w in cols:
+            for j in s:
+                load[j] += w
+        assert [load[j] for j in items] == pytest.approx(x.tolist(), abs=1e-12)
+        assert systematic_columns(x.copy(), items) == cols
+
+    def test_cuts_at_the_fractional_partial_sums(self):
+        # segments [0, .5), [.5, 1.25), [1.25, 1.5): u in [0, .25) meets
+        # items 4 and 7, u in [.25, .5) items 4 and 9, u in [.5, 1) item 7
+        cols = systematic_columns(np.array([0.5, 0.75, 0.25]), [4, 7, 9])
+        assert cols == [(frozenset({4, 7}), 0.25), (frozenset({4, 9}), 0.25),
+                        (frozenset({7}), 0.5)]
+
+    def test_additive_pipeline_reports_are_byte_identical(self):
+        from nswforge.pipeline import PipelineParams, run_subadditive, run_xos
+
+        inst = generate(GenSpec("additive", 3, 24, weights="near_uniform", seed=1))
+        for run in (run_xos, run_subadditive):
+            reports = [run(inst, PipelineParams(seed=4)) for _ in range(2)]
+            assert reports[0].eg.converged
+            assert reports[0].to_json(inst) == reports[1].to_json(inst)
 
 
 def project_item_reference(col: np.ndarray, eps: float) -> np.ndarray:
