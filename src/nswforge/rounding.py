@@ -19,7 +19,7 @@ import numpy as np
 from . import matching  # called as matching.product_matching, so wrappers of it see this caller
 from .model import Allocation, Instance, InvariantViolation, Matching
 from .splitting import SubaddSplitOutput, XosSplitOutput
-from .valuations import CapExceeded, Valuation
+from .valuations import Additive, BudgetedAdditive, CapExceeded, Valuation, Xos
 
 # substream purposes
 _ITEM_ROUNDS = 0
@@ -31,7 +31,7 @@ STREAM_TRIALS = 4
 ORACLE_CHOICE_CAP = 10**6
 ORACLE_NODE_CAP = 10**7
 WELFARE_SUBSET_CAP = 12  # most agents whose every subset is measured for d
-_ORACLE_BLOCK = 1 << 14  # oracle array cells per block: (profile, agent, item) or (node, slot)
+_ORACLE_BLOCK = 1 << 14  # (profile, agent, item) cells per block of the oracle's node count
 
 
 class RngStream:
@@ -178,44 +178,44 @@ def cr_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     return {i: frozenset(items) for i, items in won.items()}
 
 
-def _dense_keys(words: np.ndarray) -> np.ndarray:
-    """One int64 per row of 64-bit words, equal exactly when the rows are:
-    the word itself for one-word rows, dense ranks folded word by word for
-    wider ones."""
-    keys = words[:, 0]
-    for word in words.T[1:]:
-        keys = (np.unique(keys, return_inverse=True)[1] * len(words)
-                + np.unique(word, return_inverse=True)[1])
-    return keys
-
-
 def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
                      valuations: Sequence[Valuation], targets: Mapping[int, float],
                      rng: RngStream | None = None, round_index: int = 1,
                      ) -> dict[int, frozenset[int]]:
-    """Exhaustive scaled-welfare-maximizing rounding procedure.
+    """Exact scaled-welfare-maximizing rounding procedure.
 
-    Tries every choice of one support set per agent (a profile, in
+    Scans every choice of one support set per agent (a profile, in
     `itertools.product` order over each agent's distinct supports sorted by
     their sorted items) and, for each profile, every way of awarding each
     contested item to one of its holders (contested items ascending, the
     last one fastest; holders in agent order). A node's welfare is
-    sum_i v_i(S_i) / V_i, added in agent order from 0.0. The scan keeps a
-    record, not an argmax: a node replaces the best only when its welfare
-    exceeds the best by more than 1e-15. Deterministic.
+    sum_i v_i(K_i) / V_i over the kept sets K_i, added in agent order from
+    0.0. The scan keeps a record, not an argmax: a node replaces the best
+    only when its welfare exceeds the best by more than 1e-15.
+    Deterministic.
 
-    Both caps are checked before any enumeration: more than
+    The scan is a depth-first branch and bound over agents (Land and Doig
+    1960). The bound of a partial profile is the smaller of two sums over
+    its chosen sets S_i, one of v_i(S_i) / V_i and one, over the items they
+    hold, of each item's largest v_i({j}) / V_i among its holders; each
+    later agent adds its best min(v(S) / V, sum of v({j}) / V over S). It
+    holds for monotone subadditive valuations with v(empty) = 0, so only
+    `Additive`, `Xos` and `BudgetedAdditive` agent sets are bounded; any
+    other set is scanned in full. A subtree is skipped only when its bound,
+    times 1 + 1e-12 for float reordering, is at most the best plus 1e-15:
+    no node in it could be a record, so the choice is the full scan's bit
+    for bit. `v_i` is called once per distinct (agent, kept set).
+
+    Both caps are checked before any `v_i` call: more than
     `ORACLE_CHOICE_CAP` profiles, or more than `ORACLE_NODE_CAP`
-    (profile, winner) nodes in total, raises `CapExceeded`. The profiles
-    and nodes are enumerated in numpy blocks of about `_ORACLE_BLOCK` array
-    cells, each kept set as a bitmask over the items of the supports, and
-    `v_i` is called once per distinct (agent, kept set).
+    (profile, winner) nodes over every profile, raises `CapExceeded`.
     """
     del rng, round_index
     agents = sorted(columns)
     n = len(agents)
-    supports = [sorted({s for s, _ in columns[i]}, key=lambda s: tuple(sorted(s)))
-                for i in agents]
+    # items as Python ints, whatever integer type the columns carry
+    supports = [sorted({frozenset(map(int, s)) for s, _ in columns[i]},
+                       key=lambda s: tuple(sorted(s))) for i in agents]
     counts = [len(s) for s in supports]
     n_choices = math.prod(counts)
     if n_choices > ORACLE_CHOICE_CAP:
@@ -231,86 +231,77 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
             rows[k, np.searchsorted(universe, sorted(s))] = True
     choice_stride = [math.prod(counts[pos + 1:]) for pos in range(n)]
     chunk = max(1, _ORACLE_BLOCK // max(n * u, 1))
-
-    def profiles(q0: int, q1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Holdings (profile, agent, item) of profiles q0..q1-1, and each
-        item's number of holders."""
-        q = np.arange(q0, q1)
-        holds = np.zeros((q1 - q0, n, u), dtype=bool)
-        for pos in range(n):
-            holds[:, pos] = held[pos][q // choice_stride[pos] % counts[pos]]
-        return holds, holds.sum(axis=1)
-
     nodes = 0.0
     for q0 in range(0, n_choices, chunk):
-        _, holders = profiles(q0, min(q0 + chunk, n_choices))
+        q = np.arange(q0, min(q0 + chunk, n_choices))
+        holders = np.zeros((q.size, u), dtype=np.int64)
+        for pos in range(n):
+            holders += held[pos][q // choice_stride[pos] % counts[pos]]
         nodes += float(np.prod(np.maximum(holders, 1), axis=1, dtype=float).sum())
         if nodes > ORACLE_NODE_CAP:
             raise CapExceeded("winner enumeration exceeded the node cap")
 
-    words = -(-max(u, 1) // 64)  # 64-bit words of a kept-set bitmask over universe
-    shift = np.arange(u, dtype=np.uint64) % np.uint64(64)  # item t is bit t % 64 of word t // 64
-    memo: list[dict[bytes, tuple[frozenset[int], float]]] = [{} for _ in agents]
+    memo: list[dict[frozenset[int], float]] = [{} for _ in agents]
+
+    def scaled(pos: int, items: frozenset[int]) -> float:
+        if items not in memo[pos]:
+            memo[pos][items] = valuations[agents[pos]].value(items) / targets[agents[pos]]
+        return memo[pos][items]
+
+    if all(type(valuations[i]) in (Additive, Xos, BudgetedAdditive) for i in agents):
+        set_values = [np.array([scaled(pos, s) for s in sets], dtype=float)
+                      for pos, sets in enumerate(supports)]
+        # singles[pos][k, t]: v({universe[t]}) / V if support k holds it, else 0
+        singles = [rows * (valuations[i].singleton_values()[universe] / targets[i])
+                   for i, rows in zip(agents, held)]
+        best_each = [float(np.minimum(v, s.sum(axis=1)).max())
+                     for v, s in zip(set_values, singles)]
+        later = [sum(best_each[pos:]) for pos in range(n + 1)]
+    else:  # unbounded: every subtree is searched
+        set_values = [np.zeros(c) for c in counts]
+        singles = [np.zeros((c, u)) for c in counts]
+        later = [math.inf] * (n + 1)
+
     best_welfare = -1.0
     best: dict[int, frozenset[int]] | None = None
-    for q0 in range(0, n_choices, chunk):
-        holds, holders = profiles(q0, min(q0 + chunk, n_choices))
-        # each profile's contested items, ascending, in slots padded to the
-        # profile with the most; a node's rank in its profile, in mixed
-        # radix over the slots (the last fastest), picks each slot's winner
-        cprof, citem = np.nonzero(holders > 1)
-        per_profile = np.bincount(cprof, minlength=len(holders))
-        width = int(per_profile.max(initial=0))
-        slot = np.arange(len(cprof)) - (np.cumsum(per_profile) - per_profile)[cprof]
-        radix = np.ones((len(holders), width), dtype=np.int32)  # ranks <= the node cap
-        radix[cprof, slot] = holders[cprof, citem]
-        stride = np.ones_like(radix)
-        stride[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
-        combos = np.prod(radix, axis=1)
-        # holder[p, s, r]: the r-th holder, in agent order, of slot s's item
-        holder = np.zeros((len(holders), width, n), dtype=np.min_scalar_type(n))
-        holder[cprof, slot] = np.argsort(~holds[cprof, :, citem], axis=1, kind="stable")
-        bit = np.zeros((len(holders), width, words), dtype=np.uint64)
-        bit[cprof, slot, citem // 64] = np.uint64(1) << shift[citem]
-        # every agent keeps the items no one else holds
-        packed = np.packbits(holds & (holders == 1)[:, None, :], axis=-1, bitorder="little")
-        sole = np.zeros((len(holders), n, 8 * words), dtype=np.uint8)
-        sole[..., :packed.shape[-1]] = packed
-        sole = sole.view("<u8")
-        ends = np.cumsum(combos)
-        window = max(1, _ORACLE_BLOCK // max(width * words, 1))
-        for a in range(0, int(ends[-1]), window):
-            node = np.arange(a, min(a + window, int(ends[-1])))
-            prof = np.searchsorted(ends, node, side="right")
-            rank = (node - ends[prof] + combos[prof]).astype(np.int32)
-            digit = rank[:, None] // stride[prof] % radix[prof]
-            winner = holder[prof[:, None], np.arange(width), digit]
-            won_bits = bit[prof]
-            welfare = np.zeros(len(node))
-            picks = []
-            for pos, agent in enumerate(agents):
-                kept = sole[prof, pos] | ((winner == pos)[..., None] * won_bits).sum(axis=1)
-                _, first, inverse = np.unique(_dense_keys(kept), return_index=True,
-                                              return_inverse=True)
-                blob = kept[first].tobytes()
-                keys = [blob[o:o + 8 * words] for o in range(0, len(blob), 8 * words)]
-                for f, key in zip(first, keys):
-                    if key not in memo[pos]:
-                        held_bits = kept[f][np.arange(u) // 64] >> shift & np.uint64(1)
-                        items = frozenset(universe[held_bits.astype(bool)].tolist())
-                        memo[pos][key] = (items, valuations[agent].value(items) / targets[agent])
-                found = [memo[pos][key] for key in keys]
-                welfare += np.array([v for _, v in found])[inverse]
-                picks.append((found, inverse))
-            # a record beats every earlier node, so it is a strict running max
-            earlier = np.empty_like(welfare)
-            earlier[0] = -np.inf
-            np.maximum.accumulate(welfare[:-1], out=earlier[1:])
-            for k in np.flatnonzero((welfare > best_welfare + 1e-15) & (welfare > earlier)):
-                if welfare[k] > best_welfare + 1e-15:
-                    best_welfare = float(welfare[k])
-                    best = {agent: found[inverse[k]][0]
-                            for agent, (found, inverse) in zip(agents, picks)}
+
+    def scan(profile: list[frozenset[int]]) -> None:
+        nonlocal best_welfare, best
+        holders: dict[int, list[int]] = {}
+        for pos, chosen in enumerate(profile):
+            for j in chosen:
+                holders.setdefault(j, []).append(pos)
+        contested = sorted(j for j, who in holders.items() if len(who) > 1)
+        sole = [chosen.difference(contested) for chosen in profile]
+        for winners in itertools.product(*(holders[j] for j in contested)):
+            won: list[list[int]] = [[] for _ in agents]
+            for j, winner in zip(contested, winners):
+                won[winner].append(j)
+            kept = [s.union(w) for s, w in zip(sole, won)]
+            welfare = 0.0
+            for pos, items in enumerate(kept):
+                welfare += scaled(pos, items)
+            if welfare > best_welfare + 1e-15:
+                best_welfare = welfare
+                best = dict(zip(agents, kept))
+
+    def search(profile: list[frozenset[int]], top: np.ndarray, total: float) -> None:
+        """Visit the children of a partial profile in order; `top` holds each
+        item's largest scaled singleton among the chosen holders and `total`
+        the chosen sets' scaled values."""
+        pos = len(profile)
+        if pos == n:
+            scan(profile)
+            return
+        bounds = np.minimum(np.maximum(top, singles[pos]).sum(axis=1),
+                            total + set_values[pos]) + later[pos + 1]
+        for k, chosen in enumerate(supports[pos]):
+            if bounds[k] * (1 + 1e-12) <= best_welfare + 1e-15:
+                continue
+            search(profile + [chosen], np.maximum(top, singles[pos][k]),
+                   total + set_values[pos][k])
+
+    search([], np.zeros(u), 0.0)
     assert best is not None
     return best
 
@@ -323,7 +314,8 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     subset of agents it may recurse on, so d is the worst |B| / welfare(B)
     over all nonempty agent subsets B. Beyond `WELFARE_SUBSET_CAP` agents
     only the full set is measured and a 1.25 safety factor is applied
-    instead.
+    instead. The largest groups go first, so a procedure that raises
+    `CapExceeded` on the full set does so before any smaller search.
     """
     agents = sorted(split.columns)
     if not agents:
@@ -341,7 +333,7 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     if len(agents) > WELFARE_SUBSET_CAP:
         return 1.25 * factor(tuple(agents))
     worst = 0.0
-    for size in range(1, len(agents) + 1):
+    for size in range(len(agents), 0, -1):
         for group in itertools.combinations(agents, size):
             worst = max(worst, factor(group))
     return worst

@@ -10,7 +10,7 @@ from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance
 from nswforge.oracle import exact_nsw
 from nswforge.pipeline import PipelineParams, run_subadditive, run_xos
-from nswforge.valuations import Additive, BudgetedAdditive, Xos
+from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Xos
 
 
 def make_instance(*valuations):
@@ -137,6 +137,20 @@ class TestRunSubadditive:
             assert sorted(groups) == [(0,), (0, 1), (1,)]
         else:
             assert groups == [(0, 1)] * len(report.outcome.round_log)
+
+    def test_capped_full_group_fails_before_smaller_searches(self, monkeypatch):
+        # near-uniform 4x40 has over 3 million support profiles in its full
+        # group: measuring d searches that group first and stops there
+        inst = generate(GenSpec("additive", 4, 40, seed=0, weights="near_uniform"))
+        groups = []
+
+        def spy(columns, *args, search=pipeline.PROCEDURES["oracle"]):
+            groups.append(tuple(sorted(columns)))
+            return search(columns, *args)
+        monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
+        with pytest.raises(CapExceeded, match="support combinations exceed the cap"):
+            run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
+        assert groups == [(0, 1, 2, 3)]
 
     def test_unknown_procedure_rejected(self):
         inst = generate(GenSpec("budgeted_additive", 2, 5, seed=1))

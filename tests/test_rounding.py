@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from nswforge import rounding
-from nswforge.model import ConfigSolution
+from nswforge import pipeline, rounding
+from nswforge.model import ConfigSolution, Instance
 from nswforge.rounding import (
     ORACLE_CHOICE_CAP,
     ORACLE_NODE_CAP,
@@ -273,7 +273,7 @@ class TestOracleProcedure:
     @pytest.mark.parametrize("block", [None, 5])
     @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
     def test_matches_the_nested_loop(self, style, block, monkeypatch):
-        # a tiny block splits profiles across chunks and windows
+        # a tiny block splits the node count over many chunks
         if block is not None:
             monkeypatch.setattr(rounding, "_ORACLE_BLOCK", block)
         rng = np.random.default_rng(["uniform", "ties", "budgeted", "table", "wide"].index(style))
@@ -282,6 +282,27 @@ class TestOracleProcedure:
             assert oracle_procedure(columns, valuations, targets) == \
                 _reference_oracle(columns, valuations, targets), f"{style} case {case}"
 
+    def test_matches_the_nested_loop_on_pipeline_calls(self, monkeypatch):
+        # every search `run_subadditive` makes on the benchmark's engaged
+        # near-uniform 3x24 instance (weights U(0.9, 1.0), seed 1)
+        gen = np.random.default_rng([3, 24, 1])
+        inst = Instance(tuple(f"agent{i}" for i in range(3)),
+                        tuple(f"item{j}" for j in range(24)),
+                        tuple(Additive(gen.uniform(0.9, 1.0, 24)) for _ in range(3)))
+        calls = []
+
+        def spy(columns, valuations, targets, *args):
+            calls.append((columns, valuations, targets,
+                          oracle_procedure(columns, valuations, targets, *args)))
+            return calls[-1][-1]
+        monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
+        report = pipeline.run_subadditive(inst, pipeline.PipelineParams(seed=1, proc="oracle"))
+        assert report.filtered == {0, 1, 2}
+        assert sorted(tuple(sorted(c)) for c, *_ in calls) == sorted(
+            g for size in (1, 2, 3) for g in itertools.combinations(range(3), size))
+        for columns, valuations, targets, found in calls:
+            assert found == _reference_oracle(columns, valuations, targets), sorted(columns)
+
     def test_evaluates_each_kept_set_once(self, monkeypatch):
         calls = []
         value = Additive.value
@@ -289,11 +310,14 @@ class TestOracleProcedure:
             (id(self), items)) or value(self, items))
         columns, valuations, targets = _oracle_case(np.random.default_rng(5), "uniform")
         oracle_procedure(columns, valuations, targets)
-        blocked = calls[:]
+        searched = calls[:]
         calls.clear()
         _reference_oracle(columns, valuations, targets)
-        assert len(blocked) == len(set(blocked)) == len(calls) > 10
-        assert set(blocked) == set(calls)
+        assert len(searched) == len(set(searched))
+        # the search evaluates only kept sets the full scan reaches, and
+        # skips some of them
+        assert set(searched) <= set(calls)
+        assert len(searched) < len(calls)
 
     def test_near_tie_keeps_the_first_record(self):
         # {2} beats {1} by less than 1e-15: an argmax would pick it
