@@ -131,6 +131,21 @@ def _ratio_instances(args):
             yield f"{args.family}_{idx:04d}", generate(_gen_spec(args, idx))
 
 
+def _status(report) -> str:
+    """How the run went, by the first stage that did not run as designed:
+    `not_run` (no agent was left for the relaxation), `capped` (the
+    relaxation missed its certificate), `fallback_matching` (the
+    subadditive filter left no agent, so the matching serves everyone) or
+    `converged`."""
+    if report.eg is None:
+        return "not_run"
+    if not report.eg.converged:
+        return "capped"
+    if report.filtered is not None and not report.filtered:
+        return "fallback_matching"
+    return "converged"
+
+
 def cmd_ratio(args) -> int:
     params = _pipeline_params(args)
     rows = []
@@ -145,9 +160,9 @@ def cmd_ratio(args) -> int:
         rows.append({"instance": name, "n": inst.n, "m": inst.m,
                      "family": inst.valuations[0].kind, "nsw": report.nsw,
                      "exact": exact, "ratio": ratio, "converged": converged,
-                     "seed": params.seed, "wall_time": wall})
+                     "status": _status(report), "seed": params.seed, "wall_time": wall})
     _write_csv(args.out, ["instance", "n", "m", "family", "nsw", "exact",
-                          "ratio", "converged", "seed", "wall_time"], rows)
+                          "ratio", "converged", "status", "seed", "wall_time"], rows)
     ratios = sorted(r["ratio"] for r in rows)
     summary = f"instances={len(rows)}"
     if ratios:

@@ -30,17 +30,23 @@ polytope with an interior floor x >= eps. The floor is what converts
 approximate optimality into the scaled-optimum contract checked by
 `scaled_optimum_check`. Two paths solve it:
 
-- An all-additive agent set has v+_i(x) = w_i.x exactly, so the program is
-  the smooth Eisenberg-Gale convex program (Eisenberg and Gale 1959). A
-  damped-Newton log barrier (Boyd and Vandenberghe 2004, ch. 11) solves
-  it, and the Lagrangian bound D(p) at the barrier's capacity prices,
-  whose per-agent subproblems have a closed form, certifies it. Each
-  extension is closed-form too: the certificate q = 0, p = w, and the
-  systematic-sampling decomposition of x, a function of x alone. No
-  restricted LP, demand query or simplex runs.
-- Any other agent set runs projected supergradient ascent with diminishing
-  steps, keeping one restricted master per agent for all of its
-  iterations.
+- An agent set of additive and XOS agents is one convex program. An
+  additive or one-clause agent has v+_i(x) = c.x. An agent with several
+  clauses takes each set's value from its best clause, so v+_i is a
+  mixture of clauses: one mass vector y_k per clause, with
+  0 <= y_k <= beta_k, sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
+  v+_i(x) = max sum_k c_k.y_k (the compact form of the configuration LP;
+  Feige 2009). A damped-Newton log barrier (Boyd and Vandenberghe 2004,
+  ch. 11) solves the Eisenberg-Gale program over these blocks (Eisenberg
+  and Gale 1959), and the Lagrangian bound D(p) at the barrier's capacity
+  prices certifies it: each agent's subproblem is bounded in closed form.
+  A one-clause agent's extension is closed-form too (the certificate
+  q = 0, p = c and the systematic-sampling decomposition of x), and a
+  several-clause agent's is one cold `concave_ext` at the returned x.
+  No restricted LP, demand query or simplex runs on an all-additive set.
+- An agent set with a budgeted-additive or table agent runs projected
+  supergradient ascent with diminishing steps, keeping one restricted
+  master per agent for all of its iterations.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import numpy as np
 from ._lp import LpResult, maximize
 from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
-from .valuations import Additive, SubsetTable, Valuation, demand
+from .valuations import Additive, SubsetTable, Valuation, Xos, demand
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
@@ -266,7 +272,8 @@ class EgParams:
 
 def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
     """CSV of an EG trace, one row per iteration (a Newton step for an
-    all-additive agent set, whose step is the step length); no rows for no
+    additive and XOS agent set, whose step is the step length; the last
+    row's objective is at the returned extensions); no rows for no
     trace."""
     lines = ["# schema=1", "iteration,objective,gap,step"]
     lines.extend(f"{t},{obj!r},{gap!r},{step!r}" for t, obj, gap, step in trace)
@@ -380,77 +387,215 @@ def systematic_columns(x: np.ndarray,
     return list(columns.items())
 
 
-def _barrier_eg(weights: np.ndarray, eps: float, max_iterations: int):
-    """Damped-Newton log barrier for max sum_i log(w_i.x_i) over x >= eps
-    and sum_i x_ij <= 1, with `weights` agents x items.
+def xos_subproblem_bound(clauses: np.ndarray, prices: np.ndarray, eps: float,
+                         v0, lam: np.ndarray):
+    """An upper bound on max over x in [eps, 1]^m of log v+(x) - p.x for
+    the XOS valuation with rows `clauses`, at prices p >= 0, for any
+    v0 > 0 and any lam in [0, p]:
 
-    Each Newton step minimizes -t sum_i log(w_i.x_i) - sum log(x - eps)
-    - sum_j log s_j, where s are the capacity slacks, and t grows by
-    `BARRIER_GROWTH` after each step that starts near the central path.
-    After every step each item's slack is filled, which can only raise the
-    objective: mass an agent holds above the floor on an item it values at
-    zero goes back to the floor, and the item's agents that value it (all
-    of its agents, if none does) take the free capacity in proportion to
-    their masses. The Lagrangian bound D(p) at the barrier's capacity
-    prices p_j = 1/(t s_j) certifies that filled point, and the solve stops
-    once D(p) - objective <= eps^4 n. Returns the last filled point, its
-    agents' values w_i.x_i, the trace (one row per Newton step, with its
-    step length) and whether the certificate was met.
+        log v0 - 1 - eps sum_j (p_j - lam_j) + max_k sum_j (c_kj/v0 - lam_j)^+
+
+    Since log V <= log v0 + V/v0 - 1, x >= eps and p - lam >= 0, the
+    objective is at most log v0 - 1 - eps sum (p - lam) + v+(x)/v0 - lam.x,
+    and v+(x)/v0 - lam.x is at most the best v(S)/v0 - lam(S) over sets S:
+    the XOS demand at prices v0 lam, whose best clause keeps exactly its
+    items with c_kj/v0 > lam_j. A zero clause changes nothing, so agents
+    stack along leading axes (clauses ... x K x m, v0 ..., lam ... x m)
+    padded with zero clauses.
     """
-    n_a, m_i = weights.shape
+    v0 = np.asarray(v0, dtype=float)
+    return (np.log(v0) - 1.0 - eps * (prices - lam).sum(axis=-1)
+            + np.maximum(clauses / v0[..., None, None] - lam[..., None, :], 0.0)
+            .sum(axis=-1).max(axis=-1))
+
+
+def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
+    """Damped-Newton log barrier for max sum_i log v+_i(x_i) over x >= eps
+    and sum_i x_ij <= 1, for XOS agents given by their clause matrices
+    (K_i x items; an additive agent is one clause).
+
+    A one-clause agent's variables are its masses x_i, and v+_i(x) = c.x.
+    An agent with K >= 2 clauses c_k is lifted: one mass vector y_k per
+    clause and clause weights beta, with 0 <= y_kj <= beta_k,
+    sum_k beta_k = 1 (an equality row of the Newton system) and
+    x_i = sum_k y_k, and its term is log sum_k c_k.y_k. A set takes its
+    value from its best clause, so this program equals v+ (with c >= 0 and
+    sum beta = 1 >= x, no mass is ever left unplaced).
+
+    Each Newton step minimizes -t sum_i log v_i - sum log(x - eps)
+    - sum_j log s_j - sum (log y + log(beta - y)), where s are the
+    capacity slacks, and t grows by `BARRIER_GROWTH` after each step that
+    starts near the central path. After every step each item's slack is
+    filled, which can only raise the objective: mass an agent holds above
+    the floor on an item it values at zero goes back to the floor, and the
+    item's agents that value it (all of its agents, if none does) take the
+    free capacity in proportion to their masses; a lifted agent spreads
+    what it takes over its clauses in proportion to their room
+    beta_k - y_kj. The Lagrangian bound D(p) at the barrier's capacity
+    prices p_j = 1/(t s_j) certifies that filled point: `additive_subproblems`
+    bounds the one-clause agents, and `xos_subproblem_bound` each lifted
+    agent at its value and at the prices net of its floor multipliers
+    1/(t (x_j - eps)). The solve stops once D(p) - objective <= eps^4 n. It
+    breaks off, unconverged, when the Newton system turns singular or a
+    slack or the bound stops being finite (t has outgrown double
+    precision). Returns the last certified filled point, its agents' values
+    (a lifted agent's at its filled y), the trace (one row per Newton step,
+    with its step length) and the last row's D(p).
+    """
+    n_a, m_i = len(clauses), clauses[0].shape[1]
     target = eps ** 4 * n_a
-    x = np.full((n_a, m_i), eps + (1.0 - n_a * eps) / (n_a + 1))
-    t = 1.0
-    size, agents, cols = n_a * m_i, np.arange(n_a), np.arange(m_i)
-    outer = weights[:, :, None] * weights[:, None, :]
-    valued = weights > 0
+    rows = np.array([c.shape[0] for c in clauses])
+    lifted = np.flatnonzero(rows > 1)
+    weights = np.stack([c[0] if c.shape[0] == 1 else np.zeros(m_i) for c in clauses])
+    singles = weights[rows == 1]
+    valued = np.stack([c.max(axis=0) > 0 for c in clauses])
     takers = valued | ~valued.any(axis=0)  # who takes an item's slack
 
-    def barrier(y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (-t * np.log((weights * y).sum(axis=1)).sum() - np.log(y - eps).sum()
-                    - np.log(1.0 - y.sum(axis=0)).sum())
+    # The Newton variables, agent by agent: a one-clause agent's masses, or
+    # a lifted agent's y (clause-major) and then its beta. `var` lists the
+    # mass variables in (agent, clause, item) order.
+    widths = np.where(rows > 1, rows * (m_i + 1), m_i)
+    base = np.concatenate([[0], np.cumsum(widths)])
+    size, n_eq = int(base[-1]), lifted.size
+    var = np.concatenate([base[k] + np.arange(rows[k] * m_i) for k in range(n_a)])
+    var_agent = np.repeat(np.arange(n_a), rows * m_i)
+    var_item = np.tile(np.arange(m_i), int(rows.sum()))
+    var_x = var_agent * m_i + var_item  # the flat (agent, item) each one adds to
+    var_coef = np.concatenate([c.ravel() for c in clauses])
+    # Hessian pattern: pairs on one item (capacity), pairs of one agent
+    # (objective) and pairs on one item of one agent (floor)
+    a, b = np.meshgrid(np.arange(var.size), np.arange(var.size), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    same_item, same_agent = var_item[a] == var_item[b], var_agent[a] == var_agent[b]
+    keep = same_item | same_agent
+    a, b, same_item, same_agent = a[keep], b[keep], same_item[keep], same_agent[keep]
+    pat_r, pat_c = var[a], var[b]
+    pat_cap = np.where(same_item, var_item[a], m_i)  # m_i: a zero
+    pat_agent = var_agent[a]
+    pat_outer = np.where(same_agent, var_coef[a] * var_coef[b], 0.0)
+    pat_floor = np.where(same_item & same_agent, var_x[a], n_a * m_i)
+    # lifted agents, padded to the most clauses: y and beta indices into u
+    # with one zero appended (index `size`), and their clauses
+    k_max = int(rows.max())
+    y_idx = np.full((n_eq, k_max, m_i), size)
+    b_idx = np.full((n_eq, k_max), size)
+    c_pad = np.zeros((n_eq, k_max, m_i))
+    for r, k in enumerate(lifted):
+        y_idx[r, :rows[k]] = base[k] + np.arange(rows[k] * m_i).reshape(rows[k], m_i)
+        b_idx[r, :rows[k]] = base[k] + rows[k] * m_i + np.arange(rows[k])
+        c_pad[r, :rows[k]] = clauses[k]
+    real = y_idx < size
+    box_y = y_idx[real]
+    box_b = np.broadcast_to(b_idx[:, :, None], y_idx.shape)[real]
+    beta_var = b_idx[b_idx < size]
+    eq_row = np.broadcast_to(np.arange(n_eq)[:, None], b_idx.shape)[b_idx < size]
+    box_beta = np.searchsorted(beta_var, box_b)
+    eq_start = np.searchsorted(eq_row, np.arange(n_eq))
 
-    trace: list[tuple[int, float, float, float]] = []
-    converged = False
-    for it in range(1, max_iterations + 1):
+    def state(u):
+        """The masses, agent values, floor and capacity slacks at u, the
+        lifted agents' box slacks y and beta - y, and the barrier's terms:
+        sum log v, then the rest."""
+        x = np.bincount(var_x, weights=u[var], minlength=n_a * m_i).reshape(n_a, m_i)
         v = (weights * x).sum(axis=1)
-        z = x - eps
-        s = 1.0 - x.sum(axis=0)
-        grad = (-t * weights / v[:, None] - 1.0 / z + 1.0 / s).ravel()
-        hess = np.zeros((size, size))
-        blocks = hess.reshape(n_a, m_i, n_a, m_i)
-        blocks[:, cols, :, cols] = (s ** -2.0)[:, None, None]  # capacity rows couple agents
-        blocks[agents, :, agents, :] += (t / v ** 2)[:, None, None] * outer
-        hess.flat[::size + 1] += (z ** -2.0).ravel()
+        if n_eq:
+            v[lifted] = (c_pad * np.append(u, 0.0)[y_idx]).sum(axis=(1, 2))
+        z, s = x - eps, 1.0 - x.sum(axis=0)
+        lo, hi = u[box_y], u[box_b] - u[box_y]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = [np.log(v).sum(), np.log(z).sum(), np.log(s).sum()]
+            if n_eq:
+                terms.append(np.log(lo).sum() + np.log(hi).sum())
+        return x, v, z, s, lo, hi, terms
+
+    def barrier(terms):
+        f = -t * terms[0]
+        for term in terms[1:]:
+            f -= term
+        return f
+
+    u = np.zeros(size)
+    u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
+    u[beta_var] = 1.0 / rows[lifted][eq_row]
+    x, v, z, s, lo, hi, terms = state(u)
+    t = 1.0
+    trace: list[tuple[int, float, float, float]] = []
+    result = None
+    for it in range(1, max_iterations + 1):
+        grad = np.zeros(size)
+        grad[var] = -t * var_coef / v[var_agent] - (1.0 / z).ravel()[var_x] + (1.0 / s)[var_item]
+        system = np.zeros((size + n_eq, size + n_eq))
+        # capacity rows couple agents; then each agent's objective, then the floor
+        system[pat_r, pat_c] = ((np.append(s ** -2.0, 0.0)[pat_cap]
+                                 + (t / v ** 2)[pat_agent] * pat_outer)
+                                + np.append(z ** -2.0, 0.0)[pat_floor])
+        rhs = -grad
+        if n_eq:
+            grad[box_y] += 1.0 / hi - 1.0 / lo
+            grad[beta_var] = -np.bincount(box_beta, weights=1.0 / hi, minlength=beta_var.size)
+            system[box_y, box_y] += lo ** -2.0 + hi ** -2.0
+            system[box_y, box_b] = system[box_b, box_y] = -hi ** -2.0
+            system[beta_var, beta_var] = np.bincount(box_beta, weights=hi ** -2.0,
+                                                     minlength=beta_var.size)
+            system[size + eq_row, beta_var] = system[beta_var, size + eq_row] = 1.0
+            # the equality rows make the system indefinite, and once t is
+            # large its diagonal spans many orders: solve it Jacobi-scaled
+            d = np.ones(size + n_eq)
+            d[:size] = np.diag(system)[:size] ** -0.5
+            d[size:] = 1.0 / np.maximum.reduceat(d[beta_var], eq_start)
+            system *= d[:, None] * d
+            rhs = d * np.concatenate([-grad, np.zeros(n_eq)])
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:  # t has outgrown double precision
             break
+        if n_eq:
+            step = (d * step)[:size]
         decrement = float(-grad @ step)
-        dx = step.reshape(n_a, m_i)
-        # the longest step that stays interior (x > eps keeps w.x > 0),
-        # then Armijo backtracking
+        dx = np.bincount(var_x, weights=step[var], minlength=n_a * m_i).reshape(n_a, m_i)
+        # the longest step that stays interior (x > eps keeps every value
+        # positive), then Armijo backtracking
         ds = -dx.sum(axis=0)
-        limits = np.concatenate([-z[dx < 0] / dx[dx < 0], -s[ds < 0] / ds[ds < 0], [np.inf]])
-        alpha = min(1.0, 0.99 * float(limits.min()))
-        f0 = barrier(x)
-        while not barrier(x + alpha * dx) <= f0 - 0.25 * alpha * decrement and alpha > 1e-12:
+        limits = [-z[dx < 0] / dx[dx < 0], -s[ds < 0] / ds[ds < 0], [np.inf]]
+        if n_eq:
+            dlo, dhi = step[box_y], step[box_b] - step[box_y]
+            limits += [-lo[dlo < 0] / dlo[dlo < 0], -hi[dhi < 0] / dhi[dhi < 0]]
+        alpha = min(1.0, 0.99 * float(np.concatenate(limits).min()))
+        f0 = barrier(terms)
+        while True:
+            x, v, z, s, lo, hi, terms = state(u + alpha * step)
+            if barrier(terms) <= f0 - 0.25 * alpha * decrement or alpha <= 1e-12:
+                break
             alpha *= 0.5
-        x = x + alpha * dx
-        s = 1.0 - x.sum(axis=0)
+        u = u + alpha * step
         held = np.where(valued, x, eps)
         filled = held + (1.0 - held.sum(axis=0)) * (held * takers) / (held * takers).sum(axis=0)
         values = (weights * filled).sum(axis=1)
-        obj = float(np.log(values).sum())
-        gap = lagrangian_bound(weights, 1.0 / (t * s), eps) - obj
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prices = 1.0 / (t * s)
+            bound = lagrangian_bound(singles, prices, eps) if len(singles) else float(prices.sum())
+            if n_eq:
+                y = np.append(u, 0.0)[y_idx] * (held[lifted] / x[lifted])[:, None, :]
+                room = np.append(u, 0.0)[b_idx][:, :, None] - y
+                y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
+                values[lifted] = (c_pad * y).sum(axis=(1, 2))
+                lam = np.clip(prices - 1.0 / (t * z[lifted]), 0.0, prices)
+                bound += float(xos_subproblem_bound(c_pad, prices, eps, v[lifted], lam).sum())
+            obj = float(np.log(values).sum())
+        gap = bound - obj
+        slack = min(z.min(), s.min(), lo.min(initial=1.0), hi.min(initial=1.0))
+        if not (slack > 0 and math.isfinite(gap)):
+            break  # t has outgrown double precision
+        result = filled, values, bound
         trace.append((it, obj, gap, alpha))
         if gap <= target:
-            converged = True
             break
         if decrement <= 2.0 * CENTERING_TOL:
             t *= BARRIER_GROWTH
-    return filled, values, trace, converged
+    if result is None:
+        raise ConvergenceError("no Newton step was certified", math.inf)
+    filled, values, bound = result
+    return filled, values, trace, bound
 
 
 def _supergradient_eg(inst: Instance, agent_list: list[int], item_idx: np.ndarray,
@@ -512,18 +657,25 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
              params: EgParams | None = None) -> EgResult:
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope.
 
-    When every agent is `Additive`, v+_i(x) = w_i.x and the program is
-    smooth: `_barrier_eg` solves it by Newton steps and certifies it with
-    the Lagrangian bound D(p), and each extension is closed-form, with the
-    systematic-sampling columns of its x. No restricted LP, demand query
-    or simplex runs. `iterations` counts Newton steps, and `converged`
-    means D(p) - objective <= eps^4 n.
+    When every agent is `Additive` or `Xos`, `_barrier_eg` solves the
+    program by Newton steps and certifies it with the Lagrangian bound
+    D(p). An additive or one-clause agent is one block of masses, with
+    v+_i(x) = c.x. An agent with several clauses is lifted to one mass
+    vector per clause plus clause weights, a program whose value is
+    exactly v+. A one-clause agent's extension is closed-form, with the
+    systematic-sampling columns of its x; a lifted agent's is one cold
+    `concave_ext` at the returned x, which gives its exact v+, certificate
+    and columns. The last trace row carries sum_i log v+_i at the returned
+    point and D(p) less that. No restricted LP, demand query or simplex
+    runs on an all-additive agent set. `iterations` counts Newton steps,
+    and `converged` means D(p) - objective <= eps^4 n.
 
-    Any other agent set runs projected supergradient ascent with steps
-    `STEP_SCALE`/sqrt(t), tracking the best iterate with its dual
-    certificates. It stops on a duality-gap certificate of eps^4 per agent
-    (against the best vertex of the linearization), when the objective has
-    not gained `OBJECTIVE_TOL` for `PATIENCE` iterations, or after
+    Any other agent set (one with a budgeted-additive or table agent)
+    runs projected supergradient ascent with steps `STEP_SCALE`/sqrt(t),
+    tracking the best iterate with its dual certificates. It stops on a
+    duality-gap certificate of eps^4 per agent (against the best vertex
+    of the linearization), when the objective has not gained
+    `OBJECTIVE_TOL` for `PATIENCE` iterations, or after
     `params.max_iterations`. Each agent keeps one `RestrictedMaster` for
     the whole solve: columns found by column generation stay in it with
     their values, and since an iteration changes only the item masses,
@@ -545,18 +697,30 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
             raise ValueError(f"agent {i} derives no value from the item pool")
 
     eps = params.floor(len(agent_list))
-    if all(isinstance(inst.valuations[i], Additive) for i in agent_list):
-        weights = np.stack([inst.valuations[i].weights for i in agent_list])
-        best_mat, values, trace, converged = _barrier_eg(
-            weights[:, item_idx], eps, params.max_iterations)
+    vals = [inst.valuations[i] for i in agent_list]
+    if all(isinstance(v, (Additive, Xos)) for v in vals):
+        clauses = [(v.weights[None, :] if isinstance(v, Additive) else v.clauses)[:, item_idx]
+                   for v in vals]
+        best_mat, values, trace, last_bound = _barrier_eg(clauses, eps, params.max_iterations)
         best_exts = {}
         for k, i in enumerate(agent_list):
-            prices = np.zeros(inst.m)
-            prices[item_idx] = weights[k, item_idx]
-            best_exts[i] = ConcaveExtValue(
-                value=float(values[k]), q=0.0, prices=prices,
-                columns=systematic_columns(best_mat[k], item_list), rounds=0)
+            if clauses[k].shape[0] == 1:
+                prices = np.zeros(inst.m)
+                prices[item_idx] = clauses[k][0]
+                best_exts[i] = ConcaveExtValue(
+                    value=float(values[k]), q=0.0, prices=prices,
+                    columns=systematic_columns(best_mat[k], item_list), rounds=0)
+            else:
+                x_full = np.zeros(inst.m)
+                x_full[item_idx] = best_mat[k]
+                best_exts[i] = concave_ext(vals[k], x_full, items=item_list)
+                values[k] = best_exts[i].value
+        if any(c.shape[0] > 1 for c in clauses):
+            it, _, _, step = trace[-1]
+            obj = float(np.log(values).sum())
+            trace[-1] = (it, obj, last_bound - obj, step)
         best_obj = trace[-1][1]
+        converged = trace[-1][2] <= eps ** 4 * len(agent_list)
     else:
         best_mat, best_exts, best_obj, trace, converged = _supergradient_eg(
             inst, agent_list, item_idx, eps, params.max_iterations)

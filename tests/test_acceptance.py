@@ -77,6 +77,27 @@ def test_criterion_01_additive_relaxations_converge():
           f"worst gap/target {worst:.3f}")
 
 
+def test_criterion_01_xos_relaxations_converge():
+    """Every XOS criterion-1 instance that runs the relaxation meets its
+    Lagrangian certificate: converged, with gap <= eps^4 n."""
+    solved = 0
+    worst = 0.0
+    for trial in range(1, 200, 2):
+        inst = fuzz.grid_instance(1_000_000 + trial, "xos")
+        _, _, remaining, active = initial_matching(inst)
+        if not active:
+            continue
+        eg = solve_eg(inst, active, remaining)
+        target = eg.epsilon ** 4 * len(eg.agents)
+        assert eg.converged and eg.gap <= target, (
+            f"trial {trial}: converged={eg.converged}, gap {eg.gap} > {target}")
+        worst = max(worst, eg.gap / target)
+        solved += 1
+    assert solved > 0
+    print(f"\nPASS criterion 1 (XOS relaxation): {solved} relaxations converged; "
+          f"worst gap/target {worst:.3f}")
+
+
 def test_criterion_02_subadditive_end_to_end_factor():
     """100 budgeted/table instances: NSW >= exact optimum / 375000."""
     ratios = []

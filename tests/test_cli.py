@@ -117,7 +117,7 @@ class TestRatio:
                      "--count", "0", "--pipeline", "xos", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().splitlines() == [
-            "# schema=1", "instance,n,m,family,nsw,exact,ratio,converged,seed,wall_time"]
+            "# schema=1", "instance,n,m,family,nsw,exact,ratio,converged,status,seed,wall_time"]
         assert capsys.readouterr().err.strip() == "instances=0"
 
     def test_instance_directory(self, tmp_path, capsys):
@@ -149,6 +149,28 @@ class TestRatio:
         share = flags.count("1") / 6
         assert f"mean={share:.6g}" in capsys.readouterr().out
         assert main(["report", "--in", str(square), "--column", "converged"]) == EXIT_USAGE
+
+    def test_status_column(self, tmp_path):
+        # 2x2: the matching takes every item; additive 3x6 on the XOS lane
+        # converges; budgeted 3x6 is too narrow for the subadditive filter,
+        # and two of its six relaxations miss their certificate
+        grids = {"square": ("additive", 2, 2, "xos"), "xos": ("additive", 3, 6, "xos"),
+                 "budgeted": ("budgeted_additive", 3, 6, "subadditive")}
+        seen = {}
+        for name, (family, n, m, pipeline) in grids.items():
+            path = tmp_path / f"{name}.csv"
+            assert main(["ratio", "--family", family, "--n", str(n), "--m", str(m),
+                         "--count", "6", "--pipeline", pipeline, "--seed", "1",
+                         "--out", str(path)]) == EXIT_OK
+            lines = path.read_text().splitlines()
+            header = lines[1].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+            seen[name] = [r["status"] for r in rows]
+            for r in rows:  # status agrees with the converged column
+                assert r["converged"] == {"not_run": "", "capped": "0"}.get(r["status"], "1")
+        assert seen["square"] == ["not_run"] * 6
+        assert seen["xos"] == ["converged"] * 6
+        assert sorted(set(seen["budgeted"])) == ["capped", "fallback_matching"]
 
     def test_empty_directory_errors(self, tmp_path):
         empty = tmp_path / "empty"

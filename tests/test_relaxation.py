@@ -26,6 +26,7 @@ from nswforge.relaxation import (
     solve_eg,
     supergradient_log,
     systematic_columns,
+    xos_subproblem_bound,
 )
 from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, SubsetTable, Xos
 from test_lp import assert_same_result
@@ -37,10 +38,13 @@ def make_instance(*valuations):
                     tuple(f"item{j}" for j in range(m)), tuple(valuations))
 
 
-def as_one_clause_xos(inst):
-    """The instance with each additive agent's weights as a one-clause XOS."""
+def as_uncapped_budgeted(inst):
+    """The instance with each additive agent as a budgeted-additive one whose
+    cap lies above its total weight: the same valuation, on the
+    supergradient path."""
     return Instance(inst.agent_names, inst.item_names,
-                    tuple(Xos([v.weights]) for v in inst.valuations))
+                    tuple(BudgetedAdditive(v.weights, cap=v.weights.sum() + 1.0)
+                          for v in inst.valuations))
 
 
 def random_valuation(rng, m, fam):
@@ -297,19 +301,19 @@ class TestFactoredResolve:
         assert res.value == pytest.approx(2.0)
 
     def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
-        # additive weights as one-clause XOS: an all-additive agent set
-        # would take the barrier path, which solves no LP
+        # additive weights as uncapped budgeted-additive agents: additive
+        # and XOS agent sets take the barrier path, which keeps no master
         inst = generate(GenSpec("additive", 3, 10, seed=0))
-        solve_eg(as_one_clause_xos(inst), range(3), range(10))
+        solve_eg(as_uncapped_budgeted(inst), range(3), range(10))
         assert checked_solves["solves"] > 0
         assert checked_solves["held"] >= checked_solves["solves"] / 2
 
-    def test_solve_eg_on_xos_keeps_its_bits(self, checked_solves):
-        # the ascent bounces between bases at the XOS kink, so most of these
-        # solves run the dual simplex; the few the held factor serves must
-        # still match
-        solve_eg(generate(GenSpec("xos", 4, 12, seed=0)), range(4), range(12),
-                 EgParams(max_iterations=150))
+    def test_solve_eg_on_budgeted_keeps_its_bits(self, checked_solves):
+        # the ascent bounces between bases at the budget's kink, so most of
+        # these solves run the dual simplex; the few the held factor serves
+        # must still match
+        solve_eg(generate(GenSpec("budgeted_additive", 4, 12, seed=0)), range(4),
+                 range(12), EgParams(max_iterations=150))
         assert checked_solves["held"] > 0
 
 
@@ -380,8 +384,9 @@ class TestSolveEg:
 
     def test_objective_is_running_maximum_of_trace(self):
         # the supergradient path returns its best iterate; the barrier
-        # path returns its last, so its agents are one-clause XOS here
-        inst = make_instance(Xos([[1.0, 0.3]]), Xos([[0.4, 1.0]]))
+        # path returns its last, so its agents are uncapped budgeted here
+        inst = make_instance(BudgetedAdditive([1.0, 0.3], cap=2.3),
+                             BudgetedAdditive([0.4, 1.0], cap=2.4))
         eg = solve_eg(inst, [0, 1], [0, 1])
         best = max(row[1] for row in eg.trace)
         assert eg.objective == pytest.approx(best, abs=1e-12)
@@ -511,7 +516,9 @@ class TestAdditiveBarrier:
 
     def test_a_non_additive_agent_keeps_the_supergradient_path(self):
         rng = np.random.default_rng(3)
-        inst = make_instance(Additive(rng.uniform(0.1, 1, 5)), Xos(rng.uniform(0.1, 1, (2, 5))))
+        weights = rng.uniform(0.1, 1, (2, 5))
+        inst = make_instance(Additive(weights[0]),
+                             BudgetedAdditive(weights[1], cap=weights[1].sum() + 1.0))
         eg = solve_eg(inst, [0, 1], range(5), EgParams(max_iterations=5))
         assert [step for *_, step in eg.trace] == [
             relaxation.STEP_SCALE / math.sqrt(t) for t in range(1, 6)]
@@ -548,6 +555,118 @@ class TestAdditiveBarrier:
         eg = solve_eg(inst, [0, 1], range(3))
         assert eg.x.mass[0][2] == eg.epsilon and eg.x.mass[1][0] == eg.epsilon
         assert eg.x.mass[0][0] == pytest.approx(1 - eg.epsilon, abs=1e-15)
+
+
+def xos_instance(seed, n, m, clauses=3):
+    rng = np.random.default_rng(seed)
+    return make_instance(*[Xos(rng.uniform(0, 1, (clauses, m))) for _ in range(n)])
+
+
+class TestXosBarrier:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_subproblem_bound_dominates(self, seed):
+        # log v+(x) - p.x <= the bound at random x in [eps, 1]^m and at every
+        # vertex of that box, for random p >= 0, v0 > 0 and lam in [0, p]
+        rng = np.random.default_rng(1300 + seed)
+        m, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        eps = float(rng.uniform(0.01, 0.2))
+        v = Xos(rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8))
+        vertices = [eps + (1 - eps) * np.array(bits, dtype=float)
+                    for bits in itertools.product((0, 1), repeat=m)]
+        points = vertices + [rng.uniform(eps, 1, m) for _ in range(20)]
+        worth = [(x, concave_ext(v, x).value) for x in points]
+        for _ in range(30):
+            p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
+            lam = p * np.where(rng.uniform(size=m) < 0.2, 1.0, rng.uniform(0, 1, m))
+            lam[rng.uniform(size=m) < 0.2] = 0.0
+            v0 = float(np.exp(rng.normal(0, 1.5)))
+            bound = float(xos_subproblem_bound(v.clauses, p, eps, v0, lam))
+            for x, value in worth:
+                if value > 0:
+                    assert bound >= math.log(value) - p @ x - 1e-9
+
+    def test_subproblem_bounds_stack_along_agents(self):
+        rng = np.random.default_rng(17)
+        clauses = rng.uniform(0, 1, (4, 3, 6))
+        clauses[1, 2] = 0.0  # agent 1 has two clauses, padded with a zero one
+        p = rng.exponential(1.0, 6)
+        lam = p * rng.uniform(0, 1, (4, 6))
+        v0 = rng.uniform(0.5, 2, 4)
+        stacked = xos_subproblem_bound(clauses, p, 0.05, v0, lam)
+        alone = [xos_subproblem_bound(clauses[r, :2 if r == 1 else 3], p, 0.05, v0[r], lam[r])
+                 for r in range(4)]
+        assert stacked.tolist() == pytest.approx(alone, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 6), (4, 8)])
+    def test_converges_with_true_bounds_in_every_row(self, shape):
+        n, m = shape
+        eg = solve_eg(xos_instance(sum(shape), n, m), range(n), range(m))
+        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert 0 <= eg.gap <= eg.epsilon ** 4 * n
+        assert eg.trace[-1][1] == eg.objective
+        assert eg.objective == pytest.approx(math.log(math.prod(eg.values().values())),
+                                             abs=1e-12)
+        best = max(obj for _, obj, _, _ in eg.trace)
+        assert all(obj + gap >= best - 1e-12 for _, obj, gap, _ in eg.trace)
+
+    def test_mixed_additive_and_xos_agents_take_the_barrier_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the supergradient path ran")
+        monkeypatch.setattr(relaxation, "_supergradient_eg", forbidden)
+        extended = []
+        monkeypatch.setattr(relaxation, "concave_ext", lambda v, *a, _f=concave_ext, **k:
+                            extended.append(v) or _f(v, *a, **k))
+        rng = np.random.default_rng(3)
+        inst = make_instance(Additive(rng.uniform(0.1, 1, 5)), Xos(rng.uniform(0.1, 1, (2, 5))),
+                             Xos(rng.uniform(0.1, 1, (1, 5))))
+        eg = solve_eg(inst, range(3), range(5))
+        assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * 3
+        # one cold extension, for the two-clause agent; the one-clause
+        # agents' extensions are closed-form
+        assert extended == [inst.valuations[1]]
+        for i in (0, 2):
+            ext = eg.extensions[i]
+            assert ext.q == 0.0 and ext.rounds == 0
+            assert ext.value == pytest.approx(float(ext.prices @ eg.x.agent_vector(i, 5)),
+                                              abs=1e-12)
+        assert eg.extensions[1].rounds > 0
+
+    def test_lifted_extensions_keep_the_contract(self):
+        inst = generate(GenSpec("xos", 4, 12, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert eg.converged
+        for i in eg.agents:
+            v, ext = inst.valuations[i], eg.extensions[i]
+            x = eg.x.agent_vector(i, inst.m)
+            assert ext.value == pytest.approx(ext.q + float(ext.prices @ x), abs=1e-9)
+            assert ext.value == pytest.approx(sum(w * v.value(s) for s, w in ext.columns),
+                                              abs=1e-9)
+            load = np.zeros(inst.m)
+            for s, w in ext.columns:
+                load[list(s)] += w
+            assert (load <= x + 1e-9).all()
+
+    def test_breaks_off_finite_when_t_outgrows_precision(self, monkeypatch):
+        # t grows so fast that a slack or the bound stops being finite (or
+        # the system turns singular) long before the cap
+        monkeypatch.setattr(relaxation, "BARRIER_GROWTH", 1e10)
+        inst = generate(GenSpec("xos", 3, 6, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert not eg.converged and eg.iterations < EgParams().max_iterations
+        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+        assert eg.gap >= 0
+        eg.x.validate(inst.m)
+
+    def test_xos_6x30_stays_finite(self):
+        inst = generate(GenSpec("xos", 6, 30, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+        assert all(math.isfinite(value) for value in eg.values().values())
+        eg.x.validate(inst.m)
+        assert eg.gap >= 0
 
 
 class TestSystematicColumns:
