@@ -22,31 +22,36 @@ solve starts from the empty-set column and the capacity slacks.
 The pricing step reuses the master too. Budgeted-additive and table
 valuations have no analytic demand, so the master holds the subset table
 of its universe (every subset's indicator row, value and lexicographic
-rank), enumerated on its first demand query. Each later query costs one
+rank), enumerated on its first use. Each later demand query costs one
 product with the prices, and the table goes when the master does.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
 approximate optimality into the scaled-optimum contract checked by
-`scaled_optimum_check`. Two paths solve it:
+`scaled_optimum_check`. Two damped-Newton log barriers (Boyd and
+Vandenberghe 2004, ch. 11) solve it, over two compact forms of the
+configuration LP (Feige 2009) in the Eisenberg-Gale program (Eisenberg and
+Gale 1959), and the Lagrangian bound D(p) at the barrier's capacity prices
+certifies both:
 
-- An agent set of additive and XOS agents is one convex program. An
-  additive or one-clause agent has v+_i(x) = c.x. An agent with several
-  clauses takes each set's value from its best clause, so v+_i is a
-  mixture of clauses: one mass vector y_k per clause, with
-  0 <= y_k <= beta_k, sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
-  v+_i(x) = max sum_k c_k.y_k (the compact form of the configuration LP;
-  Feige 2009). A damped-Newton log barrier (Boyd and Vandenberghe 2004,
-  ch. 11) solves the Eisenberg-Gale program over these blocks (Eisenberg
-  and Gale 1959), and the Lagrangian bound D(p) at the barrier's capacity
-  prices certifies it: each agent's subproblem is bounded in closed form.
-  A one-clause agent's extension is closed-form too (the certificate
-  q = 0, p = c and the systematic-sampling decomposition of x), and a
-  several-clause agent's is one cold `concave_ext` at the returned x.
-  No restricted LP, demand query or simplex runs on an all-additive set.
-- An agent set with a budgeted-additive or table agent runs projected
-  supergradient ascent with diminishing steps, keeping one restricted
-  master per agent for all of its iterations.
+- An agent set of additive and XOS agents runs `_barrier_eg`. An additive
+  or one-clause agent has v+_i(x) = c.x. An agent with several clauses
+  takes each set's value from its best clause, so v+_i is a mixture of
+  clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
+  sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
+  v+_i(x) = max sum_k c_k.y_k. Each agent's subproblem is bounded in
+  closed form. A one-clause agent's extension is closed-form too (the
+  certificate q = 0, p = c and the systematic-sampling decomposition of
+  x), and a several-clause agent's is one cold `concave_ext` at the
+  returned x. No restricted LP, demand query or simplex runs on an
+  all-additive set.
+- An agent set with a budgeted-additive or table agent runs
+  `_config_barrier_eg` over the configuration program itself: each agent
+  puts mass on sets of the remaining items, priced over its whole subset
+  table, which also bounds its subproblem (`table_subproblem_bound`); an
+  additive or XOS agent in such a set enters through its own table. Each
+  agent's extension is one cold `concave_ext` at the returned x, on a
+  master that holds the barrier's table.
 """
 
 from __future__ import annotations
@@ -64,11 +69,10 @@ from .valuations import Additive, SubsetTable, Valuation, Xos, demand
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
-STEP_SCALE = 0.4  # EG step at iteration t is STEP_SCALE / sqrt(t)
-PATIENCE = 80  # EG stops after this many iterations without improvement
-OBJECTIVE_TOL = 1e-10  # smallest EG objective gain that counts as one
 BARRIER_GROWTH = 64.0  # factor of the barrier weight t once an iterate is centred
 CENTERING_TOL = 1e-6  # half the squared Newton decrement of a centred iterate
+ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
+ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 
 
 class ConvergenceError(RuntimeError):
@@ -105,7 +109,8 @@ class RestrictedMaster:
     over the universe and the last LP result. Across solves only the item
     masses x change, so each solve restarts the LP from that result. It
     also holds the `SubsetTable` its demand queries search, enumerated on
-    the first query that needs it (none does for additive or XOS).
+    first use: by the configuration barrier of `solve_eg`, or by the first
+    demand query that needs it (none does for additive or XOS).
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -271,10 +276,9 @@ class EgParams:
 
 
 def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
-    """CSV of an EG trace, one row per iteration (a Newton step for an
-    additive and XOS agent set, whose step is the step length; the last
-    row's objective is at the returned extensions); no rows for no
-    trace."""
+    """CSV of an EG trace, one row per Newton step, whose step is the step
+    length (the last row's objective is at the returned extensions); no
+    rows for no trace."""
     lines = ["# schema=1", "iteration,objective,gap,step"]
     lines.extend(f"{t},{obj!r},{gap!r},{step!r}" for t, obj, gap, step in trace)
     return "\n".join(lines) + "\n"
@@ -298,27 +302,6 @@ class EgResult:
 
     def config(self) -> ConfigSolution:
         return ConfigSolution({i: list(self.extensions[i].columns) for i in self.agents})
-
-
-def _project_capped(mat: np.ndarray, eps: float) -> np.ndarray:
-    """Euclidean projection of each item's agent-masses (a column of the
-    agents x items matrix) onto {z >= eps, sum z <= 1}.
-
-    Works on the transpose, so that every item's sums run along a
-    contiguous axis in numpy's pairwise order, as a 1-D sum would.
-    """
-    w = np.ascontiguousarray(mat.T) - eps
-    n_a = mat.shape[0]
-    budget = 1.0 - eps * n_a
-    w0 = np.maximum(w, 0.0)
-    inside = w0.sum(axis=1) <= budget + 1e-15
-    u = np.sort(w, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - budget
-    positive = u - css / np.arange(1, n_a + 1) > 0
-    rho = n_a - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = css[np.arange(css.shape[0]), rho] / (rho + 1.0)
-    out = np.where(inside[:, None], w0, np.maximum(w - theta[:, None], 0.0)) + eps
-    return np.ascontiguousarray(out.T)
 
 
 def additive_subproblems(weights: np.ndarray, prices: np.ndarray, eps: float) -> np.ndarray:
@@ -407,6 +390,41 @@ def xos_subproblem_bound(clauses: np.ndarray, prices: np.ndarray, eps: float,
     return (np.log(v0) - 1.0 - eps * (prices - lam).sum(axis=-1)
             + np.maximum(clauses / v0[..., None, None] - lam[..., None, :], 0.0)
             .sum(axis=-1).max(axis=-1))
+
+
+def _mask_sums(w: np.ndarray) -> np.ndarray:
+    """sum_{t in S} w_t for every set S of the last axis's k positions,
+    indexed by mask (bit t for position t), as the subset tables are."""
+    k = w.shape[-1]
+    sums = np.zeros(w.shape[:-1] + (1 << k,))
+    for t in range(k):
+        np.add(sums[..., :1 << t], w[..., t, None], out=sums[..., 1 << t:2 << t])
+    return sums
+
+
+def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v0,
+                           lam: np.ndarray):
+    """An upper bound on max over x in [eps, 1]^m of log v+(x) - p.x for
+    the monotone valuation whose `SubsetTable` over a universe of k items
+    holds `values`, at prices p >= 0 over the universe, for any v0 > 0 and
+    any lam <= p:
+
+        log v0 - 1 - eps sum_j (p_j - lam_j) + max_S (v(S)/v0 - lam(S))
+
+    The argument of `xos_subproblem_bound` carries over, and lam may go
+    below zero: a monotone v+(x) mixes sets whose marginals are exactly x
+    (pad the sets with the slack), so v+(x)/v0 - lam.x is at most the best
+    v(S)/v0 - lam(S) over the table's sets. For an XOS valuation and lam
+    in [0, p] the best set keeps one clause's items with c_kj/v0 > lam_j,
+    and the two bounds agree. Agents stack along leading axes of `values` (... x 2^k),
+    v0 (...) and lam (... x k). Returns the bounds and the utilities
+    v(S)/v0 - lam(S) of every set, indexed as the table is.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    utility = _mask_sums(-lam)
+    utility += values / v0[..., None]
+    return (np.log(v0) - 1.0 - eps * (prices - lam).sum(axis=-1) + utility.max(axis=-1),
+            utility)
 
 
 def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
@@ -598,93 +616,259 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     return filled, values, trace, bound
 
 
-def _supergradient_eg(inst: Instance, agent_list: list[int], item_idx: np.ndarray,
-                      eps: float, max_iterations: int):
-    """Projected supergradient ascent on sum_i log v+_i(x_i) from the even
-    split, with one `RestrictedMaster` per agent for all iterations.
-    Returns the best iterate, its extensions and objective, the trace and
-    whether the vertex gap met eps^4 n."""
-    n_a, m_i = len(agent_list), item_idx.size
-    gap_target = eps ** 4 * n_a
-    x_mat = np.full((n_a, m_i), 1.0 / n_a)
-    masters = {i: RestrictedMaster(inst.valuations[i], item_idx) for i in agent_list}
+def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: int):
+    """Damped-Newton log barrier for max sum_i log v+_i(x_i) over x >= eps
+    and sum_i x_ij <= 1 in configuration form, for agents given by their
+    subset tables over one universe of k items.
 
-    def evaluate(mat):
-        exts, grads, obj = {}, np.zeros_like(mat), 0.0
-        for k, i in enumerate(agent_list):
-            x_full = np.zeros(inst.m)
-            x_full[item_idx] = mat[k]
-            ext = concave_ext(inst.valuations[i], x_full, master=masters[i])
-            sg = supergradient_log(inst.valuations[i], x_full, ext=ext)
-            exts[i] = ext
-            grads[k] = sg.grad[item_idx]
-            obj += sg.base
-        return exts, grads, obj
+    Agent i puts mass z_iS > 0 on sets S of the universe, with
+    sum_S z_iS = 1 (an equality row of the Newton system); its masses are
+    the marginals x_i = sum_S z_iS 1_S and its term is
+    log sum_S v_i(S) z_iS. Over every set this program equals v+. Each
+    agent holds a restricted column set, from the empty set, the
+    singletons and the whole universe, so a step's solve does not grow
+    with 2^k. Each Newton step minimizes -t sum_i log v_i
+    - sum log(x - eps) - sum_j log s_j - sum_i (1/N_i) sum_S log z_iS over
+    the N_i columns agent i holds: weighted by 1/N_i, the columns'
+    complementarity adds 1/t per agent, not N_i/t. t grows after a step
+    that starts near the central path and admits no column: by
+    `BARRIER_GROWTH`, or less once twice what the target needs is enough.
 
-    best_obj, best_mat, best_exts = -np.inf, None, None
-    gap = np.inf
+    The Lagrangian bound D(p) at the capacity prices p_j = 1/(t s_j)
+    bounds the optimum at every step, so the smallest one so far certifies
+    each iterate: `table_subproblem_bound` bounds every agent at its value
+    and at the prices net of its floor multipliers 1/(t (x_j - eps)), over
+    its whole table. Those net prices may fall below zero; cut to zero, as
+    `xos_subproblem_bound` needs, they stalled the certificate at 21 times
+    its target on budgeted 8x12 (seed 207). The same utilities price the
+    columns. Where an agent's best set beats the best column it holds, the
+    difference (its deficit) is part of the gap that no growth of t
+    removes; the rest of the gap is the restricted program's. An agent
+    admits the sets, at most `ADMIT_PER_STEP` and best first, that beat
+    its best column by more than `ADMIT_SHARE` of its share of that rest.
+    They join with mass delta along one of two rays: mixed in, with
+    z_i -> (1 - delta) z_i, or taken from the agent's own columns with its
+    masses x_i fixed. Each ray takes the delta of a geometric grid below
+    its interior limit that minimizes the barrier, and the lower of the
+    two wins: a mixed-in set is held to the capacity and floor slacks,
+    which shrink with 1/t, and a new column far below its central mass
+    only doubles per Newton step. The solve stops once that smallest
+    D(p) less the objective is at most eps^4 n, and breaks
+    off, unconverged, when the Newton system turns singular or a slack or
+    the bound stops being finite. Returns the last certified masses with
+    each item's slack spread over its agents in proportion to their masses,
+    the values of the certified configurations, the trace (one row per
+    Newton step, with its step length) and the smallest D(p).
+
+    Every Newton system is solved Jacobi-scaled, as in `_barrier_eg`: the
+    masses of unused columns shrink with 1/t, so the diagonal spans many
+    orders of magnitude.
+    """
+    universe = tables[0].universe
+    n_a, k = len(tables), universe.size
+    target = eps ** 4 * n_a
+    table_values = np.stack([table.arrays()[1] for table in tables])
+    bit = np.arange(k)
+    grid = 0.5 ** np.arange(1, 60)  # mixing weights, as fractions of the limit
+
+    # the columns of every agent, in the order they joined: each one's set,
+    # as its row of the table (a mask over the universe), and its agent
+    start = np.unique(np.concatenate([[0], 1 << bit, [(1 << k) - 1]]))
+    col_mask = np.tile(start, n_a)
+    col_agent = np.repeat(np.arange(n_a), start.size)
+    # masses x0 between the floor and an even share, from mass b on each
+    # singleton, x0 - b on the whole universe and the rest on the empty set
+    x0 = eps + (1.0 - n_a * eps) / (n_a + 1)
+    b = min(x0, (1.0 - x0) / k) / 2.0
+    one = np.zeros(start.size)
+    one[np.searchsorted(start, 1 << bit)] += b
+    one[-1] += x0 - b
+    one[0] = 1.0 - one.sum()
+    z = np.tile(one, n_a)
+
+    def layout():
+        """The columns' incidence over the universe, their values, the
+        pairs of one agent, and each column's weight 1/N_i."""
+        inc = (col_mask[:, None] >> bit & 1).astype(float)
+        counts = np.bincount(col_agent, minlength=n_a)
+        return (inc, table_values[col_agent, col_mask], col_agent[:, None] == col_agent,
+                1.0 / counts[col_agent])
+
+    def state(z):
+        """The masses, agent values, floor and capacity slacks at z, and
+        the barrier's terms: sum log v, then the rest."""
+        by_agent = np.zeros((n_a, z.size))
+        by_agent[col_agent, np.arange(z.size)] = z
+        x, v = by_agent @ inc, by_agent @ val
+        zf, s = x - eps, 1.0 - x.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = [np.log(v).sum(), np.log(zf).sum(), np.log(s).sum(),
+                     float(weight @ np.log(z))]
+        return x, v, zf, s, terms
+
+    def barrier(terms):
+        return -t * terms[0] - terms[1] - terms[2] - terms[3]
+
+    inc, val, same, weight = layout()
+    x, v, zf, s, terms = state(z)
+    t, bound = 1.0, math.inf
     trace: list[tuple[int, float, float, float]] = []
-    stale = 0
-    converged = False
-    for t in range(1, max_iterations + 1):
-        exts, grads, obj = evaluate(x_mat)
-        if obj > best_obj + OBJECTIVE_TOL:
-            best_obj, best_mat, best_exts = obj, x_mat.copy(), exts
-            stale = 0
-        else:
-            stale += 1
-        vertex = np.full_like(x_mat, eps)
-        winners = np.argmax(grads, axis=0)
-        vertex[winners, np.arange(m_i)] += 1.0 - n_a * eps
-        gap = float((grads * (vertex - x_mat)).sum())
-        step = STEP_SCALE / math.sqrt(t)
-        trace.append((t, obj, gap, step))
-        if gap <= gap_target:
-            converged = True
-            if obj >= best_obj - OBJECTIVE_TOL:
-                best_obj, best_mat, best_exts = obj, x_mat.copy(), exts
+    result = None
+    for it in range(1, max_iterations + 1):
+        size = z.size
+        cols = np.arange(size)
+        grad = (-t * val / v[col_agent] + (inc * (1.0 / s - 1.0 / zf[col_agent])).sum(axis=1)
+                - weight / z)
+        scaled = val / v[col_agent]
+        # capacity rows couple agents; the floor and the objective act
+        # within one agent; the column barrier sits on the diagonal
+        hess = (inc * s ** -2.0) @ inc.T
+        hess += same * ((inc * zf[col_agent] ** -2.0) @ inc.T + t * np.outer(scaled, scaled))
+        hess[cols, cols] += weight / z ** 2
+        system = np.zeros((size + n_a, size + n_a))
+        system[:size, :size] = hess
+        system[size + col_agent, cols] = system[cols, size + col_agent] = 1.0
+        d = np.ones(size + n_a)
+        d[:size] = np.diag(hess) ** -0.5
+        top = np.zeros(n_a)
+        np.maximum.at(top, col_agent, d[:size])
+        d[size:] = 1.0 / top
+        system *= d[:, None] * d
+        try:
+            step = (d * np.linalg.solve(system, d * np.append(-grad, np.zeros(n_a))))[:size]
+        except np.linalg.LinAlgError:  # t has outgrown double precision
             break
-        if stale >= PATIENCE:
+        decrement = float(-grad @ step)
+        by_agent = np.zeros((n_a, size))
+        by_agent[col_agent, cols] = step
+        dx = by_agent @ inc
+        ds = -dx.sum(axis=0)
+        # the longest step that stays interior, then Armijo backtracking
+        limits = [-z[step < 0] / step[step < 0], -zf[dx < 0] / dx[dx < 0],
+                  -s[ds < 0] / ds[ds < 0], [np.inf]]
+        alpha = min(1.0, 0.99 * float(np.concatenate(limits).min()))
+        f0 = barrier(terms)
+        while True:
+            x, v, zf, s, terms = state(z + alpha * step)
+            if barrier(terms) <= f0 - 0.25 * alpha * decrement or alpha <= 1e-12:
+                break
+            alpha *= 0.5
+        z = z + alpha * step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prices = 1.0 / (t * s)
+            lam = prices - 1.0 / (t * zf)
+            sub, utility = table_subproblem_bound(table_values, prices, eps, v, lam)
+            row_bound = float(prices.sum() + sub.sum())
+            obj = float(np.log(v).sum())
+        row_gap = row_bound - obj
+        if not (min(zf.min(), s.min(), z.min()) > 0 and math.isfinite(row_gap)):
+            break  # t has outgrown double precision
+        # every D(p) bounds the optimum, so the smallest so far certifies
+        bound = min(bound, row_bound)
+        gap = bound - obj
+        result = x, v, bound
+        trace.append((it, obj, gap, alpha))
+        if gap <= target:
             break
-        x_mat = _project_capped(x_mat + step * grads, eps)
+        best = utility.max(axis=1)
+        held_best = np.full(n_a, -np.inf)
+        np.maximum.at(held_best, col_agent, utility[col_agent, col_mask])
+        bar = held_best + ADMIT_SHARE * max(row_gap - (best - held_best).sum(), 0.0) / n_a
+        admitted = False
+        for i in np.flatnonzero(best > bar):
+            # the best sets (a held set never passes) join together, mass
+            # delta/r on each of the r sets
+            tops = np.flatnonzero(utility[i] > bar[i])
+            if tops.size > ADMIT_PER_STEP:  # thousands of sets can pass
+                kth = np.partition(utility[i, tops], -ADMIT_PER_STEP)[-ADMIT_PER_STEP]
+                tops = tops[utility[i, tops] >= kth]
+            tops = np.sort(tops[np.argsort(-utility[i, tops], kind="stable")[:ADMIT_PER_STEP]])
+            held, r = np.flatnonzero(col_agent == i), tops.size
+            zh, inside = z[held], (tops[:, None] >> bit & 1).mean(axis=0)
 
-    if best_mat is None:  # pragma: no cover - first evaluate always records
-        raise ConvergenceError("no iterate evaluated", gap)
-    return best_mat, best_exts, best_obj, trace, converged
+            def along(dz, dx):
+                """The lowest barrier on a grid of delta below the interior
+                limit, with z_i moving by delta dz and x_i by delta dx."""
+                room = np.concatenate([-zh[dz < 0] / dz[dz < 0], -zf[i][dx < 0] / dx[dx < 0],
+                                       s[dx > 0] / dx[dx > 0], [1.0]])
+                delta = float(room.min()) * grid
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    f = (-t * np.log(v[i] + delta * (table_values[i, tops].mean() + val[held] @ dz))
+                         - np.log(zf[i] + delta[:, None] * dx).sum(axis=1)
+                         - np.log(s - delta[:, None] * dx).sum(axis=1)
+                         - (np.log(zh + delta[:, None] * dz).sum(axis=1) + r * np.log(delta / r))
+                         / (held.size + r))
+                best_f = np.nanargmin(f)
+                return f[best_f], delta[best_f], dz
+
+            # two rays: mix the sets in (z_i -> (1 - delta) z_i, which moves
+            # x_i toward mean 1_S), or take their mass from the agent's own
+            # columns with x_i fixed, the least change in the column
+            # barrier's metric z^2 (the empty set and the singletons span
+            # the masses, unless t has shrunk some column past precision)
+            rays = [along(-zh, inside - x[i])]
+            spread = np.vstack([inc[held].T, np.ones(held.size)])
+            metric = (zh / zh.max()) ** 2
+            try:
+                keep = -metric * (spread.T @ np.linalg.solve((spread * metric) @ spread.T,
+                                                             np.append(inside, 1.0)))
+            except np.linalg.LinAlgError:
+                keep = np.full(held.size, np.nan)
+            if np.isfinite(keep).all():
+                rays.append(along(keep, np.zeros(k)))
+            _, delta, dz = min(rays, key=lambda ray: ray[0])
+            z = z.copy()
+            z[held] += delta * dz
+            z = np.append(z, np.full(r, delta / r))
+            col_mask = np.append(col_mask, tops)
+            col_agent = np.append(col_agent, np.full(r, i))
+            inc, val, same, weight = layout()
+            x, v, zf, s, terms = state(z)
+            admitted = True
+        if decrement <= 2.0 * CENTERING_TOL and not admitted:
+            # a centred gap falls like 1/t: grow t to about twice what the
+            # target needs and no further, since the slacks shrink like 1/t
+            # and lose the precision the certificate needs (always growing
+            # by 64 left 3 of 210 budgeted, table and mixed instances from
+            # 2x6 to 8x12 short of their target, against 1)
+            t *= min(BARRIER_GROWTH, max(2.0, 2.0 * row_gap / target))
+    if result is None:
+        raise ConvergenceError("no Newton step was certified", math.inf)
+    x, values, bound = result
+    # v+ is monotone, so filling each item's slack in proportion to the
+    # masses can only raise every agent's extension at the returned point
+    return x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, trace, bound
 
 
 def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
              params: EgParams | None = None) -> EgResult:
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope.
 
-    When every agent is `Additive` or `Xos`, `_barrier_eg` solves the
-    program by Newton steps and certifies it with the Lagrangian bound
-    D(p). An additive or one-clause agent is one block of masses, with
-    v+_i(x) = c.x. An agent with several clauses is lifted to one mass
+    A damped-Newton log barrier solves the program and the Lagrangian
+    bound D(p) at its capacity prices certifies it. When every agent is
+    `Additive` or `Xos`, `_barrier_eg` solves it over clause blocks: an
+    additive or one-clause agent is one block of masses, with
+    v+_i(x) = c.x, and an agent with several clauses is lifted to one mass
     vector per clause plus clause weights, a program whose value is
     exactly v+. A one-clause agent's extension is closed-form, with the
-    systematic-sampling columns of its x; a lifted agent's is one cold
-    `concave_ext` at the returned x, which gives its exact v+, certificate
-    and columns. The last trace row carries sum_i log v+_i at the returned
-    point and D(p) less that. No restricted LP, demand query or simplex
-    runs on an all-additive agent set. `iterations` counts Newton steps,
-    and `converged` means D(p) - objective <= eps^4 n.
+    systematic-sampling columns of its x. No restricted LP, demand query
+    or simplex runs on an all-additive agent set.
 
     Any other agent set (one with a budgeted-additive or table agent)
-    runs projected supergradient ascent with steps `STEP_SCALE`/sqrt(t),
-    tracking the best iterate with its dual certificates. It stops on a
-    duality-gap certificate of eps^4 per agent (against the best vertex
-    of the linearization), when the objective has not gained
-    `OBJECTIVE_TOL` for `PATIENCE` iterations, or after
-    `params.max_iterations`. Each agent keeps one `RestrictedMaster` for
-    the whole solve: columns found by column generation stay in it with
-    their values, and since an iteration changes only the item masses,
-    every restricted LP restarts from the previous iteration's basis.
+    runs `_config_barrier_eg` over the configuration program: each agent
+    holds a restricted set of columns over the remaining items, priced
+    every step over its whole `SubsetTable` (whose enumeration raises
+    `CapExceeded` past 16 items), and every agent enters through its own
+    table. Each agent keeps one `RestrictedMaster`, which holds the table.
 
-    On both paths every trace row's objective plus gap bounds the optimum
-    from above, and the reported `gap` bounds the returned point: the
-    smallest objective-plus-gap over the trace, less its objective.
-    `params.max_iterations` caps the iterations or Newton steps.
+    Every agent without a closed form gets one cold `concave_ext` at the
+    returned x, which gives its exact v+, certificate and columns, and the
+    last trace row carries sum_i log v+_i there and D(p) less that.
+    `iterations` counts Newton steps, and `converged` means
+    D(p) - objective <= eps^4 n. Every trace row's objective plus gap
+    bounds the optimum from above, and the reported `gap` bounds the
+    returned point: the smallest objective-plus-gap over the trace, less
+    its objective. `params.max_iterations` caps the Newton steps.
     """
     params = params or EgParams()
     agent_list = sorted(set(agents))
@@ -698,32 +882,36 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
 
     eps = params.floor(len(agent_list))
     vals = [inst.valuations[i] for i in agent_list]
+    closed: dict[int, np.ndarray] = {}  # one-clause agents: their weights
+    masters: dict[int, RestrictedMaster] = {}
     if all(isinstance(v, (Additive, Xos)) for v in vals):
         clauses = [(v.weights[None, :] if isinstance(v, Additive) else v.clauses)[:, item_idx]
                    for v in vals]
         best_mat, values, trace, last_bound = _barrier_eg(clauses, eps, params.max_iterations)
-        best_exts = {}
-        for k, i in enumerate(agent_list):
-            if clauses[k].shape[0] == 1:
-                prices = np.zeros(inst.m)
-                prices[item_idx] = clauses[k][0]
-                best_exts[i] = ConcaveExtValue(
-                    value=float(values[k]), q=0.0, prices=prices,
-                    columns=systematic_columns(best_mat[k], item_list), rounds=0)
-            else:
-                x_full = np.zeros(inst.m)
-                x_full[item_idx] = best_mat[k]
-                best_exts[i] = concave_ext(vals[k], x_full, items=item_list)
-                values[k] = best_exts[i].value
-        if any(c.shape[0] > 1 for c in clauses):
-            it, _, _, step = trace[-1]
-            obj = float(np.log(values).sum())
-            trace[-1] = (it, obj, last_bound - obj, step)
-        best_obj = trace[-1][1]
-        converged = trace[-1][2] <= eps ** 4 * len(agent_list)
+        closed = {k: c[0] for k, c in enumerate(clauses) if c.shape[0] == 1}
     else:
-        best_mat, best_exts, best_obj, trace, converged = _supergradient_eg(
-            inst, agent_list, item_idx, eps, params.max_iterations)
+        masters = {k: RestrictedMaster(v, item_idx) for k, v in enumerate(vals)}
+        best_mat, values, trace, last_bound = _config_barrier_eg(
+            [master.subsets for master in masters.values()], eps, params.max_iterations)
+    best_exts = {}
+    for k, i in enumerate(agent_list):
+        if k in closed:
+            prices = np.zeros(inst.m)
+            prices[item_idx] = closed[k]
+            best_exts[i] = ConcaveExtValue(
+                value=float(values[k]), q=0.0, prices=prices,
+                columns=systematic_columns(best_mat[k], item_list), rounds=0)
+        else:
+            x_full = np.zeros(inst.m)
+            x_full[item_idx] = best_mat[k]
+            best_exts[i] = concave_ext(vals[k], x_full, items=item_list, master=masters.get(k))
+            values[k] = best_exts[i].value
+    if len(closed) < len(agent_list):
+        it, _, _, step = trace[-1]
+        obj = float(np.log(values).sum())
+        trace[-1] = (it, obj, last_bound - obj, step)
+    best_obj = trace[-1][1]
+    converged = trace[-1][2] <= eps ** 4 * len(agent_list)
     mass = {i: {int(j): float(best_mat[k, jj]) for jj, j in enumerate(item_list)}
             for k, i in enumerate(agent_list)}
     frac = ItemFractional(mass)

@@ -227,8 +227,14 @@ class SubsetTable:
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, values, rank), enumerated on the first call."""
+        """(rows, values, rank), enumerated on the first call; a universe
+        past `EXHAUSTIVE_CAP` items raises `CapExceeded` before any row is
+        enumerated."""
         if self._arrays is None:
+            if self.universe.size > EXHAUSTIVE_CAP:
+                raise CapExceeded(
+                    f"no analytic demand for {self.v.kind}; a subset table of "
+                    f"{self.universe.size} items exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
             mask_rows = _all_subset_rows(self.universe, self.v.m)
             self._arrays = (mask_rows.astype(float), self.v.value_rows(mask_rows),
                             _lex_ranks(self.universe.size))
@@ -241,7 +247,8 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
 
     Additive and XOS demands are analytic (strict inequality keeps the
     returned set minimal); other families search the `SubsetTable` of the
-    allowed universe, which therefore must have at most 16 items. `table`
+    allowed universe, which therefore must have at most 16 items (past
+    that, the table raises `CapExceeded` before enumerating). `table`
     is one held for v and this universe, so that repeated queries
     enumerate once; without one, each call enumerates afresh. Ties in the
     enumerated families go to the lexicographically smallest set, the one
@@ -269,10 +276,6 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
                     util == best_util and universe[pos].tolist() < best.tolist()):
                 best, best_util = universe[pos], util
         return DemandResult(frozenset(best.tolist()), best_util)
-    if universe.size > EXHAUSTIVE_CAP:
-        raise CapExceeded(
-            f"no analytic demand for {v.kind}; universe of {universe.size} items "
-            f"exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
     if table is None:
         table = SubsetTable(v, universe)
     elif table.v is not v or (table.universe is not universe

@@ -98,6 +98,34 @@ def test_criterion_01_xos_relaxations_converge():
           f"worst gap/target {worst:.3f}")
 
 
+def test_criterion_02_relaxations_converge():
+    """At least 95% of criterion 2's budgeted and table relaxations (eps 0.1)
+    meet their Lagrangian certificate, as do the relaxations of the two
+    `subadd_colgen` benchmark instances (table 3x10 seed 0 and
+    budgeted-additive 3x14 seed 1)."""
+    solved = converged = 0
+    worst = 0.0
+    for trial in range(100):
+        inst = fuzz.grid_instance(2_000_000 + trial, ("budgeted_additive", "table")[trial % 2])
+        _, _, remaining, active = initial_matching(inst)
+        if not active:
+            continue
+        eg = solve_eg(inst, active, remaining, PipelineParams(epsilon=0.1).eg_params())
+        solved += 1
+        converged += eg.converged
+        worst = max(worst, eg.gap / (eg.epsilon ** 4 * len(eg.agents)))
+    assert solved > 0 and converged >= 0.95 * solved, f"{converged} of {solved} converged"
+    for family, n, m, seed in (("table", 3, 10, 0), ("budgeted_additive", 3, 14, 1)):
+        inst = generate(GenSpec(family, n, m, seed=seed))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        target = eg.epsilon ** 4 * len(eg.agents)
+        assert eg.converged and eg.gap <= target, (
+            f"{family} {n}x{m} seed {seed}: gap {eg.gap} > {target}")
+    print(f"\nPASS criterion 2 (relaxation): {converged}/{solved} grid relaxations and both "
+          f"subadd_colgen instances converged; worst grid gap/target {worst:.3f}")
+
+
 def test_criterion_02_subadditive_end_to_end_factor():
     """100 budgeted/table instances: NSW >= exact optimum / 375000."""
     ratios = []

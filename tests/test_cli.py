@@ -150,17 +150,24 @@ class TestRatio:
         assert f"mean={share:.6g}" in capsys.readouterr().out
         assert main(["report", "--in", str(square), "--column", "converged"]) == EXIT_USAGE
 
-    def test_status_column(self, tmp_path):
+    def test_status_column(self, tmp_path, monkeypatch):
         # 2x2: the matching takes every item; additive 3x6 on the XOS lane
-        # converges; budgeted 3x6 is too narrow for the subadditive filter,
-        # and two of its six relaxations miss their certificate
+        # converges; budgeted 3x6 converges but is too narrow for the
+        # subadditive filter; cut to 3 Newton steps, it misses its certificate
+        from nswforge import pipeline
+        from nswforge.relaxation import EgParams
+
         grids = {"square": ("additive", 2, 2, "xos"), "xos": ("additive", 3, 6, "xos"),
-                 "budgeted": ("budgeted_additive", 3, 6, "subadditive")}
+                 "budgeted": ("budgeted_additive", 3, 6, "subadditive"),
+                 "capped": ("budgeted_additive", 3, 6, "subadditive")}
         seen = {}
-        for name, (family, n, m, pipeline) in grids.items():
+        for name, (family, n, m, pipeline_name) in grids.items():
+            if name == "capped":
+                monkeypatch.setattr(pipeline.PipelineParams, "eg_params", lambda params: EgParams(
+                    alpha=params.alpha, epsilon=params.epsilon, max_iterations=3))
             path = tmp_path / f"{name}.csv"
             assert main(["ratio", "--family", family, "--n", str(n), "--m", str(m),
-                         "--count", "6", "--pipeline", pipeline, "--seed", "1",
+                         "--count", "6", "--pipeline", pipeline_name, "--seed", "1",
                          "--out", str(path)]) == EXIT_OK
             lines = path.read_text().splitlines()
             header = lines[1].split(",")
@@ -170,7 +177,8 @@ class TestRatio:
                 assert r["converged"] == {"not_run": "", "capped": "0"}.get(r["status"], "1")
         assert seen["square"] == ["not_run"] * 6
         assert seen["xos"] == ["converged"] * 6
-        assert sorted(set(seen["budgeted"])) == ["capped", "fallback_matching"]
+        assert seen["budgeted"] == ["fallback_matching"] * 6
+        assert seen["capped"] == ["capped"] * 6
 
     def test_empty_directory_errors(self, tmp_path):
         empty = tmp_path / "empty"

@@ -17,7 +17,6 @@ from nswforge.model import Instance
 from nswforge.relaxation import (
     EgParams,
     RestrictedMaster,
-    _project_capped,
     concave_ext,
     default_epsilon,
     scaled_optimum_check,
@@ -26,9 +25,17 @@ from nswforge.relaxation import (
     solve_eg,
     supergradient_log,
     systematic_columns,
+    table_subproblem_bound,
     xos_subproblem_bound,
 )
-from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, SubsetTable, Xos
+from nswforge.valuations import (
+    Additive,
+    BudgetedAdditive,
+    CapExceeded,
+    ExplicitTable,
+    SubsetTable,
+    Xos,
+)
 from test_lp import assert_same_result
 
 
@@ -41,7 +48,7 @@ def make_instance(*valuations):
 def as_uncapped_budgeted(inst):
     """The instance with each additive agent as a budgeted-additive one whose
     cap lies above its total weight: the same valuation, on the
-    supergradient path."""
+    configuration barrier."""
     return Instance(inst.agent_names, inst.item_names,
                     tuple(BudgetedAdditive(v.weights, cap=v.weights.sum() + 1.0)
                           for v in inst.valuations))
@@ -182,10 +189,14 @@ class TestSubsetTableReuse:
         inst = generate(GenSpec(family, 3, 8, seed=4))
         enumerations["values"].clear()  # the generator evaluates its tables' sources
         queries = []
-        monkeypatch.setattr(relaxation, "demand",
-                            lambda *a, _f=relaxation.demand, **k: queries.append(1) or _f(*a, **k))
+        monkeypatch.setattr(relaxation, "demand", lambda *a, _f=relaxation.demand, **k:
+                            queries.append(k["table"] and id(k["table"])) or _f(*a, **k))
         eg = solve_eg(inst, range(3), range(8))
-        assert eg.iterations > 1 and len(queries) > 3 * eg.iterations
+        # the barrier prices every step over the three tables, and each
+        # extension's demand queries search its agent's one (the tables live
+        # through the solve, so their ids are distinct)
+        assert eg.iterations > 1 and len(queries) > 3
+        assert None not in queries and len(set(queries)) == 3
         assert enumerations["rows"] == [8, 8, 8]
         assert enumerations["values"] == [256, 256, 256]
         gc.collect()
@@ -300,20 +311,32 @@ class TestFactoredResolve:
         assert starts[0][4] is held[0]  # the dual simplex starts from B^-1 as held
         assert res.value == pytest.approx(2.0)
 
+    @staticmethod
+    def drive_masters(inst, n, m, steps, seen):
+        """Each agent's master along the segment from the even split to
+        solve_eg's point, as an ascent would move the masses (solve_eg
+        itself keeps no master across its steps); `seen` counts only these
+        solves."""
+        x_end = solve_eg(inst, range(n), range(m)).x
+        seen.update(solves=0, held=0, dual=0)
+        for i, v in enumerate(inst.valuations):
+            master = RestrictedMaster(v, np.arange(m))
+            for lam in np.linspace(0.0, 1.0, steps):
+                concave_ext(v, (1 - lam) / n + lam * x_end.agent_vector(i, m), master=master)
+
     def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
-        # additive weights as uncapped budgeted-additive agents: additive
-        # and XOS agent sets take the barrier path, which keeps no master
-        inst = generate(GenSpec("additive", 3, 10, seed=0))
-        solve_eg(as_uncapped_budgeted(inst), range(3), range(10))
+        # additive weights as uncapped budgeted-additive agents: the basis
+        # mostly holds as the masses move
+        self.drive_masters(as_uncapped_budgeted(generate(GenSpec("additive", 3, 10, seed=0))),
+                           3, 10, 60, checked_solves)
         assert checked_solves["solves"] > 0
         assert checked_solves["held"] >= checked_solves["solves"] / 2
 
     def test_solve_eg_on_budgeted_keeps_its_bits(self, checked_solves):
-        # the ascent bounces between bases at the budget's kink, so most of
-        # these solves run the dual simplex; the few the held factor serves
-        # must still match
-        solve_eg(generate(GenSpec("budgeted_additive", 4, 12, seed=0)), range(4),
-                 range(12), EgParams(max_iterations=150))
+        # at the budget's kink most solves run the dual simplex; the few the
+        # held factor serves must still match
+        self.drive_masters(generate(GenSpec("budgeted_additive", 4, 12, seed=0)), 4, 12, 40,
+                           checked_solves)
         assert checked_solves["held"] > 0
 
 
@@ -383,8 +406,6 @@ class TestSolveEg:
         assert (x1[2:] >= 1 - eps - 1e-6).all()
 
     def test_objective_is_running_maximum_of_trace(self):
-        # the supergradient path returns its best iterate; the barrier
-        # path returns its last, so its agents are uncapped budgeted here
         inst = make_instance(BudgetedAdditive([1.0, 0.3], cap=2.3),
                              BudgetedAdditive([0.4, 1.0], cap=2.4))
         eg = solve_eg(inst, [0, 1], [0, 1])
@@ -406,8 +427,8 @@ class TestSolveEg:
 
 
     def test_extensions_match_fresh_solves(self):
-        # the persistent, warm-started masters give the same v+ and valid
-        # certificates at the returned iterate as a cold solve
+        # the extensions at the returned point give the same v+ and valid
+        # certificates as a fresh solve
         for family, seed in (("xos", 1), ("table", 0), ("budgeted_additive", 2)):
             inst = generate(GenSpec(family, n=3, m=7, seed=seed))
             _, _, remaining, active = initial_matching(inst)
@@ -514,15 +535,6 @@ class TestAdditiveBarrier:
         eg = solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
         assert eg.converged and all(ext.rounds == 0 for ext in eg.extensions.values())
 
-    def test_a_non_additive_agent_keeps_the_supergradient_path(self):
-        rng = np.random.default_rng(3)
-        weights = rng.uniform(0.1, 1, (2, 5))
-        inst = make_instance(Additive(weights[0]),
-                             BudgetedAdditive(weights[1], cap=weights[1].sum() + 1.0))
-        eg = solve_eg(inst, [0, 1], range(5), EgParams(max_iterations=5))
-        assert [step for *_, step in eg.trace] == [
-            relaxation.STEP_SCALE / math.sqrt(t) for t in range(1, 6)]
-
     def test_extensions_are_closed_form_and_certified(self):
         inst = generate(GenSpec("additive", 3, 12, seed=5))
         _, _, remaining, active = initial_matching(inst)
@@ -611,8 +623,8 @@ class TestXosBarrier:
 
     def test_mixed_additive_and_xos_agents_take_the_barrier_path(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the supergradient path ran")
-        monkeypatch.setattr(relaxation, "_supergradient_eg", forbidden)
+            raise AssertionError("the configuration barrier ran")
+        monkeypatch.setattr(relaxation, "_config_barrier_eg", forbidden)
         extended = []
         monkeypatch.setattr(relaxation, "concave_ext", lambda v, *a, _f=concave_ext, **k:
                             extended.append(v) or _f(v, *a, **k))
@@ -669,6 +681,143 @@ class TestXosBarrier:
         assert eg.gap >= 0
 
 
+def table_valuation(rng, m, family):
+    if family == "budgeted_additive":
+        return BudgetedAdditive(rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.85),
+                                cap=float(rng.uniform(0.3, 2.0)))
+    return random_valuation(rng, m, 3)
+
+
+class TestConfigBarrier:
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subproblem_bound_dominates(self, family, seed):
+        # log v+(x) - p.x <= the bound at random x in [eps, 1]^m and at every
+        # vertex of that box, for random p >= 0, v0 > 0 and lam <= p, below
+        # zero too (both families are monotone)
+        rng = np.random.default_rng(1400 + seed)
+        m = int(rng.integers(1, 7))
+        eps = float(rng.uniform(0.01, 0.2))
+        v = table_valuation(rng, m, family)
+        values = SubsetTable(v, np.arange(m)).arrays()[1]
+        vertices = [eps + (1 - eps) * np.array(bits, dtype=float)
+                    for bits in itertools.product((0, 1), repeat=m)]
+        points = vertices + [rng.uniform(eps, 1, m) for _ in range(20)]
+        worth = [(x, concave_ext(v, x).value) for x in points]
+        for _ in range(30):
+            p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
+            lam = p * np.where(rng.uniform(size=m) < 0.2, 1.0, rng.uniform(0, 1, m))
+            lam[rng.uniform(size=m) < 0.2] = 0.0
+            lam[rng.uniform(size=m) < 0.2] = -rng.exponential(0.5)
+            v0 = float(np.exp(rng.normal(0, 1.5)))
+            bound = float(table_subproblem_bound(values, p, eps, v0, lam)[0])
+            for x, value in worth:
+                if value > 0:
+                    assert bound >= math.log(value) - p @ x - 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_subproblem_bound_is_the_xos_bound_on_xos(self, seed):
+        rng = np.random.default_rng(1500 + seed)
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        v = Xos(rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8))
+        universe = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+        values = SubsetTable(v, universe.astype(np.int64)).arrays()[1]
+        for _ in range(20):
+            p = rng.exponential(1.0, universe.size)
+            lam = p * rng.uniform(0, 1, universe.size)
+            v0 = float(np.exp(rng.normal(0, 1.5)))
+            got, utility = table_subproblem_bound(values, p, 0.05, v0, lam)
+            want = xos_subproblem_bound(v.clauses[:, universe], p, 0.05, v0, lam)
+            assert float(got) == pytest.approx(float(want), abs=1e-12)
+            assert utility.shape == values.shape
+
+    def test_subproblem_bounds_stack_along_agents(self):
+        rng = np.random.default_rng(19)
+        values = np.stack([SubsetTable(table_valuation(rng, 5, "budgeted_additive"),
+                                       np.arange(5)).arrays()[1] for _ in range(3)])
+        p = rng.exponential(1.0, 5)
+        lam = p * rng.uniform(0, 1, (3, 5))
+        v0 = rng.uniform(0.5, 2, 3)
+        stacked, utility = table_subproblem_bound(values, p, 0.05, v0, lam)
+        for r in range(3):
+            alone, own = table_subproblem_bound(values[r], p, 0.05, v0[r], lam[r])
+            assert float(stacked[r]) == float(alone)
+            assert np.array_equal(utility[r], own)
+
+    @pytest.mark.parametrize("family, shape", [("budgeted_additive", (2, 5)),
+                                               ("budgeted_additive", (3, 8)),
+                                               ("table", (2, 6)), ("table", (4, 9))])
+    def test_converges_with_true_bounds_in_every_row(self, family, shape):
+        n, m = shape
+        inst = generate(GenSpec(family, n, m, seed=sum(shape)))
+        eg = solve_eg(inst, range(n), range(m))
+        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert 0 <= eg.gap <= eg.epsilon ** 4 * n
+        assert eg.trace[-1][1] == eg.objective
+        assert eg.objective == pytest.approx(math.log(math.prod(eg.values().values())),
+                                             abs=1e-12)
+        best = max(obj for _, obj, _, _ in eg.trace)
+        assert all(obj + gap >= best - 1e-12 for _, obj, gap, _ in eg.trace)
+
+    def test_mixed_additive_and_budgeted_set_runs_the_configuration_barrier(self,
+                                                                            monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the clause barrier ran")
+        monkeypatch.setattr(relaxation, "_barrier_eg", forbidden)
+        extended = []
+        monkeypatch.setattr(relaxation, "concave_ext", lambda v, *a, _f=concave_ext, **k:
+                            extended.append(v) or _f(v, *a, **k))
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.1, 1, (3, 6))
+        inst = make_instance(Additive(weights[0]), BudgetedAdditive(weights[1], cap=1.2),
+                             Xos(weights[1:]))
+        eg = solve_eg(inst, range(3), range(6))
+        assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * 3
+        # every agent, additive and XOS too, enters through its own table and
+        # gets one extension at the returned point
+        assert extended == list(inst.valuations)
+        for i in range(3):
+            x = eg.x.agent_vector(i, 6)
+            assert eg.extensions[i].value == pytest.approx(
+                concave_ext(inst.valuations[i], x).value, abs=1e-9)
+
+    def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
+        # from the sixth step on the bound is not finite, as when t has
+        # outgrown double precision: the solve returns the fifth step's point
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            sub, utility = table_subproblem_bound(*args)
+            return (sub if len(calls) < 6 else sub * np.inf), utility
+        monkeypatch.setattr(relaxation, "table_subproblem_bound", failing)
+        inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert not eg.converged and eg.iterations == 5
+        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+        assert eg.gap >= 0
+        eg.x.validate(inst.m)
+
+    def test_floor_multipliers_below_zero_keep_the_certificate(self):
+        # eight agents share four items; cut to zero, the agents' floor
+        # multipliers stalled the certificate at 21 times its target
+        inst = generate(GenSpec("budgeted_additive", 8, 12, seed=207))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
+
+    def test_cap_is_checked_before_any_subset_row(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a subset row was enumerated")
+        monkeypatch.setattr(valuations, "_all_subset_rows", forbidden)
+        rng = np.random.default_rng(4)
+        inst = make_instance(*[BudgetedAdditive(rng.uniform(0.1, 1, 17), cap=2.0)
+                               for _ in range(2)])
+        with pytest.raises(CapExceeded, match="exceeds the enumeration cap of 16"):
+            solve_eg(inst, [0, 1], range(17))
+
+
 class TestSystematicColumns:
     @pytest.mark.parametrize("seed", range(25))
     def test_decomposition_of_x(self, seed):
@@ -707,41 +856,6 @@ class TestSystematicColumns:
             reports = [run(inst, PipelineParams(seed=4)) for _ in range(2)]
             assert reports[0].eg.converged
             assert reports[0].to_json(inst) == reports[1].to_json(inst)
-
-
-def project_item_reference(col: np.ndarray, eps: float) -> np.ndarray:
-    """Euclidean projection of one item's agent-masses onto
-    {z >= eps, sum z <= 1}: the per-item form the solver once looped over."""
-    w = col - eps
-    budget = 1.0 - eps * col.size
-    w0 = np.maximum(w, 0.0)
-    if w0.sum() <= budget + 1e-15:
-        return w0 + eps
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - budget
-    rho = np.nonzero(u - css / np.arange(1, col.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(w - theta, 0.0) + eps
-
-
-class TestProjection:
-    @pytest.mark.parametrize("n_agents", range(1, 11))
-    def test_bit_identical_to_per_item_projection(self, n_agents):
-        rng = np.random.default_rng(800 + n_agents)
-        eps = default_epsilon(0.25, n_agents)
-        budget = 1.0 - eps * n_agents
-        outside = rng.uniform(-0.5, 1.5, (n_agents, 12))
-        inside = eps + rng.dirichlet(np.ones(n_agents), 6).T * budget * rng.uniform(0, 1, 6)
-        floor = np.full((n_agents, 3), eps)
-        # masses summing to the budget within an ulp or two: from 8 agents
-        # on, whether they count as inside depends on the summation order
-        boundary = eps + rng.dirichlet(np.ones(n_agents), 40).T * (budget + 1e-15)
-        mat = np.hstack([outside, inside, floor, boundary])[:, rng.permutation(61)]
-        got = _project_capped(mat, eps)
-        want = np.stack([project_item_reference(mat[:, j], eps) for j in range(61)], axis=1)
-        assert np.array_equal(got, want)
-        assert got.min() >= eps
-        assert (got.sum(axis=0) <= 1.0 + 1e-12).all()
 
 
 class TestScaledOptimum:
