@@ -9,30 +9,21 @@ phase 1, and Bland's rule keeps degenerate LPs, such as restricted masters
 with zero item masses, from cycling. Callers use the duals of the final
 basis as optimality certificates.
 
-Every solve runs one routine: the simplex from a starting basis B on the
-tableau B^-1 [A | I | b]. Without a `warm` result the start is that
-identity basis, where the initial tableau already is B^-1 [A | I | b]. A
-caller that re-solves a similar LP passes its last result as `warm`, and
-the solve starts from that basis, factorized once. A primal-feasible
-basis, which covers columns appended since, goes straight to the primal
-simplex. A dual-feasible one, which is what a change of the right-hand
-side typically leaves, first runs a dual simplex (Lemke 1954) with the
-smallest-index rule. Every other warm basis falls back to the identity
+Every solve runs one routine: the primal simplex from a starting basis B
+on the tableau B^-1 [A | I | b]. Without a `warm` result the start is that
+identity basis, where the initial tableau already is B^-1 [A | I | b].
+Column generation re-solves its restricted master at the same right-hand
+side after each column joins, so it passes its last result as `warm`: the
+solve starts from that basis, factorized once, which the appended columns
+leave primal-feasible. Every other warm basis falls back to the identity
 start: one that does not fit the LP's rows and columns, a singular or
-ill-conditioned B, a basis neither primal- nor dual-feasible, a dual
-simplex that finds no entering column, or an iteration cap.
-
-A solve that makes no pivot keeps B^-1 and its initial tableau in the
-result. While no column is appended, a warm solve from that result forms
-the one product B^-1 [A | I | b] at the new right-hand side: a feasible
-B^-1 b returns the held basis and duals (they depend only on B and the
-columns), and an infeasible one starts the dual simplex without a second
-inversion.
+ill-conditioned B, a basis that is not primal-feasible at the given
+right-hand side, or an iteration cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +47,7 @@ class LpResult:
     `basis` names one variable per constraint row, a_ub rows first: j >= 0
     is column j of c, and -1 - r is the slack of a_ub row r. Slacks are
     numbered by row, not by position after the columns, so the basis stays
-    valid as a warm start when columns are appended. `factor` holds
-    (B^-1, initial tableau) after a solve that made no pivot.
+    valid as a warm start when columns are appended.
     """
 
     x: np.ndarray
@@ -65,7 +55,6 @@ class LpResult:
     dual_ub: np.ndarray
     dual_eq: np.ndarray
     basis: tuple[int, ...]
-    factor: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -76,14 +65,14 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
-    """Primal simplex to optimality; returns the number of pivots."""
-    for pivots in range(_MAX_ITER):
+def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+    """Primal simplex to optimality."""
+    for _ in range(_MAX_ITER):
         reduced = cost - cost[basis] @ tab[:, :-1]
         eligible = reduced > _COST_TOL
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
-            return pivots
+            return
         col = tab[:, entering]
         leaving = -1
         best_ratio = np.inf
@@ -101,64 +90,34 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
     raise LpError("simplex iteration cap exceeded", capped=True)
 
 
-def _dual_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> bool:
-    """Dual simplex from a dual-feasible basis until the rhs is nonnegative.
-
-    Smallest-index rule: the leaving row is the infeasible row with the
-    smallest basic index, the entering column the minimum ratio with ties
-    to the smallest index. Returns False when the basis is not
-    dual-feasible, or when the leaving row has no entering column (the LP
-    is infeasible, or the basis numerically lost).
-    """
-    if (cost - cost[basis] @ tab[:, :-1]).max() > _COST_TOL:
-        return False
-    for _ in range(_MAX_ITER):
-        infeasible = np.flatnonzero(tab[:, -1] < -_PIVOT_TOL)
-        if not infeasible.size:
-            return True
-        row = min(infeasible, key=basis.__getitem__)
-        entries = tab[row, :-1]
-        candidates = np.flatnonzero(entries < -_PIVOT_TOL)
-        if not candidates.size:
-            return False
-        reduced = cost[candidates] - cost[basis] @ tab[:, candidates]
-        ratios = reduced / entries[candidates]
-        entering = int(candidates[np.argmax(ratios <= ratios.min() + _PIVOT_TOL)])
-        _pivot(tab, basis, row, entering)
-    raise LpError("dual simplex iteration cap exceeded", capped=True)
-
-
-def _simplex(tab0: np.ndarray, cost: np.ndarray, n: int, hint, inv_b=None, tab=None):
+def _simplex(tab0: np.ndarray, cost: np.ndarray, n: int, hint, tab=None):
     """Optimal tableau and basis reached from the basis `hint` (in the form
-    of `LpResult.basis`), with the `LpResult.factor` where that took no
-    pivot. inv_b and tab are B^-1 and B^-1 tab0 where already known.
-    Returns None where the basis does not fit the tableau, B is singular
-    or too ill-conditioned to trust, the basis is neither primal- nor
-    dual-feasible, or the dual simplex stalls; raises LpError on an
-    unbounded objective or an iteration cap. tab0 stays."""
+    of `LpResult.basis`). tab is B^-1 tab0 where already known: the
+    identity start passes tab0 itself, which the solve then overwrites;
+    any other tab0 stays. Returns None where the basis does not fit the
+    tableau, B is singular or too ill-conditioned to trust, or the basis
+    is not primal-feasible; raises LpError on an unbounded objective or an
+    iteration cap."""
     rows, mu = tab0.shape[0], tab0.shape[1] - 1 - n
     basis = [j if j >= 0 else n - 1 - j for j in hint]
     if len(basis) != rows or len(set(basis)) != rows or not all(-mu <= j < n for j in hint):
         return None
-    if inv_b is None:
+    if tab is None:
         try:
-            inv_b = np.linalg.inv(tab0[:, basis])
+            tab = np.linalg.inv(tab0[:, basis]) @ tab0
         except np.linalg.LinAlgError:
             return None
-        tab = inv_b @ tab0
     eye = np.eye(rows)
-    if np.abs(tab[:, basis] - eye).max(initial=0.0) > 1e-9:
+    if (np.abs(tab[:, basis] - eye).max(initial=0.0) > 1e-9
+            or tab[:, -1].min(initial=0.0) < -_PIVOT_TOL):
         return None
     tab[:, basis] = eye
-    dual = tab[:, -1].min(initial=0.0) < -_PIVOT_TOL
-    if dual and not _dual_iterate(tab, basis, cost):
-        return None
-    pivots = _iterate(tab, basis, cost)
-    return tab, basis, None if dual or pivots else (inv_b, tab0)
+    _iterate(tab, basis, cost)
+    return tab, basis
 
 
 def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
-            tab: np.ndarray, basis: list[int], factor=None) -> LpResult:
+            tab: np.ndarray, basis: list[int]) -> LpResult:
     """x, value and duals read off an optimal tableau and its basis."""
     n, mu = c.size, a_ub.shape[0]
     idx = np.array(basis, dtype=int)
@@ -176,8 +135,7 @@ def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
     except np.linalg.LinAlgError:
         y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
     return LpResult(x=x, value=float(c @ x), dual_ub=y[:mu], dual_eq=y[mu:],
-                    basis=tuple(b if b < n else n - 1 - b for b in basis),
-                    factor=factor)
+                    basis=tuple(b if b < n else n - 1 - b for b in basis))
 
 
 def _rhs(b_ub: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
@@ -195,7 +153,7 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     unit column for every equality row (every caller in this package meets
     both by construction); raises ValueError otherwise. `warm` is an
     optional earlier result on the same rows whose columns are a prefix
-    of c's; the solve starts from its basis.
+    of c's; the solve starts from its basis where that is primal-feasible.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -203,43 +161,28 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
     rhs = _rhs(b_ub, b_eq)
     mu = b_ub.size
-    shape = (rhs.size, n + mu + 1)
-    known = ()
-    if warm is not None and warm.factor is not None and warm.factor[1].shape == shape:
-        inv_b, tab0 = warm.factor  # no column joined since it was stored
-        tab0 = tab0.copy()
-        tab0[:, -1] = rhs
-        tab = inv_b @ tab0  # the whole product: B^-1 b alone rounds otherwise
-        if tab[:, -1].min() >= -_PIVOT_TOL:  # B stays optimal, with its duals
-            idx = np.array(warm.basis)
-            x = np.zeros(n)
-            x[idx[idx >= 0]] = tab[idx >= 0, -1]
-            return LpResult(x, float(c @ x), warm.dual_ub, warm.dual_eq,
-                            warm.basis, warm.factor)
-        known = inv_b, tab
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
     cost = np.concatenate([c, np.zeros(mu)])
-    if not known:
-        tab0 = np.zeros(shape)
-        tab0[:mu, :n] = a_ub
-        tab0[mu:, :n] = a_eq
-        tab0[:mu, n:-1] = np.eye(mu)
-        tab0[:, -1] = rhs
+    tab0 = np.zeros((rhs.size, n + mu + 1))
+    tab0[:mu, :n] = a_ub
+    tab0[mu:, :n] = a_eq
+    tab0[:mu, n:-1] = np.eye(mu)
+    tab0[:, -1] = rhs
 
     if warm is not None:
         try:
-            out = _simplex(tab0, cost, n, warm.basis, *known)
+            out = _simplex(tab0, cost, n, warm.basis)
         except LpError:
             out = None
         if out is not None:
             return _result(c, a_ub, a_eq, cost, *out)
     single = np.count_nonzero(tab0[:, :n], axis=0) == 1
     hint = list(range(-1, -1 - mu, -1))  # the slacks, then a unit column per equality row
-    for r in range(mu, shape[0]):
+    for r in range(mu, rhs.size):
         units = np.flatnonzero(single & (tab0[r, :n] == 1.0))
         if not units.size:
             raise ValueError(f"equality row {r - mu} has no unit column")
         hint.append(int(units[0]))
     # B = I: the initial tableau is its own B^-1 tab0
-    return _result(c, a_ub, a_eq, cost, *_simplex(tab0, cost, n, hint, np.eye(shape[0]), tab0))
+    return _result(c, a_ub, a_eq, cost, *_simplex(tab0, cost, n, hint, tab0))

@@ -136,12 +136,12 @@ class PipelineReport:
 class _Clock:
     def __init__(self):
         self.timings: dict[str, float] = {}
-        self._last = time.perf_counter()
+        self._lap_start = time.perf_counter()
 
     def lap(self, name: str) -> None:
         now = time.perf_counter()
-        self.timings[name] = now - self._last
-        self._last = now
+        self.timings[name] = now - self._lap_start
+        self._lap_start = now
 
 
 def _append_residual(alloc: Allocation, inst: Instance) -> dict[int, list[int]]:

@@ -9,15 +9,13 @@ pair (q, p) satisfies q + p(S) >= v(S) for every set over the universe,
 which is what makes the log-supergradient construction sound.
 
 The restricted LP of column generation lives in a `RestrictedMaster`:
-the columns found so far, their values (each computed once, when the
-column joins) and the last LP result. Between two solves with the same
-master only the item masses x change, which is the right-hand side of the
-LP, so each solve warm-starts `_lp.maximize` from the previous result (the
-restricted master of Gilmore and Gomory's column generation). A basis
-that x left primal-feasible is still optimal, and until a column joins
-its held factorization gives x and the duals with one product; otherwise
-it stays dual-feasible and a few dual simplex pivots repair it. The first
-solve starts from the empty-set column and the capacity slacks.
+the columns found so far and their values (each computed once, when the
+column joins). Within one `concave_ext` call the item masses x stay fixed
+and each round only appends a column, so each LP solve warm-starts
+`_lp.maximize` from the round before (the restricted master of Gilmore
+and Gomory's column generation), whose basis the new column leaves
+primal-feasible. The first solve starts from the empty-set column and the
+capacity slacks.
 
 The pricing step reuses the master too. Budgeted-additive and table
 valuations have no analytic demand, so the master holds the subset table
@@ -62,7 +60,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._lp import LpResult, maximize
+from ._lp import maximize
 from .model import ConfigSolution, Instance, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Additive, SubsetTable, Valuation, Xos, demand
@@ -105,12 +103,12 @@ class RestrictedMaster:
     """The restricted master LP of one valuation's concave extension.
 
     It holds the columns in the order they joined, each column's value
-    (computed once, when the column joins), the 0/1 item incidence matrix
-    over the universe and the last LP result. Across solves only the item
-    masses x change, so each solve restarts the LP from that result. It
-    also holds the `SubsetTable` its demand queries search, enumerated on
-    first use: by the configuration barrier of `solve_eg`, or by the first
-    demand query that needs it (none does for additive or XOS).
+    (computed once, when the column joins) and the 0/1 item incidence
+    matrix over the universe; it keeps no LP state, so each `concave_ext`
+    call starts its LP afresh. It also holds the `SubsetTable` its demand
+    queries search, enumerated on first use: by the configuration barrier
+    of `solve_eg`, or by the first demand query that needs it (none does
+    for additive or XOS).
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -121,7 +119,6 @@ class RestrictedMaster:
         self._seen: set[frozenset[int]] = set()
         self.values = np.zeros(0)
         self.incidence = np.zeros((universe.size, 0))
-        self._last: LpResult | None = None
         self.subsets = SubsetTable(v, universe)
         self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
 
@@ -144,14 +141,6 @@ class RestrictedMaster:
         self.values = np.concatenate([self.values, [self.v.value(col) for col in new]])
         self.incidence = np.hstack([self.incidence, block])
 
-    def solve(self, x_universe: np.ndarray):
-        """max sum_k value_k y_k over y >= 0 with incidence.y <= x and
-        sum y = 1, warm-started from the previous solve."""
-        self._last = maximize(self.values, a_ub=self.incidence, b_ub=x_universe,
-                              a_eq=np.ones((1, len(self.columns))), b_eq=np.ones(1),
-                              warm=self._last)
-        return self._last
-
 
 def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
                 method: str = "colgen", *,
@@ -167,8 +156,8 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     is only certified on the enumerated sets).
 
     `master` carries the restricted master of an earlier call with the
-    same valuation, so that its columns and basis are reused and the new
-    columns stay in it; its universe is the default for `items`. Without
+    same valuation, so that its columns are reused and the new columns
+    stay in it; its universe is the default for `items`. Without
     one a fresh master starts from the empty set and the singletons.
     """
     x = np.asarray(x, dtype=float)
@@ -194,8 +183,11 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
                       for mask in range(1, 1 << len(support)))
 
     rounds = 0
+    res = None
     while True:
-        res = master.solve(x_univ)
+        # max sum_k value_k y_k over y >= 0 with incidence.y <= x and sum y = 1
+        res = maximize(master.values, a_ub=master.incidence, b_ub=x_univ,
+                       a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1), warm=res)
         q = float(res.dual_eq[0])
         p_univ = np.maximum(res.dual_ub, 0.0)
         prices = np.zeros(v.m)

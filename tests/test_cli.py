@@ -319,9 +319,9 @@ class TestExitCodes:
             monkeypatch.setattr(relaxation, "demand",
                                 lambda *a, **k: DemandResult(frozenset(), 1.0))
         elif fault == "certificate":
-            solve = relaxation.RestrictedMaster.solve
-            monkeypatch.setattr(relaxation.RestrictedMaster, "solve",
-                                lambda master, x: replace(solve(master, x), value=-1.0))
+            maximize = relaxation.maximize
+            monkeypatch.setattr(relaxation, "maximize",
+                                lambda *a, **k: replace(maximize(*a, **k), value=-1.0))
         else:  # no row passes the ratio test
             monkeypatch.setattr(_lp, "_PIVOT_TOL", 1e9)
         assert main(["solve", "--instance", str(instance_file), "--pipeline", "xos"]) == code

@@ -1,6 +1,5 @@
 """Concave extension, supergradients, and the Eisenberg-Gale solver."""
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -9,8 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nswforge import _lp, relaxation, valuations
-from nswforge._lp import maximize
+from nswforge import relaxation, valuations
 from nswforge.generators import GenSpec, generate
 from nswforge.matching import initial_matching
 from nswforge.model import Instance
@@ -36,22 +34,13 @@ from nswforge.valuations import (
     SubsetTable,
     Xos,
 )
-from test_lp import assert_same_result
+from test_lp import warm_paths  # noqa: F401 (a fixture)
 
 
 def make_instance(*valuations):
     m = valuations[0].m
     return Instance(tuple(f"agent{i}" for i in range(len(valuations))),
                     tuple(f"item{j}" for j in range(m)), tuple(valuations))
-
-
-def as_uncapped_budgeted(inst):
-    """The instance with each additive agent as a budgeted-additive one whose
-    cap lies above its total weight: the same valuation, on the
-    configuration barrier."""
-    return Instance(inst.agent_names, inst.item_names,
-                    tuple(BudgetedAdditive(v.weights, cap=v.weights.sum() + 1.0)
-                          for v in inst.valuations))
 
 
 def random_valuation(rng, m, fam):
@@ -157,6 +146,15 @@ class TestRestrictedMaster:
             concave_ext(v, [0.5, 0.5, 0.5],
                         master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
 
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table", "xos"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_solve_eg_solves_each_master_at_one_x(self, family, seed, warm_paths):
+        # column generation only appends columns at the masses it was given,
+        # so every warm start keeps its basis; a master re-solved at moved
+        # masses would fall back to the identity start here
+        solve_eg(generate(GenSpec(family, 3, 10, seed=seed)), range(3), range(10))
+        assert warm_paths["warm"] > 0 and warm_paths["identity"] == 0
+
 
 @pytest.fixture
 def enumerations(monkeypatch):
@@ -221,123 +219,6 @@ class TestSubsetTableReuse:
         del master
         gc.collect()
         assert rows() is None and enumerations["tables"][0]() is None
-
-
-def refactored_solve(master, x, last):
-    """A fresh maximize on the master's current rows from the basis of
-    `last`, factorized anew."""
-    return maximize(master.values, a_ub=master.incidence, b_ub=x,
-                    a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1),
-                    warm=last and dataclasses.replace(last, factor=None))
-
-
-@pytest.fixture
-def checked_solves(monkeypatch):
-    """Check every master solve bit for bit against a fresh maximize from
-    the previous solve's basis, factorized anew, on the same rows; count
-    the solves, those the held factor served and the dual simplex runs."""
-    seen = {"solves": 0, "held": 0, "dual": 0}
-    solve, dual = RestrictedMaster.solve, _lp._dual_iterate
-
-    def spy_solve(master, x):
-        last = master._last
-        res = solve(master, x)
-        dual_runs = seen["dual"]
-        assert_same_result(res, refactored_solve(master, x, last))
-        seen["dual"] = dual_runs  # not counting the reference solve's
-        seen["solves"] += 1
-        seen["held"] += last is not None and res.factor is last.factor is not None
-        return res
-
-    def spy_dual(*args):
-        seen["dual"] += 1
-        return dual(*args)
-    monkeypatch.setattr(RestrictedMaster, "solve", spy_solve)
-    monkeypatch.setattr(_lp, "_dual_iterate", spy_dual)
-    return seen
-
-
-class TestFactoredResolve:
-    @pytest.mark.parametrize("fam", [1, 2, 3])  # xos, budgeted, table
-    @pytest.mark.parametrize("seed", range(4))
-    def test_resolves_equal_hinted_solves(self, fam, seed, checked_solves):
-        rng = np.random.default_rng(6000 + 10 * fam + seed)
-        v = random_valuation(rng, 6, fam)
-        master = RestrictedMaster(v, np.arange(6))
-        x = rng.uniform(0.2, 0.8, 6)
-        for _ in range(60):  # small steps of the item masses, as in solve_eg
-            x = np.clip(x + rng.normal(0, 0.01, 6), 0.0, 1.0)
-            concave_ext(v, x, master=master)
-        assert checked_solves["held"] >= 20
-
-    def test_appended_column_skips_the_held_factor(self, checked_solves):
-        v = Xos([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
-        master = RestrictedMaster(v, np.arange(3))
-        x = np.array([0.3, 0.4, 0.5])
-        for _ in range(3):  # identity start, warm without pivots, held
-            master.solve(x)
-        assert checked_solves == {"solves": 3, "held": 1, "dual": 0}
-        held = master._last
-        master.extend([frozenset({0, 1})])
-        assert master._last is held  # extend leaves the solver state alone
-        res = master.solve(x)
-        assert res.x.size == len(master.columns) == 5
-        assert res.factor is not held.factor
-        assert checked_solves["held"] == 1
-
-    def test_infeasible_basis_falls_back_to_the_dual_simplex(self, checked_solves):
-        v = Xos([[2.0, 0.0], [0.0, 2.0]])
-        master = RestrictedMaster(v, np.arange(2))
-        for _ in range(3):  # basis {0}, {1}, {} with y_{} = 0.4
-            master.solve(np.array([0.3, 0.3]))
-        assert checked_solves == {"solves": 3, "held": 1, "dual": 0}
-        res = master.solve(np.array([0.6, 0.6]))  # y_{} = -0.2 in that basis
-        assert checked_solves == {"solves": 4, "held": 1, "dual": 1}
-        assert res.value == pytest.approx(2.0)
-
-    def test_infeasible_rhs_reuses_the_held_inverse(self, monkeypatch):
-        v = Xos([[2.0, 0.0], [0.0, 2.0]])
-        master = RestrictedMaster(v, np.arange(2))
-        for _ in range(2):
-            master.solve(np.array([0.3, 0.3]))
-        held = master._last.factor
-        assert held is not None
-        inverted, starts = [], []
-        inv, simplex = np.linalg.inv, _lp._simplex
-        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
-        monkeypatch.setattr(_lp, "_simplex", lambda *args: starts.append(args) or simplex(*args))
-        res = master.solve(np.array([0.6, 0.6]))
-        assert not inverted
-        assert starts[0][4] is held[0]  # the dual simplex starts from B^-1 as held
-        assert res.value == pytest.approx(2.0)
-
-    @staticmethod
-    def drive_masters(inst, n, m, steps, seen):
-        """Each agent's master along the segment from the even split to
-        solve_eg's point, as an ascent would move the masses (solve_eg
-        itself keeps no master across its steps); `seen` counts only these
-        solves."""
-        x_end = solve_eg(inst, range(n), range(m)).x
-        seen.update(solves=0, held=0, dual=0)
-        for i, v in enumerate(inst.valuations):
-            master = RestrictedMaster(v, np.arange(m))
-            for lam in np.linspace(0.0, 1.0, steps):
-                concave_ext(v, (1 - lam) / n + lam * x_end.agent_vector(i, m), master=master)
-
-    def test_solve_eg_mostly_resolves_on_additive(self, checked_solves):
-        # additive weights as uncapped budgeted-additive agents: the basis
-        # mostly holds as the masses move
-        self.drive_masters(as_uncapped_budgeted(generate(GenSpec("additive", 3, 10, seed=0))),
-                           3, 10, 60, checked_solves)
-        assert checked_solves["solves"] > 0
-        assert checked_solves["held"] >= checked_solves["solves"] / 2
-
-    def test_solve_eg_on_budgeted_keeps_its_bits(self, checked_solves):
-        # at the budget's kink most solves run the dual simplex; the few the
-        # held factor serves must still match
-        self.drive_masters(generate(GenSpec("budgeted_additive", 4, 12, seed=0)), 4, 12, 40,
-                           checked_solves)
-        assert checked_solves["held"] > 0
 
 
 class TestSupergradient:
