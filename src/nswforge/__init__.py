@@ -34,7 +34,6 @@ from .relaxation import (
     concave_ext,
     scaled_optimum_check,
     solve_eg,
-    supergradient_log,
 )
 from .rounding import (
     RngStream,
@@ -74,6 +73,6 @@ __all__ = [
     "oracle_procedure", "product_matching", "rematch_rho", "round_xos",
     "run_subadditive", "run_xos", "scaled_optimum_check",
     "serialize_instance", "singleton_max", "solve_eg", "split_subadditive",
-    "split_xos", "supergradient_log", "two_sided_tail",
+    "split_xos", "two_sided_tail",
     "validate_valuation", "xos_clause",
 ]

@@ -1,10 +1,10 @@
 """Command-line entry point: gen, solve, exact, ratio, fuzz, conc, report.
 
 Exit codes are a stable contract: 0 success, 1 usage or I/O error,
-2 stage-invariant violation (including a column-generation stall, a
-failed duality certificate or an unbounded LP), 3 enumeration or
-iteration cap exceeded (including the column-generation round cap and
-the simplex pivot cap). All randomness flows from --seed; there is no
+2 stage-invariant violation (including relaxation columns that fall
+short of the certified value, a barrier with no certified step or an
+unbounded LP), 3 enumeration or iteration cap exceeded (including the
+simplex pivot cap). All randomness flows from --seed; there is no
 ambient entropy anywhere, so identical invocations produce byte-identical
 machine output. Human-readable summaries go to stderr, machine output to
 stdout or files.

@@ -1,27 +1,16 @@
-"""Concave extension with dual certificates, and the Eisenberg-Gale solver.
+"""The concave extension, and the Eisenberg-Gale relaxation with its
+decomposition.
 
 The concave extension v+(x) of a valuation at fractional item masses x is
 the LP value of the best distribution over item sets consistent with x.
-It is computed by column generation: the demand oracle is exactly the
-separation oracle of the dual, so each round either certifies optimality
-(no set beats its price) or contributes a new column. The returned dual
-pair (q, p) satisfies q + p(S) >= v(S) for every set over the universe,
-which is what makes the log-supergradient construction sound.
-
-The restricted LP of column generation lives in a `RestrictedMaster`:
-the columns found so far and their values (each computed once, when the
-column joins). Within one `concave_ext` call the item masses x stay fixed
-and each round only appends a column, so each LP solve warm-starts
-`_lp.maximize` from the round before (the restricted master of Gilmore
-and Gomory's column generation), whose basis the new column leaves
-primal-feasible. The first solve starts from the empty-set column and the
-capacity slacks.
-
-The pricing step reuses the master too. Budgeted-additive and table
-valuations have no analytic demand, so the master holds the subset table
-of its universe (every subset's indicator row, value and lexicographic
-rank), enumerated on its first use. Each later demand query costs one
-product with the prices, and the table goes when the master does.
+`concave_ext` computes it by column generation (Gilmore and Gomory): the
+demand oracle is exactly the separation oracle of the dual, so each round
+either certifies optimality (no set beats its price) or contributes a new
+column, and each LP solve warm-starts `_lp.maximize` from the round
+before. The returned dual pair (q, p) satisfies q + p(S) >= v(S) for
+every set over the universe. The relaxation does not call it: it is the
+standalone, certified reference that the tests, `fuzz` and the demos
+check the relaxation against.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
@@ -30,7 +19,9 @@ approximate optimality into the scaled-optimum contract checked by
 Vandenberghe 2004, ch. 11) solve it, over two compact forms of the
 configuration LP (Feige 2009) in the Eisenberg-Gale program (Eisenberg and
 Gale 1959), and the Lagrangian bound D(p) at the barrier's capacity prices
-certifies both:
+certifies both. Each barrier also hands out, for every agent, the
+distribution over sets that rounding needs: loads within the agent's
+masses, mixture value at least the barrier's certified value.
 
 - An agent set of additive and XOS agents runs `_barrier_eg`. An additive
   or one-clause agent has v+_i(x) = c.x. An agent with several clauses
@@ -38,18 +29,15 @@ certifies both:
   clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
   sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
   v+_i(x) = max sum_k c_k.y_k. Each agent's subproblem is bounded in
-  closed form. A one-clause agent's extension is closed-form too (the
-  certificate q = 0, p = c and the systematic-sampling decomposition of
-  x), and a several-clause agent's is one cold `concave_ext` at the
-  returned x. No restricted LP, demand query or simplex runs on an
-  all-additive set.
+  closed form, and its columns are systematic-sampling decompositions
+  (`systematic_columns`, `clause_columns`), at most k + 1 over k items.
 - An agent set with a budgeted-additive or table agent runs
   `_config_barrier_eg` over the configuration program itself: each agent
   puts mass on sets of the remaining items, priced over its whole subset
   table, which also bounds its subproblem (`table_subproblem_bound`); an
   additive or XOS agent in such a set enters through its own table. Each
-  agent's extension is one cold `concave_ext` at the returned x, on a
-  master that holds the barrier's table.
+  agent's columns are an optimal vertex over the sets it holds
+  (`vertex_columns`).
 """
 
 from __future__ import annotations
@@ -61,7 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from ._lp import maximize
-from .model import ConfigSolution, Instance, ItemFractional
+from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
 from .oracle import exact_config_lp
 from .valuations import Additive, SubsetTable, Valuation, Xos, demand
 
@@ -74,8 +62,9 @@ ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of t
 
 
 class ConvergenceError(RuntimeError):
-    """Column generation failed: a stall or a failed duality certificate,
-    or its round cap (`capped`)."""
+    """Column generation failed (a stall, a failed duality certificate or
+    its round cap), or no barrier step was certified; `capped` marks a
+    cap."""
 
     def __init__(self, message: str, gap: float, capped: bool = False):
         super().__init__(f"{message} (remaining gap {gap:.3e})")
@@ -99,53 +88,10 @@ class ConcaveExtValue:
     rounds: int
 
 
-class RestrictedMaster:
-    """The restricted master LP of one valuation's concave extension.
-
-    It holds the columns in the order they joined, each column's value
-    (computed once, when the column joins) and the 0/1 item incidence
-    matrix over the universe; it keeps no LP state, so each `concave_ext`
-    call starts its LP afresh. It also holds the `SubsetTable` its demand
-    queries search, enumerated on first use: by the configuration barrier
-    of `solve_eg`, or by the first demand query that needs it (none does
-    for additive or XOS).
-    """
-
-    def __init__(self, v: Valuation, universe: np.ndarray):
-        self.v = v
-        self.universe = universe
-        self._row = {int(j): r for r, j in enumerate(universe)}
-        self.columns: list[frozenset[int]] = []
-        self._seen: set[frozenset[int]] = set()
-        self.values = np.zeros(0)
-        self.incidence = np.zeros((universe.size, 0))
-        self.subsets = SubsetTable(v, universe)
-        self.extend([frozenset()] + [frozenset({int(j)}) for j in universe])
-
-    def __contains__(self, col: frozenset[int]) -> bool:
-        return col in self._seen
-
-    def extend(self, cols: Iterable[frozenset[int]]) -> None:
-        """Append the columns that are new and lie inside the universe."""
-        new = []
-        for col in cols:
-            if col not in self._seen and all(j in self._row for j in col):
-                new.append(col)
-                self._seen.add(col)
-        if not new:
-            return
-        block = np.zeros((self.universe.size, len(new)))
-        for k, col in enumerate(new):
-            block[[self._row[j] for j in col], k] = 1.0
-        self.columns.extend(new)
-        self.values = np.concatenate([self.values, [self.v.value(col) for col in new]])
-        self.incidence = np.hstack([self.incidence, block])
-
-
 def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
-                method: str = "colgen", *,
-                master: RestrictedMaster | None = None) -> ConcaveExtValue:
-    """Concave extension of v at item masses x over the given universe.
+                method: str = "colgen") -> ConcaveExtValue:
+    """Concave extension of v at item masses x over the given universe
+    (every item by default).
 
     method="colgen" runs demand-oracle column generation and certifies the
     dual over every subset of the universe. It stops once no set's
@@ -153,16 +99,12 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     to the value), and raises `ConvergenceError` after
     `COLGEN_MAX_ROUNDS` rounds. method="enumerate" solves the LP over all
     subsets of the support of x in one shot (desk-scale fallback; its dual
-    is only certified on the enumerated sets).
-
-    `master` carries the restricted master of an earlier call with the
-    same valuation, so that its columns are reused and the new columns
-    stay in it; its universe is the default for `items`. Without
-    one a fresh master starts from the empty set and the singletons.
+    is only certified on the enumerated sets). The restricted master
+    starts from the empty set and the singletons.
     """
     x = np.asarray(x, dtype=float)
     if items is None:
-        universe = np.arange(v.m, dtype=np.int64) if master is None else master.universe
+        universe = np.arange(v.m, dtype=np.int64)
     else:
         universe = np.unique(np.fromiter(items, dtype=np.int64))
     x_univ = x[universe]
@@ -170,24 +112,24 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         raise ValueError("item masses must lie in [0, 1]")
     if method not in ("colgen", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
-    if master is None:
-        master = RestrictedMaster(v, universe)
-    elif master.v is not v or (items is not None
-                               and not np.array_equal(master.universe, universe)):
-        raise ValueError("restricted master of another valuation or universe")
+    columns = [frozenset()] + [frozenset({int(j)}) for j in universe]
     if method == "enumerate":
         support = [int(j) for j in universe if x[j] > 0]
         if len(support) > 20:
             raise ValueError("enumeration fallback supports at most 20 support items")
-        master.extend(frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
-                      for mask in range(1, 1 << len(support)))
+        subsets = (frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
+                   for mask in range(1, 1 << len(support)))
+        columns += [col for col in subsets if len(col) > 1]
+    values = [v.value(col) for col in columns]
+    table = SubsetTable(v, universe)
 
     rounds = 0
     res = None
     while True:
         # max sum_k value_k y_k over y >= 0 with incidence.y <= x and sum y = 1
-        res = maximize(master.values, a_ub=master.incidence, b_ub=x_univ,
-                       a_eq=np.ones((1, len(master.columns))), b_eq=np.ones(1), warm=res)
+        incidence = np.array([[j in col for col in columns] for j in universe.tolist()], float)
+        res = maximize(np.array(values), a_ub=incidence, b_ub=x_univ,
+                       a_eq=np.ones((1, len(columns))), b_eq=np.ones(1), warm=res)
         q = float(res.dual_eq[0])
         p_univ = np.maximum(res.dual_ub, 0.0)
         prices = np.zeros(v.m)
@@ -195,53 +137,28 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
         if method == "enumerate":
             break
         rounds += 1
-        hit = demand(v, prices, items=universe, table=master.subsets)
+        hit = demand(v, prices, items=universe, table=table)
         gap = hit.utility - q
         if gap <= COLGEN_TOL * max(1.0, abs(res.value)):
             break
-        if hit.items in master:
+        if hit.items in columns:
             # the dual already prices this column; residual gap is numerical
             if gap <= 1e-7 * max(1.0, abs(res.value)):
                 break
             raise ConvergenceError("column generation stalled", gap)
         if rounds >= COLGEN_MAX_ROUNDS:
             raise ConvergenceError("column generation round cap exceeded", gap, capped=True)
-        master.extend([hit.items])
+        columns.append(hit.items)
+        values.append(v.value(hit.items))
 
-    columns = [(master.columns[k], float(res.x[k])) for k in np.flatnonzero(res.x > 1e-12)]
-    total = sum(w for _, w in columns)
-    columns = [(s, w / total) for s, w in columns]
+    picked = [(columns[k], float(res.x[k])) for k in np.flatnonzero(res.x > 1e-12)]
+    total = sum(w for _, w in picked)
+    picked = [(s, w / total) for s, w in picked]
     value = float(res.value)
     dual_value = q + float(p_univ @ x_univ)
     if abs(value - dual_value) > 1e-6 * (1.0 + abs(value)):
         raise ConvergenceError("duality certificate failed", abs(value - dual_value))
-    return ConcaveExtValue(value=value, q=q, prices=prices, columns=columns,
-                           rounds=rounds)
-
-
-@dataclass
-class LogSupergradient:
-    base: float
-    grad: np.ndarray
-
-    def linearization(self, y: np.ndarray, x: np.ndarray) -> float:
-        return self.base + float(self.grad @ (y - x))
-
-
-def supergradient_log(v: Valuation, x,
-                      ext: ConcaveExtValue | None = None) -> LogSupergradient:
-    """Supergradient of log v+ at x: grad = p / (q + p.x).
-
-    The linearization touches log v+ at x and dominates it everywhere on
-    the universe, including at the kinks where the dual is not unique.
-    """
-    x = np.asarray(x, dtype=float)
-    if ext is None:
-        ext = concave_ext(v, x)
-    denom = ext.q + float(ext.prices @ x)
-    if ext.value <= 0 or denom <= 0:
-        raise ValueError("supergradient undefined where the extension is zero")
-    return LogSupergradient(base=math.log(denom), grad=ext.prices / denom)
+    return ConcaveExtValue(value=value, q=q, prices=prices, columns=picked, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +186,7 @@ class EgParams:
 
 def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
     """CSV of an EG trace, one row per Newton step, whose step is the step
-    length (the last row's objective is at the returned extensions); no
+    length (the last row's objective is at the returned agent values); no
     rows for no trace."""
     lines = ["# schema=1", "iteration,objective,gap,step"]
     lines.extend(f"{t},{obj!r},{gap!r},{step!r}" for t, obj, gap, step in trace)
@@ -278,22 +195,30 @@ def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
 
 @dataclass
 class EgResult:
+    """Masses x, each agent's target and its columns (weights summing to
+    one, loads within its masses, mixture value its target)."""
+
     agents: list[int]
     items: list[int]
     x: ItemFractional
-    extensions: dict[int, ConcaveExtValue]
+    agent_values: dict[int, float]
+    columns: dict[int, list[tuple[frozenset[int], float]]] = field(repr=False)
     objective: float
     gap: float
     epsilon: float
     iterations: int
-    converged: bool
     trace: list[tuple[int, float, float, float]] = field(default_factory=list, repr=False)
 
+    @property
+    def converged(self) -> bool:
+        """The certified gap meets the target eps^4 n."""
+        return self.gap <= self.epsilon ** 4 * len(self.agents)
+
     def values(self) -> dict[int, float]:
-        return {i: self.extensions[i].value for i in self.agents}
+        return dict(self.agent_values)
 
     def config(self) -> ConfigSolution:
-        return ConfigSolution({i: list(self.extensions[i].columns) for i in self.agents})
+        return ConfigSolution({i: list(self.columns[i]) for i in self.agents})
 
 
 def additive_subproblems(weights: np.ndarray, prices: np.ndarray, eps: float) -> np.ndarray:
@@ -360,6 +285,70 @@ def systematic_columns(x: np.ndarray,
         key = frozenset(labels[member].tolist())
         columns[key] = columns.get(key, 0.0) + float(width)
     return list(columns.items())
+
+
+def clause_columns(clauses: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                   items: list[int]) -> list[tuple[frozenset[int], float]]:
+    """The columns of a lifted XOS agent with clause matrix `clauses`: for
+    each clause k, beta_k times the systematic-sampling columns of
+    y_k / beta_k, with equal sets pooled. Item j's load is sum_k y_kj, and
+    since a set is worth at least any clause's sum over it, the mixture
+    value is at least sum_k c_k.y_k.
+
+    The pool is then cut to at most k + 1 of its sets over k items
+    (Caratheodory), as a vertex would be: any k + 2 sets have a null
+    vector d of their incidence rows and a row of ones, and moving their
+    weights along d, signed so that the mixture value does not fall,
+    until one weight reaches zero keeps every load and drops that set.
+    """
+    pooled: dict[frozenset[int], float] = {}
+    for y_k, b_k in zip(y, beta):
+        for s, w in systematic_columns(np.clip(y_k / b_k, 0.0, 1.0), items):
+            pooled[s] = pooled.get(s, 0.0) + float(b_k) * w
+    sets, weights = list(pooled), np.array(list(pooled.values()))
+    inc = np.zeros((len(items) + 1, len(sets)))
+    inc[-1] = 1.0
+    position = {j: t for t, j in enumerate(items)}
+    for c, s in enumerate(sets):
+        inc[[position[j] for j in s], c] = 1.0
+    worth = (clauses @ inc[:-1]).max(axis=0)
+    live = list(range(len(sets)))
+    while len(live) > inc.shape[0]:
+        block = live[:inc.shape[0] + 1]
+        d = np.linalg.svd(inc[:, block])[2][-1]
+        if worth[block] @ d < 0:
+            d = -d
+        reach = np.full(d.size, np.inf)
+        reach[d < 0] = weights[block][d < 0] / -d[d < 0]
+        out = int(np.argmin(reach))
+        weights[block] = np.maximum(weights[block] + reach[out] * d, 0.0)
+        live.remove(block[out])
+    return [(sets[c], float(weights[c])) for c in live if weights[c] > 0]
+
+
+def vertex_columns(table: SubsetTable, masks: np.ndarray,
+                   x: np.ndarray) -> list[tuple[frozenset[int], float]]:
+    """An optimal vertex of max sum_S v(S) z_S over the sets S given by
+    `masks` (rows of the table), with z >= 0, sum_S z_S 1_S <= x and
+    sum_S z_S = 1: one cold `maximize`, which keeps at most k + 1 of the
+    table's k items' sets. The masks must hold the empty set."""
+    inc = (masks >> np.arange(x.size)[:, None] & 1).astype(float)
+    res = maximize(table.arrays()[1][masks], a_ub=inc, b_ub=x,
+                   a_eq=np.ones((1, masks.size)), b_eq=np.ones(1))
+    keep = np.flatnonzero(res.x > 1e-12)
+    weights = res.x[keep] / res.x[keep].sum()
+    return [(frozenset(table.universe[inc[:, c] > 0].tolist()), float(w))
+            for c, w in zip(keep, weights)]
+
+
+def _mixture(v: Valuation, columns: list[tuple[frozenset[int], float]],
+             item_idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mixture value of columns under v, and their load on each item."""
+    rows = np.zeros((len(columns), v.m), dtype=bool)
+    for r, (s, _) in enumerate(columns):
+        rows[r, list(s)] = True
+    weights = np.array([w for _, w in columns])
+    return float(weights @ v.value_rows(rows)), weights @ rows[:, item_idx]
 
 
 def xos_subproblem_bound(clauses: np.ndarray, prices: np.ndarray, eps: float,
@@ -449,8 +438,10 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     breaks off, unconverged, when the Newton system turns singular or a
     slack or the bound stops being finite (t has outgrown double
     precision). Returns the last certified filled point, its agents' values
-    (a lifted agent's at its filled y), the trace (one row per Newton step,
-    with its step length) and the last row's D(p).
+    (a lifted agent's at its filled y), each lifted agent's filled clause
+    masses y (K x items) and clause weights beta there, keyed by its
+    position, the trace (one row per Newton step, with its step length)
+    and the last row's D(p).
     """
     n_a, m_i = len(clauses), clauses[0].shape[1]
     target = eps ** 4 * n_a
@@ -584,9 +575,11 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
         with np.errstate(divide="ignore", invalid="ignore"):
             prices = 1.0 / (t * s)
             bound = lagrangian_bound(singles, prices, eps) if len(singles) else float(prices.sum())
+            y = beta = None
             if n_eq:
                 y = np.append(u, 0.0)[y_idx] * (held[lifted] / x[lifted])[:, None, :]
-                room = np.append(u, 0.0)[b_idx][:, :, None] - y
+                beta = np.append(u, 0.0)[b_idx]
+                room = beta[:, :, None] - y
                 y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
                 values[lifted] = (c_pad * y).sum(axis=(1, 2))
                 lam = np.clip(prices - 1.0 / (t * z[lifted]), 0.0, prices)
@@ -596,7 +589,7 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
         slack = min(z.min(), s.min(), lo.min(initial=1.0), hi.min(initial=1.0))
         if not (slack > 0 and math.isfinite(gap)):
             break  # t has outgrown double precision
-        result = filled, values, bound
+        result = filled, values, y, beta, bound
         trace.append((it, obj, gap, alpha))
         if gap <= target:
             break
@@ -604,8 +597,9 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
             t *= BARRIER_GROWTH
     if result is None:
         raise ConvergenceError("no Newton step was certified", math.inf)
-    filled, values, bound = result
-    return filled, values, trace, bound
+    filled, values, y, beta, bound = result
+    clause_masses = {int(k): (y[r, :rows[k]], beta[r, :rows[k]]) for r, k in enumerate(lifted)}
+    return filled, values, clause_masses, trace, bound
 
 
 def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: int):
@@ -649,8 +643,9 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     off, unconverged, when the Newton system turns singular or a slack or
     the bound stops being finite. Returns the last certified masses with
     each item's slack spread over its agents in proportion to their masses,
-    the values of the certified configurations, the trace (one row per
-    Newton step, with its step length) and the smallest D(p).
+    the values of the certified configurations, the columns held there
+    (each one's mask and agent, in the order they joined), the trace (one
+    row per Newton step, with its step length) and the smallest D(p).
 
     Every Newton system is solved Jacobi-scaled, as in `_barrier_eg`: the
     masses of unused columns shrink with 1/t, so the diagonal spans many
@@ -758,7 +753,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         # every D(p) bounds the optimum, so the smallest so far certifies
         bound = min(bound, row_bound)
         gap = bound - obj
-        result = x, v, bound
+        result = x, v, bound, col_mask, col_agent
         trace.append((it, obj, gap, alpha))
         if gap <= target:
             break
@@ -826,41 +821,41 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
             t *= min(BARRIER_GROWTH, max(2.0, 2.0 * row_gap / target))
     if result is None:
         raise ConvergenceError("no Newton step was certified", math.inf)
-    x, values, bound = result
+    x, values, bound, col_mask, col_agent = result
     # v+ is monotone, so filling each item's slack in proportion to the
     # masses can only raise every agent's extension at the returned point
-    return x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, trace, bound
+    return (x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, (col_mask, col_agent),
+            trace, bound)
 
 
 def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
              params: EgParams | None = None) -> EgResult:
-    """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope.
+    """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope,
+    and decompose each agent's masses into the sets that rounding draws.
 
     A damped-Newton log barrier solves the program and the Lagrangian
     bound D(p) at its capacity prices certifies it. When every agent is
-    `Additive` or `Xos`, `_barrier_eg` solves it over clause blocks: an
-    additive or one-clause agent is one block of masses, with
-    v+_i(x) = c.x, and an agent with several clauses is lifted to one mass
-    vector per clause plus clause weights, a program whose value is
-    exactly v+. A one-clause agent's extension is closed-form, with the
-    systematic-sampling columns of its x. No restricted LP, demand query
-    or simplex runs on an all-additive agent set.
+    `Additive` or `Xos`, `_barrier_eg` solves it over clause blocks. An
+    additive or one-clause agent has v+_i(x) = c.x, and its columns are
+    the systematic-sampling decomposition of its x. An agent with several
+    clauses is lifted to clause masses and clause weights, and its
+    columns are `clause_columns` of the filled ones. Any other agent set
+    (one with a budgeted-additive or table agent) runs `_config_barrier_eg`
+    over every agent's `SubsetTable` (whose enumeration raises
+    `CapExceeded` past 16 items), and each agent's columns are
+    `vertex_columns` of the columns it held at the certified point, at
+    the returned x. No column generation or demand query runs, and no LP
+    on an additive or XOS agent set.
 
-    Any other agent set (one with a budgeted-additive or table agent)
-    runs `_config_barrier_eg` over the configuration program: each agent
-    holds a restricted set of columns over the remaining items, priced
-    every step over its whole `SubsetTable` (whose enumeration raises
-    `CapExceeded` past 16 items), and every agent enters through its own
-    table. Each agent keeps one `RestrictedMaster`, which holds the table.
-
-    Every agent without a closed form gets one cold `concave_ext` at the
-    returned x, which gives its exact v+, certificate and columns, and the
-    last trace row carries sum_i log v+_i there and D(p) less that.
-    `iterations` counts Newton steps, and `converged` means
-    D(p) - objective <= eps^4 n. Every trace row's objective plus gap
-    bounds the optimum from above, and the reported `gap` bounds the
-    returned point: the smallest objective-plus-gap over the trace, less
-    its objective. `params.max_iterations` caps the Newton steps.
+    A lifted or configuration agent's value is the mixture value of its
+    columns; it must reach the barrier's certified value with loads
+    within the agent's masses, or `InvariantViolation` is raised. The
+    last trace row then carries sum_i log of the values and D(p) less
+    that. `iterations` counts Newton steps. Every trace row's objective
+    plus gap bounds the optimum from above, and `gap` bounds the returned
+    point: the smallest objective-plus-gap over the trace, less its
+    objective. `converged` means gap <= eps^4 n. `params.max_iterations`
+    caps the Newton steps.
     """
     params = params or EgParams()
     agent_list = sorted(set(agents))
@@ -874,37 +869,35 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
 
     eps = params.floor(len(agent_list))
     vals = [inst.valuations[i] for i in agent_list]
-    closed: dict[int, np.ndarray] = {}  # one-clause agents: their weights
-    masters: dict[int, RestrictedMaster] = {}
     if all(isinstance(v, (Additive, Xos)) for v in vals):
         clauses = [(v.weights[None, :] if isinstance(v, Additive) else v.clauses)[:, item_idx]
                    for v in vals]
-        best_mat, values, trace, last_bound = _barrier_eg(clauses, eps, params.max_iterations)
-        closed = {k: c[0] for k, c in enumerate(clauses) if c.shape[0] == 1}
+        x_mat, values, clause_masses, trace, last_bound = _barrier_eg(
+            clauses, eps, params.max_iterations)
+        columns = [clause_columns(clauses[k], *clause_masses[k], item_list) if k in clause_masses
+                   else systematic_columns(x_mat[k], item_list) for k in range(len(vals))]
+        mixture_agents = sorted(clause_masses)
     else:
-        masters = {k: RestrictedMaster(v, item_idx) for k, v in enumerate(vals)}
-        best_mat, values, trace, last_bound = _config_barrier_eg(
-            [master.subsets for master in masters.values()], eps, params.max_iterations)
-    best_exts = {}
-    for k, i in enumerate(agent_list):
-        if k in closed:
-            prices = np.zeros(inst.m)
-            prices[item_idx] = closed[k]
-            best_exts[i] = ConcaveExtValue(
-                value=float(values[k]), q=0.0, prices=prices,
-                columns=systematic_columns(best_mat[k], item_list), rounds=0)
-        else:
-            x_full = np.zeros(inst.m)
-            x_full[item_idx] = best_mat[k]
-            best_exts[i] = concave_ext(vals[k], x_full, items=item_list, master=masters.get(k))
-            values[k] = best_exts[i].value
-    if len(closed) < len(agent_list):
+        tables = [SubsetTable(v, item_idx) for v in vals]
+        x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
+            tables, eps, params.max_iterations)
+        columns = [vertex_columns(table, col_mask[col_agent == k], x_mat[k])
+                   for k, table in enumerate(tables)]
+        mixture_agents = list(range(len(vals)))
+    for k in mixture_agents:
+        value, load = _mixture(vals[k], columns[k], item_idx)
+        if (value < values[k] - CHECK_TOL * max(1.0, values[k])
+                or (load > x_mat[k] + CHECK_TOL).any()):
+            raise InvariantViolation(f"decomposition falls short: agent {agent_list[k]}'s "
+                                     f"columns are worth {value!r} of {float(values[k])!r} "
+                                     f"or load items past its masses")
+        values[k] = value
+    if mixture_agents:
         it, _, _, step = trace[-1]
         obj = float(np.log(values).sum())
         trace[-1] = (it, obj, last_bound - obj, step)
     best_obj = trace[-1][1]
-    converged = trace[-1][2] <= eps ** 4 * len(agent_list)
-    mass = {i: {int(j): float(best_mat[k, jj]) for jj, j in enumerate(item_list)}
+    mass = {i: {int(j): float(x_mat[k, jj]) for jj, j in enumerate(item_list)}
             for k, i in enumerate(agent_list)}
     frac = ItemFractional(mass)
     frac.validate(inst.m)
@@ -912,9 +905,10 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     # bounds the returned iterate's own gap
     bound = min(o + g for _, o, g, _ in trace)
     return EgResult(agents=agent_list, items=item_list, x=frac,
-                    extensions=best_exts, objective=best_obj, gap=bound - best_obj,
-                    epsilon=eps, iterations=len(trace), converged=converged,
-                    trace=trace)
+                    agent_values={i: float(values[k]) for k, i in enumerate(agent_list)},
+                    columns={i: columns[k] for k, i in enumerate(agent_list)},
+                    objective=best_obj, gap=bound - best_obj, epsilon=eps,
+                    iterations=len(trace), trace=trace)
 
 
 def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float,

@@ -8,9 +8,9 @@ safe to share across concurrent workers.
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe with
 its value and lexicographic rank, and breaks ties by that rank. One table
-serves every query over its universe; whoever repeats queries (a
-restricted master of the relaxation) holds it, and a call without one
-enumerates afresh. A table fills itself on first use, and two workers
+serves every query over its universe; whoever repeats queries (one
+`concave_ext` call, or an agent of the relaxation) holds it, and a call
+without one enumerates afresh. A table fills itself on first use, and two workers
 filling one at once compute the same arrays.
 """
 
@@ -217,7 +217,7 @@ class SubsetTable:
     order (so `rows @ p` rounds exactly as the boolean product did), their
     values under v and each subset's lexicographic rank. Valuations are
     immutable, so the table never goes stale; it lives as long as its
-    holder, such as a restricted master. At the 16-item cap with m = 16
+    holder, such as one `solve_eg` call. At the 16-item cap with m = 16
     it takes about 8 MB.
     """
 
@@ -252,7 +252,7 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
     is one held for v and this universe, so that repeated queries
     enumerate once; without one, each call enumerates afresh. Ties in the
     enumerated families go to the lexicographically smallest set, the one
-    of least rank. A sorted int64 array of distinct items (a master's
+    of least rank. A sorted int64 array of distinct items (a table's
     universe) is used as is.
     """
     p = np.asarray(prices, dtype=float)

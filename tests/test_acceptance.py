@@ -160,6 +160,25 @@ def test_criterion_02_engaged_subadditive_lane():
           f"min ratio {min(ratios):.4f} (gate 1/375000)")
 
 
+def test_criterion_02_engaged_budgeted_lane():
+    """Budgeted-additive near-uniform 2x16 (cap_ratio 0.8, seeds 0-3): the
+    6*nu filter passes and rounding finishes on all four, so a
+    non-additive valuation is split and rounded end to end, and
+    NSW >= exact optimum / 375000."""
+    ratios, engaged = [], 0
+    for seed in range(4):
+        inst = generate(GenSpec("budgeted_additive", 2, 16, weights="near_uniform",
+                                cap_ratio=0.8, seed=seed))
+        report = run_subadditive(inst, PipelineParams(seed=seed, proc="oracle"))
+        ratio = report.nsw / exact_nsw(inst).optimum
+        assert ratio >= 1.0 / 375_000.0, f"seed {seed}: ratio {ratio}"
+        ratios.append(ratio)
+        engaged += bool(report.filtered) and not report.outcome.rounds_capped
+    assert engaged == 4, f"the lane engaged on {engaged} of 4 instances"
+    print(f"\nPASS criterion 2 (engaged budgeted lane): 4/4 engaged; "
+          f"min ratio {min(ratios):.4f} (gate 1/375000)")
+
+
 def test_criterion_03_set_splitting_invariants():
     """500 fuzzed runs per variant; every documented bound within 1e-9."""
     runs = dict.fromkeys(fuzz.SPLIT_VARIANTS, 0)

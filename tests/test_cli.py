@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nswforge import fuzz
@@ -300,31 +301,38 @@ class TestExitCodes:
         assert "enumeration cap:" in err and "support combinations exceed the cap" in err
 
     @pytest.mark.parametrize("fault, code, message", [
-        ("round_cap", EXIT_CAP, "iteration cap: column generation round cap exceeded"),
         ("pivot_cap", EXIT_CAP, "iteration cap: simplex iteration cap exceeded"),
-        ("stall", EXIT_INVARIANT, "invariant violation: column generation stalled"),
-        ("certificate", EXIT_INVARIANT, "invariant violation: duality certificate failed"),
+        ("certificate", EXIT_INVARIANT, "invariant violation: decomposition falls short"),
         ("unbounded", EXIT_INVARIANT, "invariant violation: objective unbounded above"),
+        ("barrier_cap", EXIT_CAP, "iteration cap: Newton step cap exceeded"),
+        ("uncertified", EXIT_INVARIANT, "invariant violation: no Newton step was certified"),
     ])
-    def test_relaxation_errors_map_to_typed_exits(self, fault, code, message, instance_file,
+    def test_relaxation_errors_map_to_typed_exits(self, fault, code, message, budgeted_file,
                                                   monkeypatch, capsys):
+        # the configuration barrier runs, and each agent takes its columns
+        # from one relaxation.maximize
         from nswforge import _lp, relaxation
-        from nswforge.valuations import DemandResult
 
-        if fault == "round_cap":  # the first round's demand query finds a new column
-            monkeypatch.setattr(relaxation, "COLGEN_MAX_ROUNDS", 1)
-        elif fault == "pivot_cap":
+        def capped(*args):
+            raise relaxation.ConvergenceError("Newton step cap exceeded", 1.0, capped=True)
+
+        def unbounded_tables(*args, _f=relaxation.table_subproblem_bound):
+            bounds, utility = _f(*args)
+            return bounds + np.inf, utility
+        maximize = relaxation.maximize
+        if fault == "pivot_cap":
             monkeypatch.setattr(_lp, "_MAX_ITER", 0)
-        elif fault == "stall":  # a known column that claims to beat its price
-            monkeypatch.setattr(relaxation, "demand",
-                                lambda *a, **k: DemandResult(frozenset(), 1.0))
-        elif fault == "certificate":
-            maximize = relaxation.maximize
-            monkeypatch.setattr(relaxation, "maximize",
-                                lambda *a, **k: replace(maximize(*a, **k), value=-1.0))
-        else:  # no row passes the ratio test
+        elif fault == "certificate":  # all weight on the empty set, column 0
+            monkeypatch.setattr(relaxation, "maximize", lambda *a, **k: replace(
+                maximize(*a, **k), x=np.eye(len(a[0]))[0]))
+        elif fault == "unbounded":  # no row passes the ratio test
             monkeypatch.setattr(_lp, "_PIVOT_TOL", 1e9)
-        assert main(["solve", "--instance", str(instance_file), "--pipeline", "xos"]) == code
+        elif fault == "barrier_cap":
+            monkeypatch.setattr(relaxation, "_config_barrier_eg", capped)
+        else:  # no step's bound is finite
+            monkeypatch.setattr(relaxation, "table_subproblem_bound", unbounded_tables)
+        assert main(["solve", "--instance", str(budgeted_file),
+                     "--pipeline", "subadditive"]) == code
         assert message in capsys.readouterr().err
 
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Concave extension, supergradients, and the Eisenberg-Gale solver."""
+"""Concave extension, and the Eisenberg-Gale solver with its decomposition."""
 
 import gc
 import itertools
@@ -14,14 +14,13 @@ from nswforge.matching import initial_matching
 from nswforge.model import Instance
 from nswforge.relaxation import (
     EgParams,
-    RestrictedMaster,
+    clause_columns,
     concave_ext,
     default_epsilon,
     scaled_optimum_check,
     additive_subproblems,
     lagrangian_bound,
     solve_eg,
-    supergradient_log,
     systematic_columns,
     table_subproblem_bound,
     xos_subproblem_bound,
@@ -34,7 +33,6 @@ from nswforge.valuations import (
     SubsetTable,
     Xos,
 )
-from test_lp import warm_paths  # noqa: F401 (a fixture)
 
 
 def make_instance(*valuations):
@@ -54,6 +52,49 @@ def random_valuation(rng, m, fam):
     masks = np.arange(1 << m)
     rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     return ExplicitTable(src.value_rows(rows), m)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the relaxation called a forbidden function")
+
+
+def mixed_instance(seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1, (3, 6))
+    return make_instance(Additive(weights[0]), BudgetedAdditive(weights[1], cap=1.2),
+                         Xos(weights[1:]))
+
+
+def assert_columns_keep_the_contract(inst, eg):
+    """Every agent's columns: at most k + 1 over k items, weights summing
+    to one, loads within its masses and mixture value equal to its value.
+    Returns the loads."""
+    loads = {}
+    for i in eg.agents:
+        v, columns = inst.valuations[i], eg.columns[i]
+        x = eg.x.agent_vector(i, inst.m)
+        assert sum(w for _, w in columns) == pytest.approx(1.0, abs=1e-12)
+        assert all(w > 0 and s <= set(eg.items) for s, w in columns)
+        assert len({s for s, _ in columns}) == len(columns) <= len(eg.items) + 1
+        loads[i] = np.zeros(inst.m)
+        for s, w in columns:
+            loads[i][list(s)] += w
+        assert (loads[i] <= x + 1e-9).all()
+        assert eg.values()[i] == pytest.approx(sum(w * v.value(s) for s, w in columns),
+                                               rel=1e-12, abs=1e-12)
+    return loads
+
+
+def assert_within_the_gap_of_fresh_extensions(inst, eg):
+    """x is feasible, so sum_i log v+_i(x_i) <= OPT <= objective + gap: a
+    fresh extension at the returned point beats each value, by at most
+    the certified gap in all."""
+    excess = 0.0
+    for i, value in eg.values().items():
+        fresh = concave_ext(inst.valuations[i], eg.x.agent_vector(i, inst.m), items=eg.items)
+        assert value <= fresh.value + 1e-9
+        excess += math.log(fresh.value / value)
+    assert excess <= eg.gap + 1e-12
 
 
 class TestConcaveExt:
@@ -103,6 +144,10 @@ class TestConcaveExt:
             for j in s:
                 load[j] += w
         assert (load <= x + 1e-8).all()
+        # the dual bounds every set of the universe
+        for s in itertools.chain.from_iterable(
+                itertools.combinations(range(m), r) for r in range(m + 1)):
+            assert a.q + a.prices[list(s)].sum() >= v.value(s) - 1e-8
 
     @pytest.mark.parametrize("seed", range(8))
     def test_concave_along_segments(self, seed):
@@ -119,41 +164,6 @@ class TestConcaveExt:
     def test_zero_mass_gives_zero(self):
         ext = concave_ext(Additive([1.0, 2.0]), [0.0, 0.0])
         assert ext.value == 0.0
-
-
-class TestRestrictedMaster:
-    def test_reuse_keeps_values_and_counts_each_column_once(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        v = Xos(rng.uniform(0, 1, (4, 6)))
-        valued = []
-        monkeypatch.setattr(v, "value", lambda items, f=v.value: valued.append(
-            frozenset(items)) or f(items))
-        master = RestrictedMaster(v, np.arange(6))
-        for _ in range(8):
-            x = rng.uniform(0, 1, 6)
-            ext = concave_ext(v, x, master=master)
-            fresh = concave_ext(Xos(v.clauses), x)
-            assert ext.value == pytest.approx(fresh.value, abs=1e-9)
-            assert ext.value == pytest.approx(ext.q + ext.prices @ x, abs=1e-9)
-        assert len(valued) == len(set(valued)) == len(master.columns)
-
-    def test_master_of_another_universe_rejected(self):
-        v = Additive([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="another valuation or universe"):
-            concave_ext(v, [0.5, 0.5, 0.5], items=[0, 1],
-                        master=RestrictedMaster(v, np.arange(3)))
-        with pytest.raises(ValueError, match="another valuation or universe"):
-            concave_ext(v, [0.5, 0.5, 0.5],
-                        master=RestrictedMaster(Additive([1.0, 2.0, 3.0]), np.arange(3)))
-
-    @pytest.mark.parametrize("family", ["budgeted_additive", "table", "xos"])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_solve_eg_solves_each_master_at_one_x(self, family, seed, warm_paths):
-        # column generation only appends columns at the masses it was given,
-        # so every warm start keeps its basis; a master re-solved at moved
-        # masses would fall back to the identity start here
-        solve_eg(generate(GenSpec(family, 3, 10, seed=seed)), range(3), range(10))
-        assert warm_paths["warm"] > 0 and warm_paths["identity"] == 0
 
 
 @pytest.fixture
@@ -184,19 +194,16 @@ def enumerations(monkeypatch):
 class TestSubsetTableReuse:
     @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
     def test_each_master_enumerates_once_per_solve(self, family, enumerations, monkeypatch):
+        # each agent's table is enumerated once and priced at every step;
+        # the only other batches value each agent's at most 9 columns
         inst = generate(GenSpec(family, 3, 8, seed=4))
         enumerations["values"].clear()  # the generator evaluates its tables' sources
-        queries = []
-        monkeypatch.setattr(relaxation, "demand", lambda *a, _f=relaxation.demand, **k:
-                            queries.append(k["table"] and id(k["table"])) or _f(*a, **k))
+        monkeypatch.setattr(relaxation, "demand", forbidden)
         eg = solve_eg(inst, range(3), range(8))
-        # the barrier prices every step over the three tables, and each
-        # extension's demand queries search its agent's one (the tables live
-        # through the solve, so their ids are distinct)
-        assert eg.iterations > 1 and len(queries) > 3
-        assert None not in queries and len(set(queries)) == 3
+        assert eg.iterations > 1
         assert enumerations["rows"] == [8, 8, 8]
-        assert enumerations["values"] == [256, 256, 256]
+        assert enumerations["values"][:3] == [256, 256, 256]
+        assert all(rows <= 9 for rows in enumerations["values"][3:])
         gc.collect()
         assert len(enumerations["tables"]) == 3
         assert all(ref() is None for ref in enumerations["tables"])
@@ -206,58 +213,9 @@ class TestSubsetTableReuse:
         inst = generate(GenSpec(family, 3, 8, seed=4))
         enumerations["values"].clear()
         solve_eg(inst, range(3), range(8))
-        assert enumerations == {"rows": [], "values": [], "tables": []}
-
-    def test_dropped_master_takes_its_table(self, enumerations):
-        rng = np.random.default_rng(9)
-        v = BudgetedAdditive(rng.uniform(0, 1, 6), cap=1.2)
-        master = RestrictedMaster(v, np.arange(6))
-        for _ in range(3):
-            concave_ext(v, rng.uniform(0, 1, 6), master=master)
-        assert enumerations["rows"] == [6]
-        rows = weakref.ref(master.subsets.arrays()[0])
-        del master
-        gc.collect()
-        assert rows() is None and enumerations["tables"][0]() is None
-
-
-class TestSupergradient:
-    def test_additive_gradient_formula(self):
-        rng = np.random.default_rng(2)
-        w = rng.uniform(0.1, 1, 4)
-        x = rng.uniform(0.1, 0.9, 4)
-        sg = supergradient_log(Additive(w), x)
-        assert sg.grad == pytest.approx(w / float(w @ x), abs=1e-9)
-        assert sg.base == pytest.approx(math.log(float(w @ x)), abs=1e-9)
-
-    @pytest.mark.parametrize("x0", [(0.5, 0.5), (1.0, 1.0), (0.25, 0.75)])
-    def test_dominance_on_grid(self, x0):
-        v = Xos([[2, 0], [0, 2]])
-        x = np.array(x0)
-        sg = supergradient_log(v, x)
-        grid = np.linspace(0.05, 1.0, 5)
-        for ya in grid:
-            for yb in grid:
-                y = np.array([ya, yb])
-                vy = concave_ext(v, y, method="enumerate").value
-                lin = sg.linearization(y, x)
-                assert lin >= math.log(vy) - 1e-8
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_dominance_random_families(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        m = 4
-        v = random_valuation(rng, m, seed % 4)
-        x = rng.uniform(0.2, 1.0, m)
-        sg = supergradient_log(v, x)
-        for _ in range(20):
-            y = rng.uniform(0.05, 1.0, m)
-            vy = concave_ext(v, y).value
-            assert sg.linearization(y, x) >= math.log(vy) - 1e-8
-
-    def test_zero_extension_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            supergradient_log(Additive([1.0, 1.0]), np.zeros(2))
+        # no table; the only batches value a lifted agent's at most 9 columns
+        assert enumerations["rows"] == [] and enumerations["tables"] == []
+        assert all(rows <= 9 for rows in enumerations["values"])
 
 
 class TestSolveEg:
@@ -308,18 +266,12 @@ class TestSolveEg:
 
 
     def test_extensions_match_fresh_solves(self):
-        # the extensions at the returned point give the same v+ and valid
-        # certificates as a fresh solve
         for family, seed in (("xos", 1), ("table", 0), ("budgeted_additive", 2)):
             inst = generate(GenSpec(family, n=3, m=7, seed=seed))
             _, _, remaining, active = initial_matching(inst)
-            eg = solve_eg(inst, active, remaining, EgParams(max_iterations=60))
-            for i in eg.agents:
-                x = eg.x.agent_vector(i, inst.m)
-                fresh = concave_ext(inst.valuations[i], x, items=eg.items)
-                ext = eg.extensions[i]
-                assert ext.value == pytest.approx(fresh.value, abs=1e-9)
-                assert ext.value == pytest.approx(ext.q + ext.prices @ x, abs=1e-9)
+            eg = solve_eg(inst, active, remaining)
+            assert eg.converged
+            assert_within_the_gap_of_fresh_extensions(inst, eg)
 
     def test_gap_bounds_the_returned_iterate_when_capped(self):
         inst = generate(GenSpec("xos", n=3, m=6, seed=1))
@@ -408,13 +360,12 @@ class TestAdditiveBarrier:
         assert all(obj + gap >= best for _, obj, gap, _ in eg.trace)
 
     def test_solves_no_lp_and_asks_no_demand(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the additive path called the LP machinery")
+        # neither additive nor XOS agent sets (lifted agents included)
         for name in ("maximize", "demand", "concave_ext"):
             monkeypatch.setattr(relaxation, name, forbidden)
-        monkeypatch.setattr(RestrictedMaster, "__init__", forbidden)
-        eg = solve_eg(generate(GenSpec("additive", 3, 10, seed=0)), range(3), range(10))
-        assert eg.converged and all(ext.rounds == 0 for ext in eg.extensions.values())
+        for family in ("additive", "xos"):
+            eg = solve_eg(generate(GenSpec(family, 3, 10, seed=0)), range(3), range(10))
+            assert eg.converged
 
     def test_extensions_are_closed_form_and_certified(self):
         inst = generate(GenSpec("additive", 3, 12, seed=5))
@@ -422,26 +373,15 @@ class TestAdditiveBarrier:
         eg = solve_eg(inst, active, remaining)
         assert math.log(math.prod(eg.values().values())) == pytest.approx(eg.objective,
                                                                          abs=1e-12)
+        assert eg.converged
+        loads = assert_columns_keep_the_contract(inst, eg)
         for i in eg.agents:
-            v, ext = inst.valuations[i], eg.extensions[i]
             x = eg.x.agent_vector(i, inst.m)
-            assert ext.q == 0.0 and ext.rounds == 0
-            assert np.array_equal(ext.prices[eg.items], v.weights[eg.items])
-            assert ext.value == pytest.approx(float(v.weights @ x), abs=1e-12)
-            # strong duality, the column mixture, and masses respected
-            assert ext.value == pytest.approx(ext.q + float(ext.prices @ x), abs=1e-12)
-            assert ext.value == pytest.approx(sum(w * v.value(s) for s, w in ext.columns),
-                                              abs=1e-12)
-            assert sum(w for _, w in ext.columns) == pytest.approx(1.0, abs=1e-12)
-            load = np.zeros(inst.m)
-            for s, w in ext.columns:
-                assert s <= set(eg.items)
-                load[list(s)] += w
-            assert load == pytest.approx(x, abs=1e-12)
-            # the dual certifies every set of the universe
-            for r in range(len(eg.items) + 1):
-                for s in itertools.islice(itertools.combinations(eg.items, r), 50):
-                    assert ext.q + ext.prices[list(s)].sum() >= v.value(s) - 1e-12
+            assert eg.values()[i] == pytest.approx(float(inst.valuations[i].weights @ x),
+                                                   abs=1e-12)
+            # the systematic-sampling columns of x: the masses exactly
+            assert eg.columns[i] == systematic_columns(x[eg.items], eg.items)
+            assert loads[i] == pytest.approx(x, abs=1e-12)
 
     def test_zero_weight_masses_stay_on_the_floor(self):
         inst = make_instance(Additive([1.0, 2.0, 0.0]), Additive([0.0, 1.0, 3.0]))
@@ -503,42 +443,29 @@ class TestXosBarrier:
         assert all(obj + gap >= best - 1e-12 for _, obj, gap, _ in eg.trace)
 
     def test_mixed_additive_and_xos_agents_take_the_barrier_path(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the configuration barrier ran")
         monkeypatch.setattr(relaxation, "_config_barrier_eg", forbidden)
-        extended = []
-        monkeypatch.setattr(relaxation, "concave_ext", lambda v, *a, _f=concave_ext, **k:
-                            extended.append(v) or _f(v, *a, **k))
+        for name in ("maximize", "demand", "concave_ext"):
+            monkeypatch.setattr(relaxation, name, forbidden)
         rng = np.random.default_rng(3)
         inst = make_instance(Additive(rng.uniform(0.1, 1, 5)), Xos(rng.uniform(0.1, 1, (2, 5))),
                              Xos(rng.uniform(0.1, 1, (1, 5))))
         eg = solve_eg(inst, range(3), range(5))
         assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * 3
-        # one cold extension, for the two-clause agent; the one-clause
-        # agents' extensions are closed-form
-        assert extended == [inst.valuations[1]]
-        for i in (0, 2):
-            ext = eg.extensions[i]
-            assert ext.q == 0.0 and ext.rounds == 0
-            assert ext.value == pytest.approx(float(ext.prices @ eg.x.agent_vector(i, 5)),
-                                              abs=1e-12)
-        assert eg.extensions[1].rounds > 0
+        # the one-clause agents' values are closed-form, c.x
+        for i, weights in ((0, inst.valuations[0].weights), (2, inst.valuations[2].clauses[0])):
+            assert eg.values()[i] == pytest.approx(float(weights @ eg.x.agent_vector(i, 5)),
+                                                   abs=1e-12)
+        assert_columns_keep_the_contract(inst, eg)
 
     def test_lifted_extensions_keep_the_contract(self):
         inst = generate(GenSpec("xos", 4, 12, seed=0))
         _, _, remaining, active = initial_matching(inst)
         eg = solve_eg(inst, active, remaining)
         assert eg.converged
+        loads = assert_columns_keep_the_contract(inst, eg)
+        # clause columns place every agent's masses exactly
         for i in eg.agents:
-            v, ext = inst.valuations[i], eg.extensions[i]
-            x = eg.x.agent_vector(i, inst.m)
-            assert ext.value == pytest.approx(ext.q + float(ext.prices @ x), abs=1e-9)
-            assert ext.value == pytest.approx(sum(w * v.value(s) for s, w in ext.columns),
-                                              abs=1e-9)
-            load = np.zeros(inst.m)
-            for s, w in ext.columns:
-                load[list(s)] += w
-            assert (load <= x + 1e-9).all()
+            assert loads[i] == pytest.approx(eg.x.agent_vector(i, inst.m), abs=1e-12)
 
     def test_breaks_off_finite_when_t_outgrows_precision(self, monkeypatch):
         # t grows so fast that a slack or the bound stops being finite (or
@@ -642,25 +569,24 @@ class TestConfigBarrier:
 
     def test_mixed_additive_and_budgeted_set_runs_the_configuration_barrier(self,
                                                                             monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the clause barrier ran")
         monkeypatch.setattr(relaxation, "_barrier_eg", forbidden)
-        extended = []
-        monkeypatch.setattr(relaxation, "concave_ext", lambda v, *a, _f=concave_ext, **k:
-                            extended.append(v) or _f(v, *a, **k))
-        rng = np.random.default_rng(3)
-        weights = rng.uniform(0.1, 1, (3, 6))
-        inst = make_instance(Additive(weights[0]), BudgetedAdditive(weights[1], cap=1.2),
-                             Xos(weights[1:]))
+        inst = mixed_instance(3)
         eg = solve_eg(inst, range(3), range(6))
         assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * 3
-        # every agent, additive and XOS too, enters through its own table and
-        # gets one extension at the returned point
-        assert extended == list(inst.valuations)
-        for i in range(3):
-            x = eg.x.agent_vector(i, 6)
-            assert eg.extensions[i].value == pytest.approx(
-                concave_ext(inst.valuations[i], x).value, abs=1e-9)
+        # every agent, additive and XOS too, enters through its own table
+        assert_within_the_gap_of_fresh_extensions(inst, eg)
+        assert_columns_keep_the_contract(inst, eg)
+
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table", "mixed"])
+    def test_one_cold_lp_per_agent_and_no_column_generation(self, family, monkeypatch):
+        inst = mixed_instance(4) if family == "mixed" else generate(GenSpec(family, 3, 8, seed=1))
+        solves = []
+        monkeypatch.setattr(relaxation, "maximize", lambda *a, _f=relaxation.maximize, **k:
+                            solves.append(k.get("warm")) or _f(*a, **k))
+        for name in ("demand", "concave_ext"):
+            monkeypatch.setattr(relaxation, name, forbidden)
+        eg = solve_eg(inst, range(3), range(inst.m))
+        assert eg.converged and solves == [None] * 3
 
     def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
         # from the sixth step on the bound is not finite, as when t has
@@ -737,6 +663,35 @@ class TestSystematicColumns:
             reports = [run(inst, PipelineParams(seed=4)) for _ in range(2)]
             assert reports[0].eg.converged
             assert reports[0].to_json(inst) == reports[1].to_json(inst)
+
+
+class TestClauseColumns:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_marginals_and_value(self, seed):
+        rng = np.random.default_rng(1260 + seed)
+        k, m = int(rng.integers(2, 5)), int(rng.integers(1, 12))
+        v = Xos(rng.uniform(0, 1, (k, m)))
+        beta = rng.dirichlet(np.ones(k))
+        y = beta[:, None] * rng.uniform(0, 1, (k, m))
+        cols = clause_columns(v.clauses, y, beta, list(range(m)))
+        assert len({s for s, _ in cols}) == len(cols) <= m + 1
+        assert all(w > 0 for _, w in cols)
+        assert sum(w for _, w in cols) == pytest.approx(1.0, abs=1e-12)
+        load = np.zeros(m)
+        for s, w in cols:
+            load[list(s)] += w
+        assert load == pytest.approx(y.sum(axis=0), abs=1e-12)
+        assert sum(w * v.value(s) for s, w in cols) >= float((v.clauses * y).sum()) - 1e-12
+
+
+@pytest.mark.parametrize("family", ["additive", "xos", "budgeted_additive", "table"])
+@pytest.mark.parametrize("seed", range(2))
+def test_columns_keep_the_contract(family, seed):
+    inst = generate(GenSpec(family, 3, 9, seed=seed))
+    _, _, remaining, active = initial_matching(inst)
+    eg = solve_eg(inst, active, remaining)
+    assert eg.converged
+    assert_columns_keep_the_contract(inst, eg)
 
 
 class TestScaledOptimum:
