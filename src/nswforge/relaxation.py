@@ -6,10 +6,10 @@ the LP value of the best distribution over item sets consistent with x.
 `concave_ext` computes it by column generation (Gilmore and Gomory): the
 demand oracle is exactly the separation oracle of the dual, so each round
 either certifies optimality (no set beats its price) or contributes a new
-column, and each LP solve warm-starts `_lp.maximize` from the round
-before. The returned dual pair (q, p) satisfies q + p(S) >= v(S) for
-every set over the universe. The relaxation does not call it: it is the
-standalone, certified reference that the tests, `fuzz` and the demos
+column, and each round solves its restricted master cold with
+`_lp.maximize`. The returned dual pair (q, p) satisfies q + p(S) >= v(S)
+for every set over the universe. The relaxation does not call it: it is
+the standalone, certified reference that the tests, `fuzz` and the demos
 check the relaxation against.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
@@ -88,19 +88,16 @@ class ConcaveExtValue:
     rounds: int
 
 
-def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
-                method: str = "colgen") -> ConcaveExtValue:
+def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveExtValue:
     """Concave extension of v at item masses x over the given universe
-    (every item by default).
+    (every item by default), by demand-oracle column generation.
 
-    method="colgen" runs demand-oracle column generation and certifies the
-    dual over every subset of the universe. It stops once no set's
-    utility at the prices exceeds q by more than `COLGEN_TOL` (relative
-    to the value), and raises `ConvergenceError` after
-    `COLGEN_MAX_ROUNDS` rounds. method="enumerate" solves the LP over all
-    subsets of the support of x in one shot (desk-scale fallback; its dual
-    is only certified on the enumerated sets). The restricted master
-    starts from the empty set and the singletons.
+    The restricted master starts from the empty set and the singletons,
+    and each round solves it cold. The dual is certified over every subset
+    of the universe: the solve stops once no set's utility at the prices
+    exceeds q by more than `COLGEN_TOL` (relative to the value), and
+    raises `ConvergenceError` after `COLGEN_MAX_ROUNDS` rounds. The LP
+    over every subset is `vertex_columns` on the universe's whole table.
     """
     x = np.asarray(x, dtype=float)
     if items is None:
@@ -110,32 +107,20 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None,
     x_univ = x[universe]
     if x_univ.min() < -COLGEN_TOL or x_univ.max() > 1 + COLGEN_TOL:
         raise ValueError("item masses must lie in [0, 1]")
-    if method not in ("colgen", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
     columns = [frozenset()] + [frozenset({int(j)}) for j in universe]
-    if method == "enumerate":
-        support = [int(j) for j in universe if x[j] > 0]
-        if len(support) > 20:
-            raise ValueError("enumeration fallback supports at most 20 support items")
-        subsets = (frozenset(support[t] for t in range(len(support)) if mask >> t & 1)
-                   for mask in range(1, 1 << len(support)))
-        columns += [col for col in subsets if len(col) > 1]
     values = [v.value(col) for col in columns]
     table = SubsetTable(v, universe)
 
     rounds = 0
-    res = None
     while True:
         # max sum_k value_k y_k over y >= 0 with incidence.y <= x and sum y = 1
         incidence = np.array([[j in col for col in columns] for j in universe.tolist()], float)
         res = maximize(np.array(values), a_ub=incidence, b_ub=x_univ,
-                       a_eq=np.ones((1, len(columns))), b_eq=np.ones(1), warm=res)
+                       a_eq=np.ones((1, len(columns))), b_eq=np.ones(1))
         q = float(res.dual_eq[0])
         p_univ = np.maximum(res.dual_ub, 0.0)
         prices = np.zeros(v.m)
         prices[universe] = p_univ
-        if method == "enumerate":
-            break
         rounds += 1
         hit = demand(v, prices, items=universe, table=table)
         gap = hit.utility - q

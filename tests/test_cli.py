@@ -304,7 +304,6 @@ class TestExitCodes:
         ("pivot_cap", EXIT_CAP, "iteration cap: simplex iteration cap exceeded"),
         ("certificate", EXIT_INVARIANT, "invariant violation: decomposition falls short"),
         ("unbounded", EXIT_INVARIANT, "invariant violation: objective unbounded above"),
-        ("barrier_cap", EXIT_CAP, "iteration cap: Newton step cap exceeded"),
         ("uncertified", EXIT_INVARIANT, "invariant violation: no Newton step was certified"),
     ])
     def test_relaxation_errors_map_to_typed_exits(self, fault, code, message, budgeted_file,
@@ -312,9 +311,6 @@ class TestExitCodes:
         # the configuration barrier runs, and each agent takes its columns
         # from one relaxation.maximize
         from nswforge import _lp, relaxation
-
-        def capped(*args):
-            raise relaxation.ConvergenceError("Newton step cap exceeded", 1.0, capped=True)
 
         def unbounded_tables(*args, _f=relaxation.table_subproblem_bound):
             bounds, utility = _f(*args)
@@ -327,13 +323,21 @@ class TestExitCodes:
                 maximize(*a, **k), x=np.eye(len(a[0]))[0]))
         elif fault == "unbounded":  # no row passes the ratio test
             monkeypatch.setattr(_lp, "_PIVOT_TOL", 1e9)
-        elif fault == "barrier_cap":
-            monkeypatch.setattr(relaxation, "_config_barrier_eg", capped)
         else:  # no step's bound is finite
             monkeypatch.setattr(relaxation, "table_subproblem_bound", unbounded_tables)
         assert main(["solve", "--instance", str(budgeted_file),
                      "--pipeline", "subadditive"]) == code
         assert message in capsys.readouterr().err
+
+    def test_column_generation_round_cap_maps_to_exit_3(self, monkeypatch, capsys):
+        # the run that TestFuzz sees clean: its concave extensions need
+        # more than one column generation round
+        from nswforge import relaxation
+
+        monkeypatch.setattr(relaxation, "COLGEN_MAX_ROUNDS", 1)
+        assert main(["fuzz", "--module", "relax", "--count", "5", "--seed", "4"]) == EXIT_CAP
+        assert ("iteration cap: column generation round cap exceeded"
+                in capsys.readouterr().err)
 
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):
         import nswforge.cli as cli_mod

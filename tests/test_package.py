@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import nswforge
-from nswforge import relaxation
+from nswforge import oracle, relaxation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -21,10 +21,11 @@ def test_benchmark_tracer_installs_and_removes():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
-    maximize, tracer = relaxation.maximize, tracer_mod.Tracer()
+    modules = (relaxation, oracle)  # the two names of `_lp.maximize`
+    maximize, tracer = [mod.maximize for mod in modules], tracer_mod.Tracer()
     try:
         tracer_mod.install(tracer)
-        assert relaxation.maximize is not maximize
+        assert all(mod.maximize is not f for mod, f in zip(modules, maximize))
     finally:
         tracer.remove()
-    assert relaxation.maximize is maximize
+    assert all(mod.maximize is f for mod, f in zip(modules, maximize))
