@@ -7,9 +7,10 @@ equality row (an agent's unit mass) has a column that is its unit vector
 basis that is feasible as it stands. Every solve starts there, cold: the
 initial tableau [A | I | b] is its own B^-1 [A | I | b], so there is no
 phase 1 and no factorization, and the primal simplex runs on it to
-optimality. Bland's rule keeps degenerate LPs, such as restricted masters
-with zero item masses, from cycling. Callers use the duals of the final
-basis as optimality certificates.
+optimality. It prices by Dantzig's largest reduced cost and breaks ties
+in the ratio test lexicographically on B^-1, which keeps degenerate LPs,
+such as restricted masters with zero item masses, from cycling. Callers
+use the duals of the final basis as optimality certificates.
 """
 
 from __future__ import annotations
@@ -50,27 +51,32 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    """Primal simplex to optimality."""
+    """Primal simplex to optimality: Dantzig's largest-coefficient pricing
+    with the lexicographic ratio test (Dantzig, Orden and Wolfe 1955).
+
+    The leaving row minimizes, lexicographically, its rhs and then its row
+    of B^-1, each divided by its entry in the entering column. The starting
+    basis is the identity, so B^-1 is the tableau's columns of the starting
+    basis, in row order. Its rows are linearly independent, so the minimum
+    is unique and no basis repeats. Later keys are read only while rows tie
+    within _PIVOT_TOL.
+    """
+    keys = [-1, *basis]  # the rhs column, then B^-1's
     for _ in range(_MAX_ITER):
         reduced = cost - cost[basis] @ tab[:, :-1]
-        eligible = reduced > _COST_TOL
-        entering = int(eligible.argmax())  # Bland: smallest eligible index
-        if not eligible[entering]:
+        entering = int(reduced.argmax())
+        if reduced[entering] <= _COST_TOL:
             return
         col = tab[:, entering]
-        leaving = -1
-        best_ratio = np.inf
-        for r in range(tab.shape[0]):
-            if col[r] > _PIVOT_TOL:
-                ratio = tab[r, -1] / col[r]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= _PIVOT_TOL
-                        and (leaving < 0 or basis[r] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if not rows.size:
             raise LpError("objective unbounded above")
-        _pivot(tab, basis, leaving, entering)
+        for key in keys:
+            if rows.size == 1:
+                break
+            ratios = tab[rows, key] / col[rows]
+            rows = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(tab, basis, int(rows[0]), entering)
     raise LpError("simplex iteration cap exceeded", capped=True)
 
 

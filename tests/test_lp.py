@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from nswforge import _lp
 from nswforge._lp import maximize
 from nswforge.generators import GenSpec, generate
+from nswforge.valuations import Additive
 
 
 def random_feasible_lp(rng, n=6, mu=4, me=2):
@@ -74,8 +76,9 @@ def test_equality_row_without_unit_column_raises():
 
 
 def test_beale_cycling_example_terminates():
-    # Beale (1955): the largest-coefficient rule cycles here forever;
-    # Bland's smallest-index rule must reach the optimum 1/20.
+    # Beale (1955): Dantzig's largest-coefficient rule with ties in the
+    # ratio test broken by smallest row cycles here forever; the
+    # lexicographic tie-break must reach the optimum 1/20.
     c = np.array([0.75, -150.0, 0.02, -6.0])
     a_ub = np.array([[0.25, -60.0, -0.04, 9.0],
                      [0.5, -90.0, -0.02, 3.0],
@@ -85,21 +88,41 @@ def test_beale_cycling_example_terminates():
     assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
 
-def xos_configuration_lp(seed, n=3, m=8):
-    """Welfare configuration LP of a generated xos instance: one column per
-    (agent, subset), unit mass per agent, unit capacity per item."""
-    inst = generate(GenSpec("xos", n=n, m=m, seed=seed))
+def configuration_lp(valuations, m):
+    """Welfare configuration LP: one column per (agent, subset), unit mass
+    per agent, unit capacity per item."""
+    n = len(valuations)
     masks = np.arange(1 << m)
     contains = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    c = np.concatenate([v.value_rows(contains) for v in inst.valuations])
+    c = np.concatenate([v.value_rows(contains) for v in valuations])
     a_ub = np.tile(contains.T.astype(float), (1, n))
     a_eq = np.kron(np.eye(n), np.ones(1 << m))
     return c, a_ub, np.ones(m), a_eq, np.ones(n)
 
 
+def xos_configuration_lp(seed, n=3, m=8):
+    return configuration_lp(generate(GenSpec("xos", n=n, m=m, seed=seed)).valuations, m)
+
+
+def count_pivots(monkeypatch):
+    """Record every pivot `_lp` makes from now on."""
+    pivots = []
+    pivot = _lp._pivot
+
+    def counted(tab, basis, row, col):
+        pivots.append((row, col))
+        pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(_lp, "_pivot", counted)
+    return pivots
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_matches_scipy_on_configuration_lps(seed):
-    # 768 columns: the entering-column pick scans long reduced-cost vectors
+def test_matches_scipy_on_configuration_lps(seed, monkeypatch):
+    # 768 columns: the entering-column pick scans long reduced-cost vectors.
+    # Largest-coefficient pricing reaches the optimum in 25-45 pivots here
+    # (Bland's smallest-index rule took 74-259).
+    pivots = count_pivots(monkeypatch)
     c, a_ub, b_ub, a_eq, b_eq = xos_configuration_lp(seed)
     res = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
@@ -109,6 +132,7 @@ def test_matches_scipy_on_configuration_lps(seed):
     assert (a_ub @ res.x <= b_ub + 1e-8).all()
     assert a_eq @ res.x == pytest.approx(b_eq, abs=1e-8)
     assert res.x.min() >= -1e-12
+    assert len(pivots) <= 60
 
 
 def assert_certified(res, c, a_ub, b_ub, a_eq, b_eq, tol=1e-9):
@@ -148,3 +172,19 @@ def test_restricted_masters_are_certified_vertices():
         assert res.value == pytest.approx(-ref.fun, abs=1e-9)
         assert np.count_nonzero(res.x > 1e-12) <= b_ub.size + 1
     assert zero_masses >= 5
+
+
+def test_all_tied_configuration_lp(monkeypatch):
+    # Three identical additive agents with equal weights: every set of a
+    # given size prices alike, and six of the seven pivots break a tie in
+    # the ratio test.
+    pivots = count_pivots(monkeypatch)
+    c, a_ub, b_ub, a_eq, b_eq = configuration_lp([Additive(np.ones(6))] * 3, 6)
+    res = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    assert_certified(res, c, a_ub, b_ub, a_eq, b_eq)
+    ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+    assert res.value == pytest.approx(6.0, abs=1e-12)
+    assert len(pivots) <= 60
