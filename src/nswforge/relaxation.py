@@ -15,15 +15,16 @@ check the relaxation against.
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
 approximate optimality into the scaled-optimum contract checked by
-`scaled_optimum_check`. Two damped-Newton log barriers (Boyd and
-Vandenberghe 2004, ch. 11) solve it, over two compact forms of the
-configuration LP (Feige 2009) in the Eisenberg-Gale program (Eisenberg and
-Gale 1959), and the Lagrangian bound D(p) at the barrier's capacity prices
-certifies both. Each barrier also hands out, for every agent, the
-distribution over sets that rounding needs: loads within the agent's
-masses, mixture value at least the barrier's certified value.
+`scaled_optimum_check`. Two interior-point methods solve it, over two
+compact forms of the configuration LP (Feige 2009) in the Eisenberg-Gale
+program (Eisenberg and Gale 1959), and the Lagrangian bound D(p) at the
+solver's capacity prices certifies both. Each solver also hands out, for
+every agent, the distribution over sets that rounding needs: loads within
+the agent's masses, mixture value at least the certified value.
 
-- An agent set of additive and XOS agents runs `_barrier_eg`. An additive
+- An agent set of additive and XOS agents runs `_barrier_eg`, a
+  primal-dual method with Mehrotra's predictor-corrector steps (Mehrotra
+  1992; Wright 1997) whose capacity duals are the prices. An additive
   or one-clause agent has v+_i(x) = c.x. An agent with several clauses
   takes each set's value from its best clause, so v+_i is a mixture of
   clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
@@ -32,7 +33,8 @@ masses, mixture value at least the barrier's certified value.
   closed form, and its columns are systematic-sampling decompositions
   (`systematic_columns`, `clause_columns`), at most k + 1 over k items.
 - An agent set with a budgeted-additive or table agent runs
-  `_config_barrier_eg` over the configuration program itself: each agent
+  `_config_barrier_eg`, a damped-Newton log barrier (Boyd and Vandenberghe
+  2004, ch. 11) over the configuration program itself: each agent
   puts mass on sets of the remaining items, priced over its whole subset
   table, which also bounds its subproblem (`table_subproblem_bound`); an
   additive or XOS agent in such a set enters through its own table. Each
@@ -43,10 +45,12 @@ masses, mixture value at least the barrier's certified value.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from ._lp import maximize
 from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
@@ -394,9 +398,10 @@ def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v
 
 
 def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
-    """Damped-Newton log barrier for max sum_i log v+_i(x_i) over x >= eps
-    and sum_i x_ij <= 1, for XOS agents given by their clause matrices
-    (K_i x items; an additive agent is one clause).
+    """Primal-dual interior-point method (Mehrotra's predictor-corrector)
+    for max sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for XOS
+    agents given by their clause matrices (K_i x items; an additive agent
+    is one clause).
 
     A one-clause agent's variables are its masses x_i, and v+_i(x) = c.x.
     An agent with K >= 2 clauses c_k is lifted: one mass vector y_k per
@@ -406,27 +411,38 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     value from its best clause, so this program equals v+ (with c >= 0 and
     sum beta = 1 >= x, no mass is ever left unplaced).
 
-    Each Newton step minimizes -t sum_i log v_i - sum log(x - eps)
-    - sum_j log s_j - sum (log y + log(beta - y)), where s are the
-    capacity slacks, and t grows by `BARRIER_GROWTH` after each step that
-    starts near the central path. After every step each item's slack is
-    filled, which can only raise the objective: mass an agent holds above
-    the floor on an item it values at zero goes back to the floor, and the
-    item's agents that value it (all of its agents, if none does) take the
-    free capacity in proportion to their masses; a lifted agent spreads
-    what it takes over its clauses in proportion to their room
-    beta_k - y_kj. The Lagrangian bound D(p) at the barrier's capacity
-    prices p_j = 1/(t s_j) certifies that filled point: `additive_subproblems`
+    Four families of inequality rows carry slacks g > 0 and their own duals
+    lam > 0, started at 1/g: the capacity slacks s_j (whose duals are the
+    prices p), the floor slacks x - eps, and a lifted agent's box slacks y
+    and beta - y. Each step linearizes the KKT conditions, with the target
+    lam g = sigma mu where mu is the mean of lam g over the rows, and
+    eliminates the duals: the Newton system is the objective's Hessian
+    c c^T / v^2 per agent plus lam/g on each row's pattern, with the beta
+    equality rows. One Jacobi-scaled LU factorization serves two solves
+    (Mehrotra 1992; Wright 1997): the affine step (sigma = 0)
+    predicts mu_aff at its longest interior step, and the corrector takes
+    sigma = (mu_aff/mu)^3 with the affine step's second-order term. Primal
+    and dual then move by 0.99 of the longest step that keeps every slack
+    and dual positive, at most 1.
+
+    After every step each item's slack is filled, which can only raise the
+    objective: mass an agent holds above the floor on an item it values at
+    zero goes back to the floor, and the item's agents that value it (all
+    of its agents, if none does) take the free capacity in proportion to
+    their masses; a lifted agent spreads what it takes over its clauses in
+    proportion to their room beta_k - y_kj. The Lagrangian bound D(p) at
+    the capacity duals p certifies that filled point: `additive_subproblems`
     bounds the one-clause agents, and `xos_subproblem_bound` each lifted
-    agent at its value and at the prices net of its floor multipliers
-    1/(t (x_j - eps)). The solve stops once D(p) - objective <= eps^4 n. It
-    breaks off, unconverged, when the Newton system turns singular or a
-    slack or the bound stops being finite (t has outgrown double
-    precision). Returns the last certified filled point, its agents' values
-    (a lifted agent's at its filled y), each lifted agent's filled clause
-    masses y (K x items) and clause weights beta there, keyed by its
-    position, the trace (one row per Newton step, with its step length)
-    and the last row's D(p).
+    agent at its value and at the prices net of its floor duals, clipped
+    to [0, p]. Every D(p) bounds the optimum, so the smallest one so far,
+    but not below the filled objective, certifies each step; the solve
+    stops once that bound less the objective is at most eps^4 n. It breaks
+    off, unconverged, when the Newton system turns singular or a slack or
+    the bound stops being finite. Returns the last certified filled point,
+    its agents' values (a lifted agent's at its filled y), each lifted
+    agent's filled clause masses y (K x items) and clause weights beta
+    there, keyed by its position, the trace (one row per step, with its
+    step length) and the smallest D(p).
     """
     n_a, m_i = len(clauses), clauses[0].shape[1]
     target = eps ** 4 * n_a
@@ -477,89 +493,103 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     eq_row = np.broadcast_to(np.arange(n_eq)[:, None], b_idx.shape)[b_idx < size]
     box_beta = np.searchsorted(beta_var, box_b)
     eq_start = np.searchsorted(eq_row, np.arange(n_eq))
+    # the inequality rows, family by family: capacity, floor, box-lo, box-hi
+    cap, floor = slice(0, m_i), slice(m_i, m_i + n_a * m_i)
+    lo_rows = slice(floor.stop, floor.stop + box_y.size)
+    hi_rows = slice(lo_rows.stop, lo_rows.stop + box_y.size)
 
     def state(u):
-        """The masses, agent values, floor and capacity slacks at u, the
-        lifted agents' box slacks y and beta - y, and the barrier's terms:
-        sum log v, then the rest."""
+        """The masses, the agent values and every row's slack at u."""
         x = np.bincount(var_x, weights=u[var], minlength=n_a * m_i).reshape(n_a, m_i)
         v = (weights * x).sum(axis=1)
         if n_eq:
             v[lifted] = (c_pad * np.append(u, 0.0)[y_idx]).sum(axis=(1, 2))
-        z, s = x - eps, 1.0 - x.sum(axis=0)
-        lo, hi = u[box_y], u[box_b] - u[box_y]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = [np.log(v).sum(), np.log(z).sum(), np.log(s).sum()]
-            if n_eq:
-                terms.append(np.log(lo).sum() + np.log(hi).sum())
-        return x, v, z, s, lo, hi, terms
+        return x, v, np.concatenate([1.0 - x.sum(axis=0), (x - eps).ravel(), u[box_y],
+                                     u[box_b] - u[box_y]])
 
-    def barrier(terms):
-        f = -t * terms[0]
-        for term in terms[1:]:
-            f -= term
-        return f
+    def along(du):
+        """The change of every row's slack along a step du."""
+        dx = np.bincount(var_x, weights=du[var], minlength=n_a * m_i)
+        return np.concatenate([-dx.reshape(n_a, m_i).sum(axis=0), dx, du[box_y],
+                               du[box_b] - du[box_y]])
+
+    def lift(w):
+        """Row weights w summed onto the variables through each row's
+        slack: the transpose of `along`."""
+        out = np.zeros(size + n_eq)
+        out[var] = w[floor][var_x] - w[cap][var_item]
+        if n_eq:
+            out[box_y] += w[lo_rows] - w[hi_rows]
+            out[beta_var] = np.bincount(box_beta, weights=w[hi_rows], minlength=beta_var.size)
+        return out
+
+    def reach(g, dg):
+        """The longest step along dg that keeps g positive."""
+        down = dg < 0
+        return float((-g[down] / dg[down]).min(initial=np.inf))
 
     u = np.zeros(size)
     u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
     u[beta_var] = 1.0 / rows[lifted][eq_row]
-    x, v, z, s, lo, hi, terms = state(u)
-    t = 1.0
+    x, v, g = state(u)
+    lam = 1.0 / g
+    bound = math.inf
     trace: list[tuple[int, float, float, float]] = []
     result = None
     for it in range(1, max_iterations + 1):
-        grad = np.zeros(size)
-        grad[var] = -t * var_coef / v[var_agent] - (1.0 / z).ravel()[var_x] + (1.0 / s)[var_item]
+        w = lam / g
         system = np.zeros((size + n_eq, size + n_eq))
         # capacity rows couple agents; then each agent's objective, then the floor
-        system[pat_r, pat_c] = ((np.append(s ** -2.0, 0.0)[pat_cap]
-                                 + (t / v ** 2)[pat_agent] * pat_outer)
-                                + np.append(z ** -2.0, 0.0)[pat_floor])
-        rhs = -grad
+        system[pat_r, pat_c] = ((np.append(w[cap], 0.0)[pat_cap]
+                                 + (1.0 / v ** 2)[pat_agent] * pat_outer)
+                                + np.append(w[floor], 0.0)[pat_floor])
         if n_eq:
-            grad[box_y] += 1.0 / hi - 1.0 / lo
-            grad[beta_var] = -np.bincount(box_beta, weights=1.0 / hi, minlength=beta_var.size)
-            system[box_y, box_y] += lo ** -2.0 + hi ** -2.0
-            system[box_y, box_b] = system[box_b, box_y] = -hi ** -2.0
-            system[beta_var, beta_var] = np.bincount(box_beta, weights=hi ** -2.0,
+            w_lo, w_hi = w[lo_rows], w[hi_rows]
+            system[box_y, box_y] += w_lo + w_hi
+            system[box_y, box_b] = system[box_b, box_y] = -w_hi
+            system[beta_var, beta_var] = np.bincount(box_beta, weights=w_hi,
                                                      minlength=beta_var.size)
             system[size + eq_row, beta_var] = system[beta_var, size + eq_row] = 1.0
-            # the equality rows make the system indefinite, and once t is
-            # large its diagonal spans many orders: solve it Jacobi-scaled
-            d = np.ones(size + n_eq)
-            d[:size] = np.diag(system)[:size] ** -0.5
+        # the diagonal spans many orders once the slacks of binding rows
+        # shrink, and the equality rows make the system indefinite: factor
+        # it Jacobi-scaled
+        d = np.ones(size + n_eq)
+        d[:size] = np.diag(system)[:size] ** -0.5
+        if n_eq:
             d[size:] = 1.0 / np.maximum.reduceat(d[beta_var], eq_start)
-            system *= d[:, None] * d
-            rhs = d * np.concatenate([-grad, np.zeros(n_eq)])
-        try:
-            step = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:  # t has outgrown double precision
-            break
-        if n_eq:
-            step = (d * step)[:size]
-        decrement = float(-grad @ step)
-        dx = np.bincount(var_x, weights=step[var], minlength=n_a * m_i).reshape(n_a, m_i)
-        # the longest step that stays interior (x > eps keeps every value
-        # positive), then Armijo backtracking
-        ds = -dx.sum(axis=0)
-        limits = [-z[dx < 0] / dx[dx < 0], -s[ds < 0] / ds[ds < 0], [np.inf]]
-        if n_eq:
-            dlo, dhi = step[box_y], step[box_b] - step[box_y]
-            limits += [-lo[dlo < 0] / dlo[dlo < 0], -hi[dhi < 0] / dhi[dhi < 0]]
-        alpha = min(1.0, 0.99 * float(np.concatenate(limits).min()))
-        f0 = barrier(terms)
-        while True:
-            x, v, z, s, lo, hi, terms = state(u + alpha * step)
-            if barrier(terms) <= f0 - 0.25 * alpha * decrement or alpha <= 1e-12:
+        system *= d[:, None] * d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                factor = lu_factor(system, check_finite=False)
+            except LinAlgWarning:  # the duals have outgrown double precision
                 break
-            alpha *= 0.5
-        u = u + alpha * step
+        gain = np.zeros(size + n_eq)  # the gradient of sum_i log v_i
+        gain[var] = var_coef / v[var_agent]
+
+        def newton(r):
+            """The step that drives every row's lam g to r to first order:
+            the primal step, the rows' slack changes and the duals'."""
+            du = (d * lu_solve(factor, d * (gain + lift(r / g)), check_finite=False))[:size]
+            dg = along(du)
+            return du, dg, r / g - lam - w * dg
+
+        mu = float(lam @ g) / g.size
+        _, dg, dlam = newton(np.zeros(g.size))
+        primal, dual = min(1.0, reach(g, dg)), min(1.0, reach(lam, dlam))
+        sigma = (float((g + primal * dg) @ (lam + dual * dlam)) / g.size / mu) ** 3
+        du, dg_c, dlam_c = newton(sigma * mu - dg * dlam)
+        alpha = min(1.0, 0.99 * min(reach(g, dg_c), reach(lam, dlam_c)))
+        u = u + alpha * du
+        lam = lam + alpha * dlam_c
+        x, v, g = state(u)
         held = np.where(valued, x, eps)
         filled = held + (1.0 - held.sum(axis=0)) * (held * takers) / (held * takers).sum(axis=0)
         values = (weights * filled).sum(axis=1)
+        prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
-            prices = 1.0 / (t * s)
-            bound = lagrangian_bound(singles, prices, eps) if len(singles) else float(prices.sum())
+            row_bound = (lagrangian_bound(singles, prices, eps) if len(singles)
+                         else float(prices.sum()))
             y = beta = None
             if n_eq:
                 y = np.append(u, 0.0)[y_idx] * (held[lifted] / x[lifted])[:, None, :]
@@ -567,19 +597,21 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
                 room = beta[:, :, None] - y
                 y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
                 values[lifted] = (c_pad * y).sum(axis=(1, 2))
-                lam = np.clip(prices - 1.0 / (t * z[lifted]), 0.0, prices)
-                bound += float(xos_subproblem_bound(c_pad, prices, eps, v[lifted], lam).sum())
+                lam_net = np.clip(prices - lam[floor].reshape(n_a, m_i)[lifted], 0.0, prices)
+                row_bound += float(xos_subproblem_bound(c_pad, prices, eps, v[lifted],
+                                                        lam_net).sum())
             obj = float(np.log(values).sum())
+        if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_bound - obj)):
+            break  # the duals have outgrown double precision
+        # every D(p) bounds the optimum, so the smallest so far certifies;
+        # the filled point is feasible, so a bound below its objective is
+        # rounding
+        bound = max(min(bound, row_bound), obj)
         gap = bound - obj
-        slack = min(z.min(), s.min(), lo.min(initial=1.0), hi.min(initial=1.0))
-        if not (slack > 0 and math.isfinite(gap)):
-            break  # t has outgrown double precision
         result = filled, values, y, beta, bound
         trace.append((it, obj, gap, alpha))
         if gap <= target:
             break
-        if decrement <= 2.0 * CENTERING_TOL:
-            t *= BARRIER_GROWTH
     if result is None:
         raise ConvergenceError("no Newton step was certified", math.inf)
     filled, values, y, beta, bound = result
@@ -818,18 +850,19 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope,
     and decompose each agent's masses into the sets that rounding draws.
 
-    A damped-Newton log barrier solves the program and the Lagrangian
-    bound D(p) at its capacity prices certifies it. When every agent is
-    `Additive` or `Xos`, `_barrier_eg` solves it over clause blocks. An
-    additive or one-clause agent has v+_i(x) = c.x, and its columns are
-    the systematic-sampling decomposition of its x. An agent with several
-    clauses is lifted to clause masses and clause weights, and its
-    columns are `clause_columns` of the filled ones. Any other agent set
-    (one with a budgeted-additive or table agent) runs `_config_barrier_eg`
-    over every agent's `SubsetTable` (whose enumeration raises
-    `CapExceeded` past 16 items), and each agent's columns are
-    `vertex_columns` of the columns it held at the certified point, at
-    the returned x. No column generation or demand query runs, and no LP
+    An interior-point method solves the program and the Lagrangian bound
+    D(p) at its capacity prices certifies it. When every agent is
+    `Additive` or `Xos`, `_barrier_eg`, a primal-dual method, solves it
+    over clause blocks. An additive or one-clause agent has
+    v+_i(x) = c.x, and its columns are the systematic-sampling
+    decomposition of its x. An agent with several clauses is lifted to
+    clause masses and clause weights, and its columns are
+    `clause_columns` of the filled ones. Any other agent set (one with a
+    budgeted-additive or table agent) runs `_config_barrier_eg`, a
+    damped-Newton log barrier, over every agent's `SubsetTable` (whose
+    enumeration raises `CapExceeded` past 16 items), and each agent's
+    columns are `vertex_columns` of the columns it held at the certified
+    point, at the returned x. No column generation or demand query runs, and no LP
     on an additive or XOS agent set.
 
     A lifted or configuration agent's value is the mixture value of its

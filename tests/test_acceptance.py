@@ -98,6 +98,24 @@ def test_criterion_01_xos_relaxations_converge():
           f"worst gap/target {worst:.3f}")
 
 
+def test_criterion_01_relaxations_converge_at_scale():
+    """Past the exact oracle's reach, after the matching and at default
+    parameters: additive 14x56 and 16x64 converge within 14 steps (11
+    measured) and xos 10x50 within 22 (16 and 18), seeds 0 and 1."""
+    steps = {}
+    for family, n, m, limit in (("additive", 14, 56, 14), ("additive", 16, 64, 14),
+                                ("xos", 10, 50, 22)):
+        for seed in (0, 1):
+            inst = generate(GenSpec(family, n, m, seed=seed))
+            _, _, remaining, active = initial_matching(inst)
+            eg = solve_eg(inst, active, remaining)
+            assert eg.converged and eg.iterations <= limit, (
+                f"{family} {n}x{m} seed {seed}: converged={eg.converged} "
+                f"after {eg.iterations} steps")
+            steps[f"{family} {n}x{m}#{seed}"] = eg.iterations
+    print(f"\nPASS criterion 1 (scale): all 6 relaxations converged; steps {steps}")
+
+
 def test_criterion_02_relaxations_converge():
     """At least 95% of criterion 2's budgeted and table relaxations (eps 0.1)
     meet their Lagrangian certificate, as do the relaxations of the two

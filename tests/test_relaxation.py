@@ -278,8 +278,9 @@ class TestSolveEg:
     def test_gap_bounds_the_returned_iterate_when_capped(self):
         inst = generate(GenSpec("xos", n=3, m=6, seed=1))
         _, _, remaining, active = initial_matching(inst)
-        eg = solve_eg(inst, active, remaining, EgParams(max_iterations=40))
-        assert not eg.converged and eg.iterations == 40
+        # the solve converges in 9 steps; cut to 5, it misses its certificate
+        eg = solve_eg(inst, active, remaining, EgParams(max_iterations=5))
+        assert not eg.converged and eg.iterations == 5
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         best_row_gap = next(gap for _, obj, gap, _ in eg.trace if obj == eg.objective)
         assert 0 <= eg.gap <= best_row_gap
@@ -469,17 +470,39 @@ class TestXosBarrier:
         for i in eg.agents:
             assert loads[i] == pytest.approx(eg.x.agent_vector(i, inst.m), abs=1e-12)
 
-    def test_breaks_off_finite_when_t_outgrows_precision(self, monkeypatch):
-        # t grows so fast that a slack or the bound stops being finite (or
-        # the system turns singular) long before the cap
-        monkeypatch.setattr(relaxation, "BARRIER_GROWTH", 1e10)
+    def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
+        # from the sixth step on the lifted agents' bound is not finite, as
+        # when the duals have outgrown double precision: the solve returns
+        # the fifth step's point
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            bound = xos_subproblem_bound(*args)
+            return bound if len(calls) < 6 else bound * np.inf
+        monkeypatch.setattr(relaxation, "xos_subproblem_bound", failing)
         inst = generate(GenSpec("xos", 3, 6, seed=0))
         _, _, remaining, active = initial_matching(inst)
         eg = solve_eg(inst, active, remaining)
-        assert not eg.converged and eg.iterations < EgParams().max_iterations
+        assert not eg.converged and eg.iterations == 5
         assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
         assert eg.gap >= 0
         eg.x.validate(inst.m)
+
+    @pytest.mark.parametrize("family, n, m, seed", [
+        ("xos", 3, 6, 0), ("xos", 3, 6, 1), ("additive", 3, 10, 0), ("additive", 3, 10, 1),
+        ("xos", 4, 12, 0), ("near_uniform", 2, 16, 0), ("near_uniform", 3, 24, 1)])
+    def test_benchmark_pool_relaxations_converge_in_few_steps(self, family, n, m, seed):
+        # the relaxations of the xos_lane and subadd_engaged benchmark ops
+        # (6-11 steps; 35-60 under the primal log barrier)
+        if family == "near_uniform":  # as perfbench/workloads.py draws them
+            gen = np.random.default_rng([n, m, seed])
+            inst = make_instance(*[Additive(gen.uniform(0.9, 1.0, m)) for _ in range(n)])
+        else:
+            inst = generate(GenSpec(family, n, m, seed=seed))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert eg.converged and eg.iterations <= 20
 
     def test_xos_6x30_stays_finite(self):
         inst = generate(GenSpec("xos", 6, 30, seed=0))
