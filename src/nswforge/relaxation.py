@@ -33,13 +33,15 @@ the agent's masses, mixture value at least the certified value.
   closed form, and its columns are systematic-sampling decompositions
   (`systematic_columns`, `clause_columns`), at most k + 1 over k items.
 - An agent set with a budgeted-additive or table agent runs
-  `_config_barrier_eg`, a damped-Newton log barrier (Boyd and Vandenberghe
-  2004, ch. 11) over the configuration program itself: each agent
-  puts mass on sets of the remaining items, priced over its whole subset
-  table, which also bounds its subproblem (`table_subproblem_bound`); an
-  additive or XOS agent in such a set enters through its own table. Each
-  agent's columns are an optimal vertex over the sets it holds
-  (`vertex_columns`).
+  `_config_barrier_eg`, the same primal-dual method over the
+  configuration program itself: each agent puts mass on sets of the
+  remaining items, priced over its whole subset table, which also bounds
+  its subproblem (`table_subproblem_bound`) and picks the sets that join
+  its columns; an additive or XOS agent in such a set enters through its
+  own table. Each agent's columns are an optimal vertex over the sets it
+  holds (`vertex_columns`).
+
+Both solvers take their steps from `_predictor_corrector`.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ from .valuations import Additive, SubsetTable, Valuation, Xos, demand
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
-BARRIER_GROWTH = 64.0  # factor of the barrier weight t once an iterate is centred
-CENTERING_TOL = 1e-6  # half the squared Newton decrement of a centred iterate
 ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 
@@ -397,6 +397,60 @@ def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v
             utility)
 
 
+def _reach(g: np.ndarray, dg: np.ndarray) -> float:
+    """The longest step along dg that keeps g positive."""
+    down = dg < 0
+    return float((-g[down] / dg[down]).min(initial=np.inf))
+
+
+def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, along,
+                         g: np.ndarray, lam: np.ndarray):
+    """One step of Mehrotra's predictor-corrector (Mehrotra 1992; Wright
+    1997) for max f(u) over linear rows with slacks g(u) > 0 and duals
+    lam > 0, and equality rows that the iterate already meets.
+
+    `system` holds the Newton system: -f's Hessian plus lam/g on each
+    row's pattern over the first `size` unknowns, then the equality rows
+    (ones, and zeros in their own block); `gain` is f's gradient, padded
+    with zeros. `along(du)` gives every row's slack change along du and
+    `lift(w)` is its transpose. The diagonal spans many orders once the
+    slacks of binding rows shrink, and the equality rows make the system
+    indefinite, so it is factored Jacobi-scaled, in place, with each
+    equality row scaled by its largest variable's scale. The factor serves
+    two solves: the affine step (target lam g = 0) predicts mu_aff at its
+    longest interior step, and the corrector targets sigma mu with
+    sigma = (mu_aff/mu)^3, where mu is the mean of lam g, less the affine
+    step's second-order term. Returns the primal step, the duals' step and
+    the step length, 0.99 of the longest that keeps every slack and dual
+    positive, at most 1; None when the factorization meets a zero pivot.
+    """
+    w = lam / g
+    d = np.ones(system.shape[0])
+    d[:size] = np.diag(system)[:size] ** -0.5
+    d[size:] = 1.0 / (system[size:, :size] * d[:size]).max(axis=1)
+    system *= d[:, None] * d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            factor = lu_factor(system, check_finite=False)
+        except LinAlgWarning:
+            return None
+
+    def newton(r):
+        """The step that drives every row's lam g to r to first order:
+        the primal step, the rows' slack changes and the duals'."""
+        du = (d * lu_solve(factor, d * (gain + lift(r / g)), check_finite=False))[:size]
+        dg = along(du)
+        return du, dg, r / g - lam - w * dg
+
+    mu = float(lam @ g) / g.size
+    _, dg, dlam = newton(np.zeros(g.size))
+    primal, dual = min(1.0, _reach(g, dg)), min(1.0, _reach(lam, dlam))
+    sigma = (float((g + primal * dg) @ (lam + dual * dlam)) / g.size / mu) ** 3
+    du, dg_c, dlam_c = newton(sigma * mu - dg * dlam)
+    return du, dlam_c, min(1.0, 0.99 * min(_reach(g, dg_c), _reach(lam, dlam_c)))
+
+
 def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     """Primal-dual interior-point method (Mehrotra's predictor-corrector)
     for max sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for XOS
@@ -414,16 +468,9 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     Four families of inequality rows carry slacks g > 0 and their own duals
     lam > 0, started at 1/g: the capacity slacks s_j (whose duals are the
     prices p), the floor slacks x - eps, and a lifted agent's box slacks y
-    and beta - y. Each step linearizes the KKT conditions, with the target
-    lam g = sigma mu where mu is the mean of lam g over the rows, and
-    eliminates the duals: the Newton system is the objective's Hessian
-    c c^T / v^2 per agent plus lam/g on each row's pattern, with the beta
-    equality rows. One Jacobi-scaled LU factorization serves two solves
-    (Mehrotra 1992; Wright 1997): the affine step (sigma = 0)
-    predicts mu_aff at its longest interior step, and the corrector takes
-    sigma = (mu_aff/mu)^3 with the affine step's second-order term. Primal
-    and dual then move by 0.99 of the longest step that keeps every slack
-    and dual positive, at most 1.
+    and beta - y. Each step is `_predictor_corrector` on the Newton system
+    with the duals eliminated: the objective's Hessian c c^T / v^2 per
+    agent plus lam/g on each row's pattern, with the beta equality rows.
 
     After every step each item's slack is filled, which can only raise the
     objective: mass an agent holds above the floor on an item it values at
@@ -492,7 +539,6 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     beta_var = b_idx[b_idx < size]
     eq_row = np.broadcast_to(np.arange(n_eq)[:, None], b_idx.shape)[b_idx < size]
     box_beta = np.searchsorted(beta_var, box_b)
-    eq_start = np.searchsorted(eq_row, np.arange(n_eq))
     # the inequality rows, family by family: capacity, floor, box-lo, box-hi
     cap, floor = slice(0, m_i), slice(m_i, m_i + n_a * m_i)
     lo_rows = slice(floor.stop, floor.stop + box_y.size)
@@ -523,11 +569,6 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
             out[beta_var] = np.bincount(box_beta, weights=w[hi_rows], minlength=beta_var.size)
         return out
 
-    def reach(g, dg):
-        """The longest step along dg that keeps g positive."""
-        down = dg < 0
-        return float((-g[down] / dg[down]).min(initial=np.inf))
-
     u = np.zeros(size)
     u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
     u[beta_var] = 1.0 / rows[lifted][eq_row]
@@ -550,38 +591,14 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
             system[beta_var, beta_var] = np.bincount(box_beta, weights=w_hi,
                                                      minlength=beta_var.size)
             system[size + eq_row, beta_var] = system[beta_var, size + eq_row] = 1.0
-        # the diagonal spans many orders once the slacks of binding rows
-        # shrink, and the equality rows make the system indefinite: factor
-        # it Jacobi-scaled
-        d = np.ones(size + n_eq)
-        d[:size] = np.diag(system)[:size] ** -0.5
-        if n_eq:
-            d[size:] = 1.0 / np.maximum.reduceat(d[beta_var], eq_start)
-        system *= d[:, None] * d
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                factor = lu_factor(system, check_finite=False)
-            except LinAlgWarning:  # the duals have outgrown double precision
-                break
         gain = np.zeros(size + n_eq)  # the gradient of sum_i log v_i
         gain[var] = var_coef / v[var_agent]
-
-        def newton(r):
-            """The step that drives every row's lam g to r to first order:
-            the primal step, the rows' slack changes and the duals'."""
-            du = (d * lu_solve(factor, d * (gain + lift(r / g)), check_finite=False))[:size]
-            dg = along(du)
-            return du, dg, r / g - lam - w * dg
-
-        mu = float(lam @ g) / g.size
-        _, dg, dlam = newton(np.zeros(g.size))
-        primal, dual = min(1.0, reach(g, dg)), min(1.0, reach(lam, dlam))
-        sigma = (float((g + primal * dg) @ (lam + dual * dlam)) / g.size / mu) ** 3
-        du, dg_c, dlam_c = newton(sigma * mu - dg * dlam)
-        alpha = min(1.0, 0.99 * min(reach(g, dg_c), reach(lam, dlam_c)))
+        step = _predictor_corrector(system, size, gain, lift, along, g, lam)
+        if step is None:  # the duals have outgrown double precision
+            break
+        du, dlam, alpha = step
         u = u + alpha * du
-        lam = lam + alpha * dlam_c
+        lam = lam + alpha * dlam
         x, v, g = state(u)
         held = np.where(valued, x, eps)
         filled = held + (1.0 - held.sum(axis=0)) * (held * takers) / (held * takers).sum(axis=0)
@@ -620,8 +637,9 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
 
 
 def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: int):
-    """Damped-Newton log barrier for max sum_i log v+_i(x_i) over x >= eps
-    and sum_i x_ij <= 1 in configuration form, for agents given by their
+    """Primal-dual interior-point method (Mehrotra's predictor-corrector,
+    as in `_barrier_eg`) for max sum_i log v+_i(x_i) over x >= eps and
+    sum_i x_ij <= 1 in configuration form, for agents given by their
     subset tables over one universe of k items.
 
     Agent i puts mass z_iS > 0 on sets S of the universe, with
@@ -630,50 +648,44 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     log sum_S v_i(S) z_iS. Over every set this program equals v+. Each
     agent holds a restricted column set, from the empty set, the
     singletons and the whole universe, so a step's solve does not grow
-    with 2^k. Each Newton step minimizes -t sum_i log v_i
-    - sum log(x - eps) - sum_j log s_j - sum_i (1/N_i) sum_S log z_iS over
-    the N_i columns agent i holds: weighted by 1/N_i, the columns'
-    complementarity adds 1/t per agent, not N_i/t. t grows after a step
-    that starts near the central path and admits no column: by
-    `BARRIER_GROWTH`, or less once twice what the target needs is enough.
+    with 2^k. Three families of inequality rows carry slacks and their
+    own duals, started at 1/slack: the capacity slacks s_j (whose duals
+    are the prices p), the floor slacks x - eps and the columns' masses z.
+    Each step is `_predictor_corrector` on the Newton system: the
+    objective's Hessian (val val^T / v^2 per agent) plus dual/slack on
+    each row's pattern, with the agents' equality rows.
 
-    The Lagrangian bound D(p) at the capacity prices p_j = 1/(t s_j)
-    bounds the optimum at every step, so the smallest one so far certifies
-    each iterate: `table_subproblem_bound` bounds every agent at its value
-    and at the prices net of its floor multipliers 1/(t (x_j - eps)), over
-    its whole table. Those net prices may fall below zero; cut to zero, as
-    `xos_subproblem_bound` needs, they stalled the certificate at 21 times
-    its target on budgeted 8x12 (seed 207). The same utilities price the
-    columns. Where an agent's best set beats the best column it holds, the
-    difference (its deficit) is part of the gap that no growth of t
-    removes; the rest of the gap is the restricted program's. An agent
-    admits the sets, at most `ADMIT_PER_STEP` and best first, that beat
-    its best column by more than `ADMIT_SHARE` of its share of that rest.
-    They join with mass delta along one of two rays: mixed in, with
-    z_i -> (1 - delta) z_i, or taken from the agent's own columns with its
-    masses x_i fixed. Each ray takes the delta of a geometric grid below
-    its interior limit that minimizes the barrier, and the lower of the
-    two wins: a mixed-in set is held to the capacity and floor slacks,
-    which shrink with 1/t, and a new column far below its central mass
-    only doubles per Newton step. The solve stops once that smallest
-    D(p) less the objective is at most eps^4 n, and breaks
-    off, unconverged, when the Newton system turns singular or a slack or
-    the bound stops being finite. Returns the last certified masses with
-    each item's slack spread over its agents in proportion to their masses,
+    The Lagrangian bound D(p) at the capacity duals p bounds the optimum
+    at every step, so the smallest one so far, but not below the
+    objective, certifies each iterate: `table_subproblem_bound` bounds
+    every agent at its value and at the prices net of its floor duals,
+    over its whole table. Those net prices may fall below zero; cut to
+    zero, as `xos_subproblem_bound` needs, they stalled the certificate
+    at 21 times its target on budgeted 8x12 (seed 207). The same
+    utilities price the columns. Where an agent's best set beats the best
+    column it holds, the difference (its deficit) is part of the gap that
+    no step on the held columns removes; the rest of the gap is the
+    restricted program's. An agent admits the sets, at most
+    `ADMIT_PER_STEP` and best first, that beat its best column by more
+    than `ADMIT_SHARE` of its share of that rest. They join with mass
+    delta taken from the agent's own columns with its masses x_i fixed,
+    the least change in the metric z^2, or, if that system is singular,
+    mixed in with z_i -> (1 - delta) z_i. delta is 0.9 of the ray's interior
+    limit, and each new column's dual is mu over its mass, so it starts
+    on the central path. The solve stops once the certified bound less
+    the objective is at most eps^4 n, and breaks off, unconverged, when
+    the Newton system turns singular or a slack, a dual or the bound
+    stops being finite. Returns the last certified masses with each
+    item's slack spread over its agents in proportion to their masses,
     the values of the certified configurations, the columns held there
     (each one's mask and agent, in the order they joined), the trace (one
     row per Newton step, with its step length) and the smallest D(p).
-
-    Every Newton system is solved Jacobi-scaled, as in `_barrier_eg`: the
-    masses of unused columns shrink with 1/t, so the diagonal spans many
-    orders of magnitude.
     """
     universe = tables[0].universe
     n_a, k = len(tables), universe.size
     target = eps ** 4 * n_a
     table_values = np.stack([table.arrays()[1] for table in tables])
     bit = np.arange(k)
-    grid = 0.5 ** np.arange(1, 60)  # mixing weights, as fractions of the limit
 
     # the columns of every agent, in the order they joined: each one's set,
     # as its row of the table (a mask over the universe), and its agent
@@ -689,86 +701,76 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     one[-1] += x0 - b
     one[0] = 1.0 - one.sum()
     z = np.tile(one, n_a)
+    # the inequality rows, family by family: capacity, floor, columns
+    cap, floor = slice(0, k), slice(k, k + n_a * k)
+    column = slice(floor.stop, None)
 
     def layout():
-        """The columns' incidence over the universe, their values, the
-        pairs of one agent, and each column's weight 1/N_i."""
+        """The columns' incidence over the universe, their values and the
+        pairs of one agent."""
         inc = (col_mask[:, None] >> bit & 1).astype(float)
-        counts = np.bincount(col_agent, minlength=n_a)
-        return (inc, table_values[col_agent, col_mask], col_agent[:, None] == col_agent,
-                1.0 / counts[col_agent])
+        return inc, table_values[col_agent, col_mask], col_agent[:, None] == col_agent
+
+    def by_agent(dz):
+        """Each agent's change of masses and of value along dz."""
+        rows = np.zeros((n_a, dz.size))
+        rows[col_agent, np.arange(dz.size)] = dz
+        return rows @ inc, rows @ val
 
     def state(z):
-        """The masses, agent values, floor and capacity slacks at z, and
-        the barrier's terms: sum log v, then the rest."""
-        by_agent = np.zeros((n_a, z.size))
-        by_agent[col_agent, np.arange(z.size)] = z
-        x, v = by_agent @ inc, by_agent @ val
-        zf, s = x - eps, 1.0 - x.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = [np.log(v).sum(), np.log(zf).sum(), np.log(s).sum(),
-                     float(weight @ np.log(z))]
-        return x, v, zf, s, terms
+        """The masses, the agent values and every row's slack at z."""
+        x, v = by_agent(z)
+        return x, v, np.concatenate([1.0 - x.sum(axis=0), (x - eps).ravel(), z])
 
-    def barrier(terms):
-        return -t * terms[0] - terms[1] - terms[2] - terms[3]
+    def along(dz):
+        """The change of every row's slack along a step dz."""
+        dx = by_agent(dz)[0]
+        return np.concatenate([-dx.sum(axis=0), dx.ravel(), dz])
 
-    inc, val, same, weight = layout()
-    x, v, zf, s, terms = state(z)
-    t, bound = 1.0, math.inf
+    def lift(w):
+        """Row weights w summed onto the columns through each row's slack:
+        the transpose of `along`."""
+        net = w[floor].reshape(n_a, k)[col_agent] - w[cap]
+        return np.append((inc * net).sum(axis=1) + w[column], np.zeros(n_a))
+
+    inc, val, same = layout()
+    x, v, g = state(z)
+    lam = 1.0 / g
+    bound = math.inf
     trace: list[tuple[int, float, float, float]] = []
     result = None
     for it in range(1, max_iterations + 1):
         size = z.size
         cols = np.arange(size)
-        grad = (-t * val / v[col_agent] + (inc * (1.0 / s - 1.0 / zf[col_agent])).sum(axis=1)
-                - weight / z)
+        w = lam / g
         scaled = val / v[col_agent]
         # capacity rows couple agents; the floor and the objective act
-        # within one agent; the column barrier sits on the diagonal
-        hess = (inc * s ** -2.0) @ inc.T
-        hess += same * ((inc * zf[col_agent] ** -2.0) @ inc.T + t * np.outer(scaled, scaled))
-        hess[cols, cols] += weight / z ** 2
+        # within one agent; the column rows sit on the diagonal
         system = np.zeros((size + n_a, size + n_a))
-        system[:size, :size] = hess
+        system[:size, :size] = (inc * w[cap]) @ inc.T + same * (
+            (inc * w[floor].reshape(n_a, k)[col_agent]) @ inc.T + np.outer(scaled, scaled))
+        system[cols, cols] += w[column]
         system[size + col_agent, cols] = system[cols, size + col_agent] = 1.0
-        d = np.ones(size + n_a)
-        d[:size] = np.diag(hess) ** -0.5
-        top = np.zeros(n_a)
-        np.maximum.at(top, col_agent, d[:size])
-        d[size:] = 1.0 / top
-        system *= d[:, None] * d
-        try:
-            step = (d * np.linalg.solve(system, d * np.append(-grad, np.zeros(n_a))))[:size]
-        except np.linalg.LinAlgError:  # t has outgrown double precision
+        step = _predictor_corrector(system, size, np.append(scaled, np.zeros(n_a)), lift,
+                                    along, g, lam)
+        if step is None:  # the duals have outgrown double precision
             break
-        decrement = float(-grad @ step)
-        by_agent = np.zeros((n_a, size))
-        by_agent[col_agent, cols] = step
-        dx = by_agent @ inc
-        ds = -dx.sum(axis=0)
-        # the longest step that stays interior, then Armijo backtracking
-        limits = [-z[step < 0] / step[step < 0], -zf[dx < 0] / dx[dx < 0],
-                  -s[ds < 0] / ds[ds < 0], [np.inf]]
-        alpha = min(1.0, 0.99 * float(np.concatenate(limits).min()))
-        f0 = barrier(terms)
-        while True:
-            x, v, zf, s, terms = state(z + alpha * step)
-            if barrier(terms) <= f0 - 0.25 * alpha * decrement or alpha <= 1e-12:
-                break
-            alpha *= 0.5
-        z = z + alpha * step
+        dz, dlam, alpha = step
+        z = z + alpha * dz
+        lam = lam + alpha * dlam
+        x, v, g = state(z)
+        prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
-            prices = 1.0 / (t * s)
-            lam = prices - 1.0 / (t * zf)
-            sub, utility = table_subproblem_bound(table_values, prices, eps, v, lam)
+            sub, utility = table_subproblem_bound(table_values, prices, eps, v,
+                                                  prices - lam[floor].reshape(n_a, k))
             row_bound = float(prices.sum() + sub.sum())
             obj = float(np.log(v).sum())
         row_gap = row_bound - obj
-        if not (min(zf.min(), s.min(), z.min()) > 0 and math.isfinite(row_gap)):
-            break  # t has outgrown double precision
-        # every D(p) bounds the optimum, so the smallest so far certifies
-        bound = min(bound, row_bound)
+        if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_gap)):
+            break  # the duals have outgrown double precision
+        # every D(p) bounds the optimum, so the smallest so far certifies;
+        # the point is feasible, so a bound below its objective is rounding
+        bound = max(min(bound, row_bound), obj)
         gap = bound - obj
         result = x, v, bound, col_mask, col_agent
         trace.append((it, obj, gap, alpha))
@@ -778,7 +780,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         held_best = np.full(n_a, -np.inf)
         np.maximum.at(held_best, col_agent, utility[col_agent, col_mask])
         bar = held_best + ADMIT_SHARE * max(row_gap - (best - held_best).sum(), 0.0) / n_a
-        admitted = False
+        mu = float(lam @ g) / g.size
         for i in np.flatnonzero(best > bar):
             # the best sets (a held set never passes) join together, mass
             # delta/r on each of the r sets
@@ -789,53 +791,32 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
             tops = np.sort(tops[np.argsort(-utility[i, tops], kind="stable")[:ADMIT_PER_STEP]])
             held, r = np.flatnonzero(col_agent == i), tops.size
             zh, inside = z[held], (tops[:, None] >> bit & 1).mean(axis=0)
-
-            def along(dz, dx):
-                """The lowest barrier on a grid of delta below the interior
-                limit, with z_i moving by delta dz and x_i by delta dx."""
-                room = np.concatenate([-zh[dz < 0] / dz[dz < 0], -zf[i][dx < 0] / dx[dx < 0],
-                                       s[dx > 0] / dx[dx > 0], [1.0]])
-                delta = float(room.min()) * grid
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    f = (-t * np.log(v[i] + delta * (table_values[i, tops].mean() + val[held] @ dz))
-                         - np.log(zf[i] + delta[:, None] * dx).sum(axis=1)
-                         - np.log(s - delta[:, None] * dx).sum(axis=1)
-                         - (np.log(zh + delta[:, None] * dz).sum(axis=1) + r * np.log(delta / r))
-                         / (held.size + r))
-                best_f = np.nanargmin(f)
-                return f[best_f], delta[best_f], dz
-
-            # two rays: mix the sets in (z_i -> (1 - delta) z_i, which moves
-            # x_i toward mean 1_S), or take their mass from the agent's own
-            # columns with x_i fixed, the least change in the column
-            # barrier's metric z^2 (the empty set and the singletons span
-            # the masses, unless t has shrunk some column past precision)
-            rays = [along(-zh, inside - x[i])]
+            # take the sets' mass from the agent's own columns with x_i
+            # fixed, the least change in the metric z^2 (the empty set and
+            # the singletons span the masses, unless some column has shrunk
+            # past precision); else mix them in, z_i -> (1 - delta) z_i,
+            # which moves x_i toward mean 1_S
             spread = np.vstack([inc[held].T, np.ones(held.size)])
             metric = (zh / zh.max()) ** 2
             try:
-                keep = -metric * (spread.T @ np.linalg.solve((spread * metric) @ spread.T,
-                                                             np.append(inside, 1.0)))
+                dz = -metric * (spread.T @ np.linalg.solve((spread * metric) @ spread.T,
+                                                           np.append(inside, 1.0)))
             except np.linalg.LinAlgError:
-                keep = np.full(held.size, np.nan)
-            if np.isfinite(keep).all():
-                rays.append(along(keep, np.zeros(k)))
-            _, delta, dz = min(rays, key=lambda ray: ray[0])
-            z = z.copy()
+                dz = np.full(held.size, np.nan)
+            dx = np.zeros(k)
+            if not np.isfinite(dz).all():
+                dz, dx = -zh, inside - x[i]
+            s, zf = g[cap], g[floor].reshape(n_a, k)[i]
+            room = np.concatenate([-zh[dz < 0] / dz[dz < 0], -zf[dx < 0] / dx[dx < 0],
+                                   s[dx > 0] / dx[dx > 0], [1.0]])
+            delta = 0.9 * float(room.min())
             z[held] += delta * dz
             z = np.append(z, np.full(r, delta / r))
+            lam = np.append(lam, np.full(r, mu * r / delta))
             col_mask = np.append(col_mask, tops)
             col_agent = np.append(col_agent, np.full(r, i))
-            inc, val, same, weight = layout()
-            x, v, zf, s, terms = state(z)
-            admitted = True
-        if decrement <= 2.0 * CENTERING_TOL and not admitted:
-            # a centred gap falls like 1/t: grow t to about twice what the
-            # target needs and no further, since the slacks shrink like 1/t
-            # and lose the precision the certificate needs (always growing
-            # by 64 left 3 of 210 budgeted, table and mixed instances from
-            # 2x6 to 8x12 short of their target, against 1)
-            t *= min(BARRIER_GROWTH, max(2.0, 2.0 * row_gap / target))
+            inc, val, same = layout()
+            x, v, g = state(z)
     if result is None:
         raise ConvergenceError("no Newton step was certified", math.inf)
     x, values, bound, col_mask, col_agent = result
@@ -858,8 +839,8 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     decomposition of its x. An agent with several clauses is lifted to
     clause masses and clause weights, and its columns are
     `clause_columns` of the filled ones. Any other agent set (one with a
-    budgeted-additive or table agent) runs `_config_barrier_eg`, a
-    damped-Newton log barrier, over every agent's `SubsetTable` (whose
+    budgeted-additive or table agent) runs `_config_barrier_eg`, the same
+    primal-dual method, over every agent's `SubsetTable` (whose
     enumeration raises `CapExceeded` past 16 items), and each agent's
     columns are `vertex_columns` of the columns it held at the certified
     point, at the returned x. No column generation or demand query runs, and no LP

@@ -3,10 +3,13 @@
 import gc
 import itertools
 import math
+import sys
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, lu_factor
 
 from nswforge import relaxation, valuations
 from nswforge.generators import GenSpec, generate
@@ -614,8 +617,9 @@ class TestConfigBarrier:
         assert eg.converged and len(solves) == 3
 
     def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
-        # from the sixth step on the bound is not finite, as when t has
-        # outgrown double precision: the solve returns the fifth step's point
+        # from the sixth step on the bound is not finite, as when the duals
+        # have outgrown double precision: the solve returns the fifth
+        # step's point
         calls = []
 
         def failing(*args):
@@ -631,10 +635,53 @@ class TestConfigBarrier:
         assert eg.gap >= 0
         eg.x.validate(inst.m)
 
-    def test_floor_multipliers_below_zero_keep_the_certificate(self):
-        # eight agents share four items; cut to zero, the agents' floor
-        # multipliers stalled the certificate at 21 times its target
-        inst = generate(GenSpec("budgeted_additive", 8, 12, seed=207))
+    def test_breaks_off_finite_when_the_system_turns_singular(self, monkeypatch):
+        # from the sixth step on the factorization meets a zero pivot, as
+        # when the duals have outgrown double precision: the solve returns
+        # the fifth step's point
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) >= 6:
+                warnings.warn("exactly singular matrix", LinAlgWarning)
+            return lu_factor(*args, **kwargs)
+        monkeypatch.setattr(relaxation, "lu_factor", singular)
+        inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert len(calls) == 6
+        assert not eg.converged and eg.iterations == 5
+        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+        assert all(math.isfinite(value) for value in eg.values().values())
+        assert eg.gap >= 0
+        eg.x.validate(inst.m)
+
+    def test_admits_by_mixing_when_the_fixed_mass_ray_is_singular(self, monkeypatch):
+        # a singular system for the ray that keeps the agent's masses fixed
+        # sends every admitted set in along the mixing ray instead
+        solve, calls = np.linalg.solve, []
+
+        def singular(a, b):
+            if sys._getframe(1).f_globals["__name__"] == relaxation.__name__:
+                calls.append(1)
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert calls and eg.converged
+        assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
+        assert_within_the_gap_of_fresh_extensions(inst, eg)
+
+    @pytest.mark.parametrize("seed", [205, 207])
+    def test_floor_multipliers_below_zero_keep_the_certificate(self, seed):
+        # eight agents share four items; cut to zero, the agents' net
+        # prices (capacity less floor duals) stalled seed 207's certificate
+        # at 21 times its target, and seed 205 stopped at 1.5 times it
+        # when the prices were read off shrinking slacks
+        inst = generate(GenSpec("budgeted_additive", 8, 12, seed=seed))
         _, _, remaining, active = initial_matching(inst)
         eg = solve_eg(inst, active, remaining)
         assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
