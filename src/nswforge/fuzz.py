@@ -107,8 +107,9 @@ def contract_case(seed: int, family: str) -> float | None:
 
 def extension_case(seed: int, family: str) -> tuple[float, float]:
     """v+ by column generation against the LP over every subset
-    (`vertex_columns` on the whole `SubsetTable`) at a random point on
-    2-10 items: returns their difference and colgen's dual gap."""
+    (`vertex_columns` on the rows and values of the whole `SubsetTable`)
+    at a random point on 2-10 items: returns their difference and colgen's
+    dual gap."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 11))
     if family == "additive":
@@ -121,8 +122,8 @@ def extension_case(seed: int, family: str) -> tuple[float, float]:
         v = _xos_table(rng.uniform(0, 1, (2, m)))
     x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.85)
     a = concave_ext(v, x)
-    b = sum(w * v.value(s)
-            for s, w in vertex_columns(SubsetTable(v, np.arange(m)), np.arange(1 << m), x))
+    rows, values, _ = SubsetTable(v, np.arange(m)).arrays()
+    b = sum(w * v.value(s) for s, w in vertex_columns(values, rows, x, range(m)))
     diff = abs(a.value - b)
     gap = abs(a.value - (a.q + float(a.prices @ x)))
     if diff > TOL or gap > TOL * (1 + abs(a.value)):

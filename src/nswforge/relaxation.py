@@ -30,8 +30,10 @@ the agent's masses, mixture value at least the certified value.
   clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
   sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
   v+_i(x) = max sum_k c_k.y_k. Each agent's subproblem is bounded in
-  closed form, and its columns are systematic-sampling decompositions
-  (`systematic_columns`, `clause_columns`), at most k + 1 over k items.
+  closed form. A one-clause agent's columns are the systematic-sampling
+  decomposition of its masses (`systematic_columns`); a lifted agent's
+  are an optimal vertex over its clauses' systematic-sampling sets
+  (`clause_columns`).
 - An agent set with a budgeted-additive or table agent runs
   `_config_barrier_eg`, the same primal-dual method over the
   configuration program itself: each agent puts mass on sets of the
@@ -39,9 +41,11 @@ the agent's masses, mixture value at least the certified value.
   its subproblem (`table_subproblem_bound`) and picks the sets that join
   its columns; an additive or XOS agent in such a set enters through its
   own table. Each agent's columns are an optimal vertex over the sets it
-  holds (`vertex_columns`).
+  holds.
 
-Both solvers take their steps from `_predictor_corrector`.
+Both solvers take their steps from `_predictor_corrector`. Every vertex
+is one cold `_lp.maximize` in `vertex_columns`, which keeps at most k + 1
+sets over k items.
 """
 
 from __future__ import annotations
@@ -276,58 +280,40 @@ def systematic_columns(x: np.ndarray,
     return list(columns.items())
 
 
-def clause_columns(clauses: np.ndarray, y: np.ndarray, beta: np.ndarray,
+def clause_columns(clauses: np.ndarray, y: np.ndarray, beta: np.ndarray, x: np.ndarray,
                    items: list[int]) -> list[tuple[frozenset[int], float]]:
-    """The columns of a lifted XOS agent with clause matrix `clauses`: for
-    each clause k, beta_k times the systematic-sampling columns of
-    y_k / beta_k, with equal sets pooled. Item j's load is sum_k y_kj, and
-    since a set is worth at least any clause's sum over it, the mixture
-    value is at least sum_k c_k.y_k.
-
-    The pool is then cut to at most k + 1 of its sets over k items
-    (Caratheodory), as a vertex would be: any k + 2 sets have a null
-    vector d of their incidence rows and a row of ones, and moving their
-    weights along d, signed so that the mixture value does not fall,
-    until one weight reaches zero keeps every load and drops that set.
+    """The columns of a lifted XOS agent with clause matrix `clauses` at
+    masses x: `vertex_columns` over the empty set and, for each clause k,
+    the systematic-sampling sets of y_k / beta_k, each set worth its best
+    clause's sum. Those sets, weighted beta_k times their systematic
+    weights, load item j with sum_k y_kj and are worth at least
+    sum_k c_k.y_k, so with x = sum_k y_k the vertex is worth at least that
+    too.
     """
-    pooled: dict[frozenset[int], float] = {}
+    pool = dict.fromkeys([frozenset()])
     for y_k, b_k in zip(y, beta):
-        for s, w in systematic_columns(np.clip(y_k / b_k, 0.0, 1.0), items):
-            pooled[s] = pooled.get(s, 0.0) + float(b_k) * w
-    sets, weights = list(pooled), np.array(list(pooled.values()))
-    inc = np.zeros((len(items) + 1, len(sets)))
-    inc[-1] = 1.0
+        pool.update((s, None) for s, _ in systematic_columns(np.clip(y_k / b_k, 0.0, 1.0), items))
     position = {j: t for t, j in enumerate(items)}
-    for c, s in enumerate(sets):
-        inc[[position[j] for j in s], c] = 1.0
-    worth = (clauses @ inc[:-1]).max(axis=0)
-    live = list(range(len(sets)))
-    while len(live) > inc.shape[0]:
-        block = live[:inc.shape[0] + 1]
-        d = np.linalg.svd(inc[:, block])[2][-1]
-        if worth[block] @ d < 0:
-            d = -d
-        reach = np.full(d.size, np.inf)
-        reach[d < 0] = weights[block][d < 0] / -d[d < 0]
-        out = int(np.argmin(reach))
-        weights[block] = np.maximum(weights[block] + reach[out] * d, 0.0)
-        live.remove(block[out])
-    return [(sets[c], float(weights[c])) for c in live if weights[c] > 0]
+    inc = np.zeros((len(pool), len(items)), dtype=bool)
+    for r, s in enumerate(pool):
+        inc[r, [position[j] for j in s]] = True
+    return vertex_columns((inc @ clauses.T).max(axis=1), inc, x, items)
 
 
-def vertex_columns(table: SubsetTable, masks: np.ndarray,
-                   x: np.ndarray) -> list[tuple[frozenset[int], float]]:
-    """An optimal vertex of max sum_S v(S) z_S over the sets S given by
-    `masks` (rows of the table), with z >= 0, sum_S z_S 1_S <= x and
-    sum_S z_S = 1: one cold `maximize`, which keeps at most k + 1 of the
-    table's k items' sets. The masks must hold the empty set."""
-    inc = (masks >> np.arange(x.size)[:, None] & 1).astype(float)
-    res = maximize(table.arrays()[1][masks], a_ub=inc, b_ub=x,
-                   a_eq=np.ones((1, masks.size)), b_eq=np.ones(1))
+def vertex_columns(worth: np.ndarray, inc: np.ndarray, x: np.ndarray,
+                   items) -> list[tuple[frozenset[int], float]]:
+    """An optimal vertex of max sum_S worth_S z_S over the candidate sets
+    S, given by their incidence rows `inc` over `items`, with z >= 0,
+    sum_S z_S 1_S <= x and sum_S z_S = 1: one cold `maximize`, which keeps
+    at most k + 1 of the sets over k items. The sets must hold the empty
+    set."""
+    inc = np.asarray(inc, dtype=bool)
+    res = maximize(worth, a_ub=inc.T, b_ub=x, a_eq=np.ones((1, inc.shape[0])),
+                   b_eq=np.ones(1))
     keep = np.flatnonzero(res.x > 1e-12)
     weights = res.x[keep] / res.x[keep].sum()
-    return [(frozenset(table.universe[inc[:, c] > 0].tolist()), float(w))
-            for c, w in zip(keep, weights)]
+    labels = np.asarray(items)
+    return [(frozenset(labels[inc[c]].tolist()), float(w)) for c, w in zip(keep, weights)]
 
 
 def _mixture(v: Valuation, columns: list[tuple[frozenset[int], float]],
@@ -838,13 +824,14 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     v+_i(x) = c.x, and its columns are the systematic-sampling
     decomposition of its x. An agent with several clauses is lifted to
     clause masses and clause weights, and its columns are
-    `clause_columns` of the filled ones. Any other agent set (one with a
-    budgeted-additive or table agent) runs `_config_barrier_eg`, the same
-    primal-dual method, over every agent's `SubsetTable` (whose
-    enumeration raises `CapExceeded` past 16 items), and each agent's
-    columns are `vertex_columns` of the columns it held at the certified
-    point, at the returned x. No column generation or demand query runs, and no LP
-    on an additive or XOS agent set.
+    `clause_columns` of the filled ones at the returned x. Any other agent
+    set (one with a budgeted-additive or table agent) runs
+    `_config_barrier_eg`, the same primal-dual method, over every agent's
+    `SubsetTable` (whose enumeration raises `CapExceeded` past 16 items),
+    and each agent's columns are `vertex_columns` of the columns it held
+    at the certified point, at the returned x. No column generation or
+    demand query runs; one LP runs per lifted or configuration agent, and
+    none for an additive or one-clause agent.
 
     A lifted or configuration agent's value is the mixture value of its
     columns; it must reach the barrier's certified value with loads
@@ -873,15 +860,20 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                    for v in vals]
         x_mat, values, clause_masses, trace, last_bound = _barrier_eg(
             clauses, eps, params.max_iterations)
-        columns = [clause_columns(clauses[k], *clause_masses[k], item_list) if k in clause_masses
-                   else systematic_columns(x_mat[k], item_list) for k in range(len(vals))]
+        columns = [clause_columns(clauses[k], *clause_masses[k], x_mat[k], item_list)
+                   if k in clause_masses else systematic_columns(x_mat[k], item_list)
+                   for k in range(len(vals))]
         mixture_agents = sorted(clause_masses)
     else:
         tables = [SubsetTable(v, item_idx) for v in vals]
         x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
             tables, eps, params.max_iterations)
-        columns = [vertex_columns(table, col_mask[col_agent == k], x_mat[k])
-                   for k, table in enumerate(tables)]
+        columns = []
+        for k, table in enumerate(tables):
+            masks = col_mask[col_agent == k]
+            columns.append(vertex_columns(table.arrays()[1][masks],
+                                          masks[:, None] >> np.arange(item_idx.size) & 1,
+                                          x_mat[k], item_idx))
         mixture_agents = list(range(len(vals)))
     for k in mixture_agents:
         value, load = _mixture(vals[k], columns[k], item_idx)

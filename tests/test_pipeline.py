@@ -152,6 +152,14 @@ class TestRunSubadditive:
             run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
         assert groups == [(0, 1, 2, 3)]
 
+    def test_lifted_columns_keep_the_oracle_under_its_cap(self):
+        # each lifted XOS agent keeps at most k + 1 of its pooled clause
+        # sets, so xos 3x36 stays under ORACLE_CHOICE_CAP; its whole pools
+        # did not
+        inst = generate(GenSpec("xos", 3, 36, seed=0))
+        report = run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
+        assert report.filtered == {0, 1, 2} and report.outcome.round_log
+
     def test_unknown_procedure_rejected(self):
         inst = generate(GenSpec("budgeted_additive", 2, 5, seed=1))
         with pytest.raises(ValueError, match="unknown rounding procedure"):

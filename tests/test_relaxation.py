@@ -62,6 +62,14 @@ def forbidden(*args, **kwargs):
     raise AssertionError("the relaxation called a forbidden function")
 
 
+def count_lp_solves(monkeypatch):
+    """Record one entry per `relaxation.maximize` call; returns the record."""
+    solves = []
+    monkeypatch.setattr(relaxation, "maximize", lambda *a, _f=relaxation.maximize, **k:
+                        solves.append(1) or _f(*a, **k))
+    return solves
+
+
 def mixed_instance(seed):
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.1, 1, (3, 6))
@@ -139,7 +147,8 @@ class TestConcaveExt:
         x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.8)
         a = concave_ext(v, x)
         # the LP over every subset of the items
-        b = vertex_columns(SubsetTable(v, np.arange(m)), np.arange(1 << m), x)
+        rows, values, _ = SubsetTable(v, np.arange(m)).arrays()
+        b = vertex_columns(values, rows, x, range(m))
         assert a.value == pytest.approx(sum(w * v.value(s) for s, w in b), abs=1e-6)
         # primal decomposition is consistent and capacity-feasible
         mix = sum(w * v.value(s) for s, w in a.columns)
@@ -366,12 +375,18 @@ class TestAdditiveBarrier:
         assert all(obj + gap >= best for _, obj, gap, _ in eg.trace)
 
     def test_solves_no_lp_and_asks_no_demand(self, monkeypatch):
-        # neither additive nor XOS agent sets (lifted agents included)
-        for name in ("maximize", "demand", "concave_ext"):
+        # no demand query on additive or XOS agent sets, and an LP only for
+        # a lifted agent's columns: none on additive agents, one per lifted
+        for name in ("demand", "concave_ext"):
             monkeypatch.setattr(relaxation, name, forbidden)
-        for family in ("additive", "xos"):
-            eg = solve_eg(generate(GenSpec(family, 3, 10, seed=0)), range(3), range(10))
-            assert eg.converged
+        solves = count_lp_solves(monkeypatch)
+        for family, lifted in (("additive", 0), ("xos", 3)):
+            inst = generate(GenSpec(family, 3, 10, seed=0))
+            assert lifted == sum(isinstance(v, Xos) and v.clauses.shape[0] > 1
+                                 for v in inst.valuations)
+            solves.clear()
+            eg = solve_eg(inst, range(3), range(10))
+            assert eg.converged and len(solves) == lifted
 
     def test_extensions_are_closed_form_and_certified(self):
         inst = generate(GenSpec("additive", 3, 12, seed=5))
@@ -450,13 +465,15 @@ class TestXosBarrier:
 
     def test_mixed_additive_and_xos_agents_take_the_barrier_path(self, monkeypatch):
         monkeypatch.setattr(relaxation, "_config_barrier_eg", forbidden)
-        for name in ("maximize", "demand", "concave_ext"):
+        for name in ("demand", "concave_ext"):
             monkeypatch.setattr(relaxation, name, forbidden)
+        solves = count_lp_solves(monkeypatch)
         rng = np.random.default_rng(3)
         inst = make_instance(Additive(rng.uniform(0.1, 1, 5)), Xos(rng.uniform(0.1, 1, (2, 5))),
                              Xos(rng.uniform(0.1, 1, (1, 5))))
         eg = solve_eg(inst, range(3), range(5))
         assert eg.converged and 0 <= eg.gap <= eg.epsilon ** 4 * 3
+        assert len(solves) == 1  # the one lifted agent's columns
         # the one-clause agents' values are closed-form, c.x
         for i, weights in ((0, inst.valuations[0].weights), (2, inst.valuations[2].clauses[0])):
             assert eg.values()[i] == pytest.approx(float(weights @ eg.x.agent_vector(i, 5)),
@@ -608,9 +625,7 @@ class TestConfigBarrier:
     @pytest.mark.parametrize("family", ["budgeted_additive", "table", "mixed"])
     def test_one_cold_lp_per_agent_and_no_column_generation(self, family, monkeypatch):
         inst = mixed_instance(4) if family == "mixed" else generate(GenSpec(family, 3, 8, seed=1))
-        solves = []
-        monkeypatch.setattr(relaxation, "maximize", lambda *a, _f=relaxation.maximize, **k:
-                            solves.append(1) or _f(*a, **k))
+        solves = count_lp_solves(monkeypatch)
         for name in ("demand", "concave_ext"):
             monkeypatch.setattr(relaxation, name, forbidden)
         eg = solve_eg(inst, range(3), range(inst.m))
@@ -737,23 +752,39 @@ class TestSystematicColumns:
             assert reports[0].to_json(inst) == reports[1].to_json(inst)
 
 
+def clause_case(seed):
+    """A random XOS valuation with clause masses y under clause weights beta."""
+    rng = np.random.default_rng(1260 + seed)
+    k, m = int(rng.integers(2, 5)), int(rng.integers(1, 12))
+    v = Xos(rng.uniform(0, 1, (k, m)))
+    beta = rng.dirichlet(np.ones(k))
+    return v, beta[:, None] * rng.uniform(0, 1, (k, m)), beta
+
+
 class TestClauseColumns:
     @pytest.mark.parametrize("seed", range(10))
     def test_marginals_and_value(self, seed):
-        rng = np.random.default_rng(1260 + seed)
-        k, m = int(rng.integers(2, 5)), int(rng.integers(1, 12))
-        v = Xos(rng.uniform(0, 1, (k, m)))
-        beta = rng.dirichlet(np.ones(k))
-        y = beta[:, None] * rng.uniform(0, 1, (k, m))
-        cols = clause_columns(v.clauses, y, beta, list(range(m)))
+        v, y, beta = clause_case(seed)
+        m, x = v.m, y.sum(axis=0)
+        cols = clause_columns(v.clauses, y, beta, x, list(range(m)))
         assert len({s for s, _ in cols}) == len(cols) <= m + 1
         assert all(w > 0 for _, w in cols)
         assert sum(w for _, w in cols) == pytest.approx(1.0, abs=1e-12)
         load = np.zeros(m)
         for s, w in cols:
             load[list(s)] += w
-        assert load == pytest.approx(y.sum(axis=0), abs=1e-12)
+        assert (load <= x + 1e-12).all()
         assert sum(w * v.value(s) for s, w in cols) >= float((v.clauses * y).sum()) - 1e-12
+
+    def test_the_vertex_cuts_a_pool_past_k_plus_one_sets(self, monkeypatch):
+        # the pooled sets past m + 1, per call
+        excess = []
+        monkeypatch.setattr(relaxation, "vertex_columns", lambda worth, inc, *a, _f=vertex_columns:
+                            excess.append(inc.shape[0] - inc.shape[1] - 1) or _f(worth, inc, *a))
+        for seed in range(10):
+            v, y, beta = clause_case(seed)
+            clause_columns(v.clauses, y, beta, y.sum(axis=0), list(range(v.m)))
+        assert max(excess) > 0
 
 
 @pytest.mark.parametrize("family", ["additive", "xos", "budgeted_additive", "table"])
