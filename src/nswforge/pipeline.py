@@ -19,6 +19,7 @@ from .matching import initial_matching, rematch_rho
 from .model import Allocation, Instance, InvariantViolation, Matching, nsw_value
 from .relaxation import EgParams, EgResult, solve_eg
 from .rounding import (
+    OracleTables,
     RngStream,
     RoundOutcome,
     cr_procedure,
@@ -174,13 +175,20 @@ def _check_rematch_dominated(report: PipelineReport, inst: Instance) -> None:
 def _searched_once(proc: Callable) -> Callable:
     """`proc` run at most once per agent group, for a deterministic
     procedure that ignores its stream and round index: within one run a
-    group's columns and targets never change, and so its sets do not."""
+    group's columns and targets never change, and so its sets do not.
+    The first call's targets become the run's one `OracleTables`, passed
+    on as `targets`, so the exact oracle builds each agent's search table
+    and values each (agent, kept set) once per run, not once per group."""
     found: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
+    tables: OracleTables | None = None
 
     def search(columns, valuations, targets, rng, round_index=1):
+        nonlocal tables
+        if tables is None:
+            tables = OracleTables(valuations, targets)
         group = tuple(sorted(columns))
         if group not in found:
-            found[group] = proc(columns, valuations, targets, rng, round_index)
+            found[group] = proc(columns, valuations, tables, rng, round_index)
         return found[group]
     return search
 

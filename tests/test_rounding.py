@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nswforge.model import ConfigSolution, Instance
 from nswforge.rounding import (
     ORACLE_CHOICE_CAP,
     ORACLE_NODE_CAP,
+    OracleTables,
     RngStream,
     cr_procedure,
     geometric_round,
@@ -354,6 +356,97 @@ class TestOracleProcedure:
         with pytest.raises(CapExceeded, match="winner enumeration exceeded the node cap"):
             oracle_procedure(cols, vals, {0: 1.0, 1: 1.0})
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
+    def test_shared_tables_choose_as_fresh_ones(self, style):
+        # one OracleTables serves every subgroup of a case, in any order
+        rng = np.random.default_rng(10 + ["uniform", "ties", "budgeted", "table",
+                                          "wide"].index(style))
+        for case in range(15):
+            columns, valuations, targets = _oracle_case(rng, style)
+            shared = OracleTables(valuations, targets)
+            for size in range(1, len(columns) + 1):
+                for group in itertools.combinations(sorted(columns), size):
+                    sub = {i: columns[i] for i in group}
+                    assert oracle_procedure(sub, valuations, shared) == \
+                        oracle_procedure(sub, valuations, targets), f"{style} case {case}"
+
+    def test_values_each_kept_set_once_per_run(self, monkeypatch):
+        # the benchmark's engaged near-uniform 3x24 instance (weights
+        # U(0.9, 1.0), seed 1): every group and round shares one memo
+        gen = np.random.default_rng([3, 24, 1])
+        inst = Instance(tuple(f"agent{i}" for i in range(3)),
+                        tuple(f"item{j}" for j in range(24)),
+                        tuple(Additive(gen.uniform(0.9, 1.0, 24)) for _ in range(3)))
+        inside, valued, groups = [], [], []
+        value = Additive.value
+
+        def counted(self, items):
+            if inside:
+                valued.append((id(self), frozenset(items)))
+            return value(self, items)
+
+        def spy(columns, *args, search=pipeline.PROCEDURES["oracle"]):
+            groups.append(tuple(sorted(columns)))
+            inside.append(True)
+            try:
+                return search(columns, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(Additive, "value", counted)
+        monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
+        report = pipeline.run_subadditive(inst, pipeline.PipelineParams(seed=1, proc="oracle"))
+        assert report.filtered == {0, 1, 2} and report.outcome.round_log
+        assert len(groups) == 7  # measuring d searches each group; rounds reuse them
+        assert len(valued) == len(set(valued))
+        # each agent's supports are bound values in every group that holds it
+        supports = {i: {c.items for c in report.split.columns[i]} for i in range(3)}
+        assert all((id(inst.valuations[i]), s) in set(valued)
+                   for i in range(3) for s in supports[i])
+
+
+def _brute_node_count(held):
+    """(profile, winner) nodes by walking every profile."""
+    total = 0
+    for profile in itertools.product(*(range(rows.shape[0]) for rows in held)):
+        holders = sum(rows[k].astype(np.int64) for rows, k in zip(held, profile))
+        total += math.prod(max(int(c), 1) for c in holders)
+    return total
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("style", ["ties", "wide"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_contraction_is_the_brute_force_count(self, n, style, block, monkeypatch):
+        # `ties` packs 1-8 items densely, so holder counts reach n; `wide`
+        # spreads 16-item supports over 150-200 items
+        if block is not None:
+            monkeypatch.setattr(rounding, "_ORACLE_BLOCK", block)
+        rng = np.random.default_rng([n, ["ties", "wide"].index(style)])
+        for case in range(12):
+            if style == "wide":
+                m = int(rng.integers(150, 201))
+                held = [np.zeros((int(rng.integers(1, 5)), m), dtype=bool) for _ in range(n)]
+                for rows in held:
+                    for row in rows:
+                        row[rng.choice(m, 16, replace=False)] = True
+            else:
+                m = int(rng.integers(1, 9))
+                held = [rng.random((int(rng.integers(1, 7)), m)) < 0.6 for _ in range(n)]
+            count = rounding._count_nodes(held)
+            assert round(count) == _brute_node_count(held), f"case {case}"
+            assert abs(count - round(count)) < 1e-6 * count
+
+    def test_count_past_the_float_range_raises_cap_exceeded(self):
+        # four agents on one 600-item support: 4^600 nodes overflow a float
+        cols = {i: [(frozenset(range(600)), 1.0)] for i in range(4)}
+        vals = [Additive(np.ones(600))] * 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rounding._count_nodes([np.ones((1, 600), dtype=bool)] * 4) == math.inf
+            with pytest.raises(CapExceeded, match="winner enumeration exceeded the node cap"):
+                oracle_procedure(cols, vals, {i: 1.0 for i in range(4)})
 
 
 class TestIteratedRound:
