@@ -172,6 +172,15 @@ def _check_rematch_dominated(report: PipelineReport, inst: Instance) -> None:
         raise InvariantViolation("final matching lost to the rematch baseline")
 
 
+def _run_instance(inst: Instance) -> Instance:
+    """`inst` with a `Valuation.run_copy` of each valuation: every stage
+    that values sets through it shares one memo per agent, so each
+    (agent, set) is evaluated once per run. The copies, and so the memos,
+    are dropped when the run returns."""
+    return Instance(inst.agent_names, inst.item_names,
+                    tuple(v.run_copy() for v in inst.valuations))
+
+
 def _searched_once(proc: Callable) -> Callable:
     """`proc` run at most once per agent group, for a deterministic
     procedure that ignores its stream and round index: within one run a
@@ -207,25 +216,26 @@ def run_xos(inst: Instance, params: PipelineParams | None = None) -> PipelineRep
             raise ValueError("pipeline requires XOS valuations")
     rng = RngStream(params.seed)
     clock = _Clock()
-    tau, reserved, remaining, active = initial_matching(inst)
+    run = _run_instance(inst)
+    tau, reserved, remaining, active = initial_matching(run)
     clock.lap("matching")
     eg = split = outcome = None
     if active:
-        eg = solve_eg(inst, active, remaining, params.eg_params())
+        eg = solve_eg(run, active, remaining, params.eg_params())
         clock.lap("relaxation")
-        split = split_xos(eg.config(), inst.valuations, eg.values())
+        split = split_xos(eg.config(), run.valuations, eg.values())
         clock.lap("splitting")
-        outcome = round_xos(split, inst.valuations, rng)
+        outcome = round_xos(split, run.valuations, rng)
         clock.lap("rounding")
-        alloc, sigma = final_matching(outcome.allocation.bundles, inst, reserved)
+        alloc, sigma = final_matching(outcome.allocation.bundles, run, reserved)
     else:
-        alloc, sigma = final_matching({}, inst, reserved)
+        alloc, sigma = final_matching({}, run, reserved)
     clock.lap("rematching")
     report = PipelineReport(
         pipeline="xos", allocation=alloc, nsw=0.0, params=params, tau=tau,
         sigma=sigma, reserved=reserved, remaining=remaining, active=active,
         eg=eg, split=split, outcome=outcome, timings=clock.timings)
-    _finish(report, inst, params, clock)
+    _finish(report, run, params, clock)
     return report
 
 
@@ -248,7 +258,8 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
         proc = _searched_once(proc)
     rng = RngStream(params.seed)
     clock = _Clock()
-    tau, reserved, remaining, active = initial_matching(inst)
+    run = _run_instance(inst)
+    tau, reserved, remaining, active = initial_matching(run)
     clock.lap("matching")
     eg = split = outcome = None
     filtered: frozenset[int] = frozenset()
@@ -256,15 +267,15 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
     delta_used = d_used = None
     bundles: dict[int, frozenset[int]] = {}
     if active:
-        eg = solve_eg(inst, active, remaining, params.eg_params())
+        eg = solve_eg(run, active, remaining, params.eg_params())
         clock.lap("relaxation")
         targets = eg.values()
-        nu = {i: singleton_max(inst.valuations[i], remaining) for i in active}
+        nu = {i: singleton_max(run.valuations[i], remaining) for i in active}
         filtered = frozenset(i for i in active if targets[i] >= 6.0 * nu[i])
         if filtered:
             config = eg.config()
             config.columns = {i: config.columns[i] for i in filtered}
-            split = split_subadditive(config, inst.valuations,
+            split = split_subadditive(config, run.valuations,
                                       {i: targets[i] for i in filtered},
                                       {i: nu[i] for i in filtered})
             clock.lap("splitting")
@@ -272,13 +283,13 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
             if d_used is None:
                 nominal = NOMINAL_D[params.proc]
                 d_used = nominal if nominal is not None else measured_welfare_factor(
-                    split, inst.valuations, proc, rng)
+                    split, run.valuations, proc, rng)
             delta_used = params.delta if params.delta is not None else 1.0 / (7.0 * d_used)
-            outcome = iterated_round(split, inst.valuations, sorted(remaining),
+            outcome = iterated_round(split, run.valuations, sorted(remaining),
                                      delta_used, proc, rng)
             clock.lap("rounding")
             bundles = {i: outcome.allocation.bundle(i) for i in filtered}
-    alloc, sigma = final_matching(bundles, inst, reserved)
+    alloc, sigma = final_matching(bundles, run, reserved)
     clock.lap("rematching")
     report = PipelineReport(
         pipeline="subadditive", allocation=alloc, nsw=0.0, params=params,
@@ -286,7 +297,7 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
         active=active, eg=eg, split=split, outcome=outcome, filtered=filtered,
         nu=nu or None, delta_used=delta_used, d_used=d_used,
         timings=clock.timings)
-    _finish(report, inst, params, clock)
+    _finish(report, run, params, clock)
     return report
 
 

@@ -67,6 +67,7 @@ COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
 ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
+ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
 
 
 class ConvergenceError(RuntimeError):
@@ -655,10 +656,11 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     `ADMIT_PER_STEP` and best first, that beat its best column by more
     than `ADMIT_SHARE` of its share of that rest. They join with mass
     delta taken from the agent's own columns with its masses x_i fixed,
-    the least change in the metric z^2, or, if that system is singular,
-    mixed in with z_i -> (1 - delta) z_i. delta is 0.9 of the ray's interior
-    limit, and each new column's dual is mu over its mass, so it starts
-    on the central path. The solve stops once the certified bound less
+    the least change in the metric z^2, or, if that system is singular or
+    its solve misses x_i or the agent's mass by more than `ADMIT_MISS`,
+    mixed in with z_i -> (1 - delta) z_i. delta is 0.9 of the interior
+    limit of the move the ray makes, and each new column's dual is mu over
+    its mass, so it starts on the central path. The solve stops once the certified bound less
     the objective is at most eps^4 n, and breaks off, unconverged, when
     the Newton system turns singular or a slack, a dual or the bound
     stops being finite. Returns the last certified masses with each
@@ -789,8 +791,15 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
                                                            np.append(inside, 1.0)))
             except np.linalg.LinAlgError:
                 dz = np.full(held.size, np.nan)
-            dx = np.zeros(k)
-            if not np.isfinite(dz).all():
+            # the ray's move of x_i and of the agent's total mass, zero only
+            # as far as the solve is accurate: at a condition number near
+            # 1e16 x_i moves, so the room comes from the move itself, and a
+            # solve that misses by more than ADMIT_MISS (NaN included)
+            # counts as singular, since the missed mass would stay
+            miss = spread @ dz + np.append(inside, 1.0)
+            if np.abs(miss).max() <= ADMIT_MISS:
+                dx = miss[:-1]
+            else:
                 dz, dx = -zh, inside - x[i]
             s, zf = g[cap], g[floor].reshape(n_a, k)[i]
             room = np.concatenate([-zh[dz < 0] / dz[dz < 0], -zf[dx < 0] / dx[dx < 0],

@@ -3,7 +3,8 @@
 All families are monotone with value 0 on the empty set by construction
 (explicit tables are checked separately by ``model.validate_valuation``).
 Valuations are immutable and every oracle is a pure function, so they are
-safe to share across concurrent workers.
+safe to share across concurrent workers. A `Valuation.run_copy` adds a memo
+of `value` and belongs to the one pipeline run that made it.
 
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe with
@@ -32,9 +33,27 @@ class Valuation:
 
     kind = "abstract"
     m: int
+    _memo: dict[frozenset[int], float] | None = None
 
     def value(self, items: Iterable[int]) -> float:
-        """v(S) for a set of item indices."""
+        """v(S) for a set of item indices.
+
+        A copy made by `run_copy` keeps a memo of v(S) keyed by the set, so
+        it evaluates each set once; a miss runs the plain evaluation on the
+        set, whose indicator row, and so whose value, does not depend on
+        item order or repeats. The memo lives as long as its copy: one
+        pipeline run holds the copies and drops them when it returns, so
+        no memo outlives its run and a valuation itself keeps none."""
+        memo = self._memo
+        if memo is None:
+            return self._evaluate(items)
+        key = items if type(items) is frozenset else frozenset(items)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = self._evaluate(key)
+        return found
+
+    def _evaluate(self, items: Iterable[int]) -> float:
         row = np.zeros((1, self.m), dtype=bool)
         idx = np.fromiter(items, dtype=np.int64)
         if idx.size:
@@ -54,6 +73,14 @@ class Valuation:
 
     def singleton_values(self) -> np.ndarray:
         return self.value_rows(np.eye(self.m, dtype=bool))
+
+    def run_copy(self) -> Valuation:
+        """A shallow copy, of the same class and sharing every array, with
+        an empty memo of `value`."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy._memo = {}
+        return copy
 
     def to_config(self) -> dict:
         raise NotImplementedError

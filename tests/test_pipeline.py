@@ -1,6 +1,9 @@
 """End-to-end pipeline behavior, structure invariants, and determinism."""
 
+import gc
 import json
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +13,19 @@ from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance
 from nswforge.oracle import exact_nsw
 from nswforge.pipeline import PipelineParams, run_subadditive, run_xos
-from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Xos
+from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Valuation, Xos
 
 
 def make_instance(*valuations):
     m = valuations[0].m
     return Instance(tuple(f"agent{i}" for i in range(len(valuations))),
                     tuple(f"item{j}" for j in range(m)), tuple(valuations))
+
+
+def near_uniform(n, m, seed):
+    """The benchmark's engaged instances: additive weights U(0.9, 1.0)."""
+    gen = np.random.default_rng([n, m, seed])
+    return make_instance(*(Additive(gen.uniform(0.9, 1.0, m)) for _ in range(n)))
 
 
 def assert_structure(report, inst):
@@ -160,6 +169,19 @@ class TestRunSubadditive:
         report = run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
         assert report.filtered == {0, 1, 2} and report.outcome.round_log
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_configuration_barrier_converges_without_warnings(self, seed):
+        # near-uniform budgeted-additive 2x14: an admission ray that should
+        # hold x_i fixed is solved at a condition number near 1e16 and moves
+        # x_i, which left capacity slacks negative (seed 0) or the agent's
+        # mass off one (seed 3); a Newton diagonal then turned nonpositive
+        # and the solve stopped unconverged
+        inst = generate(GenSpec("budgeted_additive", 2, 14, seed=seed, weights="near_uniform"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_subadditive(inst)
+        assert report.eg.converged
+
     def test_unknown_procedure_rejected(self):
         inst = generate(GenSpec("budgeted_additive", 2, 5, seed=1))
         with pytest.raises(ValueError, match="unknown rounding procedure"):
@@ -184,6 +206,65 @@ class TestRunSubadditive:
             assert report.nsw >= opt / 375_000.0
         if report.outcome is not None:
             assert not report.outcome.rounds_capped
+
+
+class TestRunMemo:
+    """Each run values sets through its own copies of the valuations, which
+    share one memo per agent across every stage and die with the run."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch, inst):
+        """(agent, set) of every evaluation on the memo's miss path (and of
+        plain `value` calls), and the number of `value` calls."""
+        evaluated, calls = [], []
+        evaluate, value = Valuation._evaluate, Valuation.value
+
+        def counted_evaluate(self, items):
+            agent = next(i for i, v in enumerate(inst.valuations) if v == self)
+            evaluated.append((agent, frozenset(items)))
+            return evaluate(self, items)
+
+        def counted_value(self, items):
+            calls.append(1)
+            return value(self, items)
+        monkeypatch.setattr(Valuation, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(Valuation, "value", counted_value)
+        return evaluated, calls
+
+    def test_back_to_back_runs_each_evaluate_their_sets(self, monkeypatch):
+        inst = near_uniform(2, 16, 0)
+        evaluated, _ = self.count_evaluations(monkeypatch, inst)
+        copies = []
+        run_copy = Valuation.run_copy
+
+        def tracked(self):
+            copy = run_copy(self)
+            copies.append(weakref.ref(copy))
+            return copy
+        monkeypatch.setattr(Valuation, "run_copy", tracked)
+        counts, reports = [], []
+        for _ in range(2):
+            evaluated.clear()
+            report = run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
+            assert report.filtered == {0, 1} and report.outcome.round_log
+            counts.append(len(evaluated))
+            reports.append(report.to_json(inst))
+            assert all(v._memo is None for v in inst.valuations)
+        assert counts[0] == counts[1] > 0 and reports[0] == reports[1]
+        gc.collect()
+        assert len(copies) == 4 and all(ref() is None for ref in copies)
+
+    @pytest.mark.parametrize("lane, inst, seed", [
+        ("subadditive", near_uniform(3, 24, 1), 1),
+        ("xos", generate(GenSpec("xos", 4, 12, seed=0)), 0),
+    ])
+    def test_no_set_is_evaluated_twice_in_a_run(self, lane, inst, seed, monkeypatch):
+        evaluated, calls = self.count_evaluations(monkeypatch, inst)
+        params = PipelineParams(seed=seed, check_rematch=True, append_residual=True)
+        report = (run_subadditive if lane == "subadditive" else run_xos)(inst, params)
+        assert report.split is not None and report.residual_appended is not None
+        assert len(evaluated) == len(set(evaluated)) > 0
+        assert len(calls) > len(evaluated)
 
 
 class TestReportJson:

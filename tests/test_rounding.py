@@ -383,7 +383,11 @@ class TestOracleProcedure:
 
         def counted(self, items):
             if inside:
-                valued.append((id(self), frozenset(items)))
+                # keyed by agent: the run values through its own copies,
+                # which share each agent's weights
+                agent = next(i for i, v in enumerate(inst.valuations)
+                             if v.weights is self.weights)
+                valued.append((agent, frozenset(items)))
             return value(self, items)
 
         def spy(columns, *args, search=pipeline.PROCEDURES["oracle"]):
@@ -401,8 +405,7 @@ class TestOracleProcedure:
         assert len(valued) == len(set(valued))
         # each agent's supports are bound values in every group that holds it
         supports = {i: {c.items for c in report.split.columns[i]} for i in range(3)}
-        assert all((id(inst.valuations[i]), s) in set(valued)
-                   for i in range(3) for s in supports[i])
+        assert all((i, s) in set(valued) for i in range(3) for s in supports[i])
 
 
 def _brute_node_count(held):

@@ -15,6 +15,7 @@ from nswforge.valuations import (
     DemandResult,
     ExplicitTable,
     SubsetTable,
+    Valuation,
     Xos,
     _all_subset_rows,
     _lex_ranks,
@@ -59,6 +60,43 @@ class TestValue:
 
     def test_budgeted_cap(self):
         assert BudgetedAdditive([3, 3], cap=4).value((0, 1)) == 4.0
+
+
+class TestRunCopy:
+    def test_copy_keeps_its_class_and_shares_its_arrays(self):
+        rng = np.random.default_rng(5)
+        for v in all_families(4, rng):
+            copy = v.run_copy()
+            assert type(copy) is type(v) and copy == v
+            assert all(copy.__dict__[key] is val for key, val in v.__dict__.items())
+            assert v._memo is None and copy._memo == {}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memoized_value_is_the_plain_value_bit_for_bit(self, seed, monkeypatch):
+        rng = np.random.default_rng(3100 + seed)
+        m = int(rng.integers(1, 11))
+        evaluated = []
+        evaluate = Valuation._evaluate
+
+        def counted(self, items):
+            evaluated.append(self)
+            return evaluate(self, items)
+        for v in all_families(m, rng):
+            copy = v.run_copy()
+            drawn = set()
+            for _ in range(60):
+                items = rng.permutation(m)[:rng.integers(0, m + 1)]
+                plain = v.value(items.tolist()).hex()
+                with monkeypatch.context() as patch:
+                    patch.setattr(Valuation, "_evaluate", counted)
+                    # a miss or a hit, then hits with the set given otherwise
+                    for given_as in (items.tolist(), items, frozenset(items.tolist()),
+                                     reversed(items.tolist()), iter(list(items) * 2)):
+                        assert copy.value(given_as).hex() == plain
+                drawn.add(frozenset(items.tolist()))
+            assert len(evaluated) == len(drawn) and all(e is copy for e in evaluated)
+            assert copy._memo.keys() == drawn and v._memo is None
+            evaluated.clear()
 
 
 class TestDemand:
