@@ -15,7 +15,9 @@ use the duals of the final basis as optimality certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +36,25 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpResult:
-    """Optimum with its duals."""
+    """Optimum with its duals, which are solved from the final basis on
+    their first read (most callers never read them)."""
 
     x: np.ndarray
     value: float
-    dual_ub: np.ndarray
-    dual_eq: np.ndarray
+    _solve_duals: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False,
+                                                                      compare=False)
+
+    @cached_property
+    def _duals(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._solve_duals()
+
+    @property
+    def dual_ub(self) -> np.ndarray:
+        return self._duals[0]
+
+    @property
+    def dual_eq(self) -> np.ndarray:
+        return self._duals[1]
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -82,23 +97,27 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
 
 def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
             tab: np.ndarray, basis: list[int]) -> LpResult:
-    """x, value and duals read off an optimal tableau and its basis."""
+    """x and value read off an optimal tableau and its basis, and the
+    solve of its duals."""
     n, mu = c.size, a_ub.shape[0]
     idx = np.array(basis, dtype=int)
     structural = idx < n
     x = np.zeros(n)
     x[idx[structural]] = tab[structural, -1]
+    basic = np.vstack([a_ub[:, idx[structural]], a_eq[:, idx[structural]]])
 
-    # Duals from the final basis: solve B^T y = c_B on the original columns.
-    b_mat = np.eye(idx.size)[:, np.maximum(idx - n, 0)]
-    b_mat[:mu, structural] = a_ub[:, idx[structural]]
-    b_mat[mu:, structural] = a_eq[:, idx[structural]]
-    c_b = cost[idx]
-    try:
-        y = np.linalg.solve(b_mat.T, c_b)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
-    return LpResult(x=x, value=float(c @ x), dual_ub=y[:mu], dual_eq=y[mu:])
+    def duals() -> tuple[np.ndarray, np.ndarray]:
+        """Solve B^T y = c_B on the original columns of the final basis."""
+        b_mat = np.eye(idx.size)[:, np.maximum(idx - n, 0)]
+        b_mat[:, structural] = basic
+        c_b = cost[idx]
+        try:
+            y = np.linalg.solve(b_mat.T, c_b)
+        except np.linalg.LinAlgError:
+            y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
+        return y[:mu], y[mu:]
+
+    return LpResult(x=x, value=float(c @ x), _solve_duals=duals)
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:

@@ -122,7 +122,7 @@ def extension_case(seed: int, family: str) -> tuple[float, float]:
         v = _xos_table(rng.uniform(0, 1, (2, m)))
     x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.85)
     a = concave_ext(v, x)
-    rows, values, _ = SubsetTable(v, np.arange(m)).arrays()
+    rows, values = SubsetTable(v, np.arange(m)).arrays()
     b = sum(w * v.value(s) for s, w in vertex_columns(values, rows, x, range(m)))
     diff = abs(a.value - b)
     gap = abs(a.value - (a.q + float(a.prices @ x)))

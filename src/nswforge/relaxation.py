@@ -43,7 +43,11 @@ the agent's masses, mixture value at least the certified value.
   own table. Each agent's columns are an optimal vertex over the sets it
   holds.
 
-Both solvers take their steps from `_predictor_corrector`. Every vertex
+Both solvers take their steps from `_predictor_corrector`, which factors
+each Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
+`dgetrs`. `_barrier_eg` assembles its system from a fixed pattern over
+its variables; `_config_barrier_eg` builds its system, masses, values and
+slack changes from one incidence matrix of the held columns. Every vertex
 is one cold `_lp.maximize` in `vertex_columns`, which keeps at most k + 1
 sets over k items.
 """
@@ -51,12 +55,11 @@ sets over k items.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._lp import maximize
 from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
@@ -402,31 +405,30 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
     with zeros. `along(du)` gives every row's slack change along du and
     `lift(w)` is its transpose. The diagonal spans many orders once the
     slacks of binding rows shrink, and the equality rows make the system
-    indefinite, so it is factored Jacobi-scaled, in place, with each
-    equality row scaled by its largest variable's scale. The factor serves
-    two solves: the affine step (target lam g = 0) predicts mu_aff at its
-    longest interior step, and the corrector targets sigma mu with
-    sigma = (mu_aff/mu)^3, where mu is the mean of lam g, less the affine
-    step's second-order term. Returns the primal step, the duals' step and
-    the step length, 0.99 of the longest that keeps every slack and dual
-    positive, at most 1; None when the factorization meets a zero pivot.
+    indefinite, so it is Jacobi-scaled in place, with each equality row
+    scaled by its largest variable's scale, and factored by LAPACK's
+    `dgetrf` (partial pivoting; in place when `system` is in Fortran
+    order). The factor serves two `dgetrs` solves: the affine step
+    (target lam g = 0) predicts mu_aff at its longest interior step, and
+    the corrector targets sigma mu with sigma = (mu_aff/mu)^3, where mu is
+    the mean of lam g, less the affine step's second-order term. Returns
+    the primal step, the duals' step and the step length, 0.99 of the
+    longest that keeps every slack and dual positive, at most 1; None
+    when the factorization meets an exactly zero pivot (`info > 0`).
     """
     w = lam / g
     d = np.ones(system.shape[0])
     d[:size] = np.diag(system)[:size] ** -0.5
     d[size:] = 1.0 / (system[size:, :size] * d[:size]).max(axis=1)
-    system *= d[:, None] * d
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            factor = lu_factor(system, check_finite=False)
-        except LinAlgWarning:
-            return None
+    system *= np.outer(d, d).T  # symmetric, and in Fortran order as `system` is
+    lu, piv, info = dgetrf(system, overwrite_a=True)
+    if info > 0:
+        return None
 
     def newton(r):
         """The step that drives every row's lam g to r to first order:
         the primal step, the rows' slack changes and the duals'."""
-        du = (d * lu_solve(factor, d * (gain + lift(r / g)), check_finite=False))[:size]
+        du = (d * dgetrs(lu, piv, d * (gain + lift(r / g)), overwrite_b=True)[0])[:size]
         dg = along(du)
         return du, dg, r / g - lam - w * dg
 
@@ -566,7 +568,7 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     result = None
     for it in range(1, max_iterations + 1):
         w = lam / g
-        system = np.zeros((size + n_eq, size + n_eq))
+        system = np.zeros((size + n_eq, size + n_eq), order="F")
         # capacity rows couple agents; then each agent's objective, then the floor
         system[pat_r, pat_c] = ((np.append(w[cap], 0.0)[pat_cap]
                                  + (1.0 / v ** 2)[pat_agent] * pat_outer)
@@ -640,7 +642,15 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     are the prices p), the floor slacks x - eps and the columns' masses z.
     Each step is `_predictor_corrector` on the Newton system: the
     objective's Hessian (val val^T / v^2 per agent) plus dual/slack on
-    each row's pattern, with the agents' equality rows.
+    each row's pattern, with the agents' equality rows. All of it comes
+    from one incidence matrix U = [inc | rinc | own], a row per column:
+    its set over the universe (the capacity rows), the same set in its
+    agent's block of k (that agent's floor rows) and its agent's one-hot
+    row. With own scaled by val/v, the system is (U m) U^T for
+    m = [dual/slack on capacity, on floor, 1], plus dual/slack of the
+    column rows on the diagonal and own as the equality rows; the
+    masses are z rinc, the values (val z) own, and the slacks' changes
+    and their transpose are products with inc and rinc as well.
 
     The Lagrangian bound D(p) at the capacity duals p bounds the optimum
     at every step, so the smallest one so far, but not below the
@@ -660,7 +670,10 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     its solve misses x_i or the agent's mass by more than `ADMIT_MISS`,
     mixed in with z_i -> (1 - delta) z_i. delta is 0.9 of the interior
     limit of the move the ray makes, and each new column's dual is mu over
-    its mass, so it starts on the central path. The solve stops once the certified bound less
+    its mass, so it starts on the central path. Agents share only the
+    capacity slacks, so all of them admit in one pass, each against the
+    slacks its predecessors left, and the sets join the columns, agent
+    by agent, after the last. The solve stops once the certified bound less
     the objective is at most eps^4 n, and breaks off, unconverged, when
     the Newton system turns singular or a slack, a dual or the bound
     stops being finite. Returns the last certified masses with each
@@ -689,39 +702,39 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     one[-1] += x0 - b
     one[0] = 1.0 - one.sum()
     z = np.tile(one, n_a)
-    # the inequality rows, family by family: capacity, floor, columns
+    # the inequality rows, family by family: capacity, floor, columns; the
+    # first two also index the blocks of the incidence below
     cap, floor = slice(0, k), slice(k, k + n_a * k)
-    column = slice(floor.stop, None)
+    column, agent = slice(floor.stop, None), slice(floor.stop, floor.stop + n_a)
 
-    def layout():
-        """The columns' incidence over the universe, their values and the
-        pairs of one agent."""
-        inc = (col_mask[:, None] >> bit & 1).astype(float)
-        return inc, table_values[col_agent, col_mask], col_agent[:, None] == col_agent
+    def layout(masks, agents):
+        """The columns' rows of the incidence U = [inc | rinc | own]: inc
+        over the universe, rinc the same in its agent's block of k, and
+        own the one-hot row of its agent; and their values."""
+        inc = (masks[:, None] >> bit & 1).astype(float)
+        own = (agents[:, None] == np.arange(n_a)).astype(float)
+        rinc = (own[:, :, None] * inc[:, None, :]).reshape(-1, n_a * k)
+        return np.hstack([inc, rinc, own]), table_values[agents, masks]
 
-    def by_agent(dz):
-        """Each agent's change of masses and of value along dz."""
-        rows = np.zeros((n_a, dz.size))
-        rows[col_agent, np.arange(dz.size)] = dz
-        return rows @ inc, rows @ val
+    # a slack's change per unit of a column's incidence on its row
+    sign = np.repeat([-1.0, 1.0], [k, n_a * k])
 
     def state(z):
         """The masses, the agent values and every row's slack at z."""
-        x, v = by_agent(z)
-        return x, v, np.concatenate([1.0 - x.sum(axis=0), (x - eps).ravel(), z])
+        load = z @ U[:, :floor.stop]
+        return (load[floor].reshape(n_a, k), (val * z) @ U[:, agent],
+                np.concatenate([1.0 - load[cap], load[floor] - eps, z]))
 
     def along(dz):
         """The change of every row's slack along a step dz."""
-        dx = by_agent(dz)[0]
-        return np.concatenate([-dx.sum(axis=0), dx.ravel(), dz])
+        return np.append(sign * (dz @ U[:, :floor.stop]), dz)
 
     def lift(w):
         """Row weights w summed onto the columns through each row's slack:
         the transpose of `along`."""
-        net = w[floor].reshape(n_a, k)[col_agent] - w[cap]
-        return np.append((inc * net).sum(axis=1) + w[column], np.zeros(n_a))
+        return np.append(U[:, :floor.stop] @ (sign * w[:floor.stop]) + w[column], np.zeros(n_a))
 
-    inc, val, same = layout()
+    U, val = layout(col_mask, col_agent)
     x, v, g = state(z)
     lam = 1.0 / g
     bound = math.inf
@@ -729,16 +742,20 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     result = None
     for it in range(1, max_iterations + 1):
         size = z.size
-        cols = np.arange(size)
         w = lam / g
         scaled = val / v[col_agent]
-        # capacity rows couple agents; the floor and the objective act
-        # within one agent; the column rows sit on the diagonal
-        system = np.zeros((size + n_a, size + n_a))
-        system[:size, :size] = (inc * w[cap]) @ inc.T + same * (
-            (inc * w[floor].reshape(n_a, k)[col_agent]) @ inc.T + np.outer(scaled, scaled))
-        system[cols, cols] += w[column]
-        system[size + col_agent, cols] = system[cols, size + col_agent] = 1.0
+        # one product (U m) U^T with m = [w_cap, w_floor, 1] and own scaled
+        # by val / v of each column's agent: the capacity rows couple
+        # agents, the floor rows and the objective act within one agent;
+        # the column rows sit on the diagonal
+        us = U.copy()
+        us[:, agent] *= scaled[:, None]
+        system = np.zeros((size + n_a, size + n_a), order="F")
+        system[:size, :size] = (us * np.append(w[:floor.stop], np.ones(n_a))) @ us.T
+        system[:size, size:] = U[:, agent]
+        system[size:, :size] = U[:, agent].T
+        diag = np.arange(size)
+        system[diag, diag] += w[column]
         step = _predictor_corrector(system, size, np.append(scaled, np.zeros(n_a)), lift,
                                     along, g, lam)
         if step is None:  # the duals have outgrown double precision
@@ -769,6 +786,9 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         np.maximum.at(held_best, col_agent, utility[col_agent, col_mask])
         bar = held_best + ADMIT_SHARE * max(row_gap - (best - held_best).sum(), 0.0) / n_a
         mu = float(lam @ g) / g.size
+        # agents admit one after another; they share only the capacity
+        # slacks s, kept current in place, and the sets join after the last
+        s, joined = g[cap], []
         for i in np.flatnonzero(best > bar):
             # the best sets (a held set never passes) join together, mass
             # delta/r on each of the r sets
@@ -784,7 +804,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
             # the singletons span the masses, unless some column has shrunk
             # past precision); else mix them in, z_i -> (1 - delta) z_i,
             # which moves x_i toward mean 1_S
-            spread = np.vstack([inc[held].T, np.ones(held.size)])
+            spread = np.vstack([U[held, cap].T, np.ones(held.size)])
             metric = (zh / zh.max()) ** 2
             try:
                 dz = -metric * (spread.T @ np.linalg.solve((spread * metric) @ spread.T,
@@ -801,16 +821,19 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
                 dx = miss[:-1]
             else:
                 dz, dx = -zh, inside - x[i]
-            s, zf = g[cap], g[floor].reshape(n_a, k)[i]
+            zf = g[floor].reshape(n_a, k)[i]
             room = np.concatenate([-zh[dz < 0] / dz[dz < 0], -zf[dx < 0] / dx[dx < 0],
                                    s[dx > 0] / dx[dx > 0], [1.0]])
             delta = 0.9 * float(room.min())
             z[held] += delta * dz
-            z = np.append(z, np.full(r, delta / r))
-            lam = np.append(lam, np.full(r, mu * r / delta))
-            col_mask = np.append(col_mask, tops)
-            col_agent = np.append(col_agent, np.full(r, i))
-            inc, val, same = layout()
+            s -= delta * dx
+            joined.append((tops, np.full(r, i), np.full(r, delta / r), np.full(r, mu * r / delta)))
+        if joined:
+            tops, owner, mass, dual = (np.concatenate(part) for part in zip(*joined))
+            col_mask, col_agent = np.append(col_mask, tops), np.append(col_agent, owner)
+            z, lam = np.append(z, mass), np.append(lam, dual)
+            rows, worth = layout(tops, owner)
+            U, val = np.vstack([U, rows]), np.append(val, worth)
             x, v, g = state(z)
     if result is None:
         raise ConvergenceError("no Newton step was certified", math.inf)

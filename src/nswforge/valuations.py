@@ -8,7 +8,8 @@ of `value` and belongs to the one pipeline run that made it.
 
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe with
-its value and lexicographic rank, and breaks ties by that rank. One table
+its value, and breaks ties by lexicographic rank, which the table builds
+when `demand` first reads it. One table
 serves every query over its universe; whoever repeats queries (one
 `concave_ext` call, or an agent of the relaxation) holds it, and a call
 without one enumerates afresh. A table fills itself on first use, and two workers
@@ -248,21 +249,23 @@ class SubsetTable:
     first use and then kept.
 
     It holds the float64 indicator rows at full width m in mask-counter
-    order (so `rows @ p` rounds exactly as the boolean product did), their
-    values under v and each subset's lexicographic rank. Valuations are
-    immutable, so the table never goes stale; it lives as long as its
-    holder, such as one `solve_eg` call. At the 16-item cap with m = 16
-    it takes about 8 MB.
+    order (so `rows @ p` rounds exactly as the boolean product did) and
+    their values under v, and, built apart on first use because only
+    `demand`'s tie-break reads them, each subset's lexicographic rank.
+    Valuations are immutable, so the table never goes stale; it lives as
+    long as its holder, such as one `solve_eg` call. At the 16-item cap
+    with m = 16 it takes about 8 MB.
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
         self.v = v
         self.universe = universe
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._ranks: np.ndarray | None = None
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, values, rank), enumerated on the first call; a universe
-        past `EXHAUSTIVE_CAP` items raises `CapExceeded` before any row is
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values), enumerated on the first call; a universe past
+        `EXHAUSTIVE_CAP` items raises `CapExceeded` before any row is
         enumerated."""
         if self._arrays is None:
             if self.universe.size > EXHAUSTIVE_CAP:
@@ -270,9 +273,15 @@ class SubsetTable:
                     f"no analytic demand for {self.v.kind}; a subset table of "
                     f"{self.universe.size} items exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
             mask_rows = _all_subset_rows(self.universe, self.v.m)
-            self._arrays = (mask_rows.astype(float), self.v.value_rows(mask_rows),
-                            _lex_ranks(self.universe.size))
+            self._arrays = (mask_rows.astype(float), self.v.value_rows(mask_rows))
         return self._arrays
+
+    def ranks(self) -> np.ndarray:
+        """Each subset's lexicographic rank, indexed as the rows, built on
+        the first call."""
+        if self._ranks is None:
+            self._ranks = _lex_ranks(self.universe.size)
+        return self._ranks
 
 
 def demand(v: Valuation, prices, items: Iterable[int] | None = None,
@@ -315,11 +324,11 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
     elif table.v is not v or (table.universe is not universe
                               and not np.array_equal(table.universe, universe)):
         raise ValueError("subset table of another valuation or universe")
-    rows, values, rank = table.arrays()
+    rows, values = table.arrays()
     utilities = values - rows @ p
     best_util = utilities.max()
     ties = np.flatnonzero(utilities == best_util)
-    best = ties[np.argmin(rank[ties])]
+    best = ties[np.argmin(table.ranks()[ties])]
     return DemandResult(frozenset(np.flatnonzero(rows[best]).tolist()), float(best_util))
 
 

@@ -4,12 +4,10 @@ import gc
 import itertools
 import math
 import sys
-import warnings
 import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning, lu_factor
 
 from nswforge import relaxation, valuations
 from nswforge.generators import GenSpec, generate
@@ -109,6 +107,28 @@ def assert_within_the_gap_of_fresh_extensions(inst, eg):
     assert excess <= eg.gap + 1e-12
 
 
+def assert_breaks_off_at_a_zero_pivot(spec, monkeypatch):
+    """From the sixth step on, LAPACK's factorization reports an exactly
+    zero pivot (info > 0), as when the duals have outgrown double
+    precision: the solve returns the fifth step's point."""
+    factor, calls = relaxation.dgetrf, []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        lu, piv, info = factor(*args, **kwargs)
+        return lu, piv, (info if len(calls) < 6 else 1)
+    monkeypatch.setattr(relaxation, "dgetrf", singular)
+    inst = generate(spec)
+    _, _, remaining, active = initial_matching(inst)
+    eg = solve_eg(inst, active, remaining)
+    assert len(calls) == 6
+    assert not eg.converged and eg.iterations == 5
+    assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+    assert all(math.isfinite(value) for value in eg.values().values())
+    assert eg.gap >= 0
+    eg.x.validate(inst.m)
+
+
 class TestConcaveExt:
     def test_additive_extension_is_linear(self):
         rng = np.random.default_rng(0)
@@ -147,7 +167,7 @@ class TestConcaveExt:
         x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.8)
         a = concave_ext(v, x)
         # the LP over every subset of the items
-        rows, values, _ = SubsetTable(v, np.arange(m)).arrays()
+        rows, values = SubsetTable(v, np.arange(m)).arrays()
         b = vertex_columns(values, rows, x, range(m))
         assert a.value == pytest.approx(sum(w * v.value(s) for s, w in b), abs=1e-6)
         # primal decomposition is consistent and capacity-feasible
@@ -509,12 +529,17 @@ class TestXosBarrier:
         assert eg.gap >= 0
         eg.x.validate(inst.m)
 
+    def test_breaks_off_finite_when_the_system_turns_singular(self, monkeypatch):
+        assert_breaks_off_at_a_zero_pivot(GenSpec("xos", 3, 6, seed=0), monkeypatch)
+
     @pytest.mark.parametrize("family, n, m, seed", [
         ("xos", 3, 6, 0), ("xos", 3, 6, 1), ("additive", 3, 10, 0), ("additive", 3, 10, 1),
-        ("xos", 4, 12, 0), ("near_uniform", 2, 16, 0), ("near_uniform", 3, 24, 1)])
+        ("xos", 4, 12, 0), ("near_uniform", 2, 16, 0), ("near_uniform", 3, 24, 1),
+        ("table", 3, 10, 0), ("budgeted_additive", 3, 14, 1)])
     def test_benchmark_pool_relaxations_converge_in_few_steps(self, family, n, m, seed):
-        # the relaxations of the xos_lane and subadd_engaged benchmark ops
-        # (6-11 steps; 35-60 under the primal log barrier)
+        # the relaxations of the xos_lane, subadd_engaged and subadd_colgen
+        # benchmark ops (6-11 steps in `_barrier_eg`, 20 in the configuration
+        # barrier; 35-68 under the primal log barriers)
         if family == "near_uniform":  # as perfbench/workloads.py draws them
             gen = np.random.default_rng([n, m, seed])
             inst = make_instance(*[Additive(gen.uniform(0.9, 1.0, m)) for _ in range(n)])
@@ -651,26 +676,35 @@ class TestConfigBarrier:
         eg.x.validate(inst.m)
 
     def test_breaks_off_finite_when_the_system_turns_singular(self, monkeypatch):
-        # from the sixth step on the factorization meets a zero pivot, as
-        # when the duals have outgrown double precision: the solve returns
-        # the fifth step's point
-        calls = []
+        assert_breaks_off_at_a_zero_pivot(GenSpec("budgeted_additive", 3, 8, seed=0),
+                                          monkeypatch)
 
-        def singular(*args, **kwargs):
-            calls.append(1)
-            if len(calls) >= 6:
-                warnings.warn("exactly singular matrix", LinAlgWarning)
-            return lu_factor(*args, **kwargs)
-        monkeypatch.setattr(relaxation, "lu_factor", singular)
+    def test_columns_hold_the_start_and_then_join_in_order(self):
+        # each agent holds the empty set, the singletons and the universe,
+        # then the sets it admitted, one step after another: the columns of
+        # a solve capped at t steps start the columns of one capped at
+        # t + 1, and each step's sets follow by agent and then by mask
         inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
-        _, _, remaining, active = initial_matching(inst)
-        eg = solve_eg(inst, active, remaining)
-        assert len(calls) == 6
-        assert not eg.converged and eg.iterations == 5
-        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
-        assert all(math.isfinite(value) for value in eg.values().values())
-        assert eg.gap >= 0
-        eg.x.validate(inst.m)
+        tables = [SubsetTable(v, np.arange(8)) for v in inst.valuations]
+        eps = EgParams().floor(3)
+        start = [0, *(1 << np.arange(8)), (1 << 8) - 1]
+        held = None
+        for cap in range(1, 30):
+            *_, (col_mask, col_agent), trace, _ = relaxation._config_barrier_eg(tables, eps, cap)
+            for i in range(3):
+                masks = col_mask[col_agent == i]
+                assert masks[:len(start)].tolist() == start
+                assert np.unique(masks).size == masks.size
+            if held is not None:
+                before = held[0].size
+                assert np.array_equal(col_mask[:before], held[0])
+                assert np.array_equal(col_agent[:before], held[1])
+                joined = np.lexsort((col_mask[before:], col_agent[before:]))
+                assert np.array_equal(joined, np.arange(joined.size))
+            held = col_mask, col_agent
+            if len(trace) < cap:  # converged
+                break
+        assert held[0].size > 3 * len(start)
 
     def test_admits_by_mixing_when_the_fixed_mass_ray_is_singular(self, monkeypatch):
         # a singular system for the ray that keeps the agent's masses fixed
@@ -710,6 +744,55 @@ class TestConfigBarrier:
                                for _ in range(2)])
         with pytest.raises(CapExceeded, match="exceeds the enumeration cap of 16"):
             solve_eg(inst, [0, 1], range(17))
+
+
+class TestPredictorCorrector:
+    @staticmethod
+    def problem(seed):
+        """A random, well-conditioned Newton system over 7 unknowns, one
+        equality row on the first 4, and 9 inequality rows a u."""
+        rng = np.random.default_rng(seed)
+        size, n_rows = 7, 9
+        rows = rng.normal(size=(n_rows, size))
+        g, lam = rng.uniform(0.5, 2, n_rows), rng.uniform(0.5, 2, n_rows)
+        hess = rng.normal(size=(size, size))
+        system = np.zeros((size + 1, size + 1))
+        system[:size, :size] = hess @ hess.T + (rows.T * (lam / g)) @ rows + np.eye(size)
+        system[size, :4] = system[:4, size] = 1.0
+        gain = np.append(rng.normal(size=size), 0.0)
+        return system, size, gain, rows, g, lam
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_matches_a_dense_solve(self, seed):
+        system, size, gain, rows, g, lam = self.problem(seed)
+        got = relaxation._predictor_corrector(
+            np.asfortranarray(system), size, gain, lambda w: np.append(rows.T @ w, 0.0),
+            lambda du: rows @ du, g, lam)
+
+        def newton(r):
+            du = np.linalg.solve(system, gain + np.append(rows.T @ (r / g), 0.0))[:size]
+            return du, rows @ du, r / g - lam - lam / g * (rows @ du)
+
+        def reach(v, dv):
+            return float((-v[dv < 0] / dv[dv < 0]).min(initial=np.inf))
+
+        mu = float(lam @ g) / g.size
+        _, dg, dlam = newton(np.zeros(g.size))
+        primal, dual = min(1.0, reach(g, dg)), min(1.0, reach(lam, dlam))
+        sigma = ((g + primal * dg) @ (lam + dual * dlam) / g.size / mu) ** 3
+        du, dg, dlam = newton(sigma * mu - dg * dlam)
+        assert got[0] == pytest.approx(du, rel=1e-12, abs=1e-12)
+        assert got[1] == pytest.approx(dlam, rel=1e-12, abs=1e-12)
+        assert got[2] == pytest.approx(min(1.0, 0.99 * min(reach(g, dg), reach(lam, dlam))),
+                                       rel=1e-12)
+
+    def test_an_exactly_singular_system_gives_no_step(self):
+        # the first two unknowns are one: LAPACK meets an exactly zero pivot
+        system = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        rows = np.eye(3)
+        assert relaxation._predictor_corrector(
+            system, 3, np.ones(3), lambda w: rows.T @ w, lambda du: rows @ du,
+            np.ones(3), np.ones(3)) is None
 
 
 class TestSystematicColumns:
