@@ -290,15 +290,19 @@ class TestExitCodes:
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
         assert "enumeration cap:" in capsys.readouterr().err
 
-    def test_oracle_choice_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys):
-        # near-uniform 4x32 passes the 6*nu filter, and the rounding oracle
-        # meets about 1.08 million support profiles, past its cap of 10^6
+    def test_oracle_node_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # near-uniform 4x32 passes the 6*nu filter, and the rounding oracle's
+        # searches, which visit at most 858 nodes, meet a lowered budget
+        from nswforge import rounding
+
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 100)
         path = tmp_path / "near_uniform.json"
         path.write_text(serialize_instance(
             generate(GenSpec("additive", 4, 32, seed=0, weights="near_uniform"))))
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
         err = capsys.readouterr().err
-        assert "enumeration cap:" in err and "support combinations exceed the cap" in err
+        assert "enumeration cap:" in err and "the search visited more than the node cap" in err
 
     @pytest.mark.parametrize("fault, code, message", [
         ("pivot_cap", EXIT_CAP, "iteration cap: simplex iteration cap exceeded"),

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nswforge import pipeline
+from nswforge import pipeline, rounding
 from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance
 from nswforge.oracle import exact_nsw
@@ -148,8 +148,9 @@ class TestRunSubadditive:
             assert groups == [(0, 1)] * len(report.outcome.round_log)
 
     def test_capped_full_group_fails_before_smaller_searches(self, monkeypatch):
-        # near-uniform 4x40 has over 3 million support profiles in its full
-        # group: measuring d searches that group first and stops there
+        # under a lowered node budget the full group of near-uniform 4x40
+        # refuses: measuring d searches that group first and stops there
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 100)
         inst = generate(GenSpec("additive", 4, 40, seed=0, weights="near_uniform"))
         groups = []
 
@@ -157,14 +158,28 @@ class TestRunSubadditive:
             groups.append(tuple(sorted(columns)))
             return search(columns, *args)
         monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
-        with pytest.raises(CapExceeded, match="support combinations exceed the cap"):
+        with pytest.raises(CapExceeded, match="the search visited more than the node cap"):
             run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
         assert groups == [(0, 1, 2, 3)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", ["near_uniform", "xos"])
+    def test_four_agents_on_40_items_engage_and_round(self, family, seed):
+        # each full group holds millions of support profiles (3.1 million on
+        # near-uniform seed 0), and the oracle's searches visit at most
+        # 25,414 nodes, well within its budget
+        spec = (GenSpec("additive", 4, 40, seed=seed, weights="near_uniform")
+                if family == "near_uniform" else GenSpec("xos", 4, 40, seed=seed))
+        inst = generate(spec)
+        report = run_subadditive(inst)
+        assert report.filtered == {0, 1, 2, 3} and report.outcome.round_log
+        assert not report.outcome.rounds_capped
+        assert_structure(report, inst)
+
     def test_lifted_columns_keep_the_oracle_under_its_cap(self):
         # each lifted XOS agent keeps at most k + 1 of its pooled clause
-        # sets, so xos 3x36 stays under ORACLE_CHOICE_CAP; its whole pools
-        # did not
+        # sets, so every search on xos 3x36 stays within ORACLE_NODE_CAP:
+        # the largest visits 44,730 nodes
         inst = generate(GenSpec("xos", 3, 36, seed=0))
         report = run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
         assert report.filtered == {0, 1, 2} and report.outcome.round_log

@@ -3,7 +3,6 @@
 import itertools
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from nswforge import pipeline, rounding
 from nswforge.model import ConfigSolution, Instance
 from nswforge.rounding import (
-    ORACLE_CHOICE_CAP,
     ORACLE_NODE_CAP,
     OracleTables,
     RngStream,
@@ -201,7 +199,8 @@ class TestProcedures:
 
 def _reference_oracle(columns, valuations, targets):
     """The exhaustive procedure as one Python pass per (profile, winner)
-    node, without the caps: the reference `oracle_procedure` must match."""
+    node, without the visit budget: the reference `oracle_procedure`
+    must match."""
     agents = sorted(columns)
     supports = [sorted({s for s, _ in columns[i]}, key=lambda s: tuple(sorted(s)))
                 for i in agents]
@@ -272,16 +271,20 @@ def _oracle_case(rng, style):
 
 
 class TestOracleProcedure:
-    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("shuffle", [None, 5])
     @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
-    def test_matches_the_nested_loop(self, style, block, monkeypatch):
-        # a tiny block splits the node count over many chunks
-        if block is not None:
-            monkeypatch.setattr(rounding, "_ORACLE_BLOCK", block)
+    def test_matches_the_nested_loop(self, style, shuffle):
+        # a shuffle seed permutes the agents and each agent's columns: the
+        # search sorts supports, so its choice must not depend on the order
         rng = np.random.default_rng(["uniform", "ties", "budgeted", "table", "wide"].index(style))
+        order = None if shuffle is None else np.random.default_rng(shuffle)
         for case in range(25):
             columns, valuations, targets = _oracle_case(rng, style)
-            assert oracle_procedure(columns, valuations, targets) == \
+            given = columns
+            if order is not None:
+                given = {int(i): [columns[i][k] for k in order.permutation(len(columns[i]))]
+                         for i in order.permutation(sorted(columns))}
+            assert oracle_procedure(given, valuations, targets) == \
                 _reference_oracle(columns, valuations, targets), f"{style} case {case}"
 
     def test_matches_the_nested_loop_on_pipeline_calls(self, monkeypatch):
@@ -331,31 +334,49 @@ class TestOracleProcedure:
     def test_no_agents(self):
         assert oracle_procedure({}, [], {}) == {}
 
-    def test_choice_cap(self):
-        vals = [Additive(np.ones(1001))] * 2
-        cols = {0: [(frozenset({j}), 1.0) for j in range(1001)],
-                1: [(frozenset({j}), 1.0) for j in range(1000)]}
-        assert 1001 * 1000 > ORACLE_CHOICE_CAP
-        with pytest.raises(CapExceeded, match="support combinations exceed the cap"):
-            oracle_procedure(cols, vals, {0: 1.0, 1: 1.0})
-
-    @pytest.mark.parametrize("supports", [1, 64])
-    def test_node_cap_is_checked_before_enumerating(self, supports, monkeypatch):
-        # one profile of 2^24 nodes, or 64 x 64 profiles of 2^12 nodes each,
-        # none of which passes the cap alone
-        def unreachable(self, items):
-            raise AssertionError("a node was enumerated")
-
-        monkeypatch.setattr(Additive, "value", unreachable)
-        shared = frozenset(range(24 if supports == 1 else 12))
-        cols = {i: [(shared | {100 + supports * i + k}, 1.0) for k in range(supports)]
-                for i in (0, 1)}
-        vals = [Additive(np.ones(100 + 2 * supports))] * 2
-        assert supports ** 2 * 2 ** len(shared) > ORACLE_NODE_CAP
+    def test_one_huge_profile_refuses_before_enumerating(self, monkeypatch):
+        # two agents share 24 items: their one profile has 2^24 winner nodes
+        valued = []
+        value = Additive.value
+        monkeypatch.setattr(Additive, "value",
+                            lambda self, items: valued.append(items) or value(self, items))
+        shared = frozenset(range(24))
+        cols = {i: [(shared | {24 + i}, 1.0)] for i in (0, 1)}
+        vals = [Additive(np.ones(26))] * 2
+        assert 2 ** 24 > ORACLE_NODE_CAP
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="winner enumeration exceeded the node cap"):
+        with pytest.raises(CapExceeded, match="the search visited more than the node cap"):
             oracle_procedure(cols, vals, {0: 1.0, 1: 1.0})
         assert time.perf_counter() - start < 1.0
+        # the bounds valued the two supports; no node's kept set was valued
+        assert set(valued) == {shared | {24}, shared | {25}}
+
+    def test_unpruned_search_refuses_past_the_budget(self, monkeypatch):
+        # table agents are searched in full. Over 6 x 6 profiles of one item
+        # each the search enters 1 + 6 + 36 partial profiles and scans 42
+        # nodes (two winners where both agents hold the same item)
+        rng = np.random.default_rng(7)
+        vals = [ExplicitTable(rng.integers(0, 4, 1 << 6).astype(float), 6) for _ in range(2)]
+        cols = {i: [(frozenset({j}), 1 / 6) for j in range(6)] for i in (0, 1)}
+        targets = {0: 1.0, 1: 1.0}
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 85)
+        assert oracle_procedure(cols, vals, targets) == _reference_oracle(cols, vals, targets)
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 84)
+        with pytest.raises(CapExceeded, match="the search visited more than the node cap"):
+            oracle_procedure(cols, vals, targets)
+
+    def test_pruned_subtrees_cost_no_budget(self):
+        # 64 x 64 profiles of 2^12 nodes each, 1.7e7 in all. Each agent's
+        # private item is worth less in each later support, so the first
+        # profile's first node (worth 14) prunes every other profile
+        shared = frozenset(range(12))
+        cols = {i: [(shared | {100 + 64 * i + k}, 1.0) for k in range(64)] for i in (0, 1)}
+        weights = np.ones(228)
+        weights[100:] = 1.0 - np.arange(128) % 64 / 100
+        vals = [Additive(weights)] * 2
+        assert 64 ** 2 * 2 ** 12 > ORACLE_NODE_CAP
+        assert oracle_procedure(cols, vals, {0: 1.0, 1: 1.0}) == \
+            {0: shared | {100}, 1: frozenset({164})}
 
     @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
     def test_shared_tables_choose_as_fresh_ones(self, style):
@@ -406,50 +427,6 @@ class TestOracleProcedure:
         # each agent's supports are bound values in every group that holds it
         supports = {i: {c.items for c in report.split.columns[i]} for i in range(3)}
         assert all((i, s) in set(valued) for i in range(3) for s in supports[i])
-
-
-def _brute_node_count(held):
-    """(profile, winner) nodes by walking every profile."""
-    total = 0
-    for profile in itertools.product(*(range(rows.shape[0]) for rows in held)):
-        holders = sum(rows[k].astype(np.int64) for rows, k in zip(held, profile))
-        total += math.prod(max(int(c), 1) for c in holders)
-    return total
-
-
-class TestNodeCount:
-    @pytest.mark.parametrize("block", [None, 5])
-    @pytest.mark.parametrize("style", ["ties", "wide"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_contraction_is_the_brute_force_count(self, n, style, block, monkeypatch):
-        # `ties` packs 1-8 items densely, so holder counts reach n; `wide`
-        # spreads 16-item supports over 150-200 items
-        if block is not None:
-            monkeypatch.setattr(rounding, "_ORACLE_BLOCK", block)
-        rng = np.random.default_rng([n, ["ties", "wide"].index(style)])
-        for case in range(12):
-            if style == "wide":
-                m = int(rng.integers(150, 201))
-                held = [np.zeros((int(rng.integers(1, 5)), m), dtype=bool) for _ in range(n)]
-                for rows in held:
-                    for row in rows:
-                        row[rng.choice(m, 16, replace=False)] = True
-            else:
-                m = int(rng.integers(1, 9))
-                held = [rng.random((int(rng.integers(1, 7)), m)) < 0.6 for _ in range(n)]
-            count = rounding._count_nodes(held)
-            assert round(count) == _brute_node_count(held), f"case {case}"
-            assert abs(count - round(count)) < 1e-6 * count
-
-    def test_count_past_the_float_range_raises_cap_exceeded(self):
-        # four agents on one 600-item support: 4^600 nodes overflow a float
-        cols = {i: [(frozenset(range(600)), 1.0)] for i in range(4)}
-        vals = [Additive(np.ones(600))] * 4
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert rounding._count_nodes([np.ones((1, 600), dtype=bool)] * 4) == math.inf
-            with pytest.raises(CapExceeded, match="winner enumeration exceeded the node cap"):
-                oracle_procedure(cols, vals, {i: 1.0 for i in range(4)})
 
 
 class TestIteratedRound:
