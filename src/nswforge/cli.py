@@ -45,6 +45,14 @@ def _child_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=(900, index)).generate_state(1)[0])
 
 
+def _count(text: str) -> int:
+    """An argparse type: a count of zero or more."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count must be at least 0, got {count}")
+    return count
+
+
 def _pipeline_params(args) -> PipelineParams:
     return PipelineParams(alpha=args.alpha, epsilon=args.epsilon, delta=args.delta,
                           d=args.d, proc=args.proc, seed=args.seed,
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate seeded instances")
     add_gen_flags(p)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -284,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of instance JSON files (overrides generation)")
     add_gen_flags(p)
     add_pipeline_flags(p)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("fuzz", help="run a module's invariant suite")
     p.add_argument("--module", choices=sorted(FUZZERS), required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_conc)

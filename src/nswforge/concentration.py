@@ -41,6 +41,12 @@ class TailExperiment:
     nu: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.trials < 2:
+            raise ValueError("trials must be at least 2")
+        if self.q < 1 or self.k < 1:
+            raise ValueError("q and k must be at least 1")
+
     @classmethod
     def bernoulli(cls, valuation: Valuation, base_set, p: float, **kw) -> "TailExperiment":
         base = frozenset(base_set)
@@ -145,8 +151,6 @@ def lower_tail(exp: TailExperiment) -> TailCheckResult:
     """P[f <= E[f]/(5(q+1)) - (k+1) nu / (q+1)] <= (2 / q^k)^(1/q), with nu
     in the unit of the rescaled checks: at nu == 0 the threshold is
     negative and the check holds vacuously."""
-    if exp.q < 1 or exp.k < 1:
-        raise ValueError("q and k must be at least 1")
     nu = exp._unit
     values = exp._samples
     mean = float(values.mean())

@@ -11,6 +11,7 @@ itself a test.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -50,6 +51,13 @@ class PipelineParams:
     seed: int = 0
     append_residual: bool = False
     check_rematch: bool = False
+
+    def __post_init__(self):
+        # iterated rounding keeps a delta-slice, delta = 1/(7d) unless given
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.delta is None and self.d is not None and not 1.0 < 7.0 * self.d < math.inf:
+            raise ValueError("d must exceed 1/7, so that delta = 1/(7d) lies in (0, 1)")
 
     def eg_params(self) -> EgParams:
         return EgParams(alpha=self.alpha, epsilon=self.epsilon)

@@ -29,11 +29,12 @@ the agent's masses, mixture value at least the certified value.
   takes each set's value from its best clause, so v+_i is a mixture of
   clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
   sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
-  v+_i(x) = max sum_k c_k.y_k. Each agent's subproblem is bounded in
-  closed form. A one-clause agent's columns are the systematic-sampling
-  decomposition of its masses (`systematic_columns`); a lifted agent's
-  are an optimal vertex over its clauses' systematic-sampling sets
-  (`clause_columns`).
+  v+_i(x) = max sum_k c_k.y_k. Every agent's subproblem is bounded by
+  an XOS demand query at prices v0 lam (`xos_subproblem_bound`), an
+  additive or one-clause agent as one clause. A one-clause agent's
+  columns are the systematic-sampling decomposition of its masses
+  (`systematic_columns`); a lifted agent's are an optimal vertex over
+  its clauses' systematic-sampling sets (`clause_columns`).
 - An agent set with a budgeted-additive or table agent runs
   `_config_barrier_eg`, the same primal-dual method over the
   configuration program itself: each agent puts mass on sets of the
@@ -216,48 +217,6 @@ class EgResult:
 
     def config(self) -> ConfigSolution:
         return ConfigSolution({i: list(self.columns[i]) for i in self.agents})
-
-
-def additive_subproblems(weights: np.ndarray, prices: np.ndarray, eps: float) -> np.ndarray:
-    """max over x in [eps, 1]^m of log(w_i.x) - p.x for each row w_i of
-    `weights`, at prices p >= 0, in closed form.
-
-    The maximizer raises items from eps to 1 in decreasing order of w_j/p_j
-    (ties by index) while that ratio exceeds the value reached. With the
-    first k items at 1 the value is V_k = eps W + (1 - eps) A_k, where A_k
-    is their weight and W the total. The sweep takes the first k with
-    V_k >= w/p of item k + 1; if V_k passes the ratio of item k, that item
-    stops part way, where the value meets its ratio.
-    """
-    n_a, m_i = weights.shape
-    ratio = np.divide(weights, prices, out=np.where(weights > 0, np.inf, 0.0),
-                      where=prices > 0)
-    order = np.lexsort((np.broadcast_to(np.arange(m_i), (n_a, m_i)), -ratio), axis=1)
-    r = np.take_along_axis(ratio, order, axis=1)
-    zero = np.zeros((n_a, 1))
-    value = eps * weights.sum(axis=1, keepdims=True) + (1.0 - eps) * np.hstack(
-        [zero, np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1)])
-    cost = eps * prices.sum() + (1.0 - eps) * np.hstack([zero, np.cumsum(prices[order], axis=1)])
-    k = np.argmax(value >= np.hstack([r, zero]), axis=1)  # V_m >= 0 always holds
-    rows = np.arange(n_a)
-    best, spent = value[rows, k], cost[rows, k]
-    edge = np.where(k > 0, r[rows, k - 1], np.inf)
-    part = np.flatnonzero(best > edge)
-    below = k[part] - 1
-    best[part] = edge[part]
-    # item k stops at mass eps + (V - V_{k-1}) / w, costing (V - V_{k-1}) p / w
-    spent[part] = cost[part, below] + (edge[part] - value[part, below]) / edge[part]
-    return np.log(best) - spent
-
-
-def lagrangian_bound(weights: np.ndarray, prices: np.ndarray, eps: float) -> float:
-    """D(p) = sum_j p_j + sum_i max_{x in [eps,1]^m} (log w_i.x - p.x).
-
-    It dualizes only the capacity rows sum_i x_ij <= 1, so at any prices
-    p >= 0 it bounds the floored Eisenberg-Gale optimum of additive agents
-    from above (weak duality), however p was found.
-    """
-    return float(prices.sum() + additive_subproblems(weights, prices, eps).sum())
 
 
 def systematic_columns(x: np.ndarray,
@@ -467,14 +426,15 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     of its agents, if none does) take the free capacity in proportion to
     their masses; a lifted agent spreads what it takes over its clauses in
     proportion to their room beta_k - y_kj. The Lagrangian bound D(p) at
-    the capacity duals p certifies that filled point: `additive_subproblems`
-    bounds the one-clause agents, and `xos_subproblem_bound` each lifted
-    agent at its value and at the prices net of its floor duals, clipped
-    to [0, p]. Every D(p) bounds the optimum, so the smallest one so far,
-    but not below the filled objective, certifies each step; the solve
-    stops once that bound less the objective is at most eps^4 n. It breaks
-    off, unconverged, when the Newton system turns singular or a slack or
-    the bound stops being finite. Returns the last certified filled point,
+    the capacity duals p certifies that filled point: one
+    `xos_subproblem_bound` call bounds every agent's subproblem, over its
+    clauses padded with zero ones to the most clauses (a one-clause agent
+    has K = 1), at its value and at the prices net of its floor duals,
+    clipped to [0, p]. Every D(p) bounds the optimum, so the smallest one
+    so far, but not below the filled objective, certifies each step; the
+    solve stops once that bound less the objective is at most eps^4 n. It
+    breaks off, unconverged, when the Newton system turns singular or a
+    slack or the bound stops being finite. Returns the last certified filled point,
     its agents' values (a lifted agent's at its filled y), each lifted
     agent's filled clause masses y (K x items) and clause weights beta
     there, keyed by its position, the trace (one row per step, with its
@@ -485,7 +445,6 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     rows = np.array([c.shape[0] for c in clauses])
     lifted = np.flatnonzero(rows > 1)
     weights = np.stack([c[0] if c.shape[0] == 1 else np.zeros(m_i) for c in clauses])
-    singles = weights[rows == 1]
     valued = np.stack([c.max(axis=0) > 0 for c in clauses])
     takers = valued | ~valued.any(axis=0)  # who takes an item's slack
 
@@ -512,16 +471,19 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     pat_agent = var_agent[a]
     pat_outer = np.where(same_agent, var_coef[a] * var_coef[b], 0.0)
     pat_floor = np.where(same_item & same_agent, var_x[a], n_a * m_i)
-    # lifted agents, padded to the most clauses: y and beta indices into u
-    # with one zero appended (index `size`), and their clauses
+    # every agent's clauses, padded to the most clauses with zero ones;
+    # then the lifted agents' y and beta indices into u with one zero
+    # appended (index `size`)
     k_max = int(rows.max())
+    c_pad = np.zeros((n_a, k_max, m_i))
+    for k, c in enumerate(clauses):
+        c_pad[k, :rows[k]] = c
+    c_lifted = c_pad[lifted]
     y_idx = np.full((n_eq, k_max, m_i), size)
     b_idx = np.full((n_eq, k_max), size)
-    c_pad = np.zeros((n_eq, k_max, m_i))
     for r, k in enumerate(lifted):
         y_idx[r, :rows[k]] = base[k] + np.arange(rows[k] * m_i).reshape(rows[k], m_i)
         b_idx[r, :rows[k]] = base[k] + rows[k] * m_i + np.arange(rows[k])
-        c_pad[r, :rows[k]] = clauses[k]
     real = y_idx < size
     box_y = y_idx[real]
     box_b = np.broadcast_to(b_idx[:, :, None], y_idx.shape)[real]
@@ -538,7 +500,7 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
         x = np.bincount(var_x, weights=u[var], minlength=n_a * m_i).reshape(n_a, m_i)
         v = (weights * x).sum(axis=1)
         if n_eq:
-            v[lifted] = (c_pad * np.append(u, 0.0)[y_idx]).sum(axis=(1, 2))
+            v[lifted] = (c_lifted * np.append(u, 0.0)[y_idx]).sum(axis=(1, 2))
         return x, v, np.concatenate([1.0 - x.sum(axis=0), (x - eps).ravel(), u[box_y],
                                      u[box_b] - u[box_y]])
 
@@ -594,18 +556,16 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
         values = (weights * filled).sum(axis=1)
         prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
-            row_bound = (lagrangian_bound(singles, prices, eps) if len(singles)
-                         else float(prices.sum()))
+            lam_net = np.clip(prices - lam[floor].reshape(n_a, m_i), 0.0, prices)
+            row_bound = float(prices.sum()) + float(
+                xos_subproblem_bound(c_pad, prices, eps, v, lam_net).sum())
             y = beta = None
             if n_eq:
                 y = np.append(u, 0.0)[y_idx] * (held[lifted] / x[lifted])[:, None, :]
                 beta = np.append(u, 0.0)[b_idx]
                 room = beta[:, :, None] - y
                 y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
-                values[lifted] = (c_pad * y).sum(axis=(1, 2))
-                lam_net = np.clip(prices - lam[floor].reshape(n_a, m_i)[lifted], 0.0, prices)
-                row_bound += float(xos_subproblem_bound(c_pad, prices, eps, v[lifted],
-                                                        lam_net).sum())
+                values[lifted] = (c_lifted * y).sum(axis=(1, 2))
             obj = float(np.log(values).sum())
         if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_bound - obj)):
             break  # the duals have outgrown double precision

@@ -101,7 +101,7 @@ def test_criterion_01_xos_relaxations_converge():
 def test_criterion_01_relaxations_converge_at_scale():
     """Past the exact oracle's reach, after the matching and at default
     parameters: additive 14x56 and 16x64 converge within 14 steps (11
-    measured) and xos 10x50 within 22 (16 and 18), seeds 0 and 1."""
+    and 12 measured) and xos 10x50 within 22 (16 and 18), seeds 0 and 1."""
     steps = {}
     for family, n, m, limit in (("additive", 14, 56, 14), ("additive", 16, 64, 14),
                                 ("xos", 10, 50, 22)):

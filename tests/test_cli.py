@@ -79,6 +79,23 @@ class TestSolve:
         assert "relaxation" not in json.loads(capsys.readouterr().out)["stages"]
         assert trace.read_text().splitlines() == ["# schema=1", "iteration,objective,gap,step"]
 
+    @pytest.mark.parametrize("flags", [["--d", "0"], ["--d", "-1"], ["--delta", "2"],
+                                       ["--delta", "0"], ["--delta", "1"]])
+    def test_bad_delta_or_d_is_usage_error(self, flags, tmp_path, capsys):
+        # near-uniform 2x16 passes the 6*nu filter, so rounding would use delta
+        path = tmp_path / "near_uniform.json"
+        path.write_text(serialize_instance(
+            generate(GenSpec("additive", 2, 16, seed=0, weights="near_uniform"))))
+        assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]
+                    + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_bad_delta_is_usage_error_when_no_agent_engages(self, budgeted_file, capsys):
+        assert main(["solve", "--instance", str(budgeted_file), "--pipeline", "subadditive",
+                     "--delta", "2"]) == EXIT_USAGE
+        assert "error: delta must lie in (0, 1)" in capsys.readouterr().err
+
     def test_subadditive_lane(self, budgeted_file, capsys):
         code = main(["solve", "--instance", str(budgeted_file),
                      "--pipeline", "subadditive", "--proc", "oracle"])
@@ -270,6 +287,23 @@ class TestConc:
         assert main(["conc", "--family", "budgeted_additive", "--q", "1",
                      "--k", "1", "--trials", "2000", "--count", "1",
                      "--seed", "6", "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+
+
+    @pytest.mark.parametrize("flags", [["--q", "0"], ["--k", "0"], ["--trials", "0"],
+                                       ["--trials", "1"]])
+    def test_bad_parameters_are_usage_errors(self, flags, capsys):
+        assert main(["conc", "--count", "1", "--trials", "100"] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "passed" not in err
+
+
+@pytest.mark.parametrize("command", [["gen", "--out", "unused"], ["ratio", "--pipeline", "xos"],
+                                     ["fuzz", "--module", "split"], ["conc"]])
+def test_negative_count_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--count", "-2"]) == EXIT_USAGE
+    assert "error: argument --count: count must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()
 
 
 class TestExitCodes:

@@ -19,8 +19,6 @@ from nswforge.relaxation import (
     concave_ext,
     default_epsilon,
     scaled_optimum_check,
-    additive_subproblems,
-    lagrangian_bound,
     solve_eg,
     systematic_columns,
     table_subproblem_bound,
@@ -326,48 +324,12 @@ class TestSolveEg:
         assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
 
 
-def subproblem_reference(w, p, eps):
-    """max over x in [eps, 1]^m of log(w.x) - p.x by brute force: every
-    item at eps or 1, or one item free at its stationary point (clipped),
-    which covers a maximizer of this concave program."""
-    best = -np.inf
-    for levels in itertools.product((eps, 1.0, None), repeat=w.size):
-        free = [j for j, lv in enumerate(levels) if lv is None]
-        if len(free) > 1:
-            continue
-        x = np.array([eps if lv is None else lv for lv in levels])
-        if free:
-            j = free[0]
-            rest = float(w @ x) - w[j] * eps
-            if w[j] > 0 and p[j] > 0:
-                x[j] = min(1.0, max(eps, 1.0 / p[j] - rest / w[j]))
-            elif w[j] > 0:
-                x[j] = 1.0
-        if w @ x > 0:
-            best = max(best, math.log(w @ x) - p @ x)
-    return best
-
-
 def additive_instance(seed, n, m):
     rng = np.random.default_rng(seed)
     return make_instance(*[Additive(rng.uniform(0.05, 1, m)) for _ in range(n)])
 
 
 class TestAdditiveBarrier:
-    @pytest.mark.parametrize("m", range(1, 5))
-    def test_subproblem_matches_brute_force(self, m):
-        rng = np.random.default_rng(900 + m)
-        eps = 0.05
-        for _ in range(60):
-            w = rng.uniform(0, 1, (3, m)) * (rng.uniform(size=(3, m)) < 0.8)
-            w[:, 0] += 0.01  # a positive weight in every row
-            p = rng.uniform(0, 2, m) * (rng.uniform(size=m) < 0.85)
-            if rng.uniform() < 0.3:  # exact ties in w/p
-                w[:, -1], p[-1] = w[:, 0], p[0]
-            got = additive_subproblems(w, p, eps)
-            want = [subproblem_reference(row, p, eps) for row in w]
-            assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_dominates_feasible_points_at_any_prices(self, seed):
         rng = np.random.default_rng(950 + seed)
@@ -377,8 +339,13 @@ class TestAdditiveBarrier:
         weights = np.stack([v.weights for v in inst.valuations])
         eps = eg.epsilon
         for _ in range(40):
+            # D(p) = sum_j p_j plus each agent's one-clause subproblem bound,
+            # at any v0 > 0 and any lam in [0, p]
             p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
-            bound = lagrangian_bound(weights, p, eps)
+            v0 = np.exp(rng.normal(0, 1.5, n))
+            lam = p * rng.uniform(0, 1, (n, m))
+            bound = float(p.sum() + xos_subproblem_bound(weights[:, None, :], p, eps, v0,
+                                                         lam).sum())
             assert bound >= eg.objective - 1e-12
             x = eps + rng.dirichlet(np.ones(n + 1), m).T[:n] * (1 - n * eps)
             assert bound >= float(np.log((weights * x).sum(axis=1)).sum()) - 1e-12
@@ -440,24 +407,28 @@ class TestXosBarrier:
     @pytest.mark.parametrize("seed", range(8))
     def test_subproblem_bound_dominates(self, seed):
         # log v+(x) - p.x <= the bound at random x in [eps, 1]^m and at every
-        # vertex of that box, for random p >= 0, v0 > 0 and lam in [0, p]
+        # vertex of that box, for random p >= 0, v0 > 0 and lam in [0, p], on
+        # an agent with several clauses, a one-clause XOS agent and an
+        # additive agent (one clause, its weights)
         rng = np.random.default_rng(1300 + seed)
         m, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
         eps = float(rng.uniform(0.01, 0.2))
-        v = Xos(rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8))
+        c = rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8)
+        agents = [(Xos(c), c), (Xos(c[:1]), c[:1]), (Additive(c[1]), c[1:2])]
         vertices = [eps + (1 - eps) * np.array(bits, dtype=float)
                     for bits in itertools.product((0, 1), repeat=m)]
         points = vertices + [rng.uniform(eps, 1, m) for _ in range(20)]
-        worth = [(x, concave_ext(v, x).value) for x in points]
-        for _ in range(30):
-            p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
-            lam = p * np.where(rng.uniform(size=m) < 0.2, 1.0, rng.uniform(0, 1, m))
-            lam[rng.uniform(size=m) < 0.2] = 0.0
-            v0 = float(np.exp(rng.normal(0, 1.5)))
-            bound = float(xos_subproblem_bound(v.clauses, p, eps, v0, lam))
-            for x, value in worth:
-                if value > 0:
-                    assert bound >= math.log(value) - p @ x - 1e-9
+        for v, clauses in agents:
+            worth = [(x, concave_ext(v, x).value) for x in points]
+            for _ in range(30):
+                p = rng.exponential(1.0, m) * (rng.uniform(size=m) < 0.8)
+                lam = p * np.where(rng.uniform(size=m) < 0.2, 1.0, rng.uniform(0, 1, m))
+                lam[rng.uniform(size=m) < 0.2] = 0.0
+                v0 = float(np.exp(rng.normal(0, 1.5)))
+                bound = float(xos_subproblem_bound(clauses, p, eps, v0, lam))
+                for x, value in worth:
+                    if value > 0:
+                        assert bound >= math.log(value) - p @ x - 1e-9
 
     def test_subproblem_bounds_stack_along_agents(self):
         rng = np.random.default_rng(17)
@@ -511,7 +482,7 @@ class TestXosBarrier:
             assert loads[i] == pytest.approx(eg.x.agent_vector(i, inst.m), abs=1e-12)
 
     def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
-        # from the sixth step on the lifted agents' bound is not finite, as
+        # from the sixth step on the clause bound is not finite, as
         # when the duals have outgrown double precision: the solve returns
         # the fifth step's point
         calls = []
