@@ -53,10 +53,16 @@ class PipelineParams:
     check_rematch: bool = False
 
     def __post_init__(self):
+        # the relaxation's floor is epsilon, or alpha / (2 + (1 + alpha) n);
+        # whether eps * n < 1 depends on n, so `EgParams.floor` checks that
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         # iterated rounding keeps a delta-slice, delta = 1/(7d) unless given
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.delta is None and self.d is not None and not 1.0 < 7.0 * self.d < math.inf:
+        if self.d is not None and not 1.0 < 7.0 * self.d < math.inf:
             raise ValueError("d must exceed 1/7, so that delta = 1/(7d) lies in (0, 1)")
 
     def eg_params(self) -> EgParams:
@@ -195,7 +201,9 @@ def _searched_once(proc: Callable) -> Callable:
     group's columns and targets never change, and so its sets do not.
     The first call's targets become the run's one `OracleTables`, passed
     on as `targets`, so the exact oracle builds each agent's search table
-    and values each (agent, kept set) once per run, not once per group."""
+    and values each (agent, kept set) once per run, not once per group,
+    and starts each group's search from the choices of the groups
+    searched before it that contain it."""
     found: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
     tables: OracleTables | None = None
 

@@ -91,6 +91,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "0.5", "--d", "0"], "d must exceed 1/7"),
+        (["--alpha", "-0.5"], "alpha must be finite and positive"),
+        (["--alpha", "0"], "alpha must be finite and positive"),
+        (["--alpha", "nan"], "alpha must be finite and positive"),
+        (["--alpha", "inf"], "alpha must be finite and positive"),
+        (["--epsilon", "-1"], "epsilon must be finite and positive"),
+        (["--epsilon", "0"], "epsilon must be finite and positive"),
+        (["--epsilon", "nan"], "epsilon must be finite and positive")])
+    def test_bad_param_is_usage_error_when_no_relaxation_runs(self, flags, message,
+                                                              tmp_path, capsys):
+        # as many items as agents: the reservation matching takes them all,
+        # so no relaxation or rounding would read the value
+        path = tmp_path / "square.json"
+        path.write_text(serialize_instance(generate(GenSpec("additive", 3, 3, seed=0))))
+        assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]
+                    + flags) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_delta_is_usage_error_when_no_agent_engages(self, budgeted_file, capsys):
         assert main(["solve", "--instance", str(budgeted_file), "--pipeline", "subadditive",
                      "--delta", "2"]) == EXIT_USAGE

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nswforge import pipeline, rounding
-from nswforge.model import ConfigSolution, Instance
+from nswforge.model import ConfigSolution, Instance, InvariantViolation
 from nswforge.rounding import (
     ORACLE_NODE_CAP,
     OracleTables,
@@ -297,6 +297,8 @@ class TestOracleProcedure:
         calls = []
 
         def spy(columns, valuations, targets, *args):
+            # every group but the full one starts from a searched group's choice
+            assert (targets.floor(sorted(columns)) > -math.inf) == (len(columns) < 3)
             calls.append((columns, valuations, targets,
                           oracle_procedure(columns, valuations, targets, *args)))
             return calls[-1][-1]
@@ -391,6 +393,43 @@ class TestOracleProcedure:
                     sub = {i: columns[i] for i in group}
                     assert oracle_procedure(sub, valuations, shared) == \
                         oracle_procedure(sub, valuations, targets), f"{style} case {case}"
+
+    @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
+    def test_seeded_searches_choose_as_the_full_scan(self, style):
+        # one OracleTables serves every group of a case, largest first, as
+        # when d is measured: each group's search starts from the choices
+        # of the groups that contain it
+        rng = np.random.default_rng(20 + ["uniform", "ties", "budgeted", "table",
+                                          "wide"].index(style))
+        seeded_total = fresh_total = 0
+        for case in range(25):
+            columns, valuations, targets = _oracle_case(rng, style)
+            shared = OracleTables(valuations, targets)
+            for size in range(len(columns), 0, -1):
+                for group in itertools.combinations(sorted(columns), size):
+                    sub = {i: columns[i] for i in group}
+                    fresh = OracleTables(valuations, targets)
+                    assert oracle_procedure(sub, valuations, shared) == \
+                        _reference_oracle(sub, valuations, targets), f"{style} case {case}"
+                    oracle_procedure(sub, valuations, fresh)
+                    seeded, unseeded = shared.visits[frozenset(group)], \
+                        fresh.visits[frozenset(group)]
+                    assert seeded <= unseeded, f"{style} case {case} group {group}"
+                    seeded_total += seeded
+                    fresh_total += unseeded
+        # table agents are searched in full, so no floor prunes them
+        assert (seeded_total < fresh_total) == (style != "table")
+
+    def test_floor_above_the_optimum_is_an_invariant_violation(self):
+        # a recorded choice for {0, 1} that agent 0's supports cannot reach:
+        # its floor prunes every profile of {0}
+        vals = [Additive([1.0, 1.0, 1.0])] * 2
+        cols = {0: [(frozenset({0}), 0.5), (frozenset({1}), 0.5)]}
+        tables = OracleTables(vals, {0: 1.0, 1: 1.0})
+        assert oracle_procedure(cols, vals, tables) == {0: frozenset({0})}
+        tables.choices[frozenset({0, 1})] = {0: frozenset({0, 1, 2}), 1: frozenset()}
+        with pytest.raises(InvariantViolation, match="floor exceeds"):
+            oracle_procedure(cols, vals, tables)
 
     def test_values_each_kept_set_once_per_run(self, monkeypatch):
         # the benchmark's engaged near-uniform 3x24 instance (weights
