@@ -213,15 +213,18 @@ class _AgentSearch:
 class OracleTables(dict):
     """Scaled targets V'_i, as a dict, that also keep the exact oracle's
     search table of each agent it has seen (see `_AgentSearch`), and the
-    choice and visit count of each agent group it has searched.
+    choice and visit count of each agent group it has searched (the
+    visits of its search, not of the dive before it).
 
     Passed to `oracle_procedure` as `targets`, one instance shares every
     agent's sorted supports, incidence rows, bound arrays and kept-set
     values across the calls that reuse it, and starts each group's search
-    from the best choice of a searched group that contains it (`floor`).
-    That is sound while each agent's columns, valuation and target stay
-    fixed, as they do within one run of the subadditive lane, where
-    `pipeline._searched_once` holds one.
+    from the best choice of a searched group that contains it (`floor`);
+    a bounded group that none contains, as the first and full group of a
+    run is, starts from a greedy dive (`_dive`). That is sound while each
+    agent's columns, valuation and target stay fixed, as they do within
+    one run of the subadditive lane, where `pipeline._searched_once` holds
+    one.
     """
 
     def __init__(self, valuations: Sequence[Valuation], targets: Mapping[int, float]):
@@ -255,7 +258,32 @@ class OracleTables(dict):
                 for i in agents:
                     welfare += self.agents[i].scaled(kept[i])
                 best = max(best, welfare)
-        return best - 1e-9 * max(best, 1.0)
+        return _below(best)
+
+
+def _below(welfare: float) -> float:
+    """A floor just under a reached scaled welfare: it less 1e-9 times the
+    larger of it and 1, far above the 1e-15 record rule and the 1e-12
+    bound widening."""
+    return welfare - 1e-9 * max(welfare, 1.0)
+
+
+def _dive(supports: Sequence[Sequence[frozenset[int]]], children: Callable,
+          nodes: Callable, width: int) -> float:
+    """The best scaled welfare among the winner nodes of one profile: the
+    one reached by taking, at each agent, the support whose child has the
+    largest bound (the first on ties). A greedy first record, as the diving
+    heuristics of MIP solvers find one (Achterberg 2007); `children` and
+    `nodes` are the search's own, so the dive's visits count toward its
+    budget."""
+    profile: list[frozenset[int]] = []
+    top, total = np.zeros(width), 0.0
+    for pos, sets in enumerate(supports):
+        tops, totals, wide = children(pos, top, total)
+        k = int(np.argmax(wide))
+        profile.append(sets[k])
+        top, total = tops[k], totals[k]
+    return max(welfare for _, welfare in nodes(profile))
 
 
 def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
@@ -284,7 +312,10 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     other set is scanned in full. A subtree is skipped only when its bound,
     times 1 + 1e-12 for float reordering, is at most the best plus 1e-15:
     no node in it could be a record, so the choice is the full scan's bit
-    for bit. `v_i` is called once per distinct (agent, kept set).
+    for bit. Each partial profile widens all its children's bounds in one
+    vector product and enters, in order, only those above that cut,
+    testing each again as records found below an earlier child raise it.
+    `v_i` is called once per distinct (agent, kept set).
 
     A bounded search also skips a subtree whose bound, so widened, is at
     most its floor (`OracleTables.floor`): what the choice of an already
@@ -299,16 +330,25 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     welfare is not above its floor, as a floor above the optimum would
     leave it, raises `InvariantViolation`.
 
+    A bounded search that no searched group floors first dives (`_dive`):
+    it follows, from the root, the child of largest bound at each agent,
+    scans that one profile's winner nodes, and takes their best welfare,
+    less the same margin, as its floor. The dive accepts no record, so
+    the argument above keeps the choice the full scan's. Within the lane
+    only the full group dives; so does a direct call with a plain mapping.
+
     The search budgets what it visits, not what it could visit: each
     partial profile it enters counts 1, and a full profile adds its
     (profile, winner) nodes, the product of its contested items' holder
     counts, before any of them is enumerated. Once the count passes
     `ORACLE_NODE_CAP` the call raises `CapExceeded`, so one profile too
     large to enumerate refuses at once, while a refusal may come after some
-    `v_i` calls. Near-uniform additive 4x40 seed 0 holds 3.1 million
-    profiles, and its largest search counts 940 visits; xos 3x36 seed 0's
-    counts 44,730. A search that nothing prunes costs a few microseconds
-    per node.
+    `v_i` calls. The dive's partial profiles and winner nodes count too,
+    but `OracleTables.visits` records only the search's. Near-uniform
+    additive 4x40 seed 0 holds 3.1 million profiles, and its largest
+    search counts 344 visits after a dive of 9; xos 3x36 seed 0's counts
+    24,283 after 52. A search that nothing prunes costs a few
+    microseconds per node.
 
     `targets` may be an `OracleTables`, whose per-agent tables, memo and
     group choices the call then reuses and extends; any other mapping gets
@@ -327,21 +367,21 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
         return {}
     tables = [targets.search_table(i, columns[i]) for i in agents]
     width = targets.width
-    if all(type(valuations[i]) in (Additive, Xos, BudgetedAdditive) for i in agents):
+    bounded = all(type(valuations[i]) in (Additive, Xos, BudgetedAdditive) for i in agents)
+    if bounded:
         for t in tables:
             t.fill_bounds()
         set_values = [t.set_values for t in tables]
         singles = [t.singles for t in tables]
         later = [sum(t.best for t in tables[pos:]) for pos in range(n + 1)]
-        floor = targets.floor(agents)
     else:  # unbounded: every subtree is searched
         set_values = [np.zeros(len(t.supports)) for t in tables]
         singles = [np.zeros((len(t.supports), width)) for t in tables]
         later = [math.inf] * (n + 1)
-        floor = -math.inf
 
     best_welfare = -1.0
-    cut = max(best_welfare + 1e-15, floor)  # a subtree must beat this to be searched
+    floor = -math.inf
+    cut = best_welfare + 1e-15  # a subtree must beat this to be searched
     best: dict[int, frozenset[int]] | None = None
     visited = 0
 
@@ -351,14 +391,25 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
         if visited > ORACLE_NODE_CAP:
             raise CapExceeded("the search visited more than the node cap")
 
-    def scan(profile: list[frozenset[int]]) -> None:
-        nonlocal best_welfare, best, cut
+    def children(pos: int, top: np.ndarray, total: float):
+        """Count a visit to a partial profile of `pos` chosen sets, and
+        return, per support of the next agent, its child's `top` row and
+        `total` and its bound widened for float reordering."""
+        visit(1)
+        tops = np.maximum(top, singles[pos])
+        totals = total + set_values[pos]
+        bounds = np.minimum(tops.sum(axis=1), totals) + later[pos + 1]
+        return tops, totals, bounds * (1 + 1e-12)
+
+    def nodes(profile: list[frozenset[int]]):
+        """Count a visit to a full profile and its winner nodes, then yield
+        each node's kept sets and welfare in scan order."""
         holders: dict[int, list[int]] = {}
         for pos, chosen in enumerate(profile):
             for j in chosen:
                 holders.setdefault(j, []).append(pos)
         contested = sorted(j for j, who in holders.items() if len(who) > 1)
-        visit(math.prod(len(holders[j]) for j in contested))
+        visit(1 + math.prod(len(holders[j]) for j in contested))
         sole = [chosen.difference(contested) for chosen in profile]
         for winners in itertools.product(*(holders[j] for j in contested)):
             won: list[list[int]] = [[] for _ in agents]
@@ -368,34 +419,39 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
             welfare = 0.0
             for t, items in zip(tables, kept):
                 welfare += t.scaled(items)
-            if welfare > best_welfare + 1e-15:
-                best_welfare = welfare
-                best = dict(zip(agents, kept))
-                cut = max(best_welfare + 1e-15, floor)
+            yield kept, welfare
 
     def search(profile: list[frozenset[int]], top: np.ndarray, total: float) -> None:
         """Visit the children of a partial profile in order; `top` holds each
         item's largest scaled singleton among the chosen holders and `total`
         the chosen sets' scaled values."""
-        visit(1)
+        nonlocal best_welfare, best, cut
         pos = len(profile)
         if pos == n:
-            scan(profile)
+            for kept, welfare in nodes(profile):
+                if welfare > best_welfare + 1e-15:
+                    best_welfare = welfare
+                    best = dict(zip(agents, kept))
+                    cut = max(best_welfare + 1e-15, floor)
             return
-        bounds = np.minimum(np.maximum(top, singles[pos]).sum(axis=1),
-                            total + set_values[pos]) + later[pos + 1]
-        for k, chosen in enumerate(tables[pos].supports):
-            if bounds[k] * (1 + 1e-12) <= cut:
-                continue
-            search(profile + [chosen], np.maximum(top, singles[pos][k]),
-                   total + set_values[pos][k])
+        tops, totals, wide = children(pos, top, total)
+        supports = tables[pos].supports
+        for k in (wide > cut).nonzero()[0].tolist():
+            if wide[k] > cut:  # a record found below an earlier child may raise the cut
+                search(profile + [supports[k]], tops[k], totals[k])
 
+    if bounded:
+        floor = targets.floor(agents)
+        if floor == -math.inf:
+            floor = _below(_dive([t.supports for t in tables], children, nodes, width))
+        cut = max(cut, floor)
+    dive_visits = visited
     search([], np.zeros(width), 0.0)
     if best is None or best_welfare <= floor:
         raise InvariantViolation("the oracle's floor exceeds the group's best welfare")
     group = frozenset(agents)
     targets.choices[group] = best
-    targets.visits[group] = visited
+    targets.visits[group] = visited - dive_visits
     return best
 
 
@@ -417,9 +473,11 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     3x24 seed 1 the seven groups make 85 oracle `value` calls, down from
     327 with tables built per group. Largest first also lets each smaller
     group's search start from the choices of the groups that contain it
-    (`OracleTables.floor`): there the seven searches visit 119 nodes, not
-    214 from empty records, and on default xos 6x60 seed 0 the 63 searches
-    visit 90,840, not 162,138.
+    (`OracleTables.floor`), and the full group's from a greedy dive: there
+    the seven searches visit 31 nodes after a dive of 5 (119 with the full
+    group from an empty record, 214 with every group), and on default xos
+    6x60 seed 0 the 63 searches visit 58,141 after a dive of 135 (90,840
+    and 162,138).
     """
     agents = sorted(split.columns)
     if not agents:

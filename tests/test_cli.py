@@ -346,10 +346,11 @@ class TestExitCodes:
     def test_oracle_node_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys,
                                                                    monkeypatch):
         # near-uniform 4x32 passes the 6*nu filter, and the rounding oracle's
-        # searches, which visit at most 858 nodes, meet a lowered budget
+        # searches, which visit at most 97 nodes (the full group's, its dive
+        # included), meet a lowered budget
         from nswforge import rounding
 
-        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 100)
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", 30)
         path = tmp_path / "near_uniform.json"
         path.write_text(serialize_instance(
             generate(GenSpec("additive", 4, 32, seed=0, weights="near_uniform"))))

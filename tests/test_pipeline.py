@@ -37,6 +37,18 @@ def assert_structure(report, inst):
         assert extra <= report.remaining | report.reserved
 
 
+def _oracle_tables(monkeypatch):
+    """A list that receives the `OracleTables` of each oracle search a run
+    makes: within one run every search gets the same one."""
+    tables = []
+
+    def spy(columns, valuations, targets, *args, search=pipeline.PROCEDURES["oracle"]):
+        tables.append(targets)
+        return search(columns, valuations, targets, *args)
+    monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
+    return tables
+
+
 class TestRunXos:
     def test_single_agent_with_residual_recovers_everything(self):
         inst = make_instance(Additive([1.0, 1.0, 1.0, 1.0]))
@@ -164,25 +176,30 @@ class TestRunSubadditive:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("family", ["near_uniform", "xos"])
-    def test_four_agents_on_40_items_engage_and_round(self, family, seed):
+    def test_four_agents_on_40_items_engage_and_round(self, family, seed, monkeypatch):
         # each full group holds millions of support profiles (3.1 million on
-        # near-uniform seed 0), and the oracle's searches visit at most
-        # 25,414 nodes, well within its budget
+        # near-uniform seed 0), and the oracle's searches, not counting the
+        # full group's dive, visit at most 815 nodes (near-uniform) and
+        # 9,825 (xos) over seeds 0-3, well within its budget
         spec = (GenSpec("additive", 4, 40, seed=seed, weights="near_uniform")
                 if family == "near_uniform" else GenSpec("xos", 4, 40, seed=seed))
         inst = generate(spec)
+        tables = _oracle_tables(monkeypatch)
         report = run_subadditive(inst)
         assert report.filtered == {0, 1, 2, 3} and report.outcome.round_log
         assert not report.outcome.rounds_capped
         assert_structure(report, inst)
+        assert max(tables[0].visits.values()) <= {"near_uniform": 900, "xos": 11_000}[family]
 
-    def test_lifted_columns_keep_the_oracle_under_its_cap(self):
+    def test_lifted_columns_keep_the_oracle_under_its_cap(self, monkeypatch):
         # each lifted XOS agent keeps at most k + 1 of its pooled clause
         # sets, so every search on xos 3x36 stays within ORACLE_NODE_CAP:
-        # the largest visits 44,730 nodes
+        # the largest, the full group's, visits 24,283 nodes after its dive
         inst = generate(GenSpec("xos", 3, 36, seed=0))
+        tables = _oracle_tables(monkeypatch)
         report = run_subadditive(inst, PipelineParams(seed=0, proc="oracle"))
         assert report.filtered == {0, 1, 2} and report.outcome.round_log
+        assert max(tables[0].visits.values()) <= 26_000
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_configuration_barrier_converges_without_warnings(self, seed):

@@ -297,7 +297,8 @@ class TestOracleProcedure:
         calls = []
 
         def spy(columns, valuations, targets, *args):
-            # every group but the full one starts from a searched group's choice
+            # every group but the full one starts from a searched group's
+            # choice; the full one dives for its floor
             assert (targets.floor(sorted(columns)) > -math.inf) == (len(columns) < 3)
             calls.append((columns, valuations, targets,
                           oracle_procedure(columns, valuations, targets, *args)))
@@ -309,6 +310,8 @@ class TestOracleProcedure:
             g for size in (1, 2, 3) for g in itertools.combinations(range(3), size))
         for columns, valuations, targets, found in calls:
             assert found == _reference_oracle(columns, valuations, targets), sorted(columns)
+        # the seven searches visit 31 nodes, not counting the full group's dive
+        assert sum(calls[0][2].visits.values()) == 31
 
     def test_evaluates_each_kept_set_once(self, monkeypatch):
         calls = []
@@ -395,10 +398,11 @@ class TestOracleProcedure:
                         oracle_procedure(sub, valuations, targets), f"{style} case {case}"
 
     @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
-    def test_seeded_searches_choose_as_the_full_scan(self, style):
+    def test_seeded_searches_choose_as_the_full_scan(self, style, monkeypatch):
         # one OracleTables serves every group of a case, largest first, as
         # when d is measured: each group's search starts from the choices
-        # of the groups that contain it
+        # of the groups that contain it (the full group from its dive), and
+        # is compared with a fresh search that does not dive
         rng = np.random.default_rng(20 + ["uniform", "ties", "budgeted", "table",
                                           "wide"].index(style))
         seeded_total = fresh_total = 0
@@ -411,7 +415,9 @@ class TestOracleProcedure:
                     fresh = OracleTables(valuations, targets)
                     assert oracle_procedure(sub, valuations, shared) == \
                         _reference_oracle(sub, valuations, targets), f"{style} case {case}"
-                    oracle_procedure(sub, valuations, fresh)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(rounding, "_dive", lambda *args: -math.inf)
+                        oracle_procedure(sub, valuations, fresh)
                     seeded, unseeded = shared.visits[frozenset(group)], \
                         fresh.visits[frozenset(group)]
                     assert seeded <= unseeded, f"{style} case {case} group {group}"
@@ -419,6 +425,34 @@ class TestOracleProcedure:
                     fresh_total += unseeded
         # table agents are searched in full, so no floor prunes them
         assert (seeded_total < fresh_total) == (style != "table")
+
+    @pytest.mark.parametrize("style", ["uniform", "ties", "budgeted", "table", "wide"])
+    def test_dive_floors_a_fresh_search(self, style, monkeypatch):
+        # fresh tables give no floor, so a bounded search first dives; its
+        # choice stays the full scan's, and its search, not counting the
+        # dive's own visits, visits no more than one that does not dive
+        rng = np.random.default_rng(30 + ["uniform", "ties", "budgeted", "table",
+                                          "wide"].index(style))
+        dives = []
+        dive = rounding._dive
+        monkeypatch.setattr(rounding, "_dive", lambda *args: dives.append(args) or dive(*args))
+        dived_total = plain_total = 0
+        for case in range(25):
+            columns, valuations, targets = _oracle_case(rng, style)
+            dived, plain = OracleTables(valuations, targets), OracleTables(valuations, targets)
+            choice = oracle_procedure(columns, valuations, dived)
+            assert choice == _reference_oracle(columns, valuations, targets), \
+                f"{style} case {case}"
+            with monkeypatch.context() as patch:
+                patch.setattr(rounding, "_dive", lambda *args: -math.inf)
+                assert oracle_procedure(columns, valuations, plain) == choice
+            group = frozenset(columns)
+            assert dived.visits[group] <= plain.visits[group], f"{style} case {case}"
+            dived_total += dived.visits[group]
+            plain_total += plain.visits[group]
+        # table agents are searched in full and never dive
+        assert len(dives) == (0 if style == "table" else 25)
+        assert (dived_total < plain_total) == (style != "table")
 
     def test_floor_above_the_optimum_is_an_invariant_violation(self):
         # a recorded choice for {0, 1} that agent 0's supports cannot reach:
