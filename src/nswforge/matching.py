@@ -4,6 +4,15 @@
 pairs with positive score, then the sum of log scores over those pairs.
 This extends the plain product objective to instances where some singleton
 values are zero (a fully positive matching is found whenever one exists).
+
+The assignment is solved by `_max_weight_assignment`, the shortest
+augmenting path method of Crouse (2016, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES) in the order scipy's
+`linear_sum_assignment` runs it: rows are augmented in turn, each Dijkstra
+pass scans the remaining columns from the last one, and a tie on the
+lowest path cost goes to an unassigned column. Every assignment, ties
+included, is therefore the one scipy returns, without the import cost of
+scipy's optimization package.
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Allocation, Instance, InvariantViolation, Matching
 
@@ -49,11 +57,56 @@ def product_matching(scores) -> Matching:
         lo, hi = logs.min(), logs.max()
         # Shift so that any extra positive pair dominates any log-sum change.
         shift = n * (hi - lo) + abs(lo) + 1.0
-        weights[positive] = np.log(scores[positive]) + shift
-    row, col = linear_sum_assignment(weights, maximize=True)
-    matching = Matching({int(i): int(j) for i, j in zip(row, col)})
+        weights[positive] = logs + shift
+    matching = Matching(dict(enumerate(_max_weight_assignment(weights))))
     matching.validate()
     return matching
+
+
+def _max_weight_assignment(weights: np.ndarray) -> list[int]:
+    """Column of each row in a maximum-weight assignment of an n x m array,
+    n <= m, finite weights: Crouse's method on the negated weights."""
+    n, m = weights.shape
+    cost = (-weights).tolist()
+    u, v = [0.0] * n, [0.0] * m
+    col4row, row4col, path = [-1] * n, [-1] * m, [-1] * m
+    for cur in range(n):
+        # Dijkstra over reduced costs from row `cur` to an unassigned column
+        spc = [math.inf] * m  # shortest path cost to each column
+        remaining = list(range(m - 1, -1, -1))
+        rows, cols = [cur], []
+        i, low = cur, 0.0
+        while True:
+            row, ui, reached = cost[i], u[i], low
+            low, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = reached + row[j] - ui - v[j]  # scipy's order of operations
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                else:
+                    r = spc[j]
+                if r < low or (r == low and row4col[j] < 0):
+                    low, index = r, it
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - spc[col4row[i]]
+        for k in cols:
+            v[k] -= low - spc[k]
+        while True:  # augment along the path ending at sink column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def initial_matching(inst: Instance) -> tuple[Matching, frozenset[int], frozenset[int], frozenset[int]]:
@@ -72,15 +125,17 @@ def initial_matching(inst: Instance) -> tuple[Matching, frozenset[int], frozense
     remaining = frozenset(inst.items) - matched
     active = frozenset(i for i in inst.agents
                        if inst.valuations[i].value(remaining) > 0.0)
+    rest = np.array(sorted(remaining), dtype=int)
     for i in inst.agents:
         own = scores[i, tau.assignment[i]]
         if own <= 0:
             continue
-        for j in remaining:
-            if scores[i, j] > own + 1e-9:
-                raise InvariantViolation(
-                    f"agent {i}: remaining item {j} beats matched item "
-                    f"{tau.assignment[i]} ({scores[i, j]} > {own})")
+        beats = scores[i, rest] > own + 1e-9
+        if beats.any():
+            j = int(rest[beats.argmax()])
+            raise InvariantViolation(
+                f"agent {i}: remaining item {j} beats matched item "
+                f"{tau.assignment[i]} ({scores[i, j]} > {own})")
     return tau, matched, remaining, active
 
 

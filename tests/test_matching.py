@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from nswforge import matching as matching_module
 from nswforge.matching import (
     extension_pi,
     initial_matching,
@@ -13,7 +15,7 @@ from nswforge.matching import (
     product_matching,
     rematch_rho,
 )
-from nswforge.model import Instance, Matching
+from nswforge.model import Instance, InvariantViolation, Matching
 from nswforge.oracle import exact_nsw, exact_scaled_welfare
 from nswforge.valuations import Additive, Xos
 
@@ -67,6 +69,55 @@ class TestProductMatching:
         with pytest.raises(ValueError, match=message):
             product_matching(np.array(scores))
 
+    def test_one_by_one(self):
+        assert product_matching(np.array([[2.5]])).assignment == {0: 0}
+        assert product_matching(np.array([[0.0]])).assignment == {0: 0}
+
+    def test_single_agent_takes_its_best_item(self):
+        matching = product_matching(np.array([[1.0, 4.0, 0.0, 3.0, 4.0 - 1e-12]]))
+        assert matching.assignment == {0: 1}
+
+    def test_square_is_a_permutation(self):
+        scores = np.array([[1.0, 9.0, 2.0], [8.0, 1.0, 1.0], [1.0, 2.0, 7.0]])
+        assert product_matching(scores).assignment == {0: 1, 1: 0, 2: 2}
+
+    def test_all_zero_rows_get_unused_items(self):
+        scores = np.array([[0.0, 0.0, 0.0, 0.0],
+                           [0.0, 5.0, 1.0, 0.0],
+                           [0.0, 0.0, 0.0, 0.0]])
+        matching = product_matching(scores)
+        matching.validate()
+        assert matching.assignment[1] == 1
+        assert len(set(matching.assignment.values())) == 3
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["continuous", "small_integer", "all_zero", "half_zero"]))
+    def test_assignment_equals_scipy(self, seed, kind, monkeypatch):
+        # the in-package solver must return scipy's assignment, ties included,
+        # on the weights product_matching builds from its scores
+        solve, seen = matching_module._max_weight_assignment, []
+
+        def spy(weights):
+            seen.append(weights)
+            return solve(weights)
+
+        monkeypatch.setattr(matching_module, "_max_weight_assignment", spy)
+        rng = np.random.default_rng(seed)
+        for trial in range(1000):
+            n = trial % 8 + 1
+            m = n if trial % 5 == 0 else n + int(rng.integers(0, 31 - n))
+            if kind == "small_integer":
+                scores = rng.integers(0, 3, (n, m)).astype(float)
+            else:
+                scores = rng.uniform(0.0, 10.0, (n, m))
+            if kind == "all_zero":
+                scores[:] = 0.0
+            elif kind == "half_zero":
+                scores[rng.uniform(size=(n, m)) < 0.5] = 0.0
+            matching = product_matching(scores)
+            _, cols = linear_sum_assignment(seen[-1], maximize=True)
+            assert matching.assignment == dict(enumerate(cols.tolist())), (n, m, trial)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_optimal_against_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -101,6 +152,16 @@ class TestInitialMatching:
         inst = make_instance(Additive([1, 1, 1]), Additive([1, 1, 1]), Additive([1, 1, 1]))
         _, matched, _, _ = initial_matching(inst)
         assert len(matched) == 3
+
+    def test_swap_violation_names_an_item(self, monkeypatch):
+        # a matching that leaves agent 0's best item unreserved breaks the
+        # swap property
+        inst = make_instance(Additive([1, 0, 5, 3]), Additive([0, 2, 0, 0]))
+        monkeypatch.setattr(matching_module, "product_matching",
+                            lambda scores: Matching({0: 0, 1: 1}))
+        with pytest.raises(InvariantViolation,
+                           match=r"agent 0: remaining item 2 beats matched item 0"):
+            initial_matching(inst)
 
 
 class TestRematchRho:

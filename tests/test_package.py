@@ -1,12 +1,18 @@
 """The package's export list, and the names the benchmark's tracer wraps."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nswforge
 from nswforge import oracle, relaxation
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_export_resolves_once():
@@ -29,3 +35,14 @@ def test_benchmark_tracer_installs_and_removes():
     finally:
         tracer.remove()
     assert all(mod.maximize is f for mod, f in zip(modules, maximize))
+
+
+@pytest.mark.parametrize("module", ["nswforge", "nswforge.cli"])
+def test_import_leaves_out_scipy_optimize(module):
+    # importing scipy.optimize costs about 0.2 s and 20 MB in every process
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
