@@ -37,7 +37,7 @@ from .valuations import (
 
 SPLIT_VARIANTS = ("xos", "subadditive")
 ALPHA = 0.25
-TOL = 1e-6  # slack of the contract check and of colgen against enumeration
+TOL = 1e-6  # slack of colgen against enumeration
 
 
 def grid_instance(seed: int, family: str) -> Instance:
@@ -98,7 +98,7 @@ def contract_case(seed: int, family: str) -> float | None:
     if not active:
         return None
     eg = solve_eg(inst, active, remaining, EgParams(alpha=ALPHA))
-    ratio, ok = scaled_optimum_check(inst, eg, alpha=ALPHA, tol=TOL)
+    ratio, ok = scaled_optimum_check(inst, eg, alpha=ALPHA)
     bound = (1.0 + ALPHA) * len(eg.agents)
     if not ok:
         raise InvariantViolation(f"scaled config-LP optimum {ratio} exceeds {bound}")

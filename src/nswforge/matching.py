@@ -23,6 +23,8 @@ import numpy as np
 
 from .model import Allocation, Instance, InvariantViolation, Matching
 
+RHO_TOL = 1e-9  # relative and absolute slack of rematch_rho's product check
+
 
 def matching_objective(scores: np.ndarray, matching: Matching) -> tuple[int, float]:
     """(count of positive-score pairs, sum of their log scores)."""
@@ -148,8 +150,7 @@ def _fill_unmatched(assignment: dict[int, int], agents: range,
             assignment[i] = free.pop(0)
 
 
-def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance,
-                tol: float = 1e-9) -> Matching:
+def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance) -> Matching:
     """Constructive matching that dominates max(W_i, v_i(pi(i)), nu_i).
 
     `tau` must be the product-optimal singleton matching and `pi` must map
@@ -208,7 +209,7 @@ def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance,
     achieved = math.prod(max(big_w[i], val(i, rho.assignment[i])) for i in inst.agents)
     target = math.prod(max(big_w[i], val(i, pi.assignment[i]), nu[i])
                        for i in inst.agents)
-    if achieved < target * (1.0 - tol) - tol:
+    if achieved < target * (1.0 - RHO_TOL) - RHO_TOL:
         raise InvariantViolation(
             f"rematching product guarantee failed: {achieved} < {target}")
     return rho

@@ -15,37 +15,37 @@ check the relaxation against.
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
 approximate optimality into the scaled-optimum contract checked by
-`scaled_optimum_check`. Two interior-point methods solve it, over two
-compact forms of the configuration LP (Feige 2009) in the Eisenberg-Gale
-program (Eisenberg and Gale 1959), and the Lagrangian bound D(p) at the
-solver's capacity prices certifies both. Each solver also hands out, for
-every agent, the distribution over sets that rounding needs: loads within
-the agent's masses, mixture value at least the certified value.
+`scaled_optimum_check`. One primal-dual interior-point loop,
+`_interior_point`, solves it over one of two compact forms of the
+configuration LP (Feige 2009) in the Eisenberg-Gale program (Eisenberg
+and Gale 1959), and the Lagrangian bound D(p) at its capacity duals
+certifies every step. A form supplies only closures over its own index
+arrays (its slacks, Newton system and subproblem bound), and hands out,
+for every agent, the distribution over sets that rounding needs: loads
+within the agent's masses, mixture value at least the certified value.
 
-- An agent set of additive and XOS agents runs `_barrier_eg`, a
-  primal-dual method with Mehrotra's predictor-corrector steps (Mehrotra
-  1992; Wright 1997) whose capacity duals are the prices. An additive
-  or one-clause agent has v+_i(x) = c.x. An agent with several clauses
-  takes each set's value from its best clause, so v+_i is a mixture of
-  clauses: one mass vector y_k per clause, with 0 <= y_k <= beta_k,
-  sum_k beta_k = 1 and x_i = sum_k y_k, gives exactly
-  v+_i(x) = max sum_k c_k.y_k. Every agent's subproblem is bounded by
-  an XOS demand query at prices v0 lam (`xos_subproblem_bound`), an
-  additive or one-clause agent as one clause. A one-clause agent's
-  columns are the systematic-sampling decomposition of its masses
-  (`systematic_columns`); a lifted agent's are an optimal vertex over
-  its clauses' systematic-sampling sets (`clause_columns`).
+- An agent set of additive and XOS agents runs `_barrier_eg`, over
+  clause blocks. An additive or one-clause agent has v+_i(x) = c.x. An
+  agent with several clauses takes each set's value from its best
+  clause, so v+_i is a mixture of clauses: one mass vector y_k per
+  clause, with 0 <= y_k <= beta_k, sum_k beta_k = 1 and
+  x_i = sum_k y_k, gives exactly v+_i(x) = max sum_k c_k.y_k. Every
+  agent's subproblem is bounded by an XOS demand query at prices v0 lam
+  (`xos_subproblem_bound`), an additive or one-clause agent as one
+  clause. A one-clause agent's columns are the systematic-sampling
+  decomposition of its masses (`systematic_columns`); a lifted agent's
+  are an optimal vertex over its clauses' systematic-sampling sets
+  (`clause_columns`).
 - An agent set with a budgeted-additive or table agent runs
-  `_config_barrier_eg`, the same primal-dual method over the
-  configuration program itself: each agent puts mass on sets of the
-  remaining items, priced over its whole subset table, which also bounds
-  its subproblem (`table_subproblem_bound`) and picks the sets that join
-  its columns; an additive or XOS agent in such a set enters through its
-  own table. Each agent's columns are an optimal vertex over the sets it
-  holds.
+  `_config_barrier_eg`, over the configuration program itself: each
+  agent puts mass on sets of the remaining items, priced over its whole
+  subset table, which also bounds its subproblem
+  (`table_subproblem_bound`) and picks the sets that join its columns;
+  an additive or XOS agent in such a set enters through its own table.
+  Each agent's columns are an optimal vertex over the sets it holds.
 
-Both solvers take their steps from `_predictor_corrector`, which factors
-each Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
+Each step is one `_predictor_corrector` call, which factors the
+Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
 `dgetrs`. `_barrier_eg` assembles its system from a fixed pattern over
 its variables; `_config_barrier_eg` builds its system, masses, values and
 slack changes from one incidence matrix of the held columns. Every vertex
@@ -72,12 +72,13 @@ COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
 ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
+CONTRACT_TOL = 1e-6  # slack of scaled_optimum_check's (1 + alpha) n bound
 
 
 class ConvergenceError(RuntimeError):
     """Column generation failed (a stall, a failed duality certificate or
-    its round cap), or no barrier step was certified; `capped` marks a
-    cap."""
+    its round cap), or no interior-point step was certified; `capped`
+    marks a cap."""
 
     def __init__(self, message: str, gap: float, capped: bool = False):
         super().__init__(f"{message} (remaining gap {gap:.3e})")
@@ -399,11 +400,70 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
     return du, dlam_c, min(1.0, 0.99 * min(_reach(g, dg_c), _reach(lam, dlam_c)))
 
 
+def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: float,
+                    max_iterations: int, grow=None):
+    """Primal-dual interior-point method with Mehrotra's predictor-corrector
+    steps (Mehrotra 1992; Wright 1997) for max sum_i log v_i(u) over one
+    compact form of the Eisenberg-Gale program, from the interior point u.
+
+    The form supplies closures over its own index arrays. `state(u)` gives
+    the masses x, the agent values v and every inequality row's slack
+    g > 0; each row has a dual lam > 0, started at 1/g, and the capacity
+    rows' duals are the prices p. `newton(w, v)` assembles the Newton
+    system at the rows' weights w = lam/g, with the duals eliminated, and
+    the objective's gradient; `along` and `lift` map a step to the slacks'
+    changes and back. Each step is `_predictor_corrector` on them, taken
+    by its step length in u and lam. `certify(u, x, v, lam)` then gives
+    the Lagrangian bound D(p) at the capacity duals, the objective of the
+    feasible point the form returns, and that point. Every D(p) bounds the
+    optimum, so the smallest one so far, but not below the objective (a
+    bound below it is rounding), certifies the step; the solve stops once
+    that bound less the objective is at most eps^4 n. It breaks off,
+    unconverged, when the factorization meets an exactly zero pivot, or
+    when a slack or a dual stops being positive or the bound stops being
+    finite, as when the duals have outgrown double precision. Otherwise
+    `grow(u, x, g, lam, row_gap)`, given the gap of this step's D(p), may
+    add variables and their duals and return the grown u and lam, or
+    None. Returns the last certified point, the trace (one row per Newton
+    step: iteration, objective, gap and step length) and the
+    smallest D(p); raises `ConvergenceError` when no step was certified.
+    """
+    x, v, g = state(u)
+    target, lam = eps ** 4 * v.size, 1.0 / g
+    bound = math.inf
+    trace: list[tuple[int, float, float, float]] = []
+    result = None
+    for it in range(1, max_iterations + 1):
+        system, gain = newton(lam / g, v)
+        step = _predictor_corrector(system, u.size, gain, lift, along, g, lam)
+        if step is None:
+            break
+        du, dlam, alpha = step
+        u = u + alpha * du
+        lam = lam + alpha * dlam
+        x, v, g = state(u)
+        row_bound, obj, point = certify(u, x, v, lam)
+        row_gap = row_bound - obj
+        if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_gap)):
+            break
+        bound = max(min(bound, row_bound), obj)
+        gap = bound - obj
+        result = point
+        trace.append((it, obj, gap, alpha))
+        if gap <= target:
+            break
+        if grow is not None and (grown := grow(u, x, g, lam, row_gap)) is not None:
+            u, lam = grown
+            x, v, g = state(u)
+    if result is None:
+        raise ConvergenceError("no Newton step was certified", math.inf)
+    return result, trace, bound
+
+
 def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
-    """Primal-dual interior-point method (Mehrotra's predictor-corrector)
-    for max sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for XOS
-    agents given by their clause matrices (K_i x items; an additive agent
-    is one clause).
+    """`_interior_point` over clause blocks: max sum_i log v+_i(x_i) over
+    x >= eps and sum_i x_ij <= 1 for XOS agents given by their clause
+    matrices (K_i x items; an additive agent is one clause).
 
     A one-clause agent's variables are its masses x_i, and v+_i(x) = c.x.
     An agent with K >= 2 clauses c_k is lifted: one mass vector y_k per
@@ -413,35 +473,26 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     value from its best clause, so this program equals v+ (with c >= 0 and
     sum beta = 1 >= x, no mass is ever left unplaced).
 
-    Four families of inequality rows carry slacks g > 0 and their own duals
-    lam > 0, started at 1/g: the capacity slacks s_j (whose duals are the
-    prices p), the floor slacks x - eps, and a lifted agent's box slacks y
-    and beta - y. Each step is `_predictor_corrector` on the Newton system
-    with the duals eliminated: the objective's Hessian c c^T / v^2 per
+    Four families of inequality rows carry slacks: the capacity slacks
+    s_j, the floor slacks x - eps, and a lifted agent's box slacks y and
+    beta - y. The Newton system is the objective's Hessian c c^T / v^2 per
     agent plus lam/g on each row's pattern, with the beta equality rows.
 
-    After every step each item's slack is filled, which can only raise the
-    objective: mass an agent holds above the floor on an item it values at
-    zero goes back to the floor, and the item's agents that value it (all
-    of its agents, if none does) take the free capacity in proportion to
-    their masses; a lifted agent spreads what it takes over its clauses in
-    proportion to their room beta_k - y_kj. The Lagrangian bound D(p) at
-    the capacity duals p certifies that filled point: one
-    `xos_subproblem_bound` call bounds every agent's subproblem, over its
-    clauses padded with zero ones to the most clauses (a one-clause agent
-    has K = 1), at its value and at the prices net of its floor duals,
-    clipped to [0, p]. Every D(p) bounds the optimum, so the smallest one
-    so far, but not below the filled objective, certifies each step; the
-    solve stops once that bound less the objective is at most eps^4 n. It
-    breaks off, unconverged, when the Newton system turns singular or a
-    slack or the bound stops being finite. Returns the last certified filled point,
+    The certified point is the iterate with each item's slack filled,
+    which can only raise the objective: mass an agent holds above the
+    floor on an item it values at zero goes back to the floor, and the
+    item's agents that value it (all of its agents, if none does) take the
+    free capacity in proportion to their masses; a lifted agent spreads
+    what it takes over its clauses in proportion to their room
+    beta_k - y_kj. One `xos_subproblem_bound` call bounds every agent's
+    subproblem there, over its clauses padded with zero ones to the most
+    clauses (a one-clause agent has K = 1), at its value and at the prices
+    net of its floor duals, clipped to [0, p]. Returns the filled point,
     its agents' values (a lifted agent's at its filled y), each lifted
     agent's filled clause masses y (K x items) and clause weights beta
-    there, keyed by its position, the trace (one row per step, with its
-    step length) and the smallest D(p).
+    there, keyed by its position, the trace and the smallest D(p).
     """
     n_a, m_i = len(clauses), clauses[0].shape[1]
-    target = eps ** 4 * n_a
     rows = np.array([c.shape[0] for c in clauses])
     lifted = np.flatnonzero(rows > 1)
     weights = np.stack([c[0] if c.shape[0] == 1 else np.zeros(m_i) for c in clauses])
@@ -520,16 +571,9 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
             out[beta_var] = np.bincount(box_beta, weights=w[hi_rows], minlength=beta_var.size)
         return out
 
-    u = np.zeros(size)
-    u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
-    u[beta_var] = 1.0 / rows[lifted][eq_row]
-    x, v, g = state(u)
-    lam = 1.0 / g
-    bound = math.inf
-    trace: list[tuple[int, float, float, float]] = []
-    result = None
-    for it in range(1, max_iterations + 1):
-        w = lam / g
+    def newton(w, v):
+        """The Newton system at row weights w and values v, and the
+        gradient of sum_i log v_i."""
         system = np.zeros((size + n_eq, size + n_eq), order="F")
         # capacity rows couple agents; then each agent's objective, then the floor
         system[pat_r, pat_c] = ((np.append(w[cap], 0.0)[pat_cap]
@@ -542,15 +586,13 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
             system[beta_var, beta_var] = np.bincount(box_beta, weights=w_hi,
                                                      minlength=beta_var.size)
             system[size + eq_row, beta_var] = system[beta_var, size + eq_row] = 1.0
-        gain = np.zeros(size + n_eq)  # the gradient of sum_i log v_i
+        gain = np.zeros(size + n_eq)
         gain[var] = var_coef / v[var_agent]
-        step = _predictor_corrector(system, size, gain, lift, along, g, lam)
-        if step is None:  # the duals have outgrown double precision
-            break
-        du, dlam, alpha = step
-        u = u + alpha * du
-        lam = lam + alpha * dlam
-        x, v, g = state(u)
+        return system, gain
+
+    def certify(u, x, v, lam):
+        """D(p), the objective and the filled point with its values and,
+        for the lifted agents, its clause masses and weights."""
         held = np.where(valued, x, eps)
         filled = held + (1.0 - held.sum(axis=0)) * (held * takers) / (held * takers).sum(axis=0)
         values = (weights * filled).sum(axis=1)
@@ -566,30 +608,21 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
                 room = beta[:, :, None] - y
                 y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
                 values[lifted] = (c_lifted * y).sum(axis=(1, 2))
-            obj = float(np.log(values).sum())
-        if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_bound - obj)):
-            break  # the duals have outgrown double precision
-        # every D(p) bounds the optimum, so the smallest so far certifies;
-        # the filled point is feasible, so a bound below its objective is
-        # rounding
-        bound = max(min(bound, row_bound), obj)
-        gap = bound - obj
-        result = filled, values, y, beta, bound
-        trace.append((it, obj, gap, alpha))
-        if gap <= target:
-            break
-    if result is None:
-        raise ConvergenceError("no Newton step was certified", math.inf)
-    filled, values, y, beta, bound = result
+            return row_bound, float(np.log(values).sum()), (filled, values, y, beta)
+
+    u = np.zeros(size)
+    u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
+    u[beta_var] = 1.0 / rows[lifted][eq_row]
+    (filled, values, y, beta), trace, bound = _interior_point(
+        u, state, along, lift, newton, certify, eps, max_iterations)
     clause_masses = {int(k): (y[r, :rows[k]], beta[r, :rows[k]]) for r, k in enumerate(lifted)}
     return filled, values, clause_masses, trace, bound
 
 
 def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: int):
-    """Primal-dual interior-point method (Mehrotra's predictor-corrector,
-    as in `_barrier_eg`) for max sum_i log v+_i(x_i) over x >= eps and
-    sum_i x_ij <= 1 in configuration form, for agents given by their
-    subset tables over one universe of k items.
+    """`_interior_point` over the configuration program: max
+    sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for agents
+    given by their subset tables over one universe of k items.
 
     Agent i puts mass z_iS > 0 on sets S of the universe, with
     sum_S z_iS = 1 (an equality row of the Newton system); its masses are
@@ -597,34 +630,29 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     log sum_S v_i(S) z_iS. Over every set this program equals v+. Each
     agent holds a restricted column set, from the empty set, the
     singletons and the whole universe, so a step's solve does not grow
-    with 2^k. Three families of inequality rows carry slacks and their
-    own duals, started at 1/slack: the capacity slacks s_j (whose duals
-    are the prices p), the floor slacks x - eps and the columns' masses z.
-    Each step is `_predictor_corrector` on the Newton system: the
-    objective's Hessian (val val^T / v^2 per agent) plus dual/slack on
-    each row's pattern, with the agents' equality rows. All of it comes
-    from one incidence matrix U = [inc | rinc | own], a row per column:
-    its set over the universe (the capacity rows), the same set in its
-    agent's block of k (that agent's floor rows) and its agent's one-hot
-    row. With own scaled by val/v, the system is (U m) U^T for
-    m = [dual/slack on capacity, on floor, 1], plus dual/slack of the
-    column rows on the diagonal and own as the equality rows; the
-    masses are z rinc, the values (val z) own, and the slacks' changes
-    and their transpose are products with inc and rinc as well.
+    with 2^k. Three families of inequality rows carry slacks: the capacity
+    slacks s_j, the floor slacks x - eps and the columns' masses z. The
+    Newton system is the objective's Hessian (val val^T / v^2 per agent)
+    plus dual/slack on each row's pattern, with the agents' equality rows.
+    All of it comes from one incidence matrix U = [inc | rinc | own], a
+    row per column: its set over the universe (the capacity rows), the
+    same set in its agent's block of k (that agent's floor rows) and its
+    agent's one-hot row. With own scaled by val/v, the system is
+    (U m) U^T for m = [dual/slack on capacity, on floor, 1], plus
+    dual/slack of the column rows on the diagonal and own as the equality
+    rows; the masses are z rinc, the values (val z) own, and the slacks'
+    changes and their transpose are products with inc and rinc as well.
 
-    The Lagrangian bound D(p) at the capacity duals p bounds the optimum
-    at every step, so the smallest one so far, but not below the
-    objective, certifies each iterate: `table_subproblem_bound` bounds
-    every agent at its value and at the prices net of its floor duals,
-    over its whole table. Those net prices may fall below zero; cut to
-    zero, as `xos_subproblem_bound` needs, they stalled the certificate
-    at 21 times its target on budgeted 8x12 (seed 207). The same
-    utilities price the columns. Where an agent's best set beats the best
-    column it holds, the difference (its deficit) is part of the gap that
-    no step on the held columns removes; the rest of the gap is the
-    restricted program's. An agent admits the sets, at most
-    `ADMIT_PER_STEP` and best first, that beat its best column by more
-    than `ADMIT_SHARE` of its share of that rest. They join with mass
+    `table_subproblem_bound` bounds every agent at its value and at the
+    prices net of its floor duals, over its whole table. Those net prices
+    may fall below zero; cut to zero, as `xos_subproblem_bound` needs,
+    they stalled the certificate at 21 times its target on budgeted 8x12
+    (seed 207). The same utilities price the columns. Where an agent's
+    best set beats the best column it holds, the difference (its deficit)
+    is part of the gap that no step on the held columns removes; the rest
+    of the gap is the restricted program's. An agent admits the sets, at
+    most `ADMIT_PER_STEP` and best first, that beat its best column by
+    more than `ADMIT_SHARE` of its share of that rest. They join with mass
     delta taken from the agent's own columns with its masses x_i fixed,
     the least change in the metric z^2, or, if that system is singular or
     its solve misses x_i or the agent's mass by more than `ADMIT_MISS`,
@@ -633,18 +661,14 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     its mass, so it starts on the central path. Agents share only the
     capacity slacks, so all of them admit in one pass, each against the
     slacks its predecessors left, and the sets join the columns, agent
-    by agent, after the last. The solve stops once the certified bound less
-    the objective is at most eps^4 n, and breaks off, unconverged, when
-    the Newton system turns singular or a slack, a dual or the bound
-    stops being finite. Returns the last certified masses with each
+    by agent, after the last. Returns the last certified masses with each
     item's slack spread over its agents in proportion to their masses,
     the values of the certified configurations, the columns held there
-    (each one's mask and agent, in the order they joined), the trace (one
-    row per Newton step, with its step length) and the smallest D(p).
+    (each one's mask and agent, in the order they joined), the trace and
+    the smallest D(p).
     """
     universe = tables[0].universe
     n_a, k = len(tables), universe.size
-    target = eps ** 4 * n_a
     table_values = np.stack([table.arrays()[1] for table in tables])
     bit = np.arange(k)
 
@@ -661,7 +685,6 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     one[np.searchsorted(start, 1 << bit)] += b
     one[-1] += x0 - b
     one[0] = 1.0 - one.sum()
-    z = np.tile(one, n_a)
     # the inequality rows, family by family: capacity, floor, columns; the
     # first two also index the blocks of the incidence below
     cap, floor = slice(0, k), slice(k, k + n_a * k)
@@ -694,15 +717,10 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         the transpose of `along`."""
         return np.append(U[:, :floor.stop] @ (sign * w[:floor.stop]) + w[column], np.zeros(n_a))
 
-    U, val = layout(col_mask, col_agent)
-    x, v, g = state(z)
-    lam = 1.0 / g
-    bound = math.inf
-    trace: list[tuple[int, float, float, float]] = []
-    result = None
-    for it in range(1, max_iterations + 1):
-        size = z.size
-        w = lam / g
+    def newton(w, v):
+        """The Newton system at row weights w and values v, and the
+        gradient of sum_i log v_i."""
+        size = val.size
         scaled = val / v[col_agent]
         # one product (U m) U^T with m = [w_cap, w_floor, 1] and own scaled
         # by val / v of each column's agent: the capacity rows couple
@@ -716,31 +734,23 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         system[size:, :size] = U[:, agent].T
         diag = np.arange(size)
         system[diag, diag] += w[column]
-        step = _predictor_corrector(system, size, np.append(scaled, np.zeros(n_a)), lift,
-                                    along, g, lam)
-        if step is None:  # the duals have outgrown double precision
-            break
-        dz, dlam, alpha = step
-        z = z + alpha * dz
-        lam = lam + alpha * dlam
-        x, v, g = state(z)
+        return system, np.append(scaled, np.zeros(n_a))
+
+    def certify(z, x, v, lam):
+        """D(p), the objective and the masses with their values and the
+        held columns; keeps every set's utility for `grow`."""
+        nonlocal utility
         prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
             sub, utility = table_subproblem_bound(table_values, prices, eps, v,
                                                   prices - lam[floor].reshape(n_a, k))
-            row_bound = float(prices.sum() + sub.sum())
-            obj = float(np.log(v).sum())
-        row_gap = row_bound - obj
-        if not (g.min() > 0 and lam.min() > 0 and math.isfinite(row_gap)):
-            break  # the duals have outgrown double precision
-        # every D(p) bounds the optimum, so the smallest so far certifies;
-        # the point is feasible, so a bound below its objective is rounding
-        bound = max(min(bound, row_bound), obj)
-        gap = bound - obj
-        result = x, v, bound, col_mask, col_agent
-        trace.append((it, obj, gap, alpha))
-        if gap <= target:
-            break
+            return (float(prices.sum() + sub.sum()), float(np.log(v).sum()),
+                    (x, v, (col_mask, col_agent)))
+
+    def grow(z, x, g, lam, row_gap):
+        """Admit the sets that beat their agent's held columns; returns the
+        grown z and lam, or None when no set joins."""
+        nonlocal U, val, col_mask, col_agent
         best = utility.max(axis=1)
         held_best = np.full(n_a, -np.inf)
         np.maximum.at(held_best, col_agent, utility[col_agent, col_mask])
@@ -788,20 +798,21 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
             z[held] += delta * dz
             s -= delta * dx
             joined.append((tops, np.full(r, i), np.full(r, delta / r), np.full(r, mu * r / delta)))
-        if joined:
-            tops, owner, mass, dual = (np.concatenate(part) for part in zip(*joined))
-            col_mask, col_agent = np.append(col_mask, tops), np.append(col_agent, owner)
-            z, lam = np.append(z, mass), np.append(lam, dual)
-            rows, worth = layout(tops, owner)
-            U, val = np.vstack([U, rows]), np.append(val, worth)
-            x, v, g = state(z)
-    if result is None:
-        raise ConvergenceError("no Newton step was certified", math.inf)
-    x, values, bound, col_mask, col_agent = result
+        if not joined:
+            return None
+        tops, owner, mass, dual = (np.concatenate(part) for part in zip(*joined))
+        col_mask, col_agent = np.append(col_mask, tops), np.append(col_agent, owner)
+        rows, worth = layout(tops, owner)
+        U, val = np.vstack([U, rows]), np.append(val, worth)
+        return np.append(z, mass), np.append(lam, dual)
+
+    U, val = layout(col_mask, col_agent)
+    utility = None
+    (x, values, held), trace, bound = _interior_point(
+        np.tile(one, n_a), state, along, lift, newton, certify, eps, max_iterations, grow)
     # v+ is monotone, so filling each item's slack in proportion to the
     # masses can only raise every agent's extension at the returned point
-    return (x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, (col_mask, col_agent),
-            trace, bound)
+    return x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, held, trace, bound
 
 
 def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
@@ -809,18 +820,17 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope,
     and decompose each agent's masses into the sets that rounding draws.
 
-    An interior-point method solves the program and the Lagrangian bound
-    D(p) at its capacity prices certifies it. When every agent is
-    `Additive` or `Xos`, `_barrier_eg`, a primal-dual method, solves it
-    over clause blocks. An additive or one-clause agent has
-    v+_i(x) = c.x, and its columns are the systematic-sampling
-    decomposition of its x. An agent with several clauses is lifted to
-    clause masses and clause weights, and its columns are
-    `clause_columns` of the filled ones at the returned x. Any other agent
-    set (one with a budgeted-additive or table agent) runs
-    `_config_barrier_eg`, the same primal-dual method, over every agent's
-    `SubsetTable` (whose enumeration raises `CapExceeded` past 16 items),
-    and each agent's columns are `vertex_columns` of the columns it held
+    `_interior_point` solves the program and the Lagrangian bound D(p) at
+    its capacity prices certifies it. When every agent is `Additive` or
+    `Xos`, it runs over clause blocks (`_barrier_eg`). An additive or
+    one-clause agent has v+_i(x) = c.x, and its columns are the
+    systematic-sampling decomposition of its x. An agent with several
+    clauses is lifted to clause masses and clause weights, and its
+    columns are `clause_columns` of the filled ones at the returned x. Any
+    other agent set (one with a budgeted-additive or table agent) runs it
+    over the configuration program (`_config_barrier_eg`), over every
+    agent's `SubsetTable` (whose enumeration raises `CapExceeded` past 16
+    items), and each agent's columns are `vertex_columns` of the columns it held
     at the certified point, at the returned x. No column generation or
     demand query runs; one LP runs per lifted or configuration agent, and
     none for an additive or one-clause agent.
@@ -894,12 +904,11 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                     iterations=len(trace), trace=trace)
 
 
-def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float,
-                         tol: float = 1e-6) -> tuple[float, bool]:
+def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float) -> tuple[float, bool]:
     """Exact contract check: the scaled configuration-LP optimum against
     the solver's own targets must stay below (1 + alpha) * |agents|."""
     targets = eg.values()
     res = exact_config_lp(inst, objective="scaled", targets=targets,
                           agents=eg.agents, items=eg.items)
     ratio = res.optimum
-    return ratio, ratio <= (1.0 + alpha) * len(eg.agents) + tol
+    return ratio, ratio <= (1.0 + alpha) * len(eg.agents) + CONTRACT_TOL

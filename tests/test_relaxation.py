@@ -305,23 +305,56 @@ class TestSolveEg:
             assert eg.converged
             assert_within_the_gap_of_fresh_extensions(inst, eg)
 
-    def test_gap_bounds_the_returned_iterate_when_capped(self):
-        inst = generate(GenSpec("xos", n=3, m=6, seed=1))
+    @pytest.mark.parametrize("spec", [GenSpec("xos", 3, 6, seed=1),
+                                      GenSpec("budgeted_additive", 3, 8, seed=0)],
+                             ids=["xos", "budgeted_additive"])
+    def test_gap_bounds_the_returned_iterate_when_capped(self, spec):
+        inst = generate(spec)
         _, _, remaining, active = initial_matching(inst)
-        # the solve converges in 9 steps; cut to 5, it misses its certificate
+        # the solves converge in 9 and 10 steps; cut to 5, they miss their
+        # certificate
         eg = solve_eg(inst, active, remaining, EgParams(max_iterations=5))
         assert not eg.converged and eg.iterations == 5
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         best_row_gap = next(gap for _, obj, gap, _ in eg.trace if obj == eg.objective)
         assert 0 <= eg.gap <= best_row_gap
 
-    def test_gap_of_a_converged_run_meets_the_target(self):
-        inst = generate(GenSpec("xos", n=3, m=6, seed=0))
+    @pytest.mark.parametrize("spec", [GenSpec("xos", 3, 6, seed=0),
+                                      GenSpec("budgeted_additive", 3, 8, seed=0)],
+                             ids=["xos", "budgeted_additive"])
+    def test_gap_of_a_converged_run_meets_the_target(self, spec):
+        inst = generate(spec)
         _, _, remaining, active = initial_matching(inst)
         eg = solve_eg(inst, active, remaining)
         assert eg.converged and eg.iterations < EgParams().max_iterations
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
+
+    @pytest.mark.parametrize("spec, bound", [
+        (GenSpec("xos", 3, 6, seed=0), xos_subproblem_bound),
+        (GenSpec("budgeted_additive", 3, 8, seed=0), table_subproblem_bound)],
+        ids=["xos", "budgeted_additive"])
+    def test_breaks_off_finite_when_the_bound_does(self, spec, bound, monkeypatch):
+        # from the sixth step on the subproblem bound is not finite, as when
+        # the duals have outgrown double precision: the solve returns the
+        # fifth step's point
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            out = bound(*args)
+            if len(calls) < 6:
+                return out
+            # the table bound also returns every set's utility
+            return out * np.inf if bound is xos_subproblem_bound else (out[0] * np.inf, out[1])
+        monkeypatch.setattr(relaxation, bound.__name__, failing)
+        inst = generate(spec)
+        _, _, remaining, active = initial_matching(inst)
+        eg = solve_eg(inst, active, remaining)
+        assert not eg.converged and eg.iterations == 5
+        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
+        assert eg.gap >= 0
+        eg.x.validate(inst.m)
 
 
 def additive_instance(seed, n, m):
@@ -481,25 +514,6 @@ class TestXosBarrier:
         for i in eg.agents:
             assert loads[i] == pytest.approx(eg.x.agent_vector(i, inst.m), abs=1e-12)
 
-    def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
-        # from the sixth step on the clause bound is not finite, as
-        # when the duals have outgrown double precision: the solve returns
-        # the fifth step's point
-        calls = []
-
-        def failing(*args):
-            calls.append(1)
-            bound = xos_subproblem_bound(*args)
-            return bound if len(calls) < 6 else bound * np.inf
-        monkeypatch.setattr(relaxation, "xos_subproblem_bound", failing)
-        inst = generate(GenSpec("xos", 3, 6, seed=0))
-        _, _, remaining, active = initial_matching(inst)
-        eg = solve_eg(inst, active, remaining)
-        assert not eg.converged and eg.iterations == 5
-        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
-        assert eg.gap >= 0
-        eg.x.validate(inst.m)
-
     def test_breaks_off_finite_when_the_system_turns_singular(self, monkeypatch):
         assert_breaks_off_at_a_zero_pivot(GenSpec("xos", 3, 6, seed=0), monkeypatch)
 
@@ -626,25 +640,6 @@ class TestConfigBarrier:
             monkeypatch.setattr(relaxation, name, forbidden)
         eg = solve_eg(inst, range(3), range(inst.m))
         assert eg.converged and len(solves) == 3
-
-    def test_breaks_off_finite_when_the_bound_does(self, monkeypatch):
-        # from the sixth step on the bound is not finite, as when the duals
-        # have outgrown double precision: the solve returns the fifth
-        # step's point
-        calls = []
-
-        def failing(*args):
-            calls.append(1)
-            sub, utility = table_subproblem_bound(*args)
-            return (sub if len(calls) < 6 else sub * np.inf), utility
-        monkeypatch.setattr(relaxation, "table_subproblem_bound", failing)
-        inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
-        _, _, remaining, active = initial_matching(inst)
-        eg = solve_eg(inst, active, remaining)
-        assert not eg.converged and eg.iterations == 5
-        assert all(math.isfinite(obj) and math.isfinite(gap) for _, obj, gap, _ in eg.trace)
-        assert eg.gap >= 0
-        eg.x.validate(inst.m)
 
     def test_breaks_off_finite_when_the_system_turns_singular(self, monkeypatch):
         assert_breaks_off_at_a_zero_pivot(GenSpec("budgeted_additive", 3, 8, seed=0),
