@@ -143,14 +143,17 @@ def _status(report) -> str:
     """How the run went, by the first stage that did not run as designed:
     `not_run` (no agent was left for the relaxation), `capped` (the
     relaxation missed its certificate), `fallback_matching` (the
-    subadditive filter left no agent, so the matching serves everyone) or
-    `converged`."""
+    subadditive filter left no agent, so the matching serves everyone),
+    `rounds_capped` (iterated rounding hit its round cap, and the agents
+    still active got empty sets) or `converged`."""
     if report.eg is None:
         return "not_run"
     if not report.eg.converged:
         return "capped"
     if report.filtered is not None and not report.filtered:
         return "fallback_matching"
+    if report.outcome.rounds_capped:
+        return "rounds_capped"
     return "converged"
 
 

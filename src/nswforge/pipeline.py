@@ -1,11 +1,11 @@
 """End-to-end NSW pipelines: matching, relaxation, splitting, rounding, rematch.
 
-Both lanes share the same skeleton: reserve one high-value item per agent
-by a product matching, solve the Eisenberg-Gale relaxation on the rest,
-equalize the support-set values, round, and finally re-optimize the
-reserved items on top of the rounded bundles. Each stage's documented
-bounds are asserted inline, so a pipeline run with assertions enabled is
-itself a test.
+Both lanes share the same skeleton, which one function runs: reserve one
+high-value item per agent by a product matching, solve the Eisenberg-Gale
+relaxation on the rest, equalize the support-set values, round, and
+finally re-optimize the reserved items on top of the rounded bundles.
+Each stage's documented bounds are asserted inline, so a pipeline run
+with assertions enabled is itself a test.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .rounding import (
     measured_welfare_factor,
     oracle_procedure,
     round_xos,
+    scaled_targets,
 )
 from .splitting import SubaddSplitOutput, XosSplitOutput, split_subadditive, split_xos
 from .valuations import Additive, Xos, singleton_max
@@ -195,64 +196,13 @@ def _run_instance(inst: Instance) -> Instance:
                     tuple(v.run_copy() for v in inst.valuations))
 
 
-def _searched_once(proc: Callable) -> Callable:
-    """`proc` run at most once per agent group, for a deterministic
-    procedure that ignores its stream and round index: within one run a
-    group's columns and targets never change, and so its sets do not.
-    The first call's targets become the run's one `OracleTables`, passed
-    on as `targets`, so the exact oracle builds each agent's search table
-    and values each (agent, kept set) once per run, not once per group,
-    and starts each group's search from the choices of the groups
-    searched before it that contain it."""
-    found: dict[tuple[int, ...], dict[int, frozenset[int]]] = {}
-    tables: OracleTables | None = None
-
-    def search(columns, valuations, targets, rng, round_index=1):
-        nonlocal tables
-        if tables is None:
-            tables = OracleTables(valuations, targets)
-        group = tuple(sorted(columns))
-        if group not in found:
-            found[group] = proc(columns, valuations, tables, rng, round_index)
-        return found[group]
-    return search
-
-
 def run_xos(inst: Instance, params: PipelineParams | None = None) -> PipelineReport:
     """XOS lane: match, relax, split, contention-resolve, rematch.
 
     Valuations must be XOS (additive counts as one-clause XOS) and there
     must be at least as many items as agents.
     """
-    params = params or PipelineParams()
-    if inst.m < inst.n:
-        raise ValueError("pipeline needs at least as many items as agents")
-    for i in inst.agents:
-        if not isinstance(inst.valuations[i], (Additive, Xos)):
-            raise ValueError("pipeline requires XOS valuations")
-    rng = RngStream(params.seed)
-    clock = _Clock()
-    run = _run_instance(inst)
-    tau, reserved, remaining, active = initial_matching(run)
-    clock.lap("matching")
-    eg = split = outcome = None
-    if active:
-        eg = solve_eg(run, active, remaining, params.eg_params())
-        clock.lap("relaxation")
-        split = split_xos(eg.config(), run.valuations, eg.values())
-        clock.lap("splitting")
-        outcome = round_xos(split, run.valuations, rng)
-        clock.lap("rounding")
-        alloc, sigma = final_matching(outcome.allocation.bundles, run, reserved)
-    else:
-        alloc, sigma = final_matching({}, run, reserved)
-    clock.lap("rematching")
-    report = PipelineReport(
-        pipeline="xos", allocation=alloc, nsw=0.0, params=params, tau=tau,
-        sigma=sigma, reserved=reserved, remaining=remaining, active=active,
-        eg=eg, split=split, outcome=outcome, timings=clock.timings)
-    _finish(report, run, params, clock)
-    return report
+    return _run("xos", inst, params or PipelineParams())
 
 
 def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> PipelineReport:
@@ -264,55 +214,71 @@ def run_subadditive(inst: Instance, params: PipelineParams | None = None) -> Pip
     agent group once: iterated rounding reuses the sets it found while d
     was measured.
     """
-    params = params or PipelineParams()
+    return _run("subadditive", inst, params or PipelineParams())
+
+
+def _run(lane: str, inst: Instance, params: PipelineParams) -> PipelineReport:
+    """The skeleton both lanes share: reserve the matching's items, relax the
+    rest, hand the relaxation to the lane's own split and rounding, rematch
+    and check. Every stage is looked up on this module when it is called,
+    and the procedure in `PROCEDURES`, so a wrapper installed there sees
+    each call.
+
+    The subadditive lane values the split's scaled targets once and passes
+    them to both the measurement of d and iterated rounding. For the
+    deterministic oracle they are the run's one `OracleTables`, which keeps
+    each agent group's choice: iterated rounding reuses the sets the
+    measurement of d found.
+    """
     if inst.m < inst.n:
         raise ValueError("pipeline needs at least as many items as agents")
-    if params.proc not in PROCEDURES:
+    if lane == "xos" and not all(isinstance(v, (Additive, Xos)) for v in inst.valuations):
+        raise ValueError("pipeline requires XOS valuations")
+    if lane == "subadditive" and params.proc not in PROCEDURES:
         raise ValueError(f"unknown rounding procedure {params.proc!r}")
-    proc = PROCEDURES[params.proc]
-    if NOMINAL_D[params.proc] is None:
-        proc = _searched_once(proc)
-    rng = RngStream(params.seed)
-    clock = _Clock()
-    run = _run_instance(inst)
+    rng, clock, run = RngStream(params.seed), _Clock(), _run_instance(inst)
     tau, reserved, remaining, active = initial_matching(run)
     clock.lap("matching")
-    eg = split = outcome = None
-    filtered: frozenset[int] = frozenset()
-    nu: dict[int, float] = {}
-    delta_used = d_used = None
-    bundles: dict[int, frozenset[int]] = {}
+    eg = split = outcome = nu = delta_used = d_used = None
+    filtered = None if lane == "xos" else frozenset()
     if active:
         eg = solve_eg(run, active, remaining, params.eg_params())
         clock.lap("relaxation")
-        targets = eg.values()
-        nu = {i: singleton_max(run.valuations[i], remaining) for i in active}
-        filtered = frozenset(i for i in active if targets[i] >= 6.0 * nu[i])
-        if filtered:
-            config = eg.config()
-            config.columns = {i: config.columns[i] for i in filtered}
-            split = split_subadditive(config, run.valuations,
-                                      {i: targets[i] for i in filtered},
-                                      {i: nu[i] for i in filtered})
-            clock.lap("splitting")
-            d_used = params.d
+        values = eg.values()
+        if lane == "xos":
+            split = split_xos(eg.config(), run.valuations, values)
+        else:
+            nu = {i: singleton_max(run.valuations[i], remaining) for i in active}
+            filtered = frozenset(i for i in active if values[i] >= 6.0 * nu[i])
+            if filtered:
+                config = eg.config()
+                config.columns = {i: config.columns[i] for i in filtered}
+                split = split_subadditive(config, run.valuations,
+                                          {i: values[i] for i in filtered},
+                                          {i: nu[i] for i in filtered})
+    if split is not None:
+        clock.lap("splitting")
+        if lane == "xos":
+            outcome = round_xos(split, run.valuations, rng)
+        else:
+            proc, nominal = PROCEDURES[params.proc], NOMINAL_D[params.proc]
+            targets = scaled_targets(split, run.valuations)
+            if nominal is None:
+                targets = OracleTables(run.valuations, targets)
+            d_used = params.d if params.d is not None else nominal
             if d_used is None:
-                nominal = NOMINAL_D[params.proc]
-                d_used = nominal if nominal is not None else measured_welfare_factor(
-                    split, run.valuations, proc, rng)
+                d_used = measured_welfare_factor(split, run.valuations, targets, proc, rng)
             delta_used = params.delta if params.delta is not None else 1.0 / (7.0 * d_used)
-            outcome = iterated_round(split, run.valuations, sorted(remaining),
+            outcome = iterated_round(split, run.valuations, targets, sorted(remaining),
                                      delta_used, proc, rng)
-            clock.lap("rounding")
-            bundles = {i: outcome.allocation.bundle(i) for i in filtered}
-    alloc, sigma = final_matching(bundles, run, reserved)
+        clock.lap("rounding")
+    alloc, sigma = final_matching(outcome.allocation.bundles if outcome else {}, run, reserved)
     clock.lap("rematching")
     report = PipelineReport(
-        pipeline="subadditive", allocation=alloc, nsw=0.0, params=params,
-        tau=tau, sigma=sigma, reserved=reserved, remaining=remaining,
-        active=active, eg=eg, split=split, outcome=outcome, filtered=filtered,
-        nu=nu or None, delta_used=delta_used, d_used=d_used,
-        timings=clock.timings)
+        pipeline=lane, allocation=alloc, nsw=0.0, params=params, tau=tau,
+        sigma=sigma, reserved=reserved, remaining=remaining, active=active,
+        eg=eg, split=split, outcome=outcome, filtered=filtered, nu=nu,
+        delta_used=delta_used, d_used=d_used, timings=clock.timings)
     _finish(report, run, params, clock)
     return report
 

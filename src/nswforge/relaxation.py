@@ -73,6 +73,7 @@ ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
 CONTRACT_TOL = 1e-6  # slack of scaled_optimum_check's (1 + alpha) n bound
+MAX_ITERATIONS = 600  # most Newton steps of one relaxation
 
 
 class ConvergenceError(RuntimeError):
@@ -174,7 +175,6 @@ def default_epsilon(alpha: float, n_agents: int) -> float:
 class EgParams:
     alpha: float = 0.25
     epsilon: float | None = None
-    max_iterations: int = 600
 
     def floor(self, n_agents: int) -> float:
         eps = self.epsilon if self.epsilon is not None else default_epsilon(self.alpha, n_agents)
@@ -842,8 +842,8 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     that. `iterations` counts Newton steps. Every trace row's objective
     plus gap bounds the optimum from above, and `gap` bounds the returned
     point: the smallest objective-plus-gap over the trace, less its
-    objective. `converged` means gap <= eps^4 n. `params.max_iterations`
-    caps the Newton steps.
+    objective. `converged` means gap <= eps^4 n. `MAX_ITERATIONS` caps
+    the Newton steps.
     """
     params = params or EgParams()
     agent_list = sorted(set(agents))
@@ -861,7 +861,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
         clauses = [(v.weights[None, :] if isinstance(v, Additive) else v.clauses)[:, item_idx]
                    for v in vals]
         x_mat, values, clause_masses, trace, last_bound = _barrier_eg(
-            clauses, eps, params.max_iterations)
+            clauses, eps, MAX_ITERATIONS)
         columns = [clause_columns(clauses[k], *clause_masses[k], x_mat[k], item_list)
                    if k in clause_masses else systematic_columns(x_mat[k], item_list)
                    for k in range(len(vals))]
@@ -869,7 +869,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     else:
         tables = [SubsetTable(v, item_idx) for v in vals]
         x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
-            tables, eps, params.max_iterations)
+            tables, eps, MAX_ITERATIONS)
         columns = []
         for k, table in enumerate(tables):
             masks = col_mask[col_agent == k]

@@ -218,13 +218,14 @@ class OracleTables(dict):
 
     Passed to `oracle_procedure` as `targets`, one instance shares every
     agent's sorted supports, incidence rows, bound arrays and kept-set
-    values across the calls that reuse it, and starts each group's search
-    from the best choice of a searched group that contains it (`floor`);
-    a bounded group that none contains, as the first and full group of a
-    run is, starts from a greedy dive (`_dive`). That is sound while each
-    agent's columns, valuation and target stay fixed, as they do within
-    one run of the subadditive lane, where `pipeline._searched_once` holds
-    one.
+    values across the calls that reuse it. It searches each group once,
+    returning the recorded choice when the group comes again, and starts
+    each group's search from the best choice of a searched group that
+    contains it (`floor`); a bounded group that none contains, as the
+    first and full group of a run is, starts from a greedy dive (`_dive`).
+    That is sound while each agent's columns, valuation and target stay
+    fixed, as they do within one run of the subadditive lane, which wraps
+    the split's scaled targets in one for the oracle procedure.
     """
 
     def __init__(self, valuations: Sequence[Valuation], targets: Mapping[int, float]):
@@ -351,16 +352,20 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     microseconds per node.
 
     `targets` may be an `OracleTables`, whose per-agent tables, memo and
-    group choices the call then reuses and extends; any other mapping gets
-    fresh tables, and so no floor. Within one run of the subadditive lane,
-    one `OracleTables` serves every group and round, so each agent's
-    supports are valued once per run, not once per group that holds them,
-    and each group starts from the choices of the larger groups, searched
-    before it, that contain it.
+    group choices the call then reuses and extends: a group it has already
+    searched gets its recorded choice back, with no search. Any other
+    mapping gets fresh tables, and so no floor. Within one run of the
+    subadditive lane, one `OracleTables` serves every group and round, so
+    each group is searched once, each agent's supports are valued once per
+    run, not once per group that holds them, and each group starts from
+    the choices of the larger groups, searched before it, that contain it.
     """
     del rng, round_index
     if not isinstance(targets, OracleTables):
         targets = OracleTables(valuations, targets)
+    group = frozenset(columns)
+    if group in targets.choices:
+        return targets.choices[group]
     agents = sorted(columns)
     n = len(agents)
     if not n:
@@ -449,15 +454,16 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     search([], np.zeros(width), 0.0)
     if best is None or best_welfare <= floor:
         raise InvariantViolation("the oracle's floor exceeds the group's best welfare")
-    group = frozenset(agents)
     targets.choices[group] = best
     targets.visits[group] = visited - dive_visits
     return best
 
 
 def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valuation],
-                            proc: RoundingProcedure, rng: RngStream) -> float:
-    """Measured d of a rounding procedure on a split solution.
+                            targets: Mapping[int, float], proc: RoundingProcedure,
+                            rng: RngStream) -> float:
+    """Measured d of a rounding procedure on a split solution, whose scaled
+    targets V'_i (`scaled_targets`) are `targets`.
 
     The iterated-rounding analysis needs the welfare guarantee on every
     subset of agents it may recurse on, so d is the worst |B| / welfare(B)
@@ -467,8 +473,8 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     `CapExceeded` on the full set does so before any smaller search.
 
     With the exact `oracle_procedure` this measurement is most of the
-    rounding stage. The subadditive lane hands every group one
-    `OracleTables` for the run, so each agent's search table is built once
+    rounding stage. The subadditive lane passes one `OracleTables` for the
+    run as `targets`, so each agent's search table is built once
     and each (agent, kept set) valued once: on the benchmark's near-uniform
     3x24 seed 1 the seven groups make 85 oracle `value` calls, down from
     327 with tables built per group. Largest first also lets each smaller
@@ -482,7 +488,6 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     agents = sorted(split.columns)
     if not agents:
         return 1.0
-    targets = scaled_targets(split, valuations)
 
     def factor(group: tuple[int, ...]) -> float:
         columns = {i: [(c.items, c.weight) for c in split.columns[i]] for i in group}
@@ -517,21 +522,22 @@ def geometric_round(u: float, delta: float) -> int:
 
 
 def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
-                   items: Sequence[int], delta: float, proc: RoundingProcedure,
-                   rng: RngStream, extra_rounds: int = 10) -> RoundOutcome:
+                   targets: Mapping[int, float], items: Sequence[int], delta: float,
+                   proc: RoundingProcedure, rng: RngStream,
+                   extra_rounds: int = 10) -> RoundOutcome:
     """Iterated rounding: satisfied agents keep a geometric slice of items.
 
     Every item independently draws the round r_j in which it is handed
     out. Each round runs the rounding procedure on the remaining agents;
-    agents whose set reaches delta times their target exit with the items
-    of their set that drew the current round. The loop is capped at the
-    expected depth plus `extra_rounds`; hitting the cap marks the outcome
-    (it indicates the procedure is not meeting its welfare contract) and
-    leaves the stragglers with empty sets.
+    agents whose set reaches delta times their target V'_i (`targets`, as
+    `scaled_targets` gives them) exit with the items of their set that
+    drew the current round. The loop is capped at the expected depth plus
+    `extra_rounds`; hitting the cap marks the outcome (it indicates the
+    procedure is not meeting its welfare contract) and leaves the
+    stragglers with empty sets.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    targets = scaled_targets(split, valuations)
     agents0 = sorted(split.columns)
     item_rounds = {int(j): geometric_round(rng.uniform(_ITEM_ROUNDS, int(j)), delta)
                    for j in items}

@@ -9,12 +9,12 @@ of `value` and belongs to the one pipeline run that made it.
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe with
 its value, and breaks ties by lexicographic rank, which the table builds
-when `demand` first reads it. One table
-serves every query over its universe; a `concave_ext` call, which repeats
-queries, holds one, and a call without one enumerates afresh. The
-relaxation's agents hold tables too, but read them only for their values,
-to price every set at once, and send no demand query. A table fills itself on first use, and two workers
-filling one at once compute the same arrays.
+when `demand` first reads it. One table serves every query over its
+universe; a `concave_ext` call, which repeats queries, holds one, and a
+call without one enumerates afresh. The relaxation's agents hold tables
+too, but read them only for their values, to price every set at once,
+and send no demand query. A table fills itself on first use, and two
+workers filling one at once compute the same arrays.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from nswforge.rounding import (
     measured_welfare_factor,
     oracle_procedure,
     round_xos,
+    scaled_targets,
 )
 from nswforge.splitting import split_subadditive, split_xos
 from nswforge.valuations import Additive
@@ -303,12 +304,13 @@ def test_criterion_08_iterated_rounding_structure():
         split = split_subadditive(config, inst.valuations,
                                   {i: targets[i] for i in eligible},
                                   {i: nu[i] for i in eligible})
-        d = measured_welfare_factor(split, inst.valuations, oracle_procedure,
+        vprime = scaled_targets(split, inst.valuations)
+        d = measured_welfare_factor(split, inst.valuations, vprime, oracle_procedure,
                                     RngStream(0))
         delta = 1.0 / (7.0 * d)
         log_ratios = []
         for seed in range(seeds_per):
-            outcome = iterated_round(split, inst.valuations, sorted(remaining),
+            outcome = iterated_round(split, inst.valuations, vprime, sorted(remaining),
                                      delta, oracle_procedure, RngStream(seed))
             assert not outcome.rounds_capped
             for stats in outcome.round_log:

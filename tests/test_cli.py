@@ -190,22 +190,28 @@ class TestRatio:
     def test_status_column(self, tmp_path, monkeypatch):
         # 2x2: the matching takes every item; additive 3x6 on the XOS lane
         # converges; budgeted 3x6 converges but is too narrow for the
-        # subadditive filter; cut to 3 Newton steps, it misses its certificate
-        from nswforge import pipeline
-        from nswforge.relaxation import EgParams
+        # subadditive filter; near-uniform 2x16 passes the filter, but a cr
+        # procedure that hands out nothing never lets an agent exit; cut to
+        # 3 Newton steps, budgeted 3x6 misses its certificate
+        from nswforge import pipeline, relaxation
 
         grids = {"square": ("additive", 2, 2, "xos"), "xos": ("additive", 3, 6, "xos"),
                  "budgeted": ("budgeted_additive", 3, 6, "subadditive"),
+                 "rounds_capped": ("additive", 2, 16, "subadditive"),
                  "capped": ("budgeted_additive", 3, 6, "subadditive")}
         seen = {}
         for name, (family, n, m, pipeline_name) in grids.items():
+            extra = []
+            if name == "rounds_capped":
+                monkeypatch.setitem(pipeline.PROCEDURES, "cr",
+                                    lambda columns, *args: {i: frozenset() for i in columns})
+                extra = ["--weights", "near_uniform", "--proc", "cr"]
             if name == "capped":
-                monkeypatch.setattr(pipeline.PipelineParams, "eg_params", lambda params: EgParams(
-                    alpha=params.alpha, epsilon=params.epsilon, max_iterations=3))
+                monkeypatch.setattr(relaxation, "MAX_ITERATIONS", 3)
             path = tmp_path / f"{name}.csv"
             assert main(["ratio", "--family", family, "--n", str(n), "--m", str(m),
                          "--count", "6", "--pipeline", pipeline_name, "--seed", "1",
-                         "--out", str(path)]) == EXIT_OK
+                         "--out", str(path), *extra]) == EXIT_OK
             lines = path.read_text().splitlines()
             header = lines[1].split(",")
             rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
@@ -215,6 +221,7 @@ class TestRatio:
         assert seen["square"] == ["not_run"] * 6
         assert seen["xos"] == ["converged"] * 6
         assert seen["budgeted"] == ["fallback_matching"] * 6
+        assert seen["rounds_capped"] == ["rounds_capped"] * 6
         assert seen["capped"] == ["capped"] * 6
 
     def test_empty_directory_errors(self, tmp_path):

@@ -12,7 +12,16 @@ import nswforge
 from nswforge import oracle, relaxation
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _perfbench(name):
+    """A module of the benchmark, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_export_resolves_once():
@@ -24,9 +33,7 @@ def test_every_export_resolves_once():
 def test_benchmark_tracer_installs_and_removes():
     # perfbench/tracer.py wraps module attributes by name: a renamed one
     # fails here rather than in a traced benchmark run
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = _perfbench("tracer")
     modules = (relaxation, oracle)  # the two names of `_lp.maximize`
     maximize, tracer = [mod.maximize for mod in modules], tracer_mod.Tracer()
     try:
@@ -35,6 +42,24 @@ def test_benchmark_tracer_installs_and_removes():
     finally:
         tracer.remove()
     assert all(mod.maximize is f for mod, f in zip(modules, maximize))
+
+
+def test_benchmark_tracer_sees_every_pipeline_stage():
+    # the tracer wraps each stage at the name the pipeline calls it by: a
+    # stage bound at import time would go unseen and empty its metric
+    tracer_mod, workloads = _perfbench("tracer"), _perfbench("workloads")
+    shapes = {s.key: s for pool in workloads.WORKLOADS.values() for s in pool}
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer)
+    try:
+        for key in ("xos_3x6", "near_uniform_2x16"):
+            op = workloads.Op(shapes[key], 0)
+            workloads.run_op(op, op.shape.instance(0))
+    finally:
+        tracer.remove()
+    assert {"pipeline.run_xos", "pipeline.run_subadditive", "matching.initial_matching",
+            "relaxation.solve_eg", "splitting.split", "rounding.welfare_factor",
+            "rounding.round", "rounding.procedure"} <= {span[0] for span in tracer.spans}
 
 
 @pytest.mark.parametrize("module", ["nswforge", "nswforge.cli"])

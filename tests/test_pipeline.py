@@ -38,8 +38,8 @@ def assert_structure(report, inst):
 
 
 def _oracle_tables(monkeypatch):
-    """A list that receives the `OracleTables` of each oracle search a run
-    makes: within one run every search gets the same one."""
+    """A list that receives the `OracleTables` of each oracle call a run
+    makes: within one run every call gets the same one."""
     tables = []
 
     def spy(columns, valuations, targets, *args, search=pipeline.PROCEDURES["oracle"]):
@@ -142,22 +142,27 @@ class TestRunSubadditive:
 
     @pytest.mark.parametrize("proc", ["oracle", "cr"])
     def test_each_search_goes_through_the_procedure_table(self, proc, monkeypatch):
-        # the deterministic oracle searches each agent group once (iterated
-        # rounding reuses what measuring d found); cr draws anew every round
+        # the deterministic oracle searches each agent group once, largest
+        # first, while d is measured, and each round gets back a recorded
+        # choice; cr draws anew every round
         rng = np.random.default_rng(29)
         inst = make_instance(*[Additive(rng.uniform(0.9, 1.0, 16)) for _ in range(2)])
-        groups = []
+        groups, tables = [], []
 
-        def spy(columns, *args, search=pipeline.PROCEDURES[proc]):
+        def spy(columns, valuations, targets, *args, search=pipeline.PROCEDURES[proc]):
             groups.append(tuple(sorted(columns)))
-            return search(columns, *args)
+            tables.append(targets)
+            return search(columns, valuations, targets, *args)
         monkeypatch.setitem(pipeline.PROCEDURES, proc, spy)
         report = run_subadditive(inst, PipelineParams(seed=2, proc=proc))
         assert report.filtered == {0, 1} and report.outcome.round_log
+        rounds = len(report.outcome.round_log)
         if proc == "oracle":
-            assert sorted(groups) == [(0,), (0, 1), (1,)]
+            assert groups[:3] == [(0, 1), (0,), (1,)] and len(groups) == 3 + rounds
+            assert all(t is tables[0] for t in tables)
+            assert sorted(tuple(sorted(g)) for g in tables[0].visits) == [(0,), (0, 1), (1,)]
         else:
-            assert groups == [(0, 1)] * len(report.outcome.round_log)
+            assert groups == [(0, 1)] * rounds
 
     def test_capped_full_group_fails_before_smaller_searches(self, monkeypatch):
         # under a lowered node budget the full group of near-uniform 4x40

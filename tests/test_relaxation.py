@@ -308,12 +308,13 @@ class TestSolveEg:
     @pytest.mark.parametrize("spec", [GenSpec("xos", 3, 6, seed=1),
                                       GenSpec("budgeted_additive", 3, 8, seed=0)],
                              ids=["xos", "budgeted_additive"])
-    def test_gap_bounds_the_returned_iterate_when_capped(self, spec):
+    def test_gap_bounds_the_returned_iterate_when_capped(self, spec, monkeypatch):
         inst = generate(spec)
         _, _, remaining, active = initial_matching(inst)
         # the solves converge in 9 and 10 steps; cut to 5, they miss their
         # certificate
-        eg = solve_eg(inst, active, remaining, EgParams(max_iterations=5))
+        monkeypatch.setattr(relaxation, "MAX_ITERATIONS", 5)
+        eg = solve_eg(inst, active, remaining)
         assert not eg.converged and eg.iterations == 5
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         best_row_gap = next(gap for _, obj, gap, _ in eg.trace if obj == eg.objective)
@@ -326,7 +327,7 @@ class TestSolveEg:
         inst = generate(spec)
         _, _, remaining, active = initial_matching(inst)
         eg = solve_eg(inst, active, remaining)
-        assert eg.converged and eg.iterations < EgParams().max_iterations
+        assert eg.converged and eg.iterations < relaxation.MAX_ITERATIONS
         assert eg.gap == min(obj + gap for _, obj, gap, _ in eg.trace) - eg.objective
         assert 0 <= eg.gap <= eg.epsilon ** 4 * len(eg.agents)
 
@@ -387,7 +388,7 @@ class TestAdditiveBarrier:
     def test_converges_with_true_bounds_in_every_row(self, shape):
         n, m = shape
         eg = solve_eg(additive_instance(sum(shape), n, m), range(n), range(m))
-        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert eg.converged and eg.iterations == len(eg.trace) < relaxation.MAX_ITERATIONS
         assert 0 <= eg.gap <= eg.epsilon ** 4 * n
         assert eg.trace[-1][1] == eg.objective
         assert eg.trace[-1][2] <= eg.epsilon ** 4 * n
@@ -479,7 +480,7 @@ class TestXosBarrier:
     def test_converges_with_true_bounds_in_every_row(self, shape):
         n, m = shape
         eg = solve_eg(xos_instance(sum(shape), n, m), range(n), range(m))
-        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert eg.converged and eg.iterations == len(eg.trace) < relaxation.MAX_ITERATIONS
         assert 0 <= eg.gap <= eg.epsilon ** 4 * n
         assert eg.trace[-1][1] == eg.objective
         assert eg.objective == pytest.approx(math.log(math.prod(eg.values().values())),
@@ -614,7 +615,7 @@ class TestConfigBarrier:
         n, m = shape
         inst = generate(GenSpec(family, n, m, seed=sum(shape)))
         eg = solve_eg(inst, range(n), range(m))
-        assert eg.converged and eg.iterations == len(eg.trace) < EgParams().max_iterations
+        assert eg.converged and eg.iterations == len(eg.trace) < relaxation.MAX_ITERATIONS
         assert 0 <= eg.gap <= eg.epsilon ** 4 * n
         assert eg.trace[-1][1] == eg.objective
         assert eg.objective == pytest.approx(math.log(math.prod(eg.values().values())),

@@ -11,6 +11,7 @@ from nswforge import pipeline, rounding
 from nswforge.model import ConfigSolution, Instance, InvariantViolation
 from nswforge.rounding import (
     ORACLE_NODE_CAP,
+    WELFARE_SUBSET_CAP,
     OracleTables,
     RngStream,
     cr_procedure,
@@ -297,6 +298,8 @@ class TestOracleProcedure:
         calls = []
 
         def spy(columns, valuations, targets, *args):
+            if frozenset(columns) in targets.choices:  # a round reuses a searched group
+                return oracle_procedure(columns, valuations, targets, *args)
             # every group but the full one starts from a searched group's
             # choice; the full one dives for its floor
             assert (targets.floor(sorted(columns)) > -math.inf) == (len(columns) < 3)
@@ -459,8 +462,8 @@ class TestOracleProcedure:
         # its floor prunes every profile of {0}
         vals = [Additive([1.0, 1.0, 1.0])] * 2
         cols = {0: [(frozenset({0}), 0.5), (frozenset({1}), 0.5)]}
+        assert oracle_procedure(cols, vals, {0: 1.0, 1: 1.0}) == {0: frozenset({0})}
         tables = OracleTables(vals, {0: 1.0, 1: 1.0})
-        assert oracle_procedure(cols, vals, tables) == {0: frozenset({0})}
         tables.choices[frozenset({0, 1})] = {0: frozenset({0, 1, 2}), 1: frozenset()}
         with pytest.raises(InvariantViolation, match="floor exceeds"):
             oracle_procedure(cols, vals, tables)
@@ -472,7 +475,7 @@ class TestOracleProcedure:
         inst = Instance(tuple(f"agent{i}" for i in range(3)),
                         tuple(f"item{j}" for j in range(24)),
                         tuple(Additive(gen.uniform(0.9, 1.0, 24)) for _ in range(3)))
-        inside, valued, groups = [], [], []
+        inside, valued, tables = [], [], []
         value = Additive.value
 
         def counted(self, items):
@@ -484,18 +487,19 @@ class TestOracleProcedure:
                 valued.append((agent, frozenset(items)))
             return value(self, items)
 
-        def spy(columns, *args, search=pipeline.PROCEDURES["oracle"]):
-            groups.append(tuple(sorted(columns)))
+        def spy(columns, valuations, targets, *args, search=pipeline.PROCEDURES["oracle"]):
+            tables.append(targets)
             inside.append(True)
             try:
-                return search(columns, *args)
+                return search(columns, valuations, targets, *args)
             finally:
                 inside.pop()
         monkeypatch.setattr(Additive, "value", counted)
         monkeypatch.setitem(pipeline.PROCEDURES, "oracle", spy)
         report = pipeline.run_subadditive(inst, pipeline.PipelineParams(seed=1, proc="oracle"))
         assert report.filtered == {0, 1, 2} and report.outcome.round_log
-        assert len(groups) == 7  # measuring d searches each group; rounds reuse them
+        # measuring d searches each group; rounds reuse their choices
+        assert all(t is tables[0] for t in tables) and len(tables[0].visits) == 7
         assert len(valued) == len(set(valued))
         # each agent's supports are bound values in every group that holds it
         supports = {i: {c.items for c in report.split.columns[i]} for i in range(3)}
@@ -507,8 +511,8 @@ class TestIteratedRound:
         v = Additive([1.0] * 8)
         split = sub_split([v], {0: [(frozenset(range(8)), 1.0)]})
         rng = RngStream(21)
-        outcome = iterated_round(split, [v], list(range(8)), 0.25,
-                                 oracle_procedure, rng)
+        outcome = iterated_round(split, [v], scaled_targets(split, [v]), list(range(8)),
+                                 0.25, oracle_procedure, rng)
         assert outcome.exit_rounds == {0: 1}
         slice_one = {j for j, r in outcome.item_rounds.items() if r == 1}
         assert outcome.allocation.bundle(0) == outcome.tentative[0] & slice_one
@@ -517,11 +521,12 @@ class TestIteratedRound:
         # items kept by a round-1 exiter appear with probability delta
         v = Additive([1.0] * 6)
         split = sub_split([v], {0: [(frozenset(range(6)), 1.0)]})
+        targets = scaled_targets(split, [v])
         delta = 0.25
         kept = 0
         total = 0
         for seed in range(3000):
-            outcome = iterated_round(split, [v], list(range(6)), delta,
+            outcome = iterated_round(split, [v], targets, list(range(6)), delta,
                                      oracle_procedure, RngStream(seed))
             kept += len(outcome.allocation.bundle(0))
             total += len(outcome.tentative[0])
@@ -541,8 +546,8 @@ class TestIteratedRound:
                 out[i] = columns[i][0][0] if i == chosen else frozenset()
             return out
 
-        outcome = iterated_round(split, vals, list(range(14)), 0.25,
-                                 one_at_a_time, RngStream(33))
+        outcome = iterated_round(split, vals, scaled_targets(split, vals), list(range(14)),
+                                 0.25, one_at_a_time, RngStream(33))
         assert outcome.exit_rounds == {0: 1, 1: 2}
         slice_two = {j for j, r in outcome.item_rounds.items() if r == 2}
         assert outcome.allocation.bundle(1) == outcome.tentative[1] & slice_two
@@ -554,8 +559,8 @@ class TestIteratedRound:
         def hopeless(columns, valuations, targets, rng, t):
             return {i: frozenset() for i in columns}
 
-        outcome = iterated_round(split, [v], list(range(8)), 0.25,
-                                 hopeless, RngStream(1), extra_rounds=2)
+        outcome = iterated_round(split, [v], scaled_targets(split, [v]), list(range(8)),
+                                 0.25, hopeless, RngStream(1), extra_rounds=2)
         assert outcome.rounds_capped
         assert outcome.allocation.bundle(0) == frozenset()
 
@@ -577,9 +582,10 @@ class TestIteratedRound:
         except ValueError:
             return  # target below 6 nu; not a valid iterated-rounding input
         stream = RngStream(seed)
-        d = measured_welfare_factor(split, vals, oracle_procedure, stream)
+        targets = scaled_targets(split, vals)
+        d = measured_welfare_factor(split, vals, targets, oracle_procedure, stream)
         delta = 1.0 / (7.0 * d)
-        outcome = iterated_round(split, vals, list(range(m)), delta,
+        outcome = iterated_round(split, vals, targets, list(range(m)), delta,
                                  oracle_procedure, stream)
         assert not outcome.rounds_capped
         a = len(split.columns)
@@ -593,9 +599,10 @@ class TestIteratedRound:
     def test_determinism(self):
         v = Additive([1.0] * 8)
         split = sub_split([v], {0: [(frozenset(range(8)), 1.0)]})
-        a = iterated_round(split, [v], list(range(8)), 0.2, oracle_procedure,
+        targets = scaled_targets(split, [v])
+        a = iterated_round(split, [v], targets, list(range(8)), 0.2, oracle_procedure,
                            RngStream(9)).to_json()
-        b = iterated_round(split, [v], list(range(8)), 0.2, oracle_procedure,
+        b = iterated_round(split, [v], targets, list(range(8)), 0.2, oracle_procedure,
                            RngStream(9)).to_json()
         assert a == b
 
@@ -692,7 +699,26 @@ class TestMeasuredFactor:
     def test_single_agent_factor(self):
         v = Additive([1.0] * 6)
         split = sub_split([v], {0: [(frozenset(range(6)), 1.0)]})
-        d = measured_welfare_factor(split, [v], oracle_procedure, RngStream(0))
         targets = scaled_targets(split, [v])
+        d = measured_welfare_factor(split, [v], targets, oracle_procedure, RngStream(0))
         best = max(v.value(c.items) for c in split.columns[0])
         assert d == pytest.approx(targets[0] / best)
+
+    def test_past_the_subset_cap_only_the_full_group_is_measured(self):
+        # 13 agents on 8 items each: d is 1.25 times the full group's
+        # |B| / welfare(B), and no smaller group is searched
+        n = WELFARE_SUBSET_CAP + 1
+        vals = [Additive([1.0] * 8 * n)] * n
+        split = sub_split(vals, {i: [(frozenset(range(8 * i, 8 * i + 8)), 1.0)]
+                                 for i in range(n)})
+        targets = scaled_targets(split, vals)
+        kept = {i: frozenset(range(8 * i, 8 * i + 1 + i % 4)) for i in range(n)}
+        groups = []
+
+        def stub(columns, valuations, targets, rng, t):
+            groups.append(tuple(sorted(columns)))
+            return {i: kept[i] for i in columns}
+        d = measured_welfare_factor(split, vals, targets, stub, RngStream(0))
+        assert groups == [tuple(range(n))]
+        welfare = sum(vals[i].value(kept[i]) / targets[i] for i in range(n))
+        assert d == pytest.approx(1.25 * n / welfare)
