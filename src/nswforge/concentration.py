@@ -28,8 +28,7 @@ class TailExperiment:
     """A valuation sampled on random subsets of a base set.
 
     `probs` holds the per-item inclusion probability (items outside the
-    base set never appear); `q` and `k` parameterize the tail bounds and
-    `nu` caps the singleton values (defaults to the true maximum).
+    base set never appear); `q` and `k` parameterize the tail bounds.
     """
 
     valuation: Valuation
@@ -38,7 +37,6 @@ class TailExperiment:
     trials: int = DEFAULT_TRIALS
     q: int = 2
     k: int = 3
-    nu: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +53,7 @@ class TailExperiment:
         return cls(valuation=valuation, base_set=base, probs=probs, **kw)
 
     def singleton_cap(self) -> float:
-        if self.nu is not None:
-            return float(self.nu)
+        """nu: the largest singleton value on the base set."""
         return singleton_max(self.valuation, self.base_set)
 
     def sample_values(self) -> np.ndarray:
@@ -78,8 +75,6 @@ class TailExperiment:
         """The unit of the nu-rescaled checks: the singleton cap nu, or 1
         when nu == 0 forces f to vanish on the base set."""
         nu = self.singleton_cap()
-        if nu < 0:
-            raise ValueError("negative singleton cap")
         return nu if nu > 0 else 1.0
 
     @cached_property

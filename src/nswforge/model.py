@@ -141,13 +141,14 @@ class ConfigSolution:
             mass[agent] = row
         return ItemFractional(mass)
 
-    def validate(self, m: int, tol: float = CHECK_TOL) -> None:
+    def validate(self, m: int) -> None:
+        """Weights at least 0 and item loads at most 1, up to `CHECK_TOL`."""
         for agent, cols in self.columns.items():
             for _, w in cols:
-                if w < -tol:
+                if w < -CHECK_TOL:
                     raise ValueError(f"negative column weight for agent {agent}")
         load = self.item_load(m)
-        if load.size and load.max() > 1.0 + tol:
+        if load.size and load.max() > 1.0 + CHECK_TOL:
             j = int(np.argmax(load))
             raise ValueError(f"item {j} capacity exceeded: {load[j]:.12f}")
 
@@ -164,14 +165,15 @@ class ItemFractional:
             x[j] = val
         return x
 
-    def validate(self, m: int, tol: float = CHECK_TOL) -> None:
+    def validate(self, m: int) -> None:
+        """Each x_ij in [0, 1] and item loads at most 1, up to `CHECK_TOL`."""
         load = np.zeros(m)
         for agent, row in self.mass.items():
             for j, val in row.items():
-                if val < -tol or val > 1.0 + tol:
+                if val < -CHECK_TOL or val > 1.0 + CHECK_TOL:
                     raise ValueError(f"x[{agent},{j}] = {val} outside [0, 1]")
                 load[j] += val
-        if load.size and load.max() > 1.0 + tol:
+        if load.size and load.max() > 1.0 + CHECK_TOL:
             j = int(np.argmax(load))
             raise ValueError(f"item {j} mass exceeds capacity: {load[j]:.12f}")
 
@@ -345,28 +347,28 @@ def _mask_set(mask: int, m: int) -> frozenset[int]:
     return frozenset(j for j in range(m) if mask >> j & 1)
 
 
-def validate_valuation(v: Valuation, m: int, cap: int = EXHAUSTIVE_CAP,
-                       tol: float = CHECK_TOL) -> ValuationReport:
-    """Exhaustive monotonicity and subadditivity check over all subsets.
+def validate_valuation(v: Valuation, m: int) -> ValuationReport:
+    """Exhaustive monotonicity and subadditivity check over all subsets,
+    up to `CHECK_TOL`.
 
-    Universes above `cap` items mark the exhaustive checks as skipped.
-    The subadditive check covers all disjoint pairs (S, T), which suffices
-    for monotone functions.
+    Universes above `EXHAUSTIVE_CAP` items mark the exhaustive checks as
+    skipped. The subadditive check covers all disjoint pairs (S, T), which
+    suffices for monotone functions.
     """
     if v.m != m:
         raise ValueError("valuation universe does not match the item count")
-    if m > cap:
-        return ValuationReport(zero_at_empty=v.value(()) <= tol, monotone=None,
+    if m > EXHAUSTIVE_CAP:
+        return ValuationReport(zero_at_empty=v.value(()) <= CHECK_TOL, monotone=None,
                                subadditive=None, skipped=True)
 
     masks = np.arange(1 << m, dtype=np.int64)
     vals = v.value_rows(_all_subset_rows(np.arange(m), m))
 
-    zero_ok = abs(vals[0]) <= tol
+    zero_ok = abs(vals[0]) <= CHECK_TOL
     mono_ok, mono_ce = True, None
     for j in range(m):
         without = masks[(masks >> j) & 1 == 0]
-        bad = np.flatnonzero(vals[without] > vals[without | (1 << j)] + tol)
+        bad = np.flatnonzero(vals[without] > vals[without | (1 << j)] + CHECK_TOL)
         if bad.size:
             mono_ok = False
             mono_ce = (_mask_set(int(without[bad[0]]), m), j)
@@ -378,7 +380,7 @@ def validate_valuation(v: Valuation, m: int, cap: int = EXHAUSTIVE_CAP,
         subs = np.zeros(1 << len(comp_bits), dtype=np.int64)
         for pos, j in enumerate(comp_bits):
             subs |= ((np.arange(subs.size) >> pos) & 1) << j
-        bad = np.flatnonzero(vals[subs | t_mask] > vals[subs] + vals[t_mask] + tol)
+        bad = np.flatnonzero(vals[subs | t_mask] > vals[subs] + vals[t_mask] + CHECK_TOL)
         if bad.size:
             sub_ok = False
             sub_ce = (_mask_set(int(subs[bad[0]]), m), _mask_set(t_mask, m))

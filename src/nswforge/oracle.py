@@ -8,9 +8,10 @@ last one only the 2^k submasks of the full mask, so n agents cost
 `(n-2)*3^k + 2^k` combinations. Values combine in agent order and rounding
 is monotone, so optima are bit-identical to enumerating all n^k
 assignments. The fractional optimum is an explicit `n*2^k`-column LP.
-Caps (at most `EXHAUSTIVE_CAP` items for the DP's 2^k value tables, `cap`
-on its combinations, a column cap for the LP) are hard errors, never
-silent truncation.
+Caps (at most `EXHAUSTIVE_CAP` items for the DP's 2^k value tables,
+`NSW_DP_CAP` on its combinations, `CONFIG_LP_CAP` on the LP's columns)
+are module constants, read at each call, and hard errors, never silent
+truncation.
 """
 
 from __future__ import annotations
@@ -95,14 +96,14 @@ def _subset_dp(tables: list[np.ndarray], combine) -> tuple[float, list[int]]:
     return best, masks
 
 
-def _best_partition(inst: Instance, agents: list[int], items: list[int], cap: int,
+def _best_partition(inst: Instance, agents: list[int], items: list[int],
                     combine, scales=None) -> tuple[float, Allocation]:
     n, k = len(agents), len(items)
     if k > EXHAUSTIVE_CAP:
         raise CapExceeded(f"{k} items exceed the value-table cap of {EXHAUSTIVE_CAP}")
     products = max(n - 2, 0) * 3 ** k + 2 ** k
-    if products > cap:
-        raise CapExceeded(f"{products} subset-DP products exceed the cap of {cap}")
+    if products > NSW_DP_CAP:
+        raise CapExceeded(f"{products} subset-DP products exceed the cap of {NSW_DP_CAP}")
     tables = _value_tables(inst, agents, items)
     if scales is not None:
         tables = [table * scale for table, scale in zip(tables, scales)]
@@ -113,59 +114,56 @@ def _best_partition(inst: Instance, agents: list[int], items: list[int], cap: in
     return best, witness
 
 
-def exact_nsw(inst: Instance, items: Iterable[int] | None = None,
-              cap: int = NSW_DP_CAP) -> ExactResult:
-    """Maximum NSW over all assignments of `items` (default: all items).
-    `nodes` counts those assignments, n^k."""
-    item_list = _item_list(inst, items)
-    product, witness = _best_partition(inst, list(inst.agents), item_list, cap,
+def exact_nsw(inst: Instance) -> ExactResult:
+    """Maximum NSW over all assignments of the instance's items. `nodes`
+    counts those assignments, n^m. Past `NSW_DP_CAP` subset-DP products or
+    `EXHAUSTIVE_CAP` items it raises `CapExceeded`."""
+    product, witness = _best_partition(inst, list(inst.agents), list(inst.items),
                                        np.multiply)
     optimum = product ** (1.0 / inst.n) if product > 0 else 0.0
     return ExactResult(optimum=float(optimum), witness=witness,
-                       nodes=inst.n ** len(item_list))
+                       nodes=inst.n ** inst.m)
 
 
 def exact_scaled_welfare(inst: Instance, targets, agents: Iterable[int] | None = None,
-                         items: Iterable[int] | None = None,
-                         cap: int = NSW_DP_CAP) -> ExactResult:
-    """max over allocations of sum_i v_i(T_i) / V_i, integral witness."""
+                         items: Iterable[int] | None = None) -> ExactResult:
+    """max over allocations of sum_i v_i(T_i) / V_i, integral witness.
+    Capped as `exact_nsw`."""
     agent_list = sorted(inst.agents if agents is None else set(agents))
     item_list = _item_list(inst, items)
     targets = {i: float(targets[i]) for i in agent_list}
     for i, v in targets.items():
         if v <= 0:
             raise ValueError(f"target for agent {i} must be positive")
-    welfare, witness = _best_partition(inst, agent_list, item_list, cap, np.add,
+    welfare, witness = _best_partition(inst, agent_list, item_list, np.add,
                                        [1.0 / targets[i] for i in agent_list])
     return ExactResult(optimum=welfare, witness=witness,
                        nodes=len(agent_list) ** len(item_list))
 
 
-def exact_config_lp(inst: Instance, objective: str = "welfare", targets=None,
+def exact_config_lp(inst: Instance, targets=None,
                     agents: Iterable[int] | None = None,
-                    items: Iterable[int] | None = None,
-                    cap: int = CONFIG_LP_CAP) -> ExactResult:
+                    items: Iterable[int] | None = None) -> ExactResult:
     """Full configuration LP by explicit column enumeration.
 
     Columns are all (agent, subset) pairs over `items`, with unit per-agent
-    mass and unit per-item capacity. `objective="scaled"` divides each
-    agent's values by its target, which yields the exact contract constant
-    for the relaxation-solver check.
+    mass and unit per-item capacity; more than `CONFIG_LP_CAP` of them
+    raise `CapExceeded`. The objective is the welfare, or, when `targets`
+    are given, each agent's values divided by its target, which yields the
+    exact contract constant for the relaxation-solver check.
     """
-    if objective not in ("welfare", "scaled"):
-        raise ValueError(f"unknown objective {objective!r}")
     agent_list = sorted(inst.agents if agents is None else set(agents))
     item_list = _item_list(inst, items)
     n, k = len(agent_list), len(item_list)
     n_cols = n << k
-    if n_cols > cap:
-        raise CapExceeded(f"{n_cols} LP columns exceed the cap of {cap}")
+    if n_cols > CONFIG_LP_CAP:
+        raise CapExceeded(f"{n_cols} LP columns exceed the cap of {CONFIG_LP_CAP}")
     tables = _value_tables(inst, agent_list, item_list)
 
     c = np.empty(n_cols)
     for pos, i in enumerate(agent_list):
         vals = tables[pos]
-        if objective == "scaled":
+        if targets is not None:
             t = float(targets[i])
             if t <= 0:
                 raise ValueError(f"target for agent {i} must be positive")

@@ -908,7 +908,6 @@ def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float) -> tuple[fl
     """Exact contract check: the scaled configuration-LP optimum against
     the solver's own targets must stay below (1 + alpha) * |agents|."""
     targets = eg.values()
-    res = exact_config_lp(inst, objective="scaled", targets=targets,
-                          agents=eg.agents, items=eg.items)
+    res = exact_config_lp(inst, targets=targets, agents=eg.agents, items=eg.items)
     ratio = res.optimum
     return ratio, ratio <= (1.0 + alpha) * len(eg.agents) + CONTRACT_TOL

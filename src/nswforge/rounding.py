@@ -30,6 +30,7 @@ STREAM_TRIALS = 4
 
 ORACLE_NODE_CAP = 10**6  # most partial profiles and winner nodes one oracle search visits
 WELFARE_SUBSET_CAP = 12  # most agents whose every subset is measured for d
+EXTRA_ROUNDS = 10  # rounds iterated rounding runs past its expected depth
 
 
 class RngStream:
@@ -523,8 +524,7 @@ def geometric_round(u: float, delta: float) -> int:
 
 def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
                    targets: Mapping[int, float], items: Sequence[int], delta: float,
-                   proc: RoundingProcedure, rng: RngStream,
-                   extra_rounds: int = 10) -> RoundOutcome:
+                   proc: RoundingProcedure, rng: RngStream) -> RoundOutcome:
     """Iterated rounding: satisfied agents keep a geometric slice of items.
 
     Every item independently draws the round r_j in which it is handed
@@ -532,7 +532,7 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
     agents whose set reaches delta times their target V'_i (`targets`, as
     `scaled_targets` gives them) exit with the items of their set that
     drew the current round. The loop is capped at the expected depth plus
-    `extra_rounds`; hitting the cap marks the outcome (it indicates the
+    `EXTRA_ROUNDS`; hitting the cap marks the outcome (it indicates the
     procedure is not meeting its welfare contract) and leaves the
     stragglers with empty sets.
     """
@@ -543,7 +543,7 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
                    for j in items}
 
     n0 = max(len(agents0), 1)
-    cap = max(1, math.ceil(math.log(max(n0, 2)) / -math.log1p(-delta))) + extra_rounds
+    cap = max(1, math.ceil(math.log(max(n0, 2)) / -math.log1p(-delta))) + EXTRA_ROUNDS
     active = list(agents0)
     bundles: dict[int, frozenset[int]] = {}
     tentative: dict[int, frozenset[int]] = {}

@@ -7,11 +7,11 @@ safe to share across concurrent workers. A `Valuation.run_copy` adds a memo
 of `value` and belongs to the one pipeline run that made it.
 
 Budgeted-additive and table valuations have no analytic demand: their
-demand oracle searches a `SubsetTable`, every subset of the universe with
-its value, and breaks ties by lexicographic rank, which the table builds
-when `demand` first reads it. One table serves every query over its
-universe; a `concave_ext` call, which repeats queries, holds one, and a
-call without one enumerates afresh. The relaxation's agents hold tables
+demand oracle searches a `SubsetTable`, every subset of the universe as a
+boolean indicator row with its value, and breaks ties by lexicographic
+rank, which the table builds when `demand` first reads it. One table
+serves every query over its universe; a `concave_ext` call, which repeats
+queries, holds one, and a call without one enumerates afresh. The relaxation's agents hold tables
 too, but read them only for their values, to price every set at once,
 and send no demand query. A table fills itself on first use, and two
 workers filling one at once compute the same arrays.
@@ -249,13 +249,14 @@ class SubsetTable:
     """Every subset of one universe under one valuation, enumerated on
     first use and then kept.
 
-    It holds the float64 indicator rows at full width m in mask-counter
-    order (so `rows @ p` rounds exactly as the boolean product did) and
-    their values under v, and, built apart on first use because only
-    `demand`'s tie-break reads them, each subset's lexicographic rank.
-    Valuations are immutable, so the table never goes stale; it lives as
-    long as its holder, such as one `solve_eg` call. At the 16-item cap
-    with m = 16 it takes about 8 MB.
+    It holds the boolean indicator rows at full width m in mask-counter
+    order, as they were enumerated, and their values under v, and, built
+    apart on first use because only `demand`'s tie-break reads them, each
+    subset's lexicographic rank. Valuations are immutable, so the table
+    never goes stale; it lives as long as its holder, such as one
+    `solve_eg` call. At the 16-item cap with m = 16 it takes about 1.5 MB
+    (1 MB of rows, 0.5 MB of values); `demand`'s `rows @ p` casts the rows
+    to float64 for the product, 8 MB more for the length of one query.
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
@@ -273,8 +274,8 @@ class SubsetTable:
                 raise CapExceeded(
                     f"no analytic demand for {self.v.kind}; a subset table of "
                     f"{self.universe.size} items exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
-            mask_rows = _all_subset_rows(self.universe, self.v.m)
-            self._arrays = (mask_rows.astype(float), self.v.value_rows(mask_rows))
+            rows = _all_subset_rows(self.universe, self.v.m)
+            self._arrays = (rows, self.v.value_rows(rows))
         return self._arrays
 
     def ranks(self) -> np.ndarray:

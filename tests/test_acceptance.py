@@ -262,8 +262,7 @@ def test_criterion_07_rounding_expectation_bound():
     assert active, "fixture must have agents with value on the remaining items"
     eg = solve_eg(inst, active, remaining)
     split = split_xos(eg.config(), inst.valuations, eg.values())
-    best = exact_config_lp(inst, objective="welfare", agents=active,
-                           items=remaining)
+    best = exact_config_lp(inst, agents=active, items=remaining)
     marginals = best.witness.marginals(inst.m)
     v_plus_star = {}
     for i in eg.agents:

@@ -9,7 +9,8 @@ import pytest
 from nswforge import fuzz
 from nswforge.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from nswforge.generators import GenSpec, generate
-from nswforge.model import Matching, serialize_instance
+from nswforge.model import Instance, Matching, serialize_instance
+from nswforge.valuations import Additive
 
 
 @pytest.fixture
@@ -164,6 +165,23 @@ class TestRatio:
         code = main(["ratio", "--instances", str(gen_dir), "--pipeline", "xos",
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_OK
+
+    def test_zero_optimum_gives_ratio_one(self, tmp_path, capsys):
+        # both agents value only item 0, so every allocation has NSW 0,
+        # the optimum included
+        inst_dir = tmp_path / "zero"
+        inst_dir.mkdir()
+        inst = Instance(("a", "b"), ("x", "y"), (Additive([1, 0]), Additive([1, 0])))
+        (inst_dir / "zero.json").write_text(serialize_instance(inst))
+        out = tmp_path / "r.csv"
+        assert main(["ratio", "--instances", str(inst_dir), "--pipeline", "xos",
+                     "--out", str(out)]) == EXIT_OK
+        assert "min_ratio=1 " in capsys.readouterr().err
+        header, row = (line.split(",") for line in out.read_text().splitlines()[1:])
+        assert (row[header.index("nsw")], row[header.index("exact")],
+                row[header.index("ratio")]) == ("0.0", "0.0", "1.0")
+        assert main(["report", "--in", str(out), "--column", "ratio"]) == EXIT_OK
+        assert "mean=1 max=1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("family", ["additive", "xos"])
     def test_converged_column(self, family, tmp_path, capsys):

@@ -159,6 +159,6 @@ class TestValidateValuation:
         assert report.monotone and report.subadditive
 
     def test_cap_marks_skipped(self):
-        report = validate_valuation(Additive(np.ones(20)), 20, cap=16)
+        report = validate_valuation(Additive(np.ones(20)), 20)
         assert report.skipped
         assert report.monotone is None and report.subadditive is None

@@ -37,10 +37,11 @@ class TestExactNsw:
         assert res.optimum == pytest.approx(5.0)
         assert res.witness.bundle(0) == frozenset({0, 1, 2})
 
-    def test_cap_is_hard(self):
+    def test_cap_is_hard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "NSW_DP_CAP", 100)
         inst = make_instance(*[Additive(np.ones(8))] * 3)
         with pytest.raises(CapExceeded):
-            exact_nsw(inst, cap=100)
+            exact_nsw(inst)
 
     @pytest.mark.parametrize("n, optimum", [(2, 8.0), (3, 150.0 ** (1 / 3))],
                              ids=["2x16", "3x16"])
@@ -99,7 +100,7 @@ class TestExactConfigLp:
         inst = make_instance(Additive([1.0]), Additive([1.0]))
         welfare = exact_config_lp(inst)
         assert welfare.optimum == pytest.approx(1.0)
-        scaled = exact_config_lp(inst, objective="scaled", targets={0: 0.5, 1: 0.5})
+        scaled = exact_config_lp(inst, targets={0: 0.5, 1: 0.5})
         assert scaled.optimum == pytest.approx(2.0)
 
     def test_fractional_dominates_integral(self):
@@ -111,7 +112,7 @@ class TestExactConfigLp:
                                                     cap=float(rng.uniform(0.4, 1.5)))
                                    for _ in range(n)])
             targets = {i: float(rng.uniform(0.2, 1.0)) for i in range(n)}
-            frac = exact_config_lp(inst, objective="scaled", targets=targets)
+            frac = exact_config_lp(inst, targets=targets)
             integral = exact_scaled_welfare(inst, targets)
             assert frac.optimum >= integral.optimum - 1e-9
 
@@ -125,10 +126,17 @@ class TestExactConfigLp:
                       for i, cols in res.witness.columns.items() for s, w in cols)
         assert welfare == pytest.approx(res.optimum, abs=1e-8)
 
-    def test_column_cap(self):
+    def test_column_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CONFIG_LP_CAP", 1000)
         inst = make_instance(Additive(np.ones(12)), Additive(np.ones(12)))
         with pytest.raises(CapExceeded):
-            exact_config_lp(inst, cap=1000)
+            exact_config_lp(inst)
+
+    def test_default_column_cap(self):
+        # 16 agents over 16 items make 16 * 2^16 > 10^6 columns
+        inst = make_instance(*[Additive(np.ones(16))] * 16)
+        with pytest.raises(CapExceeded, match="exceed the cap of 1000000"):
+            exact_config_lp(inst)
 
     def test_optimum_equals_extension_sum_at_witness(self):
         # the config LP optimum coincides with the sum of concave

@@ -62,6 +62,62 @@ def test_benchmark_tracer_sees_every_pipeline_stage():
             "rounding.round", "rounding.procedure"} <= {span[0] for span in tracer.spans}
 
 
+# NSW (`float.hex`) and allocation of every pipeline op of the benchmark
+# pool; they agree under one and two BLAS threads
+POOL_OUTPUTS = {
+    "xos_3x6#0": ("0x1.0589590eebeebp+0", {0: [4], 1: [0], 2: [3, 5]}),
+    "xos_3x6#1": ("0x1.c913a968c30cdp-1", {0: [1], 1: [3], 2: [5]}),
+    "additive_3x10#0": ("0x1.3ce56dd3ad30cp+0", {0: [4], 1: [5, 6], 2: [0, 3]}),
+    "additive_3x10#1": ("0x1.d2dce9ffd3644p-1", {0: [7], 1: [9], 2: [8]}),
+    "xos_4x12#0": ("0x1.083807d7f63e2p+0", {0: [4], 1: [6], 2: [2, 10], 3: [8]}),
+    "near_uniform_2x16#0": ("0x1.ad2b98b9e0170p+1", {0: [6, 11, 13], 1: [5, 7, 12, 14]}),
+    "near_uniform_3x24#1": ("0x1.3fbb430b18262p+0", {0: [22], 1: [15], 2: [8, 13]}),
+    "table_3x10#0": ("0x1.f32a46dea5919p-1", {0: [8], 1: [6], 2: [2]}),
+    "budgeted_additive_3x14#1": ("0x1.d2dce9ffd3644p-1", {0: [7], 1: [9], 2: [8]}),
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench("workloads")
+
+
+def _pool_ops(workloads):
+    return {op.label: op for shapes in workloads.WORKLOADS.values()
+            for op in (workloads.Op(s, k) for s in shapes for k in s.seeds)}
+
+
+def _solve_and_check(workloads, op):
+    """The op run as the benchmark runs it, and its output checks against
+    `perfbench/reference.json`."""
+    inst = op.shape.instance(op.k)
+    result = workloads.run_op(op, inst)
+    reference = workloads.load_references()[op.shape.key]
+    assert workloads.check(op, inst, result, None if reference is None
+                           else reference[op.k]) == []
+    return result
+
+
+@pytest.mark.parametrize("label", sorted(POOL_OUTPUTS))
+def test_benchmark_pool_outputs_are_pinned(workloads, label):
+    ops = _pool_ops(workloads)
+    assert sorted(label for label, op in ops.items()
+                  if op.shape.op.startswith("run_")) == sorted(POOL_OUTPUTS)
+    report = _solve_and_check(workloads, ops[label])
+    nsw, bundles = POOL_OUTPUTS[label]
+    assert report.nsw.hex() == nsw
+    assert {i: sorted(b) for i, b in report.allocation.bundles.items()} == bundles
+
+
+def test_each_exact_oracle_shape_solves_as_the_benchmark_calls_it(workloads):
+    # a signature change to `exact_nsw` or `exact_config_lp` fails here
+    # rather than in a benchmark run
+    for shape in workloads.WORKLOADS["exact_oracles"]:
+        result = _solve_and_check(workloads, workloads.Op(shape, shape.seeds[0]))
+        assert result.nodes == (shape.n << shape.m if shape.op == "exact_config_lp"
+                                else shape.n ** shape.m)
+
+
 @pytest.mark.parametrize("module", ["nswforge", "nswforge.cli"])
 def test_import_leaves_out_scipy_optimize(module):
     # importing scipy.optimize costs about 0.2 s and 20 MB in every process

@@ -552,7 +552,8 @@ class TestIteratedRound:
         slice_two = {j for j, r in outcome.item_rounds.items() if r == 2}
         assert outcome.allocation.bundle(1) == outcome.tentative[1] & slice_two
 
-    def test_round_cap_flags_broken_procedure(self):
+    def test_round_cap_flags_broken_procedure(self, monkeypatch):
+        monkeypatch.setattr(rounding, "EXTRA_ROUNDS", 2)
         v = Additive([1.0] * 8)
         split = sub_split([v], {0: [(frozenset(range(8)), 1.0)]})
 
@@ -560,8 +561,9 @@ class TestIteratedRound:
             return {i: frozenset() for i in columns}
 
         outcome = iterated_round(split, [v], scaled_targets(split, [v]), list(range(8)),
-                                 0.25, hopeless, RngStream(1), extra_rounds=2)
+                                 0.25, hopeless, RngStream(1))
         assert outcome.rounds_capped
+        assert len(outcome.round_log) == math.ceil(math.log(2) / -math.log(0.75)) + 2
         assert outcome.allocation.bundle(0) == frozenset()
 
     @pytest.mark.parametrize("seed", range(10))

@@ -247,6 +247,8 @@ class TestSubsetTableDemand:
         for _ in range(5):
             demand(v, rng.uniform(0, 1, 6), items=[5, 3, 2, 0], table=table)
         assert calls == [4]
+        rows, values = table.arrays()
+        assert rows.dtype == bool and rows.shape == (16, 6) and values.dtype == np.float64
 
     def test_cap_is_checked_before_any_table_is_built(self, monkeypatch):
         calls = []
