@@ -7,6 +7,8 @@ standard errors. The cascade identity at the end is the reason a
 geometrically thinning tail of unlucky agents is affordable at all.
 """
 
+import dataclasses
+
 import numpy as np
 
 from nswforge import (
@@ -29,7 +31,7 @@ print(f"budgeted-additive function on {m} items, cap {valuation.cap}, "
       f"singleton cap {exp.singleton_cap():.3f}")
 print(f"{exp.trials} trials at inclusion probability 0.5\n")
 
-checks = [expectation_lower(exp, k=2)]
+checks = [expectation_lower(dataclasses.replace(exp, k=2))]
 median = float(np.sort(exp.sample_values() / exp.singleton_cap())
                [(exp.trials - 1) // 2])
 checks.append(two_sided_tail(exp, a=median))

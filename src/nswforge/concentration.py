@@ -97,11 +97,10 @@ def _se(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
-def expectation_lower(exp: TailExperiment, k: int | None = None) -> TailCheckResult:
-    """E[f(R)] >= f(S) / k when every item of S survives with probability 1/k."""
-    k = int(exp.k if k is None else k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+def expectation_lower(exp: TailExperiment) -> TailCheckResult:
+    """E[f(R)] >= f(S) / k, k = `exp.k`, when every item of S survives with
+    probability 1/k."""
+    k = exp.k
     probs = np.zeros(exp.valuation.m)
     probs[sorted(exp.base_set)] = 1.0 / k
     values = replace(exp, probs=probs).sample_values()

@@ -31,8 +31,8 @@ from .valuations import (
     SubsetTable,
     Valuation,
     Xos,
-    _all_subset_rows,
     demand,
+    subset_values,
 )
 
 SPLIT_VARIANTS = ("xos", "subadditive")
@@ -49,7 +49,8 @@ def grid_instance(seed: int, family: str) -> Instance:
 
 def _xos_table(clauses: np.ndarray) -> ExplicitTable:
     m = clauses.shape[1]
-    return ExplicitTable(Xos(clauses).value_rows(_all_subset_rows(np.arange(m), m)), m)
+    (values,) = subset_values([Xos(clauses)], range(m))
+    return ExplicitTable(values, m)
 
 
 def _columns(rng: np.random.Generator, m: int, n_sets: int, min_size: int):
@@ -147,8 +148,8 @@ def demand_case(seed: int, family: str) -> None:
         v = _xos_table(rng.uniform(0, 1, (2, m)))
     prices = rng.uniform(-0.3, 1.2, m)
     res = demand(v, prices)
-    rows = _all_subset_rows(np.arange(m), m)
-    best = float((v.value_rows(rows) - rows @ prices).max())
+    rows, values = SubsetTable(v, np.arange(m)).arrays()
+    best = float((values - rows @ prices).max())
     realized = v.value(res.items) - prices[sorted(res.items)].sum()
     if abs(res.utility - best) > 1e-12 or abs(realized - res.utility) > 1e-12:
         raise InvariantViolation(f"demand utility {res.utility} (its bundle gives "

@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import Instance
 from .rounding import STREAM_GENERATE, RngStream
-from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos, _all_subset_rows
+from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xos, subset_values
 
 FAMILIES = ("additive", "xos", "budgeted_additive", "table")
 WEIGHT_DISTRIBUTIONS = ("uniform", "integers", "heavy", "near_uniform")
@@ -53,10 +53,6 @@ def _draw_weights(gen: np.random.Generator, dist: str, m: int) -> np.ndarray:
     return np.minimum(1.0 + gen.pareto(1.5, m), 50.0)
 
 
-def _all_subset_values(v: Valuation, m: int) -> np.ndarray:
-    return v.value_rows(_all_subset_rows(np.arange(m), m))
-
-
 def _agent_valuation(spec: GenSpec, gen: np.random.Generator) -> Valuation:
     m = spec.m
     if spec.family == "additive":
@@ -75,14 +71,14 @@ def _agent_valuation(spec: GenSpec, gen: np.random.Generator) -> Valuation:
     if spec.table_style == "xos":
         rows = np.stack([_draw_weights(gen, spec.weights, m)
                          for _ in range(max(2, spec.clauses))])
-        return ExplicitTable(_all_subset_values(Xos(rows), m), m)
+        (values,) = subset_values([Xos(rows)], range(m))
+        return ExplicitTable(values, m)
     # budgeted mixture: a sum of capped additive pieces stays subadditive
     # but has no compact clause list
     parts = [BudgetedAdditive(_draw_weights(gen, spec.weights, m),
                               cap=float(spec.cap_ratio * gen.uniform(0.5, 1.5) * m / 2))
              for _ in range(2)]
-    table = sum(_all_subset_values(p, m) for p in parts)
-    return ExplicitTable(table, m)
+    return ExplicitTable(sum(subset_values(parts, range(m))), m)
 
 
 def generate(spec: GenSpec) -> Instance:

@@ -21,7 +21,8 @@ from .valuations import (
     ExplicitTable,
     Valuation,
     Xos,
-    _all_subset_rows,
+    mask_items,
+    subset_values,
 )
 
 #: absolute tolerance for <=/>= constraint checks on O(1)-normalized values
@@ -202,6 +203,14 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise SchemaError(message, path)
 
 
+def _finite(x) -> bool:
+    """`math.isfinite`, and False for an integer too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _parse_weights(raw, m: int, path: str) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == m,
              f"expected a list of {m} weights", path)
@@ -209,7 +218,7 @@ def _parse_weights(raw, m: int, path: str) -> np.ndarray:
     for k, w in enumerate(raw):
         _require(isinstance(w, (int, float)) and not isinstance(w, bool),
                  "weight must be a number", f"{path}/{k}")
-        _require(math.isfinite(w), "weight must be finite", f"{path}/{k}")
+        _require(_finite(w), "weight must be finite", f"{path}/{k}")
         _require(w >= 0, "negative weight", f"{path}/{k}")
         out[k] = float(w)
     return out
@@ -234,7 +243,7 @@ def _parse_table(raw, m: int, path: str) -> ExplicitTable:
         _require(idx == sorted(set(idx)), "indices must be sorted and unique", kpath)
         _require(all(0 <= j < m for j in idx), "item index out of range", kpath)
         _require(isinstance(val, (int, float)) and not isinstance(val, bool)
-                 and math.isfinite(val), "value must be a finite number", kpath)
+                 and _finite(val), "value must be a finite number", kpath)
         _require(val >= 0, "negative weight", kpath)
         mask = sum(1 << j for j in idx)
         seen.add(mask)
@@ -260,7 +269,7 @@ def _parse_valuation(raw, m: int, path: str) -> Valuation:
         weights = _parse_weights(raw.get("weights"), m, f"{path}/weights")
         cap = raw.get("cap")
         _require(isinstance(cap, (int, float)) and not isinstance(cap, bool)
-                 and math.isfinite(cap), "cap must be a finite number", f"{path}/cap")
+                 and _finite(cap), "cap must be a finite number", f"{path}/cap")
         _require(cap >= 0, "negative weight", f"{path}/cap")
         return BudgetedAdditive(weights, float(cap))
     if kind == "table":
@@ -343,10 +352,6 @@ class ValuationReport:
                 f"subadditive={show(self.subadditive)}")
 
 
-def _mask_set(mask: int, m: int) -> frozenset[int]:
-    return frozenset(j for j in range(m) if mask >> j & 1)
-
-
 def validate_valuation(v: Valuation, m: int) -> ValuationReport:
     """Exhaustive monotonicity and subadditivity check over all subsets,
     up to `CHECK_TOL`.
@@ -362,7 +367,7 @@ def validate_valuation(v: Valuation, m: int) -> ValuationReport:
                                subadditive=None, skipped=True)
 
     masks = np.arange(1 << m, dtype=np.int64)
-    vals = v.value_rows(_all_subset_rows(np.arange(m), m))
+    (vals,) = subset_values([v], range(m))
 
     zero_ok = abs(vals[0]) <= CHECK_TOL
     mono_ok, mono_ce = True, None
@@ -371,7 +376,7 @@ def validate_valuation(v: Valuation, m: int) -> ValuationReport:
         bad = np.flatnonzero(vals[without] > vals[without | (1 << j)] + CHECK_TOL)
         if bad.size:
             mono_ok = False
-            mono_ce = (_mask_set(int(without[bad[0]]), m), j)
+            mono_ce = (mask_items(int(without[bad[0]]), range(m)), j)
             break
 
     sub_ok, sub_ce = True, None
@@ -383,7 +388,7 @@ def validate_valuation(v: Valuation, m: int) -> ValuationReport:
         bad = np.flatnonzero(vals[subs | t_mask] > vals[subs] + vals[t_mask] + CHECK_TOL)
         if bad.size:
             sub_ok = False
-            sub_ce = (_mask_set(int(subs[bad[0]]), m), _mask_set(t_mask, m))
+            sub_ce = (mask_items(int(subs[bad[0]]), range(m)), mask_items(t_mask, range(m)))
             break
 
     return ValuationReport(zero_at_empty=zero_ok, monotone=mono_ok,

@@ -17,13 +17,13 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ._lp import maximize
 from .model import Allocation, ConfigSolution, Instance
-from .valuations import EXHAUSTIVE_CAP, CapExceeded, _all_subset_rows
+from .valuations import EXHAUSTIVE_CAP, CapExceeded, mask_incidence, mask_items, subset_values
 
 NSW_DP_CAP = 10**8
 CONFIG_LP_CAP = 10**6
@@ -39,13 +39,6 @@ class ExactResult:
 
 def _item_list(inst: Instance, items: Iterable[int] | None) -> list[int]:
     return sorted(inst.items if items is None else set(items))
-
-
-def _value_tables(inst: Instance, agents: Sequence[int],
-                  items: Sequence[int]) -> list[np.ndarray]:
-    """Per-agent value of every subset of `items`, indexed by local mask."""
-    rows = _all_subset_rows(np.asarray(items, dtype=np.int64), inst.m)
-    return [inst.valuations[i].value_rows(rows) for i in agents]
 
 
 def _disjoint_pairs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,12 +97,11 @@ def _best_partition(inst: Instance, agents: list[int], items: list[int],
     products = max(n - 2, 0) * 3 ** k + 2 ** k
     if products > NSW_DP_CAP:
         raise CapExceeded(f"{products} subset-DP products exceed the cap of {NSW_DP_CAP}")
-    tables = _value_tables(inst, agents, items)
+    tables = subset_values([inst.valuations[i] for i in agents], items)
     if scales is not None:
         tables = [table * scale for table, scale in zip(tables, scales)]
     best, masks = _subset_dp(tables, combine)
-    witness = Allocation({i: frozenset(j for t, j in enumerate(items) if mask >> t & 1)
-                          for i, mask in zip(agents, masks)})
+    witness = Allocation({i: mask_items(mask, items) for i, mask in zip(agents, masks)})
     witness.validate(inst)
     return best, witness
 
@@ -158,7 +150,7 @@ def exact_config_lp(inst: Instance, targets=None,
     n_cols = n << k
     if n_cols > CONFIG_LP_CAP:
         raise CapExceeded(f"{n_cols} LP columns exceed the cap of {CONFIG_LP_CAP}")
-    tables = _value_tables(inst, agent_list, item_list)
+    tables = subset_values([inst.valuations[i] for i in agent_list], item_list)
 
     c = np.empty(n_cols)
     for pos, i in enumerate(agent_list):
@@ -170,11 +162,7 @@ def exact_config_lp(inst: Instance, targets=None,
             vals = vals / t
         c[pos << k:(pos + 1) << k] = vals
 
-    local_masks = np.arange(1 << k, dtype=np.int64)
-    a_ub = np.zeros((k, n_cols))
-    for t in range(k):
-        contains = ((local_masks >> t) & 1).astype(float)
-        a_ub[t] = np.tile(contains, n)
+    a_ub = np.tile(mask_incidence(np.arange(1 << k), k).T.astype(float), n)
     a_eq = np.zeros((n, n_cols))
     for pos in range(n):
         a_eq[pos, pos << k:(pos + 1) << k] = 1.0
@@ -183,7 +171,6 @@ def exact_config_lp(inst: Instance, targets=None,
     columns: dict[int, list[tuple[frozenset[int], float]]] = {i: [] for i in agent_list}
     for idx in np.flatnonzero(res.x > 1e-12):
         pos, mask = divmod(int(idx), 1 << k)
-        subset = frozenset(item_list[t] for t in range(k) if mask >> t & 1)
-        columns[agent_list[pos]].append((subset, float(res.x[idx])))
+        columns[agent_list[pos]].append((mask_items(mask, item_list), float(res.x[idx])))
     witness = ConfigSolution(columns)
     return ExactResult(optimum=float(res.value), witness=witness, nodes=n_cols)

@@ -32,7 +32,7 @@ from .rounding import (
     scaled_targets,
 )
 from .splitting import SubaddSplitOutput, XosSplitOutput, split_subadditive, split_xos
-from .valuations import Additive, Xos, singleton_max
+from .valuations import Xos, singleton_max
 
 PROCEDURES: dict[str, Callable] = {
     "cr": cr_procedure,
@@ -65,6 +65,8 @@ class PipelineParams:
             raise ValueError("delta must lie in (0, 1)")
         if self.d is not None and not 1.0 < 7.0 * self.d < math.inf:
             raise ValueError("d must exceed 1/7, so that delta = 1/(7d) lies in (0, 1)")
+        if self.proc not in PROCEDURES:
+            raise ValueError(f"unknown rounding procedure {self.proc!r}")
 
     def eg_params(self) -> EgParams:
         return EgParams(alpha=self.alpha, epsilon=self.epsilon)
@@ -232,10 +234,8 @@ def _run(lane: str, inst: Instance, params: PipelineParams) -> PipelineReport:
     """
     if inst.m < inst.n:
         raise ValueError("pipeline needs at least as many items as agents")
-    if lane == "xos" and not all(isinstance(v, (Additive, Xos)) for v in inst.valuations):
+    if lane == "xos" and not all(isinstance(v, Xos) for v in inst.valuations):
         raise ValueError("pipeline requires XOS valuations")
-    if lane == "subadditive" and params.proc not in PROCEDURES:
-        raise ValueError(f"unknown rounding procedure {params.proc!r}")
     rng, clock, run = RngStream(params.seed), _Clock(), _run_instance(inst)
     tau, reserved, remaining, active = initial_matching(run)
     clock.lap("matching")

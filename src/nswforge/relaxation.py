@@ -65,7 +65,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from ._lp import maximize
 from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
 from .oracle import exact_config_lp
-from .valuations import Additive, SubsetTable, Valuation, Xos, demand
+from .valuations import SubsetTable, Valuation, Xos, demand, mask_incidence
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
 COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
@@ -694,7 +694,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
         """The columns' rows of the incidence U = [inc | rinc | own]: inc
         over the universe, rinc the same in its agent's block of k, and
         own the one-hot row of its agent; and their values."""
-        inc = (masks[:, None] >> bit & 1).astype(float)
+        inc = mask_incidence(masks, k).astype(float)
         own = (agents[:, None] == np.arange(n_a)).astype(float)
         rinc = (own[:, :, None] * inc[:, None, :]).reshape(-1, n_a * k)
         return np.hstack([inc, rinc, own]), table_values[agents, masks]
@@ -768,7 +768,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
                 tops = tops[utility[i, tops] >= kth]
             tops = np.sort(tops[np.argsort(-utility[i, tops], kind="stable")[:ADMIT_PER_STEP]])
             held, r = np.flatnonzero(col_agent == i), tops.size
-            zh, inside = z[held], (tops[:, None] >> bit & 1).mean(axis=0)
+            zh, inside = z[held], mask_incidence(tops, k).mean(axis=0)
             # take the sets' mass from the agent's own columns with x_i
             # fixed, the least change in the metric z^2 (the empty set and
             # the singletons span the masses, unless some column has shrunk
@@ -821,9 +821,10 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     and decompose each agent's masses into the sets that rounding draws.
 
     `_interior_point` solves the program and the Lagrangian bound D(p) at
-    its capacity prices certifies it. When every agent is `Additive` or
-    `Xos`, it runs over clause blocks (`_barrier_eg`). An additive or
-    one-clause agent has v+_i(x) = c.x, and its columns are the
+    its capacity prices certifies it. When every agent is `Xos` (an
+    `Additive` agent is one, whose one clause is its weights), it runs
+    over clause blocks (`_barrier_eg`), on each agent's `clauses` over the
+    items. A one-clause agent has v+_i(x) = c.x, and its columns are the
     systematic-sampling decomposition of its x. An agent with several
     clauses is lifted to clause masses and clause weights, and its
     columns are `clause_columns` of the filled ones at the returned x. Any
@@ -833,7 +834,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     items), and each agent's columns are `vertex_columns` of the columns it held
     at the certified point, at the returned x. No column generation or
     demand query runs; one LP runs per lifted or configuration agent, and
-    none for an additive or one-clause agent.
+    none for a one-clause agent.
 
     A lifted or configuration agent's value is the mixture value of its
     columns; it must reach the barrier's certified value with loads
@@ -857,9 +858,8 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
 
     eps = params.floor(len(agent_list))
     vals = [inst.valuations[i] for i in agent_list]
-    if all(isinstance(v, (Additive, Xos)) for v in vals):
-        clauses = [(v.weights[None, :] if isinstance(v, Additive) else v.clauses)[:, item_idx]
-                   for v in vals]
+    if all(isinstance(v, Xos) for v in vals):
+        clauses = [v.clauses[:, item_idx] for v in vals]
         x_mat, values, clause_masses, trace, last_bound = _barrier_eg(
             clauses, eps, MAX_ITERATIONS)
         columns = [clause_columns(clauses[k], *clause_masses[k], x_mat[k], item_list)
@@ -874,7 +874,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
         for k, table in enumerate(tables):
             masks = col_mask[col_agent == k]
             columns.append(vertex_columns(table.arrays()[1][masks],
-                                          masks[:, None] >> np.arange(item_idx.size) & 1,
+                                          mask_incidence(masks, item_idx.size),
                                           x_mat[k], item_idx))
         mixture_agents = list(range(len(vals)))
     for k in mixture_agents:

@@ -19,7 +19,7 @@ import numpy as np
 from . import matching  # called as matching.product_matching, so wrappers of it see this caller
 from .model import Allocation, Instance, InvariantViolation, Matching
 from .splitting import SubaddSplitOutput, XosSplitOutput
-from .valuations import Additive, BudgetedAdditive, CapExceeded, Valuation, Xos
+from .valuations import BudgetedAdditive, CapExceeded, Valuation, Xos
 
 # substream purposes
 _ITEM_ROUNDS = 0
@@ -112,7 +112,7 @@ def _contention_round(columns: Mapping[int, Sequence[tuple[frozenset[int], float
                       rng: RngStream, *prefix: int):
     """Each agent samples one tentative set in proportion to the weights,
     from substream (_TENTATIVE, *prefix, agent); each requested item j goes
-    to a uniform requester, from (*prefix, _WINNERS, j). Returns the picked
+    to a uniform requester, from (_WINNERS, *prefix, j). Returns the picked
     column indices, each item's requesters and the items each agent won."""
     picks: dict[int, int] = {}
     requests: dict[int, list[int]] = {}
@@ -128,7 +128,7 @@ def _contention_round(columns: Mapping[int, Sequence[tuple[frozenset[int], float
     for j in sorted(requests):
         agents = requests[j]  # in agent order
         contention[j] = tuple(agents)
-        u = rng.uniform(*prefix, _WINNERS, j)
+        u = rng.uniform(_WINNERS, *prefix, j)
         won[agents[min(int(u * len(agents)), len(agents) - 1)]].add(j)
     return picks, contention, won
 
@@ -249,9 +249,10 @@ class OracleTables(dict):
         the searched groups that contain it, of their choices' kept sets
         restricted to the group, less 1e-9 times the larger of it and 1;
         -inf if no searched group contains it. Dropping agents only frees
-        items, so a restricted choice is feasible, and an `Additive`, `Xos`
-        or `BudgetedAdditive` agent's value cannot fall as its set grows,
-        so the group's optimum is at least that welfare."""
+        items, so a restricted choice is feasible, and an `Xos` (an
+        `Additive` agent among them) or `BudgetedAdditive` agent's value
+        cannot fall as its set grows, so the group's optimum is at least
+        that welfare."""
         group = frozenset(agents)
         best = -math.inf
         for other, kept in self.choices.items():
@@ -310,8 +311,8 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     hold, of each item's largest v_i({j}) / V_i among its holders; each
     later agent adds its best min(v(S) / V, sum of v({j}) / V over S). It
     holds for monotone subadditive valuations with v(empty) = 0, so only
-    `Additive`, `Xos` and `BudgetedAdditive` agent sets are bounded; any
-    other set is scanned in full. A subtree is skipped only when its bound,
+    agent sets of `Xos` (`Additive` agents included) and `BudgetedAdditive`
+    agents are bounded; any other set is scanned in full. A subtree is skipped only when its bound,
     times 1 + 1e-12 for float reordering, is at most the best plus 1e-15:
     no node in it could be a record, so the choice is the full scan's bit
     for bit. Each partial profile widens all its children's bounds in one
@@ -373,7 +374,7 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
         return {}
     tables = [targets.search_table(i, columns[i]) for i in agents]
     width = targets.width
-    bounded = all(type(valuations[i]) in (Additive, Xos, BudgetedAdditive) for i in agents)
+    bounded = all(isinstance(valuations[i], (Xos, BudgetedAdditive)) for i in agents)
     if bounded:
         for t in tables:
             t.fill_bounds()

@@ -4,7 +4,9 @@ All families are monotone with value 0 on the empty set by construction
 (explicit tables are checked separately by ``model.validate_valuation``).
 Valuations are immutable and every oracle is a pure function, so they are
 safe to share across concurrent workers. A `Valuation.run_copy` adds a memo
-of `value` and belongs to the one pipeline run that made it.
+of `value` and belongs to the one pipeline run that made it. An `Additive`
+valuation is an `Xos` with one clause, its weights, and every XOS oracle
+serves it as one; only its evaluation and serialization are its own.
 
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe as a
@@ -15,11 +17,16 @@ queries, holds one, and a call without one enumerates afresh. The relaxation's a
 too, but read them only for their values, to price every set at once,
 and send no demand query. A table fills itself on first use, and two
 workers filling one at once compute the same arrays.
+
+This module alone enumerates subsets and owns their layout: bit t of a
+mask is the t-th item of its universe, and masks run in counter order.
+`subset_values` tabulates valuations over every subset; `mask_items` and
+`mask_incidence` decode masks for the modules that index such tables.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,30 +95,6 @@ class Valuation:
         raise NotImplementedError
 
 
-class Additive(Valuation):
-    kind = "additive"
-
-    def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1 or self.weights.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(self.weights)) or self.weights.min() < 0:
-            raise ValueError("weights must be finite and nonnegative")
-        self.m = self.weights.size
-
-    def value_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self.weights
-
-    def singleton_values(self) -> np.ndarray:
-        return self.weights.copy()
-
-    def to_config(self) -> dict:
-        return {"kind": "additive", "weights": self.weights.tolist()}
-
-    def __eq__(self, other):
-        return isinstance(other, Additive) and np.array_equal(self.weights, other.weights)
-
-
 class Xos(Valuation):
     """Max over a nonempty list of nonnegative additive clauses."""
 
@@ -136,6 +119,31 @@ class Xos(Valuation):
 
     def __eq__(self, other):
         return isinstance(other, Xos) and np.array_equal(self.clauses, other.clauses)
+
+
+class Additive(Xos):
+    """One additive clause: an `Xos` whose `clauses` is the single row
+    `weights`, evaluated by its own sum."""
+
+    kind = "additive"
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(self.weights)) or self.weights.min() < 0:
+            raise ValueError("weights must be finite and nonnegative")
+        self.m = self.weights.size
+        self.clauses = self.weights[None, :]
+
+    def value_rows(self, rows: np.ndarray) -> np.ndarray:
+        return rows @ self.weights
+
+    def to_config(self) -> dict:
+        return {"kind": "additive", "weights": self.weights.tolist()}
+
+    def __eq__(self, other):
+        return isinstance(other, Additive) and np.array_equal(self.weights, other.weights)
 
 
 class BudgetedAdditive(Valuation):
@@ -228,6 +236,24 @@ def _all_subset_rows(universe: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
+def subset_values(vals: Sequence[Valuation], universe: Sequence[int]) -> list[np.ndarray]:
+    """Each valuation's value of every subset of `universe`, indexed by
+    mask. The indicator rows are enumerated once per call, at the
+    valuations' shared width, and every valuation is evaluated on them."""
+    rows = _all_subset_rows(np.asarray(universe, dtype=np.int64), vals[0].m)
+    return [v.value_rows(rows) for v in vals]
+
+
+def mask_items(mask: int, universe: Sequence[int]) -> frozenset[int]:
+    """The items of `universe` whose bits `mask` sets, as Python ints."""
+    return frozenset(int(j) for t, j in enumerate(universe) if mask >> t & 1)
+
+
+def mask_incidence(masks: np.ndarray, k: int) -> np.ndarray:
+    """Each mask's 0/1 incidence row over the k positions of its universe."""
+    return masks[:, None] >> np.arange(k) & 1
+
+
 def _lex_ranks(k: int) -> np.ndarray:
     """Rank of every subset of k positions, indexed by mask, in the
     lexicographic order of its sorted positions (the empty set first).
@@ -290,10 +316,12 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
            table: SubsetTable | None = None) -> DemandResult:
     """Utility-maximizing set for v(S) - p(S), restricted to `items`.
 
-    Additive and XOS demands are analytic (strict inequality keeps the
-    returned set minimal); other families search the `SubsetTable` of the
-    allowed universe, which therefore must have at most 16 items (past
-    that, the table raises `CapExceeded` before enumerating). `table`
+    XOS demand, an `Additive` valuation's included, is analytic: the best
+    clause wins, ties going to its lexicographically smaller set, and
+    strict inequality keeps the returned set minimal. Other families
+    search the `SubsetTable` of the allowed universe, which therefore must
+    have at most 16 items (past that, the table raises `CapExceeded`
+    before enumerating). `table`
     is one held for v and this universe, so that repeated queries
     enumerate once; without one, each call enumerates afresh. Ties in the
     enumerated families go to the lexicographically smallest set, the one
@@ -307,10 +335,6 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
     if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
             and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
         universe = np.unique(np.fromiter(universe, dtype=np.int64))
-    if isinstance(v, Additive):
-        gains = v.weights[universe] - p[universe]
-        pos = gains > 0
-        return DemandResult(frozenset(universe[pos].tolist()), float(gains[pos].sum()))
     if isinstance(v, Xos):
         best, best_util = None, 0.0
         for gains in v.clauses[:, universe] - p[universe]:
@@ -335,12 +359,8 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
 
 
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
-    """A clause achieving v(S) on S; lowest clause index wins ties.
-
-    Additive valuations are treated as single-clause XOS.
-    """
-    if isinstance(v, Additive):
-        return XosClause(0, v.weights.copy())
+    """A clause achieving v(S) on S; lowest clause index wins ties. An
+    `Additive` valuation's one clause is its weights."""
     if not isinstance(v, Xos):
         raise TypeError(f"XOS oracle called on a {v.kind} valuation")
     row = np.zeros(v.m, dtype=bool)

@@ -51,6 +51,15 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "requires XOS valuations" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"agents": [
+            {"name": "a", "valuation": {"kind": "additive", "weights": [1, 10**400]}}],
+            "items": ["x", "y"]}))
+        assert main(["solve", "--instance", str(path), "--pipeline", "xos"]) == EXIT_USAGE
+        assert ("error: /agents/0/valuation/weights/1: weight must be finite"
+                in capsys.readouterr().err)
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["solve", "--instance", str(tmp_path / "nope.json"),
                      "--pipeline", "xos"]) == EXIT_USAGE

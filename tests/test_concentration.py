@@ -27,18 +27,18 @@ def experiment(v=UNIT10, p=0.5, trials=20_000, seed=0, **kw):
 
 class TestExpectationLower:
     def test_additive_equality_case(self):
-        res = expectation_lower(experiment(), k=2)
+        res = expectation_lower(experiment(k=2))
         assert res.bound == 5.0
         assert res.passed
         assert res.empirical == pytest.approx(5.0, abs=0.1)
 
     def test_k_one_is_deterministic(self):
-        res = expectation_lower(experiment(), k=1)
+        res = expectation_lower(experiment(k=1))
         assert res.empirical == 10.0 and res.bound == 10.0 and res.passed
 
     def test_budgeted_additive_exact_reference(self):
         v = BudgetedAdditive(np.ones(10), cap=3.0)
-        res = expectation_lower(experiment(v), k=2)
+        res = expectation_lower(experiment(v, k=2))
         # exact expectation of min(Binomial(10, 1/2), 3)
         exact = sum(min(s, 3) * binom.pmf(s, 10, 0.5) for s in range(11))
         assert res.empirical == pytest.approx(exact, abs=4 * res.slack / 3)
@@ -46,7 +46,7 @@ class TestExpectationLower:
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            expectation_lower(experiment(), k=0)
+            experiment(k=0)
 
 
 class TestTwoSidedTail:

@@ -46,6 +46,17 @@ class TestLoadInstance:
             load_instance(json.dumps(doc))
         assert err.value.path == "/agents/0/valuation/weights/1"
 
+    @pytest.mark.parametrize("valuation, path", [
+        ({"kind": "additive", "weights": [1, 10**400]}, "weights/1"),
+        ({"kind": "budgeted_additive", "weights": [1, 1], "cap": 10**400}, "cap"),
+        ({"kind": "table", "values": {"0": 1, "1": 1, "0,1": 10**400}}, "values/'0,1'"),
+    ], ids=["weight", "cap", "table"])
+    def test_integer_too_large_for_a_float_reports_path(self, valuation, path):
+        doc = {"agents": [{"name": "a0", "valuation": valuation}], "items": ["a", "b"]}
+        with pytest.raises(SchemaError, match="finite") as err:
+            load_instance(json.dumps(doc))
+        assert err.value.path == f"/agents/0/valuation/{path}"
+
     def test_xos_clause_count_preserved(self):
         doc = {
             "agents": [

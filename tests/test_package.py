@@ -1,5 +1,7 @@
-"""The package's export list, and the names the benchmark's tracer wraps."""
+"""The package's export list, the names the benchmark's tracer wraps, and
+which modules may enumerate subsets."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -116,6 +118,23 @@ def test_each_exact_oracle_shape_solves_as_the_benchmark_calls_it(workloads):
         result = _solve_and_check(workloads, workloads.Op(shape, shape.seeds[0]))
         assert result.nodes == (shape.n << shape.m if shape.op == "exact_config_lp"
                                 else shape.n ** shape.m)
+
+
+def test_only_valuations_enumerates_subsets():
+    # the subset tables' mask layout lives in `valuations`; every other
+    # module tabulates through `subset_values` or `SubsetTable`
+    users = []
+    for path in sorted((ROOT / "src" / "nswforge").glob("*.py")):
+        if path.stem == "valuations":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if "_all_subset_rows" in names:
+                users.append(path.stem)
+    assert users == []
 
 
 @pytest.mark.parametrize("module", ["nswforge", "nswforge.cli"])

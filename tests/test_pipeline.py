@@ -128,6 +128,18 @@ class TestRunSubadditive:
         assert report.d_used == 4.0
         assert report.delta_used == pytest.approx(1.0 / 28.0)
 
+    def test_cr_lane_draws_each_substream_once(self, monkeypatch):
+        # an item's winner in round r and an agent's tentative set in the
+        # next round must not share a substream
+        paths = []
+        uniform = rounding.RngStream.uniform
+        monkeypatch.setattr(rounding.RngStream, "uniform",
+                            lambda rng, *path: paths.append(path) or uniform(rng, *path))
+        inst = generate(GenSpec("additive", 3, 24, weights="near_uniform", seed=0))
+        report = run_subadditive(inst, PipelineParams(seed=0, proc="cr", delta=0.9))
+        assert len(report.outcome.round_log) > 1
+        assert len(set(paths)) == len(paths)
+
     def test_oracle_lane_engages_rounding(self):
         rng = np.random.default_rng(29)
         inst = make_instance(*[Additive(rng.uniform(0.9, 1.0, 16)) for _ in range(2)])
@@ -223,6 +235,8 @@ class TestRunSubadditive:
         inst = generate(GenSpec("budgeted_additive", 2, 5, seed=1))
         with pytest.raises(ValueError, match="unknown rounding procedure"):
             run_subadditive(inst, PipelineParams(proc="greedy"))
+        with pytest.raises(ValueError, match="unknown rounding procedure"):
+            PipelineParams(proc="greedy")
 
     def test_deterministic_reports(self):
         inst = generate(GenSpec("table", 2, 5, seed=21))

@@ -229,7 +229,9 @@ class TestSubsetTableReuse:
         # each agent's table is enumerated once and priced at every step;
         # the only other batches value each agent's at most 9 columns
         inst = generate(GenSpec(family, 3, 8, seed=4))
-        enumerations["values"].clear()  # the generator evaluates its tables' sources
+        # the generator enumerates and evaluates its tables' sources
+        enumerations["rows"].clear()
+        enumerations["values"].clear()
         monkeypatch.setattr(relaxation, "demand", forbidden)
         eg = solve_eg(inst, range(3), range(8))
         assert eg.iterations > 1

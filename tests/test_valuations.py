@@ -20,6 +20,8 @@ from nswforge.valuations import (
     _all_subset_rows,
     _lex_ranks,
     demand,
+    mask_incidence,
+    mask_items,
     singleton_max,
     xos_clause,
 )
@@ -313,10 +315,44 @@ class TestXosClause:
 def test_all_subset_rows_in_mask_order(universe, m):
     rows = _all_subset_rows(np.array(universe, dtype=np.int64), m)
     assert rows.dtype == bool and rows.shape == (1 << len(universe), m)
+    # the mask decoders read the layout the rows were enumerated in
+    incidence = mask_incidence(np.arange(1 << len(universe)), len(universe))
+    assert np.array_equal(incidence, rows[:, universe])
     for mask in range(0, 1 << len(universe), max(1, (1 << len(universe)) // 500)):
         expected = np.zeros(m, dtype=bool)
         expected[[j for t, j in enumerate(universe) if mask >> t & 1]] = True
         assert np.array_equal(rows[mask], expected)
+        assert mask_items(mask, universe) == frozenset(np.flatnonzero(expected).tolist())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_additive_agrees_with_its_one_clause_xos(seed):
+    # integer weights and prices (odd seeds) tie gains at zero and across
+    # items; uniform ones (even seeds) carry zero weights
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    if seed % 2:
+        w = rng.integers(0, 3, m).astype(float)
+    else:
+        w = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.7)
+    a, x = Additive(w), Xos(w[None, :])
+    assert isinstance(a, Xos)
+    assert np.array_equal(a.singleton_values(), x.singleton_values())
+    for _ in range(20):
+        prices = rng.integers(0, 3, m).astype(float) if seed % 2 else rng.uniform(-0.2, 1, m)
+        items = [j for j in range(m) if rng.random() < 0.6]
+        for universe in (None, items):
+            got, want = demand(a, prices, universe), demand(x, prices, universe)
+            assert got.items == want.items and got.utility.hex() == want.utility.hex()
+            # the closed form the additive demand used before it ran as a clause
+            u = np.arange(m) if universe is None else np.array(universe, dtype=np.int64)
+            gains = w[u] - prices[u]
+            assert got.items == frozenset(u[gains > 0].tolist())
+            assert got.utility.hex() == float(gains[gains > 0].sum()).hex()
+        got, want = xos_clause(a, items), xos_clause(x, items)
+        assert got.index == want.index and np.array_equal(got.weights, want.weights)
+    rows = rng.uniform(size=(30, m)) < 0.5
+    assert np.allclose(a.value_rows(rows), x.value_rows(rows), rtol=0, atol=1e-12)
 
 
 class TestSingletonMax:
