@@ -10,7 +10,9 @@ phase 1 and no factorization, and the primal simplex runs on it to
 optimality. It prices by Dantzig's largest reduced cost and breaks ties
 in the ratio test lexicographically on B^-1, which keeps degenerate LPs,
 such as restricted masters with zero item masses, from cycling. Callers
-use the duals of the final basis as optimality certificates.
+use the duals of the final basis as optimality certificates. The pivot cap
+raises `CapExceeded` and an unbounded objective `InvariantViolation`, the
+package's two typed failures.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ from typing import Callable
 
 import numpy as np
 
+from .model import InvariantViolation
+from .valuations import CapExceeded
+
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
-_MAX_ITER = 50_000  # pivots per simplex run before LpError
-
-
-class LpError(RuntimeError):
-    """An unbounded objective, or an iteration cap reached (`capped`)."""
-
-    def __init__(self, message: str, capped: bool = False):
-        super().__init__(message)
-        self.capped = capped
+_MAX_ITER = 50_000  # pivots per simplex run before CapExceeded
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,14 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
         col = tab[:, entering]
         rows = np.flatnonzero(col > _PIVOT_TOL)
         if not rows.size:
-            raise LpError("objective unbounded above")
+            raise InvariantViolation("objective unbounded above")
         for key in keys:
             if rows.size == 1:
                 break
             ratios = tab[rows, key] / col[rows]
             rows = rows[ratios <= ratios.min() + _PIVOT_TOL]
         _pivot(tab, basis, int(rows[0]), entering)
-    raise LpError("simplex iteration cap exceeded", capped=True)
+    raise CapExceeded("simplex iteration cap exceeded")
 
 
 def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
@@ -126,8 +123,8 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
 
     Requires b_ub >= 0, b_eq >= 0 and a unit column for every equality
     row (every caller in this package meets both by construction); raises
-    ValueError otherwise, and LpError on an unbounded objective or the
-    iteration cap.
+    ValueError otherwise, `InvariantViolation` on an unbounded objective
+    and `CapExceeded` at the iteration cap.
     """
     c = np.asarray(c, dtype=float)
     n = c.size

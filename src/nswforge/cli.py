@@ -1,13 +1,14 @@
 """Command-line entry point: gen, solve, exact, ratio, fuzz, conc, report.
 
-Exit codes are a stable contract: 0 success, 1 usage or I/O error,
-2 stage-invariant violation (including relaxation columns that fall
-short of the certified value, a barrier with no certified step or an
-unbounded LP), 3 enumeration or iteration cap exceeded (including the
-simplex pivot cap). All randomness flows from --seed; there is no
-ambient entropy anywhere, so identical invocations produce byte-identical
-machine output. Human-readable summaries go to stderr, machine output to
-stdout or files.
+Exit codes are a stable contract, chosen by the error's type alone:
+0 success, 1 usage or I/O error, 2 `InvariantViolation` (a stage
+invariant, including relaxation columns that fall short of the certified
+value, a barrier with no certified step or an unbounded LP), 3
+`CapExceeded` (an enumeration or iteration cap, including the simplex
+pivot cap), printed as `cap exceeded: <message>`. All randomness flows
+from --seed; there is no ambient entropy anywhere, so identical
+invocations produce byte-identical machine output. Human-readable
+summaries go to stderr, machine output to stdout or files.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from time import perf_counter
 import numpy as np
 
 from . import fuzz
-from ._lp import LpError
 from .concentration import tail_checks
 from .generators import FAMILIES, WEIGHT_DISTRIBUTIONS, GenSpec, generate
 from .model import InvariantViolation, SchemaError, load_instance, serialize_instance
 from .oracle import exact_nsw
 from .pipeline import PipelineParams, run_subadditive, run_xos
-from .relaxation import ConvergenceError, trace_csv
+from .relaxation import trace_csv
 from .valuations import CapExceeded
 
 EXIT_OK = 0
@@ -195,7 +195,7 @@ def cmd_fuzz(args) -> int:
         seed = _child_seed(args.seed, idx)
         try:
             suite(seed)
-        except (InvariantViolation, AssertionError) as exc:
+        except AssertionError as exc:  # InvariantViolation among them
             print(f"FAIL module={args.module} seed={seed}: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
     print(f"fuzz {args.module}: {args.count} runs clean", file=sys.stderr)
@@ -335,14 +335,8 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except CapExceeded as exc:
-        print(f"enumeration cap: {exc}", file=sys.stderr)
+        print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ConvergenceError, LpError) as exc:
-        if exc.capped:
-            print(f"iteration cap: {exc}", file=sys.stderr)
-            return EXIT_CAP
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -155,9 +155,12 @@ def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance) -> Match
 
     `tau` must be the product-optimal singleton matching and `pi` must map
     into tau's item range. Agents already covered by their W_i are left
-    aside; the rest are routed to either their tau-item or pi-item along
-    the alternating chains that end at an agent whose nu beats pi. The
-    product guarantee is re-checked numerically after construction.
+    aside; the rest take either their tau-item or their pi-item. An agent
+    whose nu beats pi takes its tau-item, and so, until no agent joins,
+    does every agent whose pi-item is the tau-item of one that takes its
+    own: exactly the agents whose alternating chain ends at an agent whose
+    nu beats pi. The product guarantee is re-checked numerically after
+    construction.
     """
     big_w = np.asarray(big_w, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -170,33 +173,14 @@ def rematch_rho(tau: Matching, pi: Matching, big_w, nu, inst: Instance) -> Match
 
     undecided = [i for i in inst.agents
                  if big_w[i] < max(val(i, pi.assignment[i]), nu[i])]
-    undecided_set = set(undecided)
     from_nu = {i for i in undecided if nu[i] > val(i, pi.assignment[i])}
 
     tau_owner = {tau.assignment[i]: i for i in undecided}  # item -> agent edge
 
-    reach: dict[int, bool] = {}
-
-    def reaches(agent: int) -> bool:
-        path = []
-        cur: int | None = agent
-        hit = False
-        while cur is not None and cur not in reach:
-            if cur in from_nu:
-                hit = True
-                break
-            if cur in path:
-                break  # cycle never reaches a nu-agent
-            path.append(cur)
-            nxt = tau_owner.get(pi.assignment[cur])
-            cur = nxt if nxt in undecided_set else None
-        if cur is not None and not hit:
-            hit = reach.get(cur, False)
-        for node in path:
-            reach[node] = hit
-        return reach.get(agent, hit)
-
-    take_tau = {i for i in undecided if i in from_nu or reaches(i)}
+    take_tau = set(from_nu)
+    while joining := {i for i in undecided
+                      if i not in take_tau and tau_owner.get(pi.assignment[i]) in take_tau}:
+        take_tau |= joining
     assignment: dict[int, int] = {}
     for i in undecided:
         assignment[i] = tau.assignment[i] if i in take_tau else pi.assignment[i]

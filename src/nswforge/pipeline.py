@@ -42,8 +42,11 @@ PROCEDURES: dict[str, Callable] = {
 NOMINAL_D = {"cr": 4.0, "oracle": None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineParams:
+    """A run's options, checked once on construction and frozen, so that
+    no field set later skips the checks."""
+
     alpha: float = 0.25
     epsilon: float | None = None
     delta: float | None = None

@@ -38,11 +38,12 @@ within the agent's masses, mixture value at least the certified value.
   (`clause_columns`).
 - An agent set with a budgeted-additive or table agent runs
   `_config_barrier_eg`, over the configuration program itself: each
-  agent puts mass on sets of the remaining items, priced over its whole
-  subset table, which also bounds its subproblem
-  (`table_subproblem_bound`) and picks the sets that join its columns;
-  an additive or XOS agent in such a set enters through its own table.
-  Each agent's columns are an optimal vertex over the sets it holds.
+  agent puts mass on sets of the remaining items, priced over its values
+  of every such set, which also bound its subproblem
+  (`table_subproblem_bound`) and pick the sets that join its columns.
+  One `subset_values` call values every agent's sets, an additive or XOS
+  agent's too. Each agent's columns are an optimal vertex over the sets
+  it holds.
 
 Each step is one `_predictor_corrector` call, which factors the
 Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
@@ -65,26 +66,24 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from ._lp import maximize
 from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
 from .oracle import exact_config_lp
-from .valuations import SubsetTable, Valuation, Xos, demand, mask_incidence
+from .valuations import (
+    EXHAUSTIVE_CAP,
+    CapExceeded,
+    SubsetTable,
+    Valuation,
+    Xos,
+    demand,
+    mask_incidence,
+    subset_values,
+)
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
-COLGEN_MAX_ROUNDS = 500  # column generation rounds before ConvergenceError
+COLGEN_MAX_ROUNDS = 500  # column generation rounds before CapExceeded
 ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
 CONTRACT_TOL = 1e-6  # slack of scaled_optimum_check's (1 + alpha) n bound
 MAX_ITERATIONS = 600  # most Newton steps of one relaxation
-
-
-class ConvergenceError(RuntimeError):
-    """Column generation failed (a stall, a failed duality certificate or
-    its round cap), or no interior-point step was certified; `capped`
-    marks a cap."""
-
-    def __init__(self, message: str, gap: float, capped: bool = False):
-        super().__init__(f"{message} (remaining gap {gap:.3e})")
-        self.gap = gap
-        self.capped = capped
 
 
 @dataclass
@@ -111,8 +110,11 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
     and each round solves it cold. The dual is certified over every subset
     of the universe: the solve stops once no set's utility at the prices
     exceeds q by more than `COLGEN_TOL` (relative to the value), and
-    raises `ConvergenceError` after `COLGEN_MAX_ROUNDS` rounds. The LP
-    over every subset is `vertex_columns` on the universe's whole table.
+    raises `CapExceeded` after `COLGEN_MAX_ROUNDS` rounds; a stall or a
+    failed duality certificate raises `InvariantViolation`. The demand
+    queries share one `SubsetTable` of the universe, so a budgeted or
+    table valuation enumerates it once per call. The LP over every subset
+    is `vertex_columns` on the universe's whole table.
     """
     x = np.asarray(x, dtype=float)
     if items is None:
@@ -145,9 +147,9 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
             # the dual already prices this column; residual gap is numerical
             if gap <= 1e-7 * max(1.0, abs(res.value)):
                 break
-            raise ConvergenceError("column generation stalled", gap)
+            raise InvariantViolation(f"column generation stalled (remaining gap {gap:.3e})")
         if rounds >= COLGEN_MAX_ROUNDS:
-            raise ConvergenceError("column generation round cap exceeded", gap, capped=True)
+            raise CapExceeded(f"column generation round cap exceeded (remaining gap {gap:.3e})")
         columns.append(hit.items)
         values.append(v.value(hit.items))
 
@@ -157,7 +159,8 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
     value = float(res.value)
     dual_value = q + float(p_univ @ x_univ)
     if abs(value - dual_value) > 1e-6 * (1.0 + abs(value)):
-        raise ConvergenceError("duality certificate failed", abs(value - dual_value))
+        raise InvariantViolation(f"duality certificate failed "
+                                 f"(remaining gap {abs(value - dual_value):.3e})")
     return ConcaveExtValue(value=value, q=q, prices=prices, columns=picked, rounds=rounds)
 
 
@@ -314,7 +317,7 @@ def xos_subproblem_bound(clauses: np.ndarray, prices: np.ndarray, eps: float,
 
 def _mask_sums(w: np.ndarray) -> np.ndarray:
     """sum_{t in S} w_t for every set S of the last axis's k positions,
-    indexed by mask (bit t for position t), as the subset tables are."""
+    indexed by mask (bit t for position t), as `subset_values` is."""
     k = w.shape[-1]
     sums = np.zeros(w.shape[:-1] + (1 << k,))
     for t in range(k):
@@ -325,20 +328,21 @@ def _mask_sums(w: np.ndarray) -> np.ndarray:
 def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v0,
                            lam: np.ndarray):
     """An upper bound on max over x in [eps, 1]^m of log v+(x) - p.x for
-    the monotone valuation whose `SubsetTable` over a universe of k items
-    holds `values`, at prices p >= 0 over the universe, for any v0 > 0 and
-    any lam <= p:
+    the monotone valuation whose values of every subset of a universe of
+    k items, indexed by mask as `subset_values` gives them, are `values`,
+    at prices p >= 0 over the universe, for any v0 > 0 and any lam <= p:
 
         log v0 - 1 - eps sum_j (p_j - lam_j) + max_S (v(S)/v0 - lam(S))
 
     The argument of `xos_subproblem_bound` carries over, and lam may go
     below zero: a monotone v+(x) mixes sets whose marginals are exactly x
     (pad the sets with the slack), so v+(x)/v0 - lam.x is at most the best
-    v(S)/v0 - lam(S) over the table's sets. For an XOS valuation and lam
-    in [0, p] the best set keeps one clause's items with c_kj/v0 > lam_j,
-    and the two bounds agree. Agents stack along leading axes of `values` (... x 2^k),
-    v0 (...) and lam (... x k). Returns the bounds and the utilities
-    v(S)/v0 - lam(S) of every set, indexed as the table is.
+    v(S)/v0 - lam(S) over the universe's sets. For an XOS valuation and
+    lam in [0, p] the best set keeps one clause's items with
+    c_kj/v0 > lam_j, and the two bounds agree. Agents stack along leading
+    axes of `values` (... x 2^k), v0 (...) and lam (... x k). Returns the
+    bounds and the utilities v(S)/v0 - lam(S) of every set, indexed as
+    `values` is.
     """
     v0 = np.asarray(v0, dtype=float)
     utility = _mask_sums(-lam)
@@ -426,7 +430,7 @@ def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: flo
     add variables and their duals and return the grown u and lam, or
     None. Returns the last certified point, the trace (one row per Newton
     step: iteration, objective, gap and step length) and the
-    smallest D(p); raises `ConvergenceError` when no step was certified.
+    smallest D(p); raises `InvariantViolation` when no step was certified.
     """
     x, v, g = state(u)
     target, lam = eps ** 4 * v.size, 1.0 / g
@@ -456,7 +460,7 @@ def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: flo
             u, lam = grown
             x, v, g = state(u)
     if result is None:
-        raise ConvergenceError("no Newton step was certified", math.inf)
+        raise InvariantViolation("no Newton step was certified (remaining gap inf)")
     return result, trace, bound
 
 
@@ -619,10 +623,12 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     return filled, values, clause_masses, trace, bound
 
 
-def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: int):
+def _config_barrier_eg(table_values: np.ndarray, eps: float, max_iterations: int):
     """`_interior_point` over the configuration program: max
     sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for agents
-    given by their subset tables over one universe of k items.
+    given by their values of every set of one universe of k items, one
+    row per agent indexed by mask (agents x 2^k, as `subset_values`
+    gives them).
 
     Agent i puts mass z_iS > 0 on sets S of the universe, with
     sum_S z_iS = 1 (an equality row of the Newton system); its masses are
@@ -644,7 +650,7 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     changes and their transpose are products with inc and rinc as well.
 
     `table_subproblem_bound` bounds every agent at its value and at the
-    prices net of its floor duals, over its whole table. Those net prices
+    prices net of its floor duals, over its whole row. Those net prices
     may fall below zero; cut to zero, as `xos_subproblem_bound` needs,
     they stalled the certificate at 21 times its target on budgeted 8x12
     (seed 207). The same utilities price the columns. Where an agent's
@@ -667,13 +673,11 @@ def _config_barrier_eg(tables: list[SubsetTable], eps: float, max_iterations: in
     (each one's mask and agent, in the order they joined), the trace and
     the smallest D(p).
     """
-    universe = tables[0].universe
-    n_a, k = len(tables), universe.size
-    table_values = np.stack([table.arrays()[1] for table in tables])
+    n_a, k = table_values.shape[0], table_values.shape[1].bit_length() - 1
     bit = np.arange(k)
 
     # the columns of every agent, in the order they joined: each one's set,
-    # as its row of the table (a mask over the universe), and its agent
+    # as its mask over the universe, and its agent
     start = np.unique(np.concatenate([[0], 1 << bit, [(1 << k) - 1]]))
     col_mask = np.tile(start, n_a)
     col_agent = np.repeat(np.arange(n_a), start.size)
@@ -829,12 +833,13 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     clauses is lifted to clause masses and clause weights, and its
     columns are `clause_columns` of the filled ones at the returned x. Any
     other agent set (one with a budgeted-additive or table agent) runs it
-    over the configuration program (`_config_barrier_eg`), over every
-    agent's `SubsetTable` (whose enumeration raises `CapExceeded` past 16
-    items), and each agent's columns are `vertex_columns` of the columns it held
-    at the certified point, at the returned x. No column generation or
-    demand query runs; one LP runs per lifted or configuration agent, and
-    none for a one-clause agent.
+    over the configuration program (`_config_barrier_eg`), on every
+    agent's values of every subset of the items, from one `subset_values`
+    call (past `EXHAUSTIVE_CAP` items it raises `CapExceeded` before
+    enumerating), and each agent's columns are `vertex_columns` of the
+    columns it held at the certified point, at the returned x. No column
+    generation or demand query runs; one LP runs per lifted or
+    configuration agent, and none for a one-clause agent.
 
     A lifted or configuration agent's value is the mixture value of its
     columns; it must reach the barrier's certified value with loads
@@ -867,14 +872,16 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                    for k in range(len(vals))]
         mixture_agents = sorted(clause_masses)
     else:
-        tables = [SubsetTable(v, item_idx) for v in vals]
+        if item_idx.size > EXHAUSTIVE_CAP:
+            raise CapExceeded(f"a configuration relaxation over {item_idx.size} items "
+                              f"exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
+        table_values = np.stack(subset_values(vals, item_idx))
         x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
-            tables, eps, MAX_ITERATIONS)
+            table_values, eps, MAX_ITERATIONS)
         columns = []
-        for k, table in enumerate(tables):
+        for k, row in enumerate(table_values):
             masks = col_mask[col_agent == k]
-            columns.append(vertex_columns(table.arrays()[1][masks],
-                                          mask_incidence(masks, item_idx.size),
+            columns.append(vertex_columns(row[masks], mask_incidence(masks, item_idx.size),
                                           x_mat[k], item_idx))
         mixture_agents = list(range(len(vals)))
     for k in mixture_agents:

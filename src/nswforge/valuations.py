@@ -10,18 +10,20 @@ serves it as one; only its evaluation and serialization are its own.
 
 Budgeted-additive and table valuations have no analytic demand: their
 demand oracle searches a `SubsetTable`, every subset of the universe as a
-boolean indicator row with its value, and breaks ties by lexicographic
-rank, which the table builds when `demand` first reads it. One table
-serves every query over its universe; a `concave_ext` call, which repeats
-queries, holds one, and a call without one enumerates afresh. The relaxation's agents hold tables
-too, but read them only for their values, to price every set at once,
-and send no demand query. A table fills itself on first use, and two
-workers filling one at once compute the same arrays.
+boolean indicator row with its value. One table serves every query over
+its universe; a `concave_ext` call, which repeats queries, holds one, and
+a call without one enumerates afresh. A table fills itself on first use,
+and two workers filling one at once compute the same arrays.
 
 This module alone enumerates subsets and owns their layout: bit t of a
-mask is the t-th item of its universe, and masks run in counter order.
-`subset_values` tabulates valuations over every subset; `mask_items` and
-`mask_incidence` decode masks for the modules that index such tables.
+mask is the t-th item of its universe, and masks run in counter order,
+the package's one order of subsets. Every demand tie goes to the least
+mask, which is inclusion-minimal among the tied sets (a tied proper
+subset has the smaller mask), so the analytic and enumerated oracles
+return the same set on the same function. `subset_values` tabulates
+valuations over every subset, as the exact oracles and the configuration
+relaxation do; `mask_items` and `mask_incidence` decode masks for the
+modules that index such tables.
 """
 
 from __future__ import annotations
@@ -254,42 +256,23 @@ def mask_incidence(masks: np.ndarray, k: int) -> np.ndarray:
     return masks[:, None] >> np.arange(k) & 1
 
 
-def _lex_ranks(k: int) -> np.ndarray:
-    """Rank of every subset of k positions, indexed by mask, in the
-    lexicographic order of its sorted positions (the empty set first).
-
-    The sets before S are its |S| proper prefixes and, for each position
-    u missing from S below its largest, the 2^(k-1-u) sets that agree with
-    S below u and hold u.
-    """
-    masks = np.arange(1 << k, dtype=np.int64)
-    rank = np.zeros(1 << k, dtype=np.int64)
-    for u in range(k):
-        bit = masks >> u & 1
-        below_max = masks >> (u + 1) > 0
-        rank += np.where(bit == 1, 1, below_max << (k - 1 - u))
-    return rank
-
-
 class SubsetTable:
-    """Every subset of one universe under one valuation, enumerated on
-    first use and then kept.
+    """The demand oracle's cache: every subset of one universe under one
+    valuation, enumerated on first use and then kept.
 
     It holds the boolean indicator rows at full width m in mask-counter
-    order, as they were enumerated, and their values under v, and, built
-    apart on first use because only `demand`'s tie-break reads them, each
-    subset's lexicographic rank. Valuations are immutable, so the table
-    never goes stale; it lives as long as its holder, such as one
-    `solve_eg` call. At the 16-item cap with m = 16 it takes about 1.5 MB
-    (1 MB of rows, 0.5 MB of values); `demand`'s `rows @ p` casts the rows
-    to float64 for the product, 8 MB more for the length of one query.
+    order, as they were enumerated, and their values under v. Valuations
+    are immutable, so the table never goes stale; it lives as long as its
+    holder, such as one `concave_ext` call. At the 16-item cap with m = 16
+    it takes about 1.5 MB (1 MB of rows, 0.5 MB of values); `demand`'s
+    `rows @ p` casts the rows to float64 for the product, 8 MB more for
+    the length of one query.
     """
 
     def __init__(self, v: Valuation, universe: np.ndarray):
         self.v = v
         self.universe = universe
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._ranks: np.ndarray | None = None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values), enumerated on the first call; a universe past
@@ -304,28 +287,23 @@ class SubsetTable:
             self._arrays = (rows, self.v.value_rows(rows))
         return self._arrays
 
-    def ranks(self) -> np.ndarray:
-        """Each subset's lexicographic rank, indexed as the rows, built on
-        the first call."""
-        if self._ranks is None:
-            self._ranks = _lex_ranks(self.universe.size)
-        return self._ranks
-
 
 def demand(v: Valuation, prices, items: Iterable[int] | None = None,
            table: SubsetTable | None = None) -> DemandResult:
     """Utility-maximizing set for v(S) - p(S), restricted to `items`.
 
-    XOS demand, an `Additive` valuation's included, is analytic: the best
-    clause wins, ties going to its lexicographically smaller set, and
-    strict inequality keeps the returned set minimal. Other families
-    search the `SubsetTable` of the allowed universe, which therefore must
-    have at most 16 items (past that, the table raises `CapExceeded`
-    before enumerating). `table`
-    is one held for v and this universe, so that repeated queries
-    enumerate once; without one, each call enumerates afresh. Ties in the
-    enumerated families go to the lexicographically smallest set, the one
-    of least rank. A sorted int64 array of distinct items (a table's
+    Every family breaks ties by the least mask over the sorted universe,
+    which is inclusion-minimal among the tied sets. XOS demand, an
+    `Additive` valuation's included, is analytic: each clause keeps its
+    items of positive gain, and the best clause wins. Every tied set is
+    such a set plus items of zero gain, so the least mask is the least of
+    the best clauses' sets: at the last position where two sets differ,
+    the one without that item. Other families take the first best row of
+    the `SubsetTable` of the allowed universe, which therefore must have
+    at most 16 items (past that, the table raises `CapExceeded` before
+    enumerating). `table` is one held for v and this universe, so
+    that repeated queries enumerate once; without one, each call
+    enumerates afresh. A sorted int64 array of distinct items (a table's
     universe) is used as is.
     """
     p = np.asarray(prices, dtype=float)
@@ -340,11 +318,10 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
         for gains in v.clauses[:, universe] - p[universe]:
             pos = gains > 0
             util = float(gains[pos].sum())
-            # the universe is sorted, so universe[pos] lists the set in order
             if best is None or util > best_util or (
-                    util == best_util and universe[pos].tolist() < best.tolist()):
-                best, best_util = universe[pos], util
-        return DemandResult(frozenset(best.tolist()), best_util)
+                    util == best_util and pos[::-1].tolist() < best[::-1].tolist()):
+                best, best_util = pos, util
+        return DemandResult(frozenset(universe[best].tolist()), best_util)
     if table is None:
         table = SubsetTable(v, universe)
     elif table.v is not v or (table.universe is not universe
@@ -352,10 +329,8 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
         raise ValueError("subset table of another valuation or universe")
     rows, values = table.arrays()
     utilities = values - rows @ p
-    best_util = utilities.max()
-    ties = np.flatnonzero(utilities == best_util)
-    best = ties[np.argmin(table.ranks()[ties])]
-    return DemandResult(frozenset(np.flatnonzero(rows[best]).tolist()), float(best_util))
+    best = int(np.argmax(utilities))  # the first maximum, of least mask
+    return DemandResult(frozenset(np.flatnonzero(rows[best]).tolist()), float(utilities[best]))
 
 
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:

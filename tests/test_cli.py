@@ -370,12 +370,12 @@ class TestExitCodes:
         assert main(["exact", "--instance", str(path)]) == EXIT_CAP
 
     def test_demand_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys):
-        # 2x19: the matching reserves 2 items, and budgeted demand enumerates
-        # the 17 that remain, one past its 16-item cap
+        # 2x19: the matching reserves 2 items, and the configuration
+        # relaxation would enumerate the 17 that remain, one past its cap
         path = tmp_path / "budgeted.json"
         path.write_text(serialize_instance(generate(GenSpec("budgeted_additive", 2, 19))))
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
-        assert "enumeration cap:" in capsys.readouterr().err
+        assert "cap exceeded:" in capsys.readouterr().err
 
     def test_oracle_node_cap_exceeded_through_solve_maps_to_exit_3(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -390,10 +390,10 @@ class TestExitCodes:
             generate(GenSpec("additive", 4, 32, seed=0, weights="near_uniform"))))
         assert main(["solve", "--instance", str(path), "--pipeline", "subadditive"]) == EXIT_CAP
         err = capsys.readouterr().err
-        assert "enumeration cap:" in err and "the search visited more than the node cap" in err
+        assert "cap exceeded:" in err and "the search visited more than the node cap" in err
 
     @pytest.mark.parametrize("fault, code, message", [
-        ("pivot_cap", EXIT_CAP, "iteration cap: simplex iteration cap exceeded"),
+        ("pivot_cap", EXIT_CAP, "cap exceeded: simplex iteration cap exceeded"),
         ("certificate", EXIT_INVARIANT, "invariant violation: decomposition falls short"),
         ("unbounded", EXIT_INVARIANT, "invariant violation: objective unbounded above"),
         ("uncertified", EXIT_INVARIANT, "invariant violation: no Newton step was certified"),
@@ -428,7 +428,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(relaxation, "COLGEN_MAX_ROUNDS", 1)
         assert main(["fuzz", "--module", "relax", "--count", "5", "--seed", "4"]) == EXIT_CAP
-        assert ("iteration cap: column generation round cap exceeded"
+        assert ("cap exceeded: column generation round cap exceeded"
                 in capsys.readouterr().err)
 
     def test_invariant_violation_maps_to_exit_2(self, monkeypatch, capsys):

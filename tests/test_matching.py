@@ -222,6 +222,38 @@ class TestRematchRho:
         rho = rematch_rho(tau, pi, big_w, nu, inst)  # raises on violation
         rho.validate()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tau_takers_are_the_chains_that_reach_a_nu_agent(self, seed):
+        # agent i owns tau-item i and values it above anything, so every
+        # guarantee holds; pi draws a random functional graph over the
+        # agents, self-loops (pi[i] == tau[i]) and cycles included
+        rng = np.random.default_rng(30_000 + seed)
+        n = int(rng.integers(1, 8))
+        weights = rng.integers(0, 4, (n, n + 2)).astype(float)
+        weights[np.arange(n), np.arange(n)] = 100.0
+        inst = make_instance(*[Additive(w) for w in weights])
+        tau = Matching({i: i for i in range(n)})
+        pi = Matching({i: int(rng.integers(n)) for i in range(n)})
+        big_w, nu = rng.integers(0, 4, n).astype(float), rng.integers(0, 4, n).astype(float)
+        undecided = [i for i in range(n) if big_w[i] < max(weights[i, pi.assignment[i]], nu[i])]
+        from_nu = {i for i in undecided if nu[i] > weights[i, pi.assignment[i]]}
+
+        def chain_reaches_nu(i):
+            seen = set()
+            while i in undecided and i not in seen:
+                if i in from_nu:
+                    return True
+                seen.add(i)
+                i = pi.assignment[i]  # the owner of i's pi-item
+            return False
+        want = {i: i if chain_reaches_nu(i) else pi.assignment[i] for i in undecided}
+        if len(set(want.values())) < len(want):
+            with pytest.raises(InvariantViolation, match="collided"):
+                rematch_rho(tau, pi, big_w, nu, inst)
+        else:
+            rho = rematch_rho(tau, pi, big_w, nu, inst)
+            assert {i: rho.assignment[i] for i in undecided} == want
+
 
 class TestExtensionPi:
     def test_keeps_best_reserved_item(self):

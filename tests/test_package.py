@@ -1,7 +1,8 @@
-"""The package's export list, the names the benchmark's tracer wraps, and
-which modules may enumerate subsets."""
+"""The package's export list, the names the benchmark's tracer wraps,
+which modules may enumerate subsets, and the package's exception classes."""
 
 import ast
+import builtins
 import importlib.util
 import os
 import subprocess
@@ -135,6 +136,26 @@ def test_only_valuations_enumerates_subsets():
             if "_all_subset_rows" in names:
                 users.append(path.stem)
     assert users == []
+
+
+def test_two_typed_errors_carry_every_failure():
+    # the CLI maps a failure to its exit code by type alone: `SchemaError`
+    # 1, `InvariantViolation` 2 and `CapExceeded` 3, so no class carries a
+    # `capped` flag to tell a cap from a fault
+    bases, capped = {}, []
+    for path in sorted((ROOT / "src" / "nswforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and node.attr == "capped"):
+                capped.append(path.stem)
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while grown := {name for name, of in bases.items() if name not in errors and of & errors}:
+        errors |= grown
+    assert errors - set(vars(builtins)) == {"SchemaError", "InvariantViolation", "CapExceeded"}
+    assert capped == []
 
 
 @pytest.mark.parametrize("module", ["nswforge", "nswforge.cli"])

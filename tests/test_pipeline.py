@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior, structure invariants, and determinism."""
 
+import dataclasses
 import gc
 import json
 import warnings
@@ -237,6 +238,13 @@ class TestRunSubadditive:
             run_subadditive(inst, PipelineParams(proc="greedy"))
         with pytest.raises(ValueError, match="unknown rounding procedure"):
             PipelineParams(proc="greedy")
+
+    def test_params_are_frozen(self):
+        # a field set after construction would skip every check
+        params = PipelineParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.proc = "bogus"
+        assert params.proc == "oracle"
 
     def test_deterministic_reports(self):
         inst = generate(GenSpec("table", 2, 5, seed=21))

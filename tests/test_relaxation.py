@@ -1,6 +1,5 @@
 """Concave extension, and the Eisenberg-Gale solver with its decomposition."""
 
-import gc
 import itertools
 import math
 import sys
@@ -32,6 +31,7 @@ from nswforge.valuations import (
     ExplicitTable,
     SubsetTable,
     Xos,
+    subset_values,
 )
 
 
@@ -226,8 +226,9 @@ def enumerations(monkeypatch):
 class TestSubsetTableReuse:
     @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
     def test_each_master_enumerates_once_per_solve(self, family, enumerations, monkeypatch):
-        # each agent's table is enumerated once and priced at every step;
-        # the only other batches value each agent's at most 9 columns
+        # one enumeration values every agent's sets, which are priced at
+        # every step; the only other batches value each agent's at most 9
+        # columns, and no subset table fills
         inst = generate(GenSpec(family, 3, 8, seed=4))
         # the generator enumerates and evaluates its tables' sources
         enumerations["rows"].clear()
@@ -235,12 +236,10 @@ class TestSubsetTableReuse:
         monkeypatch.setattr(relaxation, "demand", forbidden)
         eg = solve_eg(inst, range(3), range(8))
         assert eg.iterations > 1
-        assert enumerations["rows"] == [8, 8, 8]
+        assert enumerations["rows"] == [8]
         assert enumerations["values"][:3] == [256, 256, 256]
         assert all(rows <= 9 for rows in enumerations["values"][3:])
-        gc.collect()
-        assert len(enumerations["tables"]) == 3
-        assert all(ref() is None for ref in enumerations["tables"])
+        assert enumerations["tables"] == []
 
     @pytest.mark.parametrize("family", ["additive", "xos"])
     def test_analytic_masters_build_no_table(self, family, enumerations):
@@ -654,12 +653,13 @@ class TestConfigBarrier:
         # a solve capped at t steps start the columns of one capped at
         # t + 1, and each step's sets follow by agent and then by mask
         inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
-        tables = [SubsetTable(v, np.arange(8)) for v in inst.valuations]
+        table_values = np.stack(subset_values(inst.valuations, range(8)))
         eps = EgParams().floor(3)
         start = [0, *(1 << np.arange(8)), (1 << 8) - 1]
         held = None
         for cap in range(1, 30):
-            *_, (col_mask, col_agent), trace, _ = relaxation._config_barrier_eg(tables, eps, cap)
+            *_, (col_mask, col_agent), trace, _ = relaxation._config_barrier_eg(
+                table_values, eps, cap)
             for i in range(3):
                 masks = col_mask[col_agent == i]
                 assert masks[:len(start)].tolist() == start

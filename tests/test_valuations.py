@@ -18,11 +18,11 @@ from nswforge.valuations import (
     Valuation,
     Xos,
     _all_subset_rows,
-    _lex_ranks,
     demand,
     mask_incidence,
     mask_items,
     singleton_max,
+    subset_values,
     xos_clause,
 )
 
@@ -107,7 +107,7 @@ class TestDemand:
         assert res.items == frozenset({0})
         assert res.utility == 2.0
 
-    def test_xos_tie_breaks_lexicographically(self):
+    def test_xos_tie_goes_to_the_least_mask(self):
         v = Xos([[2, 0], [0, 2]])
         res = demand(v, [1.0, 1.0])
         assert res.items == frozenset({0})
@@ -175,19 +175,23 @@ class TestDemand:
 
 def enumerated_demand_reference(v, prices, universe):
     """`demand`'s enumeration body as it was before the subset table: fresh
-    boolean rows and values per call, and a frozenset per tied set."""
+    boolean rows and values per call, and the first tied row, the one of
+    least mask."""
     p = np.asarray(prices, dtype=float)
     rows = _all_subset_rows(universe, v.m)
     utilities = v.value_rows(rows) - rows @ p
     best_util = utilities.max()
-    ties = np.flatnonzero(utilities == best_util)
-    best_set = min((frozenset(int(j) for j in np.flatnonzero(rows[t])) for t in ties),
-                   key=lambda items: tuple(sorted(items)))
-    return DemandResult(best_set, float(best_util))
+    first = np.flatnonzero(utilities == best_util)[0]
+    return DemandResult(frozenset(int(j) for j in np.flatnonzero(rows[first])), float(best_util))
 
 
 def tie_heavy_valuation(family, m, rng):
-    """Small-integer weights, caps and table values, so that many sets tie."""
+    """Small-integer weights, clauses, caps and table values, so that many
+    sets tie and every utility at half-integer prices is exact."""
+    if family == "additive":
+        return Additive(rng.integers(0, 3, m).astype(float))
+    if family == "xos":
+        return Xos(rng.integers(0, 3, (int(rng.integers(1, 4)), m)).astype(float))
     if family == "budgeted_additive":
         return BudgetedAdditive(rng.integers(0, 4, m).astype(float),
                                 cap=float(rng.integers(1, 2 * m)))
@@ -227,16 +231,11 @@ class TestSubsetTableDemand:
                 assert res.items == ref.items
                 assert np.float64(res.utility).tobytes() == np.float64(ref.utility).tobytes()
 
-    def test_ties_go_to_the_lexicographically_smallest_set(self):
+    def test_ties_go_to_the_least_mask(self):
         v = BudgetedAdditive([1.0, 1.0, 1.0, 1.0], cap=2.0)
         res = demand(v, np.zeros(4), table=SubsetTable(v, np.arange(4, dtype=np.int64)))
         assert res.items == frozenset({0, 1})
         assert res.utility == 2.0
-
-    @pytest.mark.parametrize("k", range(11))
-    def test_lex_ranks_sort_the_subsets(self, k):
-        order = sorted(range(1 << k), key=lambda mask: [t for t in range(k) if mask >> t & 1])
-        assert _lex_ranks(k)[order].tolist() == list(range(1 << k))
 
     def test_enumerates_once_for_many_queries(self, monkeypatch):
         calls = []
@@ -270,6 +269,45 @@ class TestSubsetTableDemand:
             demand(v, np.zeros(3), items=(0, 2), table=table)
         with pytest.raises(ValueError, match="subset table"):
             demand(other, np.zeros(3), items=(0, 1), table=table)
+
+
+class TestOneOrderOfSubsets:
+    def test_xos_and_its_table_agree_on_a_zero_gain_item(self):
+        v = Xos([[0.0, 1.0]])
+        (values,) = subset_values([v], range(2))
+        for oracle in (v, ExplicitTable(values, 2)):
+            assert demand(oracle, [0.0, 0.5]) == DemandResult(frozenset({1}), 0.5)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_xos_demand_is_its_table_demand(self, seed):
+        # both oracles see exact utilities, so they tie the same sets
+        rng = np.random.default_rng(3300 + seed)
+        m = int(rng.integers(1, 8))
+        v = tie_heavy_valuation("xos", m, rng)
+        (values,) = subset_values([v], range(m))
+        table = ExplicitTable(values, m)
+        for _ in range(20):
+            prices = rng.integers(-1, 5, m) / 2
+            items = [j for j in range(m) if rng.random() < 0.6]
+            for universe in (None, items):
+                got, want = demand(v, prices, universe), demand(table, prices, universe)
+                assert got.items == want.items and got.utility.hex() == want.utility.hex()
+
+    @pytest.mark.parametrize("family", ["additive", "xos", "budgeted_additive", "table"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_demand_is_the_least_mask_of_the_tied_sets(self, family, seed):
+        rng = np.random.default_rng(3400 + seed)
+        m = int(rng.integers(1, 8))
+        v = tie_heavy_valuation(family, m, rng)
+        for _ in range(10):
+            prices = rng.integers(-1, 5, m) / 2
+            universe = [j for j in range(m) if rng.random() < 0.7]
+            res = demand(v, prices, universe)
+            sets = [mask_items(mask, universe) for mask in range(1 << len(universe))]
+            tied = [s for s in sets if v.value(s) - prices[list(s)].sum() == res.utility]
+            assert res.items == tied[0]
+            # so no tied set is a proper subset of the demanded one
+            assert not any(s < res.items for s in tied)
 
 
 class TestXosClause:
