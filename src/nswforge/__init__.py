@@ -25,16 +25,15 @@ from .model import (
     serialize_instance,
     validate_valuation,
 )
-from .oracle import ExactResult, exact_config_lp, exact_nsw, exact_scaled_welfare
-from .pipeline import PipelineParams, PipelineReport, run_subadditive, run_xos
-from .relaxation import (
-    ConcaveExtValue,
-    EgParams,
-    EgResult,
-    concave_ext,
+from .oracle import (
+    ExactResult,
+    exact_config_lp,
+    exact_nsw,
+    exact_scaled_welfare,
     scaled_optimum_check,
-    solve_eg,
 )
+from .pipeline import PipelineParams, PipelineReport, run_subadditive, run_xos
+from .relaxation import ConcaveExtValue, EgResult, concave_ext, solve_eg
 from .rounding import (
     RngStream,
     RoundOutcome,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Additive", "Allocation", "BudgetedAdditive", "CapExceeded",
-    "ConcaveExtValue", "ConfigSolution", "EgParams", "EgResult",
+    "ConcaveExtValue", "ConfigSolution", "EgResult",
     "ExactResult", "ExplicitTable", "GenSpec", "Instance",
     "InvariantViolation", "ItemFractional", "Matching", "PipelineParams",
     "PipelineReport", "RngStream", "RoundOutcome", "SchemaError",

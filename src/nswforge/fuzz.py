@@ -20,9 +20,10 @@ import numpy as np
 from .concentration import TailExperiment
 from .generators import FAMILIES, GenSpec, generate
 from .matching import initial_matching, matching_objective, rematch_rho
-from .model import ConfigSolution, Instance, InvariantViolation, Matching
+from .model import Instance, InvariantViolation, Matching
+from .oracle import scaled_optimum_check
 from .pipeline import PipelineParams, run_xos
-from .relaxation import EgParams, concave_ext, scaled_optimum_check, solve_eg, vertex_columns
+from .relaxation import concave_ext, solve_eg, vertex_columns
 from .splitting import check_subadditive_split, check_xos_split, split_subadditive, split_xos
 from .valuations import (
     Additive,
@@ -76,7 +77,7 @@ def split_case(seed: int, variants=SPLIT_VARIANTS) -> list[str]:
         cols = _columns(rng, m, int(rng.integers(1, 5)), 1)
         target = sum(v.value(s) * w for s, w in cols)
         if target > 0:
-            check_xos_split(split_xos(ConfigSolution({0: cols}), [v], {0: target}), [v])
+            check_xos_split(split_xos({0: cols}, [v], {0: target}), [v])
             ran.append("xos")
     if "subadditive" in variants:
         w = rng.uniform(0.5, 1.0, m)
@@ -85,7 +86,7 @@ def split_case(seed: int, variants=SPLIT_VARIANTS) -> list[str]:
         target = sum(v.value(s) * wt for s, wt in cols)
         nu = float(v.singleton_values().max())
         if target >= 6.0 * nu:
-            out = split_subadditive(ConfigSolution({0: cols}), [v], {0: target}, {0: nu})
+            out = split_subadditive({0: cols}, [v], {0: target}, {0: nu})
             check_subadditive_split(out, [v])
             ran.append("subadditive")
     return ran
@@ -98,7 +99,7 @@ def contract_case(seed: int, family: str) -> float | None:
     _, _, remaining, active = initial_matching(inst)
     if not active:
         return None
-    eg = solve_eg(inst, active, remaining, EgParams(alpha=ALPHA))
+    eg = solve_eg(inst, active, remaining, ALPHA)
     ratio, ok = scaled_optimum_check(inst, eg, alpha=ALPHA)
     bound = (1.0 + ALPHA) * len(eg.agents)
     if not ok:

@@ -1,4 +1,5 @@
-"""Product-maximizing bipartite matchings and the constructive rematching step.
+"""Product-maximizing bipartite matchings: the initial reservation, the
+constructive rematching step and the final rematch.
 
 `product_matching` maximizes lexicographically: first the number of matched
 pairs with positive score, then the sum of log scores over those pairs.
@@ -18,6 +19,7 @@ scipy's optimization package.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -139,6 +141,25 @@ def initial_matching(inst: Instance) -> tuple[Matching, frozenset[int], frozense
                 f"agent {i}: remaining item {j} beats matched item "
                 f"{tau.assignment[i]} ({scores[i, j]} > {own})")
     return tau, matched, remaining, active
+
+
+def final_matching(bundles: Mapping[int, frozenset[int]], inst: Instance,
+                   reserved: frozenset[int]):
+    """Product-optimal assignment of the reserved items on top of bundles."""
+    reserved_list = sorted(reserved)
+    scores = np.zeros((inst.n, len(reserved_list)))
+    for i in inst.agents:
+        base = bundles.get(i, frozenset())
+        for k, h in enumerate(reserved_list):
+            scores[i, k] = inst.valuations[i].value(base | {h})
+    local = product_matching(scores)
+    sigma_map = {i: reserved_list[k] for i, k in local.assignment.items()}
+    sigma = Matching(sigma_map)
+    sigma.validate()
+    out = Allocation({i: bundles.get(i, frozenset()) | {sigma_map[i]}
+                      for i in inst.agents})
+    out.validate(inst)
+    return out, sigma
 
 
 def _fill_unmatched(assignment: dict[int, int], agents: range,

@@ -7,7 +7,8 @@ welfare. A layer visits all 3^k (mask, submask) pairs of k items and the
 last one only the 2^k submasks of the full mask, so n agents cost
 `(n-2)*3^k + 2^k` combinations. Values combine in agent order and rounding
 is monotone, so optima are bit-identical to enumerating all n^k
-assignments. The fractional optimum is an explicit `n*2^k`-column LP.
+assignments. The fractional optimum is an explicit `n*2^k`-column LP, and
+`scaled_optimum_check` holds the relaxation's targets to it.
 Caps (at most `EXHAUSTIVE_CAP` items for the DP's 2^k value tables,
 `NSW_DP_CAP` on its combinations, `CONFIG_LP_CAP` on the LP's columns)
 are module constants, read at each call, and hard errors, never silent
@@ -23,10 +24,12 @@ import numpy as np
 
 from ._lp import maximize
 from .model import Allocation, ConfigSolution, Instance
+from .relaxation import EgResult
 from .valuations import EXHAUSTIVE_CAP, CapExceeded, mask_incidence, mask_items, subset_values
 
 NSW_DP_CAP = 10**8
 CONFIG_LP_CAP = 10**6
+CONTRACT_TOL = 1e-6  # slack of scaled_optimum_check's (1 + alpha) n bound
 _CHUNK_ITEMS = 8  # a chunk of 3^8 (mask, submask) pairs leaves peak memory unmoved
 
 
@@ -174,3 +177,10 @@ def exact_config_lp(inst: Instance, targets=None,
         columns[agent_list[pos]].append((mask_items(mask, item_list), float(res.x[idx])))
     witness = ConfigSolution(columns)
     return ExactResult(optimum=float(res.value), witness=witness, nodes=n_cols)
+
+
+def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float) -> tuple[float, bool]:
+    """Exact contract check: the scaled configuration-LP optimum against
+    the solver's own targets must stay below (1 + alpha) * |agents|."""
+    res = exact_config_lp(inst, targets=eg.values(), agents=eg.agents, items=eg.items)
+    return res.optimum, res.optimum <= (1.0 + alpha) * len(eg.agents) + CONTRACT_TOL

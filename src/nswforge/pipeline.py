@@ -16,15 +16,14 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .matching import initial_matching, rematch_rho
+from .matching import final_matching, initial_matching, rematch_rho
 from .model import Allocation, Instance, InvariantViolation, Matching, nsw_value
-from .relaxation import EgParams, EgResult, solve_eg
+from .relaxation import EgResult, solve_eg
 from .rounding import (
     OracleTables,
     RngStream,
     RoundOutcome,
     cr_procedure,
-    final_matching,
     iterated_round,
     measured_welfare_factor,
     oracle_procedure,
@@ -58,7 +57,7 @@ class PipelineParams:
 
     def __post_init__(self):
         # the relaxation's floor is epsilon, or alpha / (2 + (1 + alpha) n);
-        # whether eps * n < 1 depends on n, so `EgParams.floor` checks that
+        # whether eps * n < 1 depends on n, so `solve_eg` checks that
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and positive")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
@@ -70,9 +69,6 @@ class PipelineParams:
             raise ValueError("d must exceed 1/7, so that delta = 1/(7d) lies in (0, 1)")
         if self.proc not in PROCEDURES:
             raise ValueError(f"unknown rounding procedure {self.proc!r}")
-
-    def eg_params(self) -> EgParams:
-        return EgParams(alpha=self.alpha, epsilon=self.epsilon)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -245,24 +241,22 @@ def _run(lane: str, inst: Instance, params: PipelineParams) -> PipelineReport:
     eg = split = outcome = nu = delta_used = d_used = None
     filtered = None if lane == "xos" else frozenset()
     if active:
-        eg = solve_eg(run, active, remaining, params.eg_params())
+        eg = solve_eg(run, active, remaining, params.alpha, params.epsilon)
         clock.lap("relaxation")
         values = eg.values()
         if lane == "xos":
-            split = split_xos(eg.config(), run.valuations, values)
+            split = split_xos(eg.columns, run.valuations, values)
         else:
             nu = {i: singleton_max(run.valuations[i], remaining) for i in active}
             filtered = frozenset(i for i in active if values[i] >= 6.0 * nu[i])
             if filtered:
-                config = eg.config()
-                config.columns = {i: config.columns[i] for i in filtered}
-                split = split_subadditive(config, run.valuations,
+                split = split_subadditive({i: eg.columns[i] for i in filtered}, run.valuations,
                                           {i: values[i] for i in filtered},
                                           {i: nu[i] for i in filtered})
     if split is not None:
         clock.lap("splitting")
         if lane == "xos":
-            outcome = round_xos(split, run.valuations, rng)
+            outcome = round_xos(split, rng)
         else:
             proc, nominal = PROCEDURES[params.proc], NOMINAL_D[params.proc]
             targets = scaled_targets(split, run.valuations)

@@ -15,7 +15,7 @@ check the relaxation against.
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
 approximate optimality into the scaled-optimum contract checked by
-`scaled_optimum_check`. One primal-dual interior-point loop,
+`oracle.scaled_optimum_check`. One primal-dual interior-point loop,
 `_interior_point`, solves it over one of two compact forms of the
 configuration LP (Feige 2009) in the Eisenberg-Gale program (Eisenberg
 and Gale 1959), and the Lagrangian bound D(p) at its capacity duals
@@ -64,8 +64,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._lp import maximize
-from .model import CHECK_TOL, ConfigSolution, Instance, InvariantViolation, ItemFractional
-from .oracle import exact_config_lp
+from .model import CHECK_TOL, Instance, InvariantViolation, ItemFractional
 from .valuations import (
     EXHAUSTIVE_CAP,
     CapExceeded,
@@ -82,7 +81,6 @@ COLGEN_MAX_ROUNDS = 500  # column generation rounds before CapExceeded
 ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
-CONTRACT_TOL = 1e-6  # slack of scaled_optimum_check's (1 + alpha) n bound
 MAX_ITERATIONS = 600  # most Newton steps of one relaxation
 
 
@@ -174,18 +172,6 @@ def default_epsilon(alpha: float, n_agents: int) -> float:
     return alpha / (2.0 + (1.0 + alpha) * n_agents)
 
 
-@dataclass
-class EgParams:
-    alpha: float = 0.25
-    epsilon: float | None = None
-
-    def floor(self, n_agents: int) -> float:
-        eps = self.epsilon if self.epsilon is not None else default_epsilon(self.alpha, n_agents)
-        if not 0 < eps * n_agents < 1:
-            raise ValueError(f"interior floor {eps} infeasible for {n_agents} agents")
-        return eps
-
-
 def trace_csv(trace: Iterable[tuple[int, float, float, float]]) -> str:
     """CSV of an EG trace, one row per Newton step, whose step is the step
     length (the last row's objective is at the returned agent values); no
@@ -218,9 +204,6 @@ class EgResult:
 
     def values(self) -> dict[int, float]:
         return dict(self.agent_values)
-
-    def config(self) -> ConfigSolution:
-        return ConfigSolution({i: list(self.columns[i]) for i in self.agents})
 
 
 def systematic_columns(x: np.ndarray,
@@ -405,7 +388,7 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
 
 
 def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: float,
-                    max_iterations: int, grow=None):
+                    grow=None):
     """Primal-dual interior-point method with Mehrotra's predictor-corrector
     steps (Mehrotra 1992; Wright 1997) for max sum_i log v_i(u) over one
     compact form of the Eisenberg-Gale program, from the interior point u.
@@ -431,13 +414,14 @@ def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: flo
     None. Returns the last certified point, the trace (one row per Newton
     step: iteration, objective, gap and step length) and the
     smallest D(p); raises `InvariantViolation` when no step was certified.
+    It takes at most `MAX_ITERATIONS` steps, read when it is called.
     """
     x, v, g = state(u)
     target, lam = eps ** 4 * v.size, 1.0 / g
     bound = math.inf
     trace: list[tuple[int, float, float, float]] = []
     result = None
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         system, gain = newton(lam / g, v)
         step = _predictor_corrector(system, u.size, gain, lift, along, g, lam)
         if step is None:
@@ -464,7 +448,7 @@ def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: flo
     return result, trace, bound
 
 
-def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
+def _barrier_eg(clauses: list[np.ndarray], eps: float):
     """`_interior_point` over clause blocks: max sum_i log v+_i(x_i) over
     x >= eps and sum_i x_ij <= 1 for XOS agents given by their clause
     matrices (K_i x items; an additive agent is one clause).
@@ -618,12 +602,12 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float, max_iterations: int):
     u[var] = (eps + (1.0 - n_a * eps) / (n_a + 1)) / rows[var_agent]
     u[beta_var] = 1.0 / rows[lifted][eq_row]
     (filled, values, y, beta), trace, bound = _interior_point(
-        u, state, along, lift, newton, certify, eps, max_iterations)
+        u, state, along, lift, newton, certify, eps)
     clause_masses = {int(k): (y[r, :rows[k]], beta[r, :rows[k]]) for r, k in enumerate(lifted)}
     return filled, values, clause_masses, trace, bound
 
 
-def _config_barrier_eg(table_values: np.ndarray, eps: float, max_iterations: int):
+def _config_barrier_eg(table_values: np.ndarray, eps: float):
     """`_interior_point` over the configuration program: max
     sum_i log v+_i(x_i) over x >= eps and sum_i x_ij <= 1, for agents
     given by their values of every set of one universe of k items, one
@@ -813,16 +797,19 @@ def _config_barrier_eg(table_values: np.ndarray, eps: float, max_iterations: int
     U, val = layout(col_mask, col_agent)
     utility = None
     (x, values, held), trace, bound = _interior_point(
-        np.tile(one, n_a), state, along, lift, newton, certify, eps, max_iterations, grow)
+        np.tile(one, n_a), state, along, lift, newton, certify, eps, grow)
     # v+ is monotone, so filling each item's slack in proportion to the
     # masses can only raise every agent's extension at the returned point
     return x + (1.0 - x.sum(axis=0)) * x / x.sum(axis=0), values, held, trace, bound
 
 
 def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
-             params: EgParams | None = None) -> EgResult:
+             alpha: float = 0.25, epsilon: float | None = None) -> EgResult:
     """Maximize sum_i log v+_i(x_i) over the eps-floored capacity polytope,
     and decompose each agent's masses into the sets that rounding draws.
+
+    The floor eps is `epsilon`, or `default_epsilon(alpha, n)` for the n
+    agents; a floor with eps n outside (0, 1) raises ValueError.
 
     `_interior_point` solves the program and the Lagrangian bound D(p) at
     its capacity prices certifies it. When every agent is `Xos` (an
@@ -851,7 +838,6 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
     objective. `converged` means gap <= eps^4 n. `MAX_ITERATIONS` caps
     the Newton steps.
     """
-    params = params or EgParams()
     agent_list = sorted(set(agents))
     item_list = sorted(set(items))
     if not agent_list:
@@ -861,12 +847,13 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
         if inst.valuations[i].value(item_list) <= 0:
             raise ValueError(f"agent {i} derives no value from the item pool")
 
-    eps = params.floor(len(agent_list))
+    eps = epsilon if epsilon is not None else default_epsilon(alpha, len(agent_list))
+    if not 0 < eps * len(agent_list) < 1:
+        raise ValueError(f"interior floor {eps} infeasible for {len(agent_list)} agents")
     vals = [inst.valuations[i] for i in agent_list]
     if all(isinstance(v, Xos) for v in vals):
         clauses = [v.clauses[:, item_idx] for v in vals]
-        x_mat, values, clause_masses, trace, last_bound = _barrier_eg(
-            clauses, eps, MAX_ITERATIONS)
+        x_mat, values, clause_masses, trace, last_bound = _barrier_eg(clauses, eps)
         columns = [clause_columns(clauses[k], *clause_masses[k], x_mat[k], item_list)
                    if k in clause_masses else systematic_columns(x_mat[k], item_list)
                    for k in range(len(vals))]
@@ -877,7 +864,7 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                               f"exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
         table_values = np.stack(subset_values(vals, item_idx))
         x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
-            table_values, eps, MAX_ITERATIONS)
+            table_values, eps)
         columns = []
         for k, row in enumerate(table_values):
             masks = col_mask[col_agent == k]
@@ -909,12 +896,3 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                     columns={i: columns[k] for k, i in enumerate(agent_list)},
                     objective=best_obj, gap=bound - best_obj, epsilon=eps,
                     iterations=len(trace), trace=trace)
-
-
-def scaled_optimum_check(inst: Instance, eg: EgResult, alpha: float) -> tuple[float, bool]:
-    """Exact contract check: the scaled configuration-LP optimum against
-    the solver's own targets must stay below (1 + alpha) * |agents|."""
-    targets = eg.values()
-    res = exact_config_lp(inst, targets=targets, agents=eg.agents, items=eg.items)
-    ratio = res.optimum
-    return ratio, ratio <= (1.0 + alpha) * len(eg.agents) + CONTRACT_TOL

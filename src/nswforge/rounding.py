@@ -16,8 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import matching  # called as matching.product_matching, so wrappers of it see this caller
-from .model import Allocation, Instance, InvariantViolation, Matching
+from .model import Allocation, InvariantViolation
 from .splitting import SubaddSplitOutput, XosSplitOutput
 from .valuations import BudgetedAdditive, CapExceeded, Valuation, Xos
 
@@ -133,8 +132,7 @@ def _contention_round(columns: Mapping[int, Sequence[tuple[frozenset[int], float
     return picks, contention, won
 
 
-def round_xos(split: XosSplitOutput, valuations: Sequence[Valuation],
-              rng: RngStream) -> RoundOutcome:
+def round_xos(split: XosSplitOutput, rng: RngStream) -> RoundOutcome:
     """One-shot contention-resolution rounding of an XOS split solution.
 
     Each agent samples a tentative part with probability proportional to
@@ -578,22 +576,3 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
         round_log=log,
         rounds_capped=capped,
     )
-
-
-def final_matching(bundles: Mapping[int, frozenset[int]], inst: Instance,
-                   reserved: frozenset[int]):
-    """Product-optimal assignment of the reserved items on top of bundles."""
-    reserved_list = sorted(reserved)
-    scores = np.zeros((inst.n, len(reserved_list)))
-    for i in inst.agents:
-        base = bundles.get(i, frozenset())
-        for k, h in enumerate(reserved_list):
-            scores[i, k] = inst.valuations[i].value(base | {h})
-    local = matching.product_matching(scores)
-    sigma_map = {i: reserved_list[k] for i, k in local.assignment.items()}
-    sigma = Matching(sigma_map)
-    sigma.validate()
-    out = Allocation({i: bundles.get(i, frozenset()) | {sigma_map[i]}
-                      for i in inst.agents})
-    out.validate(inst)
-    return out, sigma

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import ConfigSolution, InvariantViolation
+from .model import InvariantViolation
 from .valuations import Valuation, xos_clause
 
 _W_TOL = 1e-6   # tolerance on incoming per-agent weight sums
@@ -100,9 +100,10 @@ def check_subadditive_split(out: SubaddSplitOutput, valuations: Sequence[Valuati
     _check_load(out.columns, 1.0)
 
 
-def split_xos(config: ConfigSolution, valuations: Sequence[Valuation],
-              v_plus: Mapping[int, float]) -> XosSplitOutput:
-    """XOS set splitting against per-agent extension values v+.
+def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
+              valuations: Sequence[Valuation], v_plus: Mapping[int, float]) -> XosSplitOutput:
+    """XOS set splitting of each agent's columns (sets and weights, as
+    `EgResult.columns` holds them) against per-agent extension values v+.
 
     Sets below a quarter of v+ are discarded; each survivor S loses its
     largest clause item l, and S - l is split greedily (descending clause
@@ -112,7 +113,7 @@ def split_xos(config: ConfigSolution, valuations: Sequence[Valuation],
     weight.
     """
     out: dict[int, list[SplitColumn]] = {}
-    for agent, cols in config.columns.items():
+    for agent, cols in columns.items():
         _check_weight_sum(agent, cols)
         v = valuations[agent]
         target = v_plus[agent]
@@ -166,10 +167,11 @@ def _trim(part: list[int], v: Valuation, cap: float) -> list[int]:
     return sorted(part)
 
 
-def split_subadditive(config: ConfigSolution, valuations: Sequence[Valuation],
-                      targets: Mapping[int, float],
+def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
+                      valuations: Sequence[Valuation], targets: Mapping[int, float],
                       nu: Mapping[int, float]) -> SubaddSplitOutput:
-    """Subadditive set splitting against per-agent targets V.
+    """Subadditive set splitting of each agent's columns (sets and
+    weights, as `EgResult.columns` holds them) against per-agent targets V.
 
     Only agents with V >= 6 nu may participate. Sets below V/3 are
     discarded; survivors are split greedily in item order into
@@ -179,7 +181,7 @@ def split_subadditive(config: ConfigSolution, valuations: Sequence[Valuation],
     any item's load because the pre-normalization mass is at least one.
     """
     out: dict[int, list[SplitColumn]] = {}
-    for agent, cols in config.columns.items():
+    for agent, cols in columns.items():
         _check_weight_sum(agent, cols)
         v = valuations[agent]
         target = float(targets[agent])

@@ -39,6 +39,23 @@ class CapExceeded(RuntimeError):
     """An enumeration-based oracle was asked to search too large a space."""
 
 
+def _nonnegative(values, ndim: int) -> np.ndarray:
+    """`values` as float weights (ndim 1: a nonempty vector) or clauses
+    (ndim 2: at least one clause of at least one item; a vector is one
+    clause), every entry finite and nonnegative, or ValueError."""
+    name = "weights" if ndim == 1 else "clauses"
+    array = np.asarray(values, dtype=float)
+    if ndim == 2:
+        array = np.atleast_2d(array)
+        if array.ndim == 2 and array.shape[0] == 0:
+            raise ValueError("at least one clause required")
+    if array.ndim != ndim or array.size == 0:
+        raise ValueError(f"{name} must be a nonempty {'vector' if ndim == 1 else 'matrix'}")
+    if not np.all(np.isfinite(array)) or array.min() < 0:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return array
+
+
 class Valuation:
     """Base class; subclasses provide vectorized evaluation over rows."""
 
@@ -103,11 +120,7 @@ class Xos(Valuation):
     kind = "xos"
 
     def __init__(self, clauses):
-        self.clauses = np.atleast_2d(np.asarray(clauses, dtype=float))
-        if self.clauses.shape[0] == 0:
-            raise ValueError("at least one clause required")
-        if not np.all(np.isfinite(self.clauses)) or self.clauses.min() < 0:
-            raise ValueError("clauses must be finite and nonnegative")
+        self.clauses = _nonnegative(clauses, 2)
         self.m = self.clauses.shape[1]
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -130,11 +143,7 @@ class Additive(Xos):
     kind = "additive"
 
     def __init__(self, weights):
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 1 or self.weights.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(self.weights)) or self.weights.min() < 0:
-            raise ValueError("weights must be finite and nonnegative")
+        self.weights = _nonnegative(weights, 1)
         self.m = self.weights.size
         self.clauses = self.weights[None, :]
 
@@ -154,10 +163,8 @@ class BudgetedAdditive(Valuation):
     kind = "budgeted_additive"
 
     def __init__(self, weights, cap: float):
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = _nonnegative(weights, 1)
         self.cap = float(cap)
-        if not np.all(np.isfinite(self.weights)) or self.weights.min() < 0:
-            raise ValueError("weights must be finite and nonnegative")
         if not np.isfinite(self.cap) or self.cap < 0:
             raise ValueError("cap must be finite and nonnegative")
         self.m = self.weights.size
@@ -189,16 +196,6 @@ class ExplicitTable(Valuation):
         if not np.all(np.isfinite(self.table)) or self.table.min() < 0:
             raise ValueError("table values must be finite and nonnegative")
         self._bits = (1 << np.arange(m)).astype(np.int64)
-
-    @classmethod
-    def from_dict(cls, values: dict[frozenset[int], float], m: int) -> "ExplicitTable":
-        table = np.zeros(1 << m)
-        for subset, val in values.items():
-            mask = 0
-            for j in subset:
-                mask |= 1 << j
-            table[mask] = val
-        return cls(table, m)
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         masks = rows.astype(np.int64) @ self._bits

@@ -133,7 +133,7 @@ def test_criterion_02_relaxations_converge():
         _, _, remaining, active = initial_matching(inst)
         if not active:
             continue
-        eg = solve_eg(inst, active, remaining, PipelineParams(epsilon=0.1).eg_params())
+        eg = solve_eg(inst, active, remaining, epsilon=0.1)
         solved += 1
         converged += eg.converged
         worst = max(worst, eg.gap / (eg.epsilon ** 4 * len(eg.agents)))
@@ -261,7 +261,7 @@ def test_criterion_07_rounding_expectation_bound():
     _, _, remaining, active = initial_matching(inst)
     assert active, "fixture must have agents with value on the remaining items"
     eg = solve_eg(inst, active, remaining)
-    split = split_xos(eg.config(), inst.valuations, eg.values())
+    split = split_xos(eg.columns, inst.valuations, eg.values())
     best = exact_config_lp(inst, agents=active, items=remaining)
     marginals = best.witness.marginals(inst.m)
     v_plus_star = {}
@@ -271,7 +271,7 @@ def test_criterion_07_rounding_expectation_bound():
                                      items=remaining).value
     samples = []
     for seed in range(500):
-        outcome = round_xos(split, inst.valuations, RngStream(seed))
+        outcome = round_xos(split, RngStream(seed))
         total = 0.0
         for i in eg.agents:
             kept = outcome.allocation.bundle(i) | {outcome.large_items[i]}
@@ -298,9 +298,7 @@ def test_criterion_08_iterated_rounding_structure():
               for i in active}
         eligible = [i for i in active if targets[i] >= 6.0 * nu[i]]
         assert eligible, f"instance {idx}: filter emptied, widen the fixture"
-        config = eg.config()
-        config.columns = {i: config.columns[i] for i in eligible}
-        split = split_subadditive(config, inst.valuations,
+        split = split_subadditive({i: eg.columns[i] for i in eligible}, inst.valuations,
                                   {i: targets[i] for i in eligible},
                                   {i: nu[i] for i in eligible})
         vprime = scaled_targets(split, inst.valuations)

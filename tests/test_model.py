@@ -94,8 +94,7 @@ class TestLoadInstance:
             load_instance(json.dumps(doc))
 
     def test_round_trip_is_identity(self):
-        table = ExplicitTable.from_dict(
-            {frozenset({0}): 1.0, frozenset({1}): 2.0, frozenset({0, 1}): 2.5}, 2)
+        table = ExplicitTable([0.0, 1.0, 2.0, 2.5], 2)
         inst = make_instance(
             Additive([1.0, 0.5]),
             Xos([[1.0, 0.0], [0.25, 2.0]]),
@@ -158,8 +157,7 @@ class TestValidateValuation:
         assert report.monotone and report.subadditive and report.zero_at_empty
 
     def test_superadditive_table_names_counterexample(self):
-        v = ExplicitTable.from_dict(
-            {frozenset({0}): 1.0, frozenset({1}): 1.0, frozenset({0, 1}): 3.0}, 2)
+        v = ExplicitTable([0.0, 1.0, 1.0, 3.0], 2)
         report = validate_valuation(v, 2)
         assert report.subadditive is False
         s, t = report.subadditive_counterexample

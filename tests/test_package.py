@@ -1,5 +1,6 @@
 """The package's export list, the names the benchmark's tracer wraps,
-which modules may enumerate subsets, and the package's exception classes."""
+which modules may enumerate subsets or import the checkers, and the
+package's exception classes."""
 
 import ast
 import builtins
@@ -136,6 +137,24 @@ def test_only_valuations_enumerates_subsets():
             if "_all_subset_rows" in names:
                 users.append(path.stem)
     assert users == []
+
+
+def test_only_the_checkers_import_the_oracle_and_fuzz():
+    # the exact oracles and the fuzz cases check the pipeline's stages, so
+    # no stage imports them; the CLI and the package's exports may
+    users = set()
+    for path in sorted((ROOT / "src" / "nswforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {name.rsplit(".", 1)[-1] for name in names} & {"oracle", "fuzz"}:
+                users.add(path.stem)
+    assert sorted(users - {"oracle", "fuzz", "cli", "__init__"}) == []
 
 
 def test_two_typed_errors_carry_every_failure():

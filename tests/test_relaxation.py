@@ -12,12 +12,11 @@ from nswforge import relaxation, valuations
 from nswforge.generators import GenSpec, generate
 from nswforge.matching import initial_matching
 from nswforge.model import Instance
+from nswforge.oracle import scaled_optimum_check
 from nswforge.relaxation import (
-    EgParams,
     clause_columns,
     concave_ext,
     default_epsilon,
-    scaled_optimum_check,
     solve_eg,
     systematic_columns,
     table_subproblem_bound,
@@ -647,19 +646,20 @@ class TestConfigBarrier:
         assert_breaks_off_at_a_zero_pivot(GenSpec("budgeted_additive", 3, 8, seed=0),
                                           monkeypatch)
 
-    def test_columns_hold_the_start_and_then_join_in_order(self):
+    def test_columns_hold_the_start_and_then_join_in_order(self, monkeypatch):
         # each agent holds the empty set, the singletons and the universe,
         # then the sets it admitted, one step after another: the columns of
         # a solve capped at t steps start the columns of one capped at
         # t + 1, and each step's sets follow by agent and then by mask
         inst = generate(GenSpec("budgeted_additive", 3, 8, seed=0))
         table_values = np.stack(subset_values(inst.valuations, range(8)))
-        eps = EgParams().floor(3)
+        eps = default_epsilon(0.25, 3)
         start = [0, *(1 << np.arange(8)), (1 << 8) - 1]
         held = None
         for cap in range(1, 30):
+            monkeypatch.setattr(relaxation, "MAX_ITERATIONS", cap)
             *_, (col_mask, col_agent), trace, _ = relaxation._config_barrier_eg(
-                table_values, eps, cap)
+                table_values, eps)
             for i in range(3):
                 masks = col_mask[col_agent == i]
                 assert masks[:len(start)].tolist() == start
@@ -877,6 +877,6 @@ class TestScaledOptimum:
         _, _, remaining, active = initial_matching(inst)
         if not active:
             return
-        eg = solve_eg(inst, active, remaining, EgParams(alpha=0.25))
+        eg = solve_eg(inst, active, remaining, alpha=0.25)
         ratio, ok = scaled_optimum_check(inst, eg, alpha=0.25)
         assert ok, f"ratio {ratio} exceeds {1.25 * len(eg.agents)}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nswforge import pipeline, rounding
-from nswforge.model import ConfigSolution, Instance, InvariantViolation
+from nswforge.model import Instance, InvariantViolation
 from nswforge.rounding import (
     ORACLE_NODE_CAP,
     WELFARE_SUBSET_CAP,
@@ -27,10 +27,9 @@ from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Explici
 
 
 def xos_split(valuations, columns):
-    config = ConfigSolution({i: cols for i, cols in columns.items()})
     v_plus = {i: sum(valuations[i].value(s) * w for s, w in cols)
               for i, cols in columns.items()}
-    return split_xos(config, valuations, v_plus)
+    return split_xos(columns, valuations, v_plus)
 
 
 class TestRngStream:
@@ -64,7 +63,7 @@ class TestRoundXos:
     def test_single_agent_keeps_whole_tentative_set(self):
         v = Additive([1.0, 1.0, 1.0, 1.0])
         split = xos_split([v], {0: [(frozenset({0, 1, 2, 3}), 1.0)]})
-        outcome = round_xos(split, [v], RngStream(1))
+        outcome = round_xos(split, RngStream(1))
         chosen = outcome.tentative[0]
         assert outcome.allocation.bundle(0) == chosen
         assert outcome.normalizers[0] == pytest.approx(1 / 3)
@@ -81,7 +80,7 @@ class TestRoundXos:
         wins = 0
         trials = 10_000
         for seed in range(trials):
-            outcome = round_xos(split, [v, v], RngStream(seed))
+            outcome = round_xos(split, RngStream(seed))
             if 0 in outcome.allocation.bundle(0):
                 wins += 1
         assert wins / trials == pytest.approx(0.5, abs=0.02)
@@ -93,7 +92,7 @@ class TestRoundXos:
                     (frozenset({(2 * i + 2) % 6, (2 * i + 3) % 6}), 0.5)]
                 for i in range(3)}
         split = xos_split(vals, cols)
-        outcome = round_xos(split, vals, RngStream(11))
+        outcome = round_xos(split, RngStream(11))
         union = set().union(*outcome.tentative.values())
         won = [j for i in range(3) for j in outcome.allocation.bundle(i)]
         assert sorted(won) == sorted(set(won))
@@ -111,7 +110,7 @@ class TestRoundXos:
         split = xos_split(vals, cols)
         loads = []
         for seed in range(4000):
-            outcome = round_xos(split, vals, RngStream(seed))
+            outcome = round_xos(split, RngStream(seed))
             for i, items in outcome.tentative.items():
                 for j in items:
                     loads.append(len(outcome.contention[j]))
@@ -120,17 +119,16 @@ class TestRoundXos:
     def test_deterministic_byte_for_byte(self):
         v = Additive([1.0, 1.0, 1.0, 1.0])
         split = xos_split([v], {0: [(frozenset({0, 1, 2, 3}), 1.0)]})
-        a = round_xos(split, [v], RngStream(123)).to_json()
-        b = round_xos(split, [v], RngStream(123)).to_json()
+        a = round_xos(split, RngStream(123)).to_json()
+        b = round_xos(split, RngStream(123)).to_json()
         assert a == b
 
 
 def sub_split(valuations, columns):
-    config = ConfigSolution(columns)
     targets = {i: sum(valuations[i].value(s) * w for s, w in cols)
                for i, cols in columns.items()}
     nu = {i: float(valuations[i].singleton_values().max()) for i in columns}
-    return split_subadditive(config, valuations, targets, nu)
+    return split_subadditive(columns, valuations, targets, nu)
 
 
 class TestProcedures:
@@ -615,9 +613,9 @@ class TestFinalizeXos:
         # the final matching must take the swap
         import math as _math
 
-        from nswforge.matching import initial_matching
+        from nswforge.matching import final_matching, initial_matching
         from nswforge.model import Allocation, Instance
-        from nswforge.rounding import RoundOutcome, final_matching
+        from nswforge.rounding import RoundOutcome
 
         inst = Instance(
             ("a0", "a1"), ("g0", "g1", "g2", "g3"),
@@ -641,9 +639,8 @@ class TestFinalizeXos:
     def test_empty_bundles_reduce_to_initial_objective(self):
         import math as _math
 
-        from nswforge.matching import initial_matching
+        from nswforge.matching import final_matching, initial_matching
         from nswforge.model import Instance
-        from nswforge.rounding import final_matching
 
         rng = np.random.default_rng(31)
         inst = Instance(("a0", "a1", "a2"), tuple(f"g{j}" for j in range(5)),
@@ -680,9 +677,7 @@ class TestCrWelfareQuantile:
             nu = {i: max(vals[i].value((j,)) for j in remaining) for i in active}
             eligible = [i for i in active if targets[i] >= 6 * nu[i]]
             assert len(eligible) == n, "fixture must keep every agent"
-            config = eg.config()
-            config.columns = {i: config.columns[i] for i in eligible}
-            split = split_subadditive(config, vals,
+            split = split_subadditive({i: eg.columns[i] for i in eligible}, vals,
                                       {i: targets[i] for i in eligible},
                                       {i: nu[i] for i in eligible})
             cols = {i: [(c.items, c.weight) for c in split.columns[i]]

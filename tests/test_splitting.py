@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nswforge.fuzz import split_case
-from nswforge.model import ConfigSolution, InvariantViolation
+from nswforge.model import InvariantViolation
 from nswforge.splitting import (
     check_subadditive_split,
     check_xos_split,
@@ -15,7 +15,7 @@ from nswforge.valuations import Additive, ExplicitTable, Xos
 
 
 def one_agent_config(*cols):
-    return ConfigSolution({0: [(frozenset(s), w) for s, w in cols]})
+    return {0: [(frozenset(s), w) for s, w in cols]}
 
 
 class TestSplitXos:

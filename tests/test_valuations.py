@@ -50,6 +50,34 @@ def all_families(m, rng):
     ]
 
 
+class TestArrayChecks:
+    # every family checks its array once, the same way: weights a nonempty
+    # vector, clauses at least one clause of at least one item, every
+    # entry finite and nonnegative
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BudgetedAdditive(np.ones((2, 3)), 1.0), "weights must be a nonempty vector"),
+        (lambda: BudgetedAdditive([], 1.0), "weights must be a nonempty vector"),
+        (lambda: BudgetedAdditive([1.0, np.inf], 1.0), "weights must be finite and nonnegative"),
+        (lambda: Additive(np.ones((2, 3))), "weights must be a nonempty vector"),
+        (lambda: Additive([]), "weights must be a nonempty vector"),
+        (lambda: Additive([1.0, -0.5]), "weights must be finite and nonnegative"),
+        (lambda: Xos(np.ones((2, 2, 3))), "clauses must be a nonempty matrix"),
+        (lambda: Xos([[]]), "clauses must be a nonempty matrix"),
+        (lambda: Xos(np.ones((2, 0))), "clauses must be a nonempty matrix"),
+        (lambda: Xos(np.zeros((0, 3))), "at least one clause required"),
+        (lambda: Xos([[1.0, np.nan]]), "clauses must be finite and nonnegative"),
+    ], ids=["budgeted_2d", "budgeted_empty", "budgeted_inf", "additive_2d",
+            "additive_empty", "additive_negative", "xos_3d", "xos_no_item",
+            "xos_no_item_2", "xos_no_clause", "xos_nan"])
+    def test_bad_arrays_are_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_a_vector_is_one_clause(self):
+        v = Xos([1.0, 2.0])
+        assert v.clauses.shape == (1, 2) and v.value((0, 1)) == 3.0
+
+
 class TestValue:
     def test_xos_max_over_clauses(self):
         v = Xos([[2, 0], [0, 2]])
