@@ -9,17 +9,16 @@ initial tableau [A | I | b] is its own B^-1 [A | I | b], so there is no
 phase 1 and no factorization, and the primal simplex runs on it to
 optimality. It prices by Dantzig's largest reduced cost and breaks ties
 in the ratio test lexicographically on B^-1, which keeps degenerate LPs,
-such as restricted masters with zero item masses, from cycling. Callers
-use the duals of the final basis as optimality certificates. The pivot cap
-raises `CapExceeded` and an unbounded objective `InvariantViolation`, the
-package's two typed failures.
+such as restricted masters with zero item masses, from cycling. B^-1 is
+the tableau's columns of the starting basis, and the duals of the final
+basis, c_B^T B^-1, are read off those same columns; callers use them as
+optimality certificates. The pivot cap raises `CapExceeded` and an
+unbounded objective `InvariantViolation`, the package's two typed failures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +32,15 @@ _MAX_ITER = 50_000  # pivots per simplex run before CapExceeded
 
 @dataclass(frozen=True)
 class LpResult:
-    """Optimum with its duals, which are solved from the final basis on
-    their first read (most callers never read them)."""
+    """Optimum x with its value, and the duals of the final basis,
+    c_B^T B^-1 split into the a_ub rows' and the a_eq rows'. B^-1 is read
+    off the tableau's columns of the starting basis, the columns the ratio
+    test reads."""
 
     x: np.ndarray
     value: float
-    _solve_duals: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False,
-                                                                      compare=False)
-
-    @cached_property
-    def _duals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._solve_duals()
-
-    @property
-    def dual_ub(self) -> np.ndarray:
-        return self._duals[0]
-
-    @property
-    def dual_eq(self) -> np.ndarray:
-        return self._duals[1]
+    dual_ub: np.ndarray
+    dual_eq: np.ndarray
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -92,31 +81,6 @@ def _iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     raise CapExceeded("simplex iteration cap exceeded")
 
 
-def _result(c: np.ndarray, a_ub: np.ndarray, a_eq: np.ndarray, cost: np.ndarray,
-            tab: np.ndarray, basis: list[int]) -> LpResult:
-    """x and value read off an optimal tableau and its basis, and the
-    solve of its duals."""
-    n, mu = c.size, a_ub.shape[0]
-    idx = np.array(basis, dtype=int)
-    structural = idx < n
-    x = np.zeros(n)
-    x[idx[structural]] = tab[structural, -1]
-    basic = np.vstack([a_ub[:, idx[structural]], a_eq[:, idx[structural]]])
-
-    def duals() -> tuple[np.ndarray, np.ndarray]:
-        """Solve B^T y = c_B on the original columns of the final basis."""
-        b_mat = np.eye(idx.size)[:, np.maximum(idx - n, 0)]
-        b_mat[:, structural] = basic
-        c_b = cost[idx]
-        try:
-            y = np.linalg.solve(b_mat.T, c_b)
-        except np.linalg.LinAlgError:
-            y, *_ = np.linalg.lstsq(b_mat.T, c_b, rcond=None)
-        return y[:mu], y[mu:]
-
-    return LpResult(x=x, value=float(c @ x), _solve_duals=duals)
-
-
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     """Solve max c.x with a_ub.x <= b_ub, a_eq.x = b_eq, x >= 0, from the
     identity basis.
@@ -150,5 +114,11 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         if not units.size:
             raise ValueError(f"equality row {r - mu} has no unit column")
         basis.append(int(units[0]))
+    start = basis.copy()
     _iterate(tab, basis, cost)
-    return _result(c, a_ub, a_eq, cost, tab, basis)
+    idx = np.array(basis, dtype=int)
+    structural = idx < n
+    x = np.zeros(n)
+    x[idx[structural]] = tab[structural, -1]
+    duals = cost[idx] @ tab[:, start]
+    return LpResult(x=x, value=float(c @ x), dual_ub=duals[:mu], dual_eq=duals[mu:])

@@ -132,16 +132,6 @@ class ConfigSolution:
                     load[j] += w
         return load
 
-    def marginals(self, m: int) -> "ItemFractional":
-        mass: dict[int, dict[int, float]] = {}
-        for agent, cols in self.columns.items():
-            row: dict[int, float] = {}
-            for items, w in cols:
-                for j in items:
-                    row[j] = row.get(j, 0.0) + w
-            mass[agent] = row
-        return ItemFractional(mass)
-
     def validate(self, m: int) -> None:
         """Weights at least 0 and item loads at most 1, up to `CHECK_TOL`."""
         for agent, cols in self.columns.items():

@@ -72,6 +72,7 @@ from .valuations import (
     Valuation,
     Xos,
     demand,
+    item_universe,
     mask_incidence,
     subset_values,
 )
@@ -112,15 +113,16 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
     failed duality certificate raises `InvariantViolation`. The demand
     queries share one `SubsetTable` of the universe, so a budgeted or
     table valuation enumerates it once per call. The LP over every subset
-    is `vertex_columns` on the universe's whole table.
+    is `vertex_columns` on the universe's whole table. Masses that are not
+    one per item of v, or outside [0, 1] on the universe, and a universe
+    that `item_universe` rejects raise ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if items is None:
-        universe = np.arange(v.m, dtype=np.int64)
-    else:
-        universe = np.unique(np.fromiter(items, dtype=np.int64))
+    if x.shape != (v.m,):
+        raise ValueError(f"item masses must hold {v.m} entries, one per item")
+    universe = item_universe(v, items)
     x_univ = x[universe]
-    if x_univ.min() < -COLGEN_TOL or x_univ.max() > 1 + COLGEN_TOL:
+    if not (x_univ.min() >= -COLGEN_TOL and x_univ.max() <= 1 + COLGEN_TOL):
         raise ValueError("item masses must lie in [0, 1]")
     columns = [frozenset()] + [frozenset({int(j)}) for j in universe]
     values = [v.value(col) for col in columns]

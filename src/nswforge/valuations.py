@@ -285,6 +285,22 @@ class SubsetTable:
         return self._arrays
 
 
+def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarray:
+    """The distinct items of `items` (every item by default), sorted, as an
+    int64 array; ValueError if one lies outside range(v.m). A sorted int64
+    array of distinct items (a table's universe) is used as is, and only
+    its ends are checked."""
+    if items is None:
+        return np.arange(v.m, dtype=np.int64)
+    universe = items
+    if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
+            and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
+        universe = np.unique(np.fromiter(items, dtype=np.int64))
+    if universe.size and (universe[0] < 0 or universe[-1] >= v.m):
+        raise ValueError(f"items must lie in range({v.m})")
+    return universe
+
+
 def demand(v: Valuation, prices, items: Iterable[int] | None = None,
            table: SubsetTable | None = None) -> DemandResult:
     """Utility-maximizing set for v(S) - p(S), restricted to `items`.
@@ -300,16 +316,15 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
     at most 16 items (past that, the table raises `CapExceeded` before
     enumerating). `table` is one held for v and this universe, so
     that repeated queries enumerate once; without one, each call
-    enumerates afresh. A sorted int64 array of distinct items (a table's
-    universe) is used as is.
+    enumerates afresh. `prices` holds one price per item of v, and the
+    universe is read by `item_universe`; either raises ValueError otherwise.
     """
     p = np.asarray(prices, dtype=float)
+    if p.shape != (v.m,):
+        raise ValueError(f"prices must hold {v.m} entries, one per item")
     if not np.all(np.isfinite(p)):
         raise ValueError("prices must be finite")
-    universe = np.arange(v.m, dtype=np.int64) if items is None else items
-    if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
-            and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
-        universe = np.unique(np.fromiter(universe, dtype=np.int64))
+    universe = item_universe(v, items)
     if isinstance(v, Xos):
         best, best_util = None, 0.0
         for gains in v.clauses[:, universe] - p[universe]:

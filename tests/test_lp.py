@@ -2,6 +2,8 @@
 against scipy's HiGHS as an independent oracle and against its own duality
 certificate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -55,6 +57,25 @@ def test_duals_are_certificates(trial):
     # strong duality
     dual_value = res.dual_ub @ b_ub + res.dual_eq @ b_eq
     assert dual_value == pytest.approx(res.value, abs=1e-7)
+
+
+def test_duals_come_off_the_final_tableau(monkeypatch):
+    # no linear solve stands behind the duals: they are read off the
+    # tableau's columns of the starting basis, and the result is a plain
+    # dataclass that `dataclasses.replace` copies
+    def no_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("the duals called a linear solver")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    for trial in range(5):
+        rng = np.random.default_rng(2000 + trial)
+        c, a_ub, b_ub, a_eq, b_eq = random_feasible_lp(rng)
+        res = maximize(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        assert_certified(res, c, a_ub, b_ub, a_eq, b_eq, tol=1e-8)
+        moved = dataclasses.replace(res, x=np.zeros_like(res.x))
+        assert not moved.x.any() and moved.dual_ub is res.dual_ub
+        assert moved.dual_eq is res.dual_eq and moved.value == res.value
 
 
 def test_degenerate_zero_capacity_rows():

@@ -30,6 +30,7 @@ from nswforge.valuations import (
     ExplicitTable,
     SubsetTable,
     Xos,
+    mask_incidence,
     subset_values,
 )
 
@@ -51,6 +52,24 @@ def random_valuation(rng, m, fam):
     masks = np.arange(1 << m)
     rows = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     return ExplicitTable(src.value_rows(rows), m)
+
+
+def assert_extension_matches_enumeration(v, x):
+    """concave_ext(v, x) has the value of the LP over every subset of the
+    items, a consistent and capacity-feasible decomposition, and a dual
+    that bounds every subset."""
+    a = concave_ext(v, x)
+    values = subset_values([v], range(v.m))[0]
+    incidence = mask_incidence(np.arange(1 << v.m), v.m)
+    b = vertex_columns(values, incidence, x, range(v.m))
+    assert a.value == pytest.approx(sum(w * v.value(s) for s, w in b), abs=1e-6)
+    mix = sum(w * v.value(s) for s, w in a.columns)
+    assert mix == pytest.approx(a.value, abs=1e-8)
+    load = np.zeros(v.m)
+    for s, w in a.columns:
+        load[list(s)] += w
+    assert (load <= x + 1e-8).all()
+    assert (a.q + incidence @ a.prices >= values - 1e-8).all()
 
 
 def forbidden(*args, **kwargs):
@@ -161,24 +180,16 @@ class TestConcaveExt:
         rng = np.random.default_rng(100 + seed)
         m = int(rng.integers(3, 9))
         v = random_valuation(rng, m, seed % 4)
-        x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.8)
-        a = concave_ext(v, x)
-        # the LP over every subset of the items
-        rows, values = SubsetTable(v, np.arange(m)).arrays()
-        b = vertex_columns(values, rows, x, range(m))
-        assert a.value == pytest.approx(sum(w * v.value(s) for s, w in b), abs=1e-6)
-        # primal decomposition is consistent and capacity-feasible
-        mix = sum(w * v.value(s) for s, w in a.columns)
-        assert mix == pytest.approx(a.value, abs=1e-8)
-        load = np.zeros(m)
-        for s, w in a.columns:
-            for j in s:
-                load[j] += w
-        assert (load <= x + 1e-8).all()
-        # the dual bounds every set of the universe
-        for s in itertools.chain.from_iterable(
-                itertools.combinations(range(m), r) for r in range(m + 1)):
-            assert a.q + a.prices[list(s)].sum() >= v.value(s) - 1e-8
+        assert_extension_matches_enumeration(v, rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.8))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_column_generation_matches_enumeration_at_scale(self, seed):
+        # budgeted and table valuations over 12, 14 and 16 items, whose
+        # restricted masters take the most pivots
+        rng = np.random.default_rng(300 + seed)
+        m = 12 + 2 * (seed % 3)
+        v = random_valuation(rng, m, 2 + seed % 2)
+        assert_extension_matches_enumeration(v, rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.8))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_concave_along_segments(self, seed):
@@ -195,6 +206,24 @@ class TestConcaveExt:
     def test_zero_mass_gives_zero(self):
         ext = concave_ext(Additive([1.0, 2.0]), [0.0, 0.0])
         assert ext.value == 0.0
+
+    @pytest.mark.parametrize("x, items, message", [
+        ([0.5, 0.5, 0.5, 0.5], None, r"item masses must hold 3 entries, one per item"),
+        ([0.5], None, r"item masses must hold 3 entries, one per item"),
+        ([0.5, 0.5, 0.5], [-1], r"items must lie in range\(3\)"),
+        ([0.5, 0.5, 0.5], [1, 3], r"items must lie in range\(3\)"),
+        ([np.nan, 0.5, 0.5], None, r"item masses must lie in \[0, 1\]"),
+        ([1.5, 0.5, 0.5], [1, 2], None),
+    ])
+    def test_masses_and_universe_checked_against_the_items(self, x, items, message):
+        # a mass per item of v, in [0, 1] on the universe, and a universe
+        # inside range(v.m); a mass off the universe is not read
+        v = Additive([1.0, 2.0, 3.0])
+        if message is None:
+            assert concave_ext(v, x, items=items).value == pytest.approx(2.5, abs=1e-12)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                concave_ext(v, x, items=items)
 
 
 @pytest.fixture

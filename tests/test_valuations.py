@@ -200,6 +200,23 @@ class TestDemand:
         assert demand(v, np.full(4, 0.5), items=universe[::-1]) == res
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("prices, items, message", [
+        ([0.5, 0.5, 0.5, 9.0], None, r"prices must hold 3 entries, one per item"),
+        ([0.5], None, r"prices must hold 3 entries, one per item"),
+        ([[0.0, 0.0, 0.0]], None, r"prices must hold 3 entries, one per item"),
+        ([0.0, 0.0, 0.0], [-1], r"items must lie in range\(3\)"),
+        ([0.0, 0.0, 0.0], [0, 3], r"items must lie in range\(3\)"),
+        ([0.0, 0.0, 0.0], np.array([-1, 1], dtype=np.int64), r"items must lie in range\(3\)"),
+        ([0.0, 0.0, 0.0], np.array([0, 3], dtype=np.int64), r"items must lie in range\(3\)"),
+    ])
+    def test_prices_and_universe_checked_against_the_items(self, prices, items, message):
+        # a price per item of v and a universe inside range(v.m), for the
+        # analytic and the enumerated oracles alike; sorted int64 arrays,
+        # which skip np.unique, included
+        for v in (Additive([1.0, 2.0, 3.0]), BudgetedAdditive([1.0, 2.0, 3.0], 2.0)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                demand(v, prices, items=items)
+
 
 def enumerated_demand_reference(v, prices, universe):
     """`demand`'s enumeration body as it was before the subset table: fresh
