@@ -122,7 +122,7 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
         raise ValueError(f"item masses must hold {v.m} entries, one per item")
     universe = item_universe(v, items)
     x_univ = x[universe]
-    if not (x_univ.min() >= -COLGEN_TOL and x_univ.max() <= 1 + COLGEN_TOL):
+    if not np.all((x_univ >= -COLGEN_TOL) & (x_univ <= 1 + COLGEN_TOL)):  # NaN fails
         raise ValueError("item masses must lie in [0, 1]")
     columns = [frozenset()] + [frozenset({int(j)}) for j in universe]
     values = [v.value(col) for col in columns]
@@ -131,7 +131,8 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
     rounds = 0
     while True:
         # max sum_k value_k y_k over y >= 0 with incidence.y <= x and sum y = 1
-        incidence = np.array([[j in col for col in columns] for j in universe.tolist()], float)
+        incidence = np.array([[j in col for col in columns] for j in universe.tolist()],
+                             float).reshape(universe.size, len(columns))
         res = maximize(np.array(values), a_ub=incidence, b_ub=x_univ,
                        a_eq=np.ones((1, len(columns))), b_eq=np.ones(1))
         q = float(res.dual_eq[0])
@@ -374,19 +375,26 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
     if info > 0:
         return None
 
-    def newton(r):
-        """The step that drives every row's lam g to r to first order:
-        the primal step, the rows' slack changes and the duals'."""
-        du = (d * dgetrs(lu, piv, d * (gain + lift(r / g)), overwrite_b=True)[0])[:size]
-        dg = along(du)
-        return du, dg, r / g - lam - w * dg
+    def solve(rhs):
+        """The primal step and the rows' slack changes for a right-hand
+        side over the unscaled unknowns."""
+        du = (d * dgetrs(lu, piv, d * rhs, overwrite_b=True)[0])[:size]
+        return du, along(du)
 
+    # the affine step drives every lam g to 0: lift(0 / g) is +0 and
+    # 0 / g - lam is -lam, so neither is formed
     mu = float(lam @ g) / g.size
-    _, dg, dlam = newton(np.zeros(g.size))
+    _, dg = solve(gain)
+    dlam = -lam - w * dg
     primal, dual = min(1.0, _reach(g, dg)), min(1.0, _reach(lam, dlam))
     sigma = (float((g + primal * dg) @ (lam + dual * dlam)) / g.size / mu) ** 3
-    du, dg_c, dlam_c = newton(sigma * mu - dg * dlam)
-    return du, dlam_c, min(1.0, 0.99 * min(_reach(g, dg_c), _reach(lam, dlam_c)))
+    # the corrector drives every lam g to sigma mu less the affine step's
+    # second-order term
+    target = (sigma * mu - dg * dlam) / g
+    du, dg_c = solve(gain + lift(target))
+    dlam_c = target - lam - w * dg_c
+    reach = _reach(np.concatenate([g, lam]), np.concatenate([dg_c, dlam_c]))
+    return du, dlam_c, min(1.0, 0.99 * reach)
 
 
 def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: float,
@@ -508,10 +516,8 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     keep = same_item | same_agent
     a, b, same_item, same_agent = a[keep], b[keep], same_item[keep], same_agent[keep]
     pat_r, pat_c = var[a], var[b]
-    pat_cap = np.where(same_item, var_item[a], m_i)  # m_i: a zero
     pat_agent = var_agent[a]
     pat_outer = np.where(same_agent, var_coef[a] * var_coef[b], 0.0)
-    pat_floor = np.where(same_item & same_agent, var_x[a], n_a * m_i)
     # every agent's clauses, padded to the most clauses with zero ones;
     # then the lifted agents' y and beta indices into u with one zero
     # appended (index `size`)
@@ -535,6 +541,19 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     cap, floor = slice(0, m_i), slice(m_i, m_i + n_a * m_i)
     lo_rows = slice(floor.stop, floor.stop + box_y.size)
     hi_rows = slice(lo_rows.stop, lo_rows.stop + box_y.size)
+    # each pattern entry's capacity and floor rows, as indices into the row
+    # weights with one zero appended (index `hi_rows.stop`)
+    pat_cap = np.where(same_item, var_item[a], hi_rows.stop)
+    pat_floor = np.where(same_item & same_agent, floor.start + var_x[a], hi_rows.stop)
+    # the Newton system's entries as flat indices in Fortran order: the
+    # pattern, a lifted agent's box rows on its y diagonal and between y and
+    # beta, beta's diagonal, and the beta equality rows
+    dim = size + n_eq
+    pat_flat = pat_r + pat_c * dim
+    box_diag = box_y * (dim + 1)
+    box_off = np.concatenate([box_y + box_b * dim, box_b + box_y * dim])
+    beta_diag = beta_var * (dim + 1)
+    eq_flat = np.concatenate([size + eq_row + beta_var * dim, beta_var + (size + eq_row) * dim])
 
     def state(u):
         """The masses, the agent values and every row's slack at u."""
@@ -564,27 +583,26 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     def newton(w, v):
         """The Newton system at row weights w and values v, and the
         gradient of sum_i log v_i."""
-        system = np.zeros((size + n_eq, size + n_eq), order="F")
+        flat = np.zeros(dim * dim)
+        wz = np.append(w, 0.0)
         # capacity rows couple agents; then each agent's objective, then the floor
-        system[pat_r, pat_c] = ((np.append(w[cap], 0.0)[pat_cap]
-                                 + (1.0 / v ** 2)[pat_agent] * pat_outer)
-                                + np.append(w[floor], 0.0)[pat_floor])
+        flat[pat_flat] = (wz[pat_cap] + (1.0 / v ** 2)[pat_agent] * pat_outer) + wz[pat_floor]
         if n_eq:
-            w_lo, w_hi = w[lo_rows], w[hi_rows]
-            system[box_y, box_y] += w_lo + w_hi
-            system[box_y, box_b] = system[box_b, box_y] = -w_hi
-            system[beta_var, beta_var] = np.bincount(box_beta, weights=w_hi,
-                                                     minlength=beta_var.size)
-            system[size + eq_row, beta_var] = system[beta_var, size + eq_row] = 1.0
-        gain = np.zeros(size + n_eq)
+            w_lo, w_hi = wz[lo_rows], wz[hi_rows]
+            flat[box_diag] += w_lo + w_hi
+            flat[box_off] = np.tile(-w_hi, 2)
+            flat[beta_diag] = np.bincount(box_beta, weights=w_hi, minlength=beta_var.size)
+            flat[eq_flat] = 1.0
+        gain = np.zeros(dim)
         gain[var] = var_coef / v[var_agent]
-        return system, gain
+        return flat.reshape(dim, dim, order="F"), gain
 
     def certify(u, x, v, lam):
         """D(p), the objective and the filled point with its values and,
         for the lifted agents, its clause masses and weights."""
         held = np.where(valued, x, eps)
-        filled = held + (1.0 - held.sum(axis=0)) * (held * takers) / (held * takers).sum(axis=0)
+        share = held * takers
+        filled = held + (1.0 - held.sum(axis=0)) * share / share.sum(axis=0)
         values = (weights * filled).sum(axis=1)
         prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -593,8 +611,9 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
                 xos_subproblem_bound(c_pad, prices, eps, v, lam_net).sum())
             y = beta = None
             if n_eq:
-                y = np.append(u, 0.0)[y_idx] * (held[lifted] / x[lifted])[:, None, :]
-                beta = np.append(u, 0.0)[b_idx]
+                uz = np.append(u, 0.0)
+                y = uz[y_idx] * (held[lifted] / x[lifted])[:, None, :]
+                beta = uz[b_idx]
                 room = beta[:, :, None] - y
                 y += (filled - held)[lifted][:, None, :] * room / room.sum(axis=1, keepdims=True)
                 values[lifted] = (c_lifted * y).sum(axis=(1, 2))

@@ -52,11 +52,12 @@ class RngStream:
 
 
 #: signature of a pluggable rounding procedure: given per-agent columns
-#: (weights summing to at most one each), valuations, scaled targets and a
-#: stream, return one set per agent, each a subset of a support column.
+#: (tuples of (items, weight), the weights summing to at most one each),
+#: valuations, scaled targets and a stream, return one set per agent, each
+#: a subset of a support column.
+Columns = dict[int, Sequence[tuple[frozenset[int], float]]]
 RoundingProcedure = Callable[
-    [dict[int, list[tuple[frozenset[int], float]]], Sequence[Valuation],
-     Mapping[int, float], RngStream, int],
+    [Columns, Sequence[Valuation], Mapping[int, float], RngStream, int],
     dict[int, frozenset[int]],
 ]
 
@@ -162,8 +163,8 @@ def round_xos(split: XosSplitOutput, rng: RngStream) -> RoundOutcome:
     )
 
 
-def cr_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
-                 valuations: Sequence[Valuation], targets: Mapping[int, float],
+def cr_procedure(columns: Columns, valuations: Sequence[Valuation],
+                 targets: Mapping[int, float],
                  rng: RngStream, round_index: int = 1) -> dict[int, frozenset[int]]:
     """Contention-resolution rounding procedure (nominal welfare factor 4).
 
@@ -287,8 +288,8 @@ def _dive(supports: Sequence[Sequence[frozenset[int]]], children: Callable,
     return max(welfare for _, welfare in nodes(profile))
 
 
-def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
-                     valuations: Sequence[Valuation], targets: Mapping[int, float],
+def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
+                     targets: Mapping[int, float],
                      rng: RngStream | None = None, round_index: int = 1,
                      ) -> dict[int, frozenset[int]]:
     """Exact scaled-welfare-maximizing rounding procedure.
@@ -459,6 +460,13 @@ def oracle_procedure(columns: dict[int, list[tuple[frozenset[int], float]]],
     return best
 
 
+def _agent_columns(split: SubaddSplitOutput) -> Columns:
+    """Each agent's split columns as the tuple of (items, weight) pairs a
+    rounding procedure takes, built once per call and shared, read-only,
+    by every group and round that holds the agent."""
+    return {i: tuple((c.items, c.weight) for c in cols) for i, cols in split.columns.items()}
+
+
 def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valuation],
                             targets: Mapping[int, float], proc: RoundingProcedure,
                             rng: RngStream) -> float:
@@ -488,10 +496,10 @@ def measured_welfare_factor(split: SubaddSplitOutput, valuations: Sequence[Valua
     agents = sorted(split.columns)
     if not agents:
         return 1.0
+    agent_columns = _agent_columns(split)
 
     def factor(group: tuple[int, ...]) -> float:
-        columns = {i: [(c.items, c.weight) for c in split.columns[i]] for i in group}
-        sets = proc(columns, valuations, targets, rng, 0)
+        sets = proc({i: agent_columns[i] for i in group}, valuations, targets, rng, 0)
         welfare = sum(valuations[i].value(sets[i]) / targets[i] for i in group)
         if welfare <= 0:
             raise InvariantViolation("rounding procedure produced zero scaled welfare")
@@ -544,6 +552,7 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
     n0 = max(len(agents0), 1)
     cap = max(1, math.ceil(math.log(max(n0, 2)) / -math.log1p(-delta))) + EXTRA_ROUNDS
     active = list(agents0)
+    agent_columns = _agent_columns(split)
     bundles: dict[int, frozenset[int]] = {}
     tentative: dict[int, frozenset[int]] = {}
     exit_rounds: dict[int, int] = {}
@@ -551,8 +560,7 @@ def iterated_round(split: SubaddSplitOutput, valuations: Sequence[Valuation],
     for t in range(1, cap + 1):
         if not active:
             break
-        columns = {i: [(c.items, c.weight) for c in split.columns[i]] for i in active}
-        sets = proc(columns, valuations, targets, rng, t)
+        sets = proc({i: agent_columns[i] for i in active}, valuations, targets, rng, t)
         welfare = sum(valuations[i].value(sets[i]) / targets[i] for i in active)
         slice_t = frozenset(j for j, r in item_rounds.items() if r == t)
         exited = []

@@ -127,11 +127,11 @@ def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
             val = v.value(source)
             if val < threshold - _B_TOL:
                 continue
-            clause = xos_clause(v, source)
-            order = sorted(source, key=lambda j: (-clause.weights[j], j))
+            weights = xos_clause(v, source).weights.tolist()
+            order = sorted(source, key=lambda j: (-weights[j], j))
             large = order[0]
             pieces = math.floor(4.0 * val / target + 1e-9)
-            part_target = threshold - clause.weights[large]
+            part_target = threshold - weights[large]
             rest = order[1:]
             idx = 0
             parts: list[list[int]] = []
@@ -140,7 +140,7 @@ def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
                 cum = 0.0
                 while idx < len(rest):
                     cur.append(rest[idx])
-                    cum += clause.weights[rest[idx]]
+                    cum += weights[rest[idx]]
                     idx += 1
                     if cum >= part_target - 1e-12:
                         break
@@ -158,13 +158,19 @@ def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
     return result
 
 
-def _trim(part: list[int], v: Valuation, cap: float) -> list[int]:
-    """Drop lowest-singleton-value items while the part is worth more than cap."""
-    singles = v.singleton_values()
-    part = sorted(part, key=lambda j: (singles[j], j))
-    while part and v.value(part) > cap + _B_TOL:
-        part.pop(0)
-    return sorted(part)
+def _trim(part: frozenset[int], v: Valuation, cap: float,
+          singles: Sequence[float]) -> frozenset[int]:
+    """`part` as it is if it is worth at most cap; else drop its items of
+    least singleton value `singles[j]` (ties to the lower index) one at a
+    time until it is."""
+    if v.value(part) <= cap + _B_TOL:
+        return part
+    order = sorted(part, key=lambda j: (singles[j], j))
+    while True:
+        del order[0]
+        kept = frozenset(order)
+        if v.value(kept) <= cap + _B_TOL:
+            return kept
 
 
 def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
@@ -176,7 +182,8 @@ def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
     Only agents with V >= 6 nu may participate. Sets below V/3 are
     discarded; survivors are split greedily in item order into
     floor(3 v(S) / V) nonempty parts worth at least V/3 - nu, then each
-    part is trimmed down to value at most V. Accumulated weights are
+    part worth more than V is trimmed down to at most V (`_trim`, over
+    the agent's singleton values, read once). Accumulated weights are
     renormalized to sum to exactly one per agent, which cannot increase
     any item's load because the pre-normalization mass is at least one.
     """
@@ -194,7 +201,8 @@ def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
                 f"filter such agents out before splitting")
         keep_threshold = target / 3.0
         part_target = target / 3.0 - single_cap
-        raw: list[SplitColumn] = []
+        singles = v.singleton_values().tolist()
+        raw: list[tuple[frozenset[int], float, frozenset[int]]] = []
         for source, weight in cols:
             if weight <= 0:
                 continue
@@ -214,19 +222,19 @@ def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
                         break
                 parts.append(cur)
             parts.append(list(order[idx:]))
-            for part in parts:
+            for part in map(frozenset, parts):
                 if not part or v.value(part) < part_target - _B_TOL:
                     raise InvariantViolation(
                         f"agent {agent}: greedy split of {sorted(source)} "
                         f"failed; valuation is not subadditive?")
-                raw.append(SplitColumn(frozenset(_trim(part, v, target)), weight, source, None))
-        mass = sum(c.weight for c in raw)
+                raw.append((_trim(part, v, target, singles), weight, source))
+        mass = sum(weight for _, weight, _ in raw)
         if mass < 1.0 - _B_TOL:
             raise InvariantViolation(
                 f"agent {agent}: pre-normalization mass {mass} below 1; "
                 f"weights and targets are inconsistent")
-        out[agent] = [SplitColumn(c.items, c.weight / mass, c.source, None)
-                      for c in raw]
+        out[agent] = [SplitColumn(items, weight / mass, source)
+                      for items, weight, source in raw]
     result = SubaddSplitOutput(columns=out, targets=dict(targets), nu=dict(nu))
     check_subadditive_split(result, valuations)
     return result

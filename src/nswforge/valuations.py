@@ -287,15 +287,18 @@ class SubsetTable:
 
 def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarray:
     """The distinct items of `items` (every item by default), sorted, as an
-    int64 array; ValueError if one lies outside range(v.m). A sorted int64
-    array of distinct items (a table's universe) is used as is, and only
-    its ends are checked."""
+    int64 array; ValueError if one is not an integer (Python or numpy) or
+    lies outside range(v.m). A sorted int64 array of distinct items (a
+    table's universe) is used as is, and only its ends are checked."""
     if items is None:
         return np.arange(v.m, dtype=np.int64)
     universe = items
     if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
             and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
-        universe = np.unique(np.fromiter(items, dtype=np.int64))
+        listed = np.asarray(list(items))
+        if listed.ndim != 1 or (listed.size and listed.dtype.kind not in "iu"):
+            raise ValueError("items must be integers")
+        universe = np.unique(listed.astype(np.int64))
     if universe.size and (universe[0] < 0 or universe[-1] >= v.m):
         raise ValueError(f"items must lie in range({v.m})")
     return universe
@@ -346,10 +349,13 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
 
 
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
-    """A clause achieving v(S) on S; lowest clause index wins ties. An
-    `Additive` valuation's one clause is its weights."""
+    """A clause achieving v(S) on S; lowest clause index wins ties. A
+    one-clause valuation (every `Additive`) returns a copy of its clause 0
+    without scoring it."""
     if not isinstance(v, Xos):
         raise TypeError(f"XOS oracle called on a {v.kind} valuation")
+    if len(v.clauses) == 1:
+        return XosClause(0, v.clauses[0].copy())
     row = np.zeros(v.m, dtype=bool)
     idx = np.fromiter(items, dtype=np.int64)
     if idx.size:

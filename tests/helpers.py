@@ -11,3 +11,64 @@ def column_masses(cols, m):
         for j in items:
             x[j] += w
     return x
+
+
+def reference_split_subadditive(columns, valuations, targets, nu):
+    """The subadditive split as first written, kept as a plain reference:
+    greedy parts in item order, each trimmed by `_reference_trim`, which
+    reads the singleton values and sorts the part every time. Returns each
+    agent's list of (items, weight, source), weights normalized; raises
+    where `split_subadditive` raises."""
+    import math
+
+    from nswforge.model import InvariantViolation
+
+    out = {}
+    for agent, cols in columns.items():
+        v = valuations[agent]
+        target = float(targets[agent])
+        single_cap = float(nu[agent])
+        keep_threshold = target / 3.0
+        part_target = target / 3.0 - single_cap
+        raw = []
+        for source, weight in cols:
+            if weight <= 0:
+                continue
+            val = v.value(source)
+            if val < keep_threshold - 1e-9:
+                continue
+            pieces = math.floor(3.0 * val / target + 1e-9)
+            order = sorted(source)
+            idx = 0
+            parts = []
+            for _ in range(pieces - 1):
+                cur = []
+                while idx < len(order):
+                    cur.append(order[idx])
+                    idx += 1
+                    if v.value(cur) >= part_target - 1e-12:
+                        break
+                parts.append(cur)
+            parts.append(list(order[idx:]))
+            for part in parts:
+                if not part or v.value(part) < part_target - 1e-9:
+                    raise InvariantViolation(
+                        f"agent {agent}: greedy split of {sorted(source)} "
+                        f"failed; valuation is not subadditive?")
+                raw.append((frozenset(_reference_trim(part, v, target)), weight, source))
+        mass = sum(w for _, w, _ in raw)
+        if mass < 1.0 - 1e-9:
+            raise InvariantViolation(
+                f"agent {agent}: pre-normalization mass {mass} below 1; "
+                f"weights and targets are inconsistent")
+        out[agent] = [(items, w / mass, source) for items, w, source in raw]
+    return out
+
+
+def _reference_trim(part, v, cap):
+    """Drop lowest-singleton-value items while the part is worth more than cap."""
+    singles = v.singleton_values()
+    part = sorted(part, key=lambda j: (singles[j], j))
+    while part and v.value(part) > cap + 1e-9:
+        part.pop(0)
+    return sorted(part)

@@ -325,6 +325,26 @@ class TestRunMemo:
         assert len(evaluated) == len(set(evaluated)) > 0
         assert len(calls) > len(evaluated)
 
+    @pytest.mark.parametrize("n, m, seed, evaluations, calls, reads", [
+        (2, 16, 0, 81, 468, 8), (3, 24, 1, 171, 947, 12)])
+    def test_engaged_pool_ops_pin_their_work(self, n, m, seed, evaluations, calls, reads,
+                                             monkeypatch):
+        """The benchmark's two engaged ops, counted: their set evaluations
+        and `value` calls, and their singleton-value reads, one per agent in
+        each stage that reads them (the matching, nu, the split and the
+        oracle's bounds). Counts do not depend on the machine; a change that
+        moves one should say why."""
+        inst = near_uniform(n, m, seed)
+        evaluated, value_calls = self.count_evaluations(monkeypatch, inst)
+        read = []
+        for cls in (Valuation, Xos):
+            singles = cls.singleton_values
+            monkeypatch.setattr(cls, "singleton_values",
+                                lambda self, f=singles: read.append(1) or f(self))
+        report = run_subadditive(inst, PipelineParams(seed=seed, proc="oracle"))
+        assert len(report.filtered) == n and not report.outcome.rounds_capped
+        assert (len(evaluated), len(value_calls), len(read)) == (evaluations, calls, reads)
+
 
 class TestReportJson:
     def test_round_trips_as_json_and_hides_timings(self):

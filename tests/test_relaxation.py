@@ -207,6 +207,17 @@ class TestConcaveExt:
         ext = concave_ext(Additive([1.0, 2.0]), [0.0, 0.0])
         assert ext.value == 0.0
 
+    @pytest.mark.parametrize("v", [
+        Additive([1.0, 2.0, 3.0]), Xos([[1.0, 2.0, 3.0], [3.0, 1.0, 0.0]]),
+        BudgetedAdditive([1.0, 2.0, 3.0], 2.0)], ids=["additive", "xos", "budgeted"])
+    @pytest.mark.parametrize("x", [[0.5] * 3, [np.nan] * 3, [2.0] * 3])
+    def test_empty_universe_is_worth_zero(self, v, x):
+        # no item, so no mass is read and v+ is 0, reached by the empty set
+        ext = concave_ext(v, x, items=[])
+        assert ext.value == 0.0 and ext.q == 0.0
+        assert ext.columns == [(frozenset(), 1.0)]
+        assert not ext.prices.any()
+
     @pytest.mark.parametrize("x, items, message", [
         ([0.5, 0.5, 0.5, 0.5], None, r"item masses must hold 3 entries, one per item"),
         ([0.5], None, r"item masses must hold 3 entries, one per item"),
@@ -214,6 +225,9 @@ class TestConcaveExt:
         ([0.5, 0.5, 0.5], [1, 3], r"items must lie in range\(3\)"),
         ([np.nan, 0.5, 0.5], None, r"item masses must lie in \[0, 1\]"),
         ([1.5, 0.5, 0.5], [1, 2], None),
+        ([np.nan, 0.5, 0.5], [1, 2], None),
+        ([0.5, 0.5, 0.5], [1.7], r"items must be integers"),
+        ([0.5, 0.5, 0.5], [0.0, 2.0], r"items must be integers"),
     ])
     def test_masses_and_universe_checked_against_the_items(self, x, items, message):
         # a mass per item of v, in [0, 1] on the universe, and a universe

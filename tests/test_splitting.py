@@ -1,5 +1,7 @@
 """Both set-splitting variants: traces, bounds, and failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from nswforge.splitting import (
     split_subadditive,
     split_xos,
 )
-from nswforge.valuations import Additive, ExplicitTable, Xos
+from nswforge.valuations import Additive, BudgetedAdditive, ExplicitTable, Xos
+
+from helpers import reference_split_subadditive
 
 
 def one_agent_config(*cols):
@@ -115,3 +119,74 @@ class TestSplitSubadditive:
     @pytest.mark.parametrize("seed", range(40))
     def test_fuzzed_bounds(self, seed):
         split_case(41_000 + seed, ("subadditive",))
+
+
+def reference_case(seed):
+    """One to three agents (`Additive`, `Xos` or `BudgetedAdditive`), each
+    with random columns over its own block of 16-30 items, so item loads
+    stay within one: sets of 1 to all of the block's items, one of them of
+    zero weight. V is the larger of 6 max v({j}) and 0.4-1.0 times the
+    columns' mixture value, so small sets fall below V/3 and large ones
+    leave a last part worth more than V; nu lies between the block's
+    largest singleton and V/6, which keeps every greedy part above
+    V/3 - nu."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(16, 31, int(rng.integers(1, 4)))
+    m = int(sizes.sum())
+    blocks = np.split(rng.permutation(m), np.cumsum(sizes)[:-1])
+    columns, valuations, targets, nu = {}, [], {}, {}
+    for i, block in enumerate(blocks):
+        w = rng.uniform(0.3, 1, m) * (rng.uniform(size=m) < 0.9)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            v = Additive(w)
+        elif kind == 1:
+            v = Xos(np.vstack([w, rng.uniform(0, 1, (int(rng.integers(1, 3)), m))]))
+        else:
+            v = BudgetedAdditive(w, cap=float(rng.uniform(0.5, 1.0) * w[block].sum()))
+        valuations.append(v)
+        k = int(rng.integers(3, 7))
+        cols = [(frozenset(rng.choice(block, int(rng.integers(1, block.size + 1)),
+                                      replace=False).tolist()), float(weight))
+                for weight in rng.dirichlet(np.ones(k))]
+        cols.insert(int(rng.integers(k + 1)),
+                    (frozenset(rng.choice(block, 3, replace=False).tolist()), 0.0))
+        columns[i] = cols
+        single = float(v.singleton_values()[block].max())
+        mix = sum(weight * v.value(c) for c, weight in cols)
+        targets[i] = max(6.0 * single, rng.uniform(0.4, 1.0) * mix)
+        nu[i] = min(targets[i] / 6.0, max(single, rng.uniform(0.85, 1.0) * targets[i] / 6.0))
+    return columns, valuations, targets, nu
+
+
+def test_subadditive_split_matches_the_reference():
+    """Column for column, in order: the same items, source and weight to
+    the bit as the plain greedy-then-trim split in `helpers`, or the same
+    error. The draws cover each family, trimmed parts, zero-weight columns
+    and sources below V/3."""
+    seen = {"split": 0, "raised": 0, "trimmed": 0, "zero weight": 0, "below V/3": 0}
+    kinds = set()
+    for seed in range(60):
+        columns, valuations, targets, nu = reference_case(seed)
+        try:
+            want = reference_split_subadditive(columns, valuations, targets, nu)
+        except InvariantViolation as err:
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(str(err))}$"):
+                split_subadditive(columns, valuations, targets, nu)
+            seen["raised"] += 1
+            continue
+        out = split_subadditive(columns, valuations, targets, nu)
+        assert list(out.columns) == list(want)
+        for i, cols in out.columns.items():
+            assert [(c.items, c.weight.hex(), c.source, c.large_item) for c in cols] == [
+                (items, weight.hex(), source, None) for items, weight, source in want[i]]
+            v, target = valuations[i], targets[i]
+            kinds.add(v.kind)
+            seen["zero weight"] += any(w == 0 for _, w in columns[i])
+            seen["below V/3"] += any(w > 0 and v.value(s) < target / 3 for s, w in columns[i])
+            # a source's parts cover it unless one of them was trimmed
+            seen["trimmed"] += sum(frozenset().union(*(c.items for c in cols if c.source == s)) != s
+                                   for s in {c.source for c in cols})
+        seen["split"] += 1
+    assert kinds == {"additive", "xos", "budgeted_additive"}
+    assert all(seen.values()), seen

@@ -208,14 +208,30 @@ class TestDemand:
         ([0.0, 0.0, 0.0], [0, 3], r"items must lie in range\(3\)"),
         ([0.0, 0.0, 0.0], np.array([-1, 1], dtype=np.int64), r"items must lie in range\(3\)"),
         ([0.0, 0.0, 0.0], np.array([0, 3], dtype=np.int64), r"items must lie in range\(3\)"),
+        ([0.0, 0.0, 0.0], [1.7], r"items must be integers"),
+        ([0.0, 0.0, 0.0], [0, 1.0], r"items must be integers"),
+        ([0.0, 0.0, 0.0], np.array([0.5, 1.5]), r"items must be integers"),
+        ([0.0, 0.0, 0.0], [True], r"items must be integers"),
+        ([0.0, 0.0, 0.0], [[0, 1]], r"items must be integers"),
     ])
     def test_prices_and_universe_checked_against_the_items(self, prices, items, message):
-        # a price per item of v and a universe inside range(v.m), for the
-        # analytic and the enumerated oracles alike; sorted int64 arrays,
-        # which skip np.unique, included
+        # a price per item of v and a universe of integers inside range(v.m),
+        # for the analytic and the enumerated oracles alike; sorted int64
+        # arrays, which skip np.unique, included
         for v in (Additive([1.0, 2.0, 3.0]), BudgetedAdditive([1.0, 2.0, 3.0], 2.0)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 demand(v, prices, items=items)
+
+
+    @pytest.mark.parametrize("items", [
+        range(1, 3), [2, 1], (np.int64(1), np.int32(2)), np.array([2, 1], dtype=np.uint8),
+        frozenset({1, 2}), np.array([1, 2], dtype=np.int64),
+    ], ids=["range", "list", "numpy-scalars", "uint8", "frozenset", "sorted-int64"])
+    def test_integer_universes_of_any_type(self, items):
+        # a float item such as 1.7 was once truncated to item 1
+        for v in (Additive([1.0, 2.0, 3.0]), BudgetedAdditive([1.0, 2.0, 3.0], 4.0)):
+            assert demand(v, [0.0, 0.0, 0.0], items=items) == DemandResult(
+                frozenset({1, 2}), 4.0 if isinstance(v, BudgetedAdditive) else 5.0)
 
 
 def enumerated_demand_reference(v, prices, universe):
@@ -377,6 +393,24 @@ class TestXosClause:
     def test_rejects_other_families(self):
         with pytest.raises(TypeError):
             xos_clause(BudgetedAdditive([1, 1], 1.0), (0,))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_clause_shortcut_matches_the_general_path(self, seed):
+        # a one-clause valuation returns clause 0 without scoring it; the
+        # general path, run on the same clause with an all-zero second one
+        # that only ties it, picks the same index and weights
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 9))
+        w = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.7)
+        general = Xos(np.vstack([w, np.zeros(m)]))
+        for v in (Additive(w), Xos(w[None, :])):
+            for r in range(m + 1):
+                items = rng.choice(m, r, replace=False).tolist()
+                got, want = xos_clause(v, items), xos_clause(general, items)
+                assert got.index == want.index == 0
+                assert np.array_equal(got.weights, want.weights)
+            got.weights[:] = -1.0  # a copy: the valuation keeps its clause
+            assert np.array_equal(v.clauses[0], w)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_clause_is_tight_and_underestimates(self, seed):
