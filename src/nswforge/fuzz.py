@@ -29,10 +29,10 @@ from .valuations import (
     Additive,
     BudgetedAdditive,
     ExplicitTable,
-    SubsetTable,
     Valuation,
     Xos,
     demand,
+    mask_incidence,
     subset_values,
 )
 
@@ -109,9 +109,9 @@ def contract_case(seed: int, family: str) -> float | None:
 
 def extension_case(seed: int, family: str) -> tuple[float, float]:
     """v+ by column generation against the LP over every subset
-    (`vertex_columns` on the rows and values of the whole `SubsetTable`)
-    at a random point on 2-10 items: returns their difference and colgen's
-    dual gap."""
+    (`vertex_columns` on every subset's incidence row and `subset_values`
+    value) at a random point on 2-10 items: returns their difference and
+    colgen's dual gap."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 11))
     if family == "additive":
@@ -124,7 +124,7 @@ def extension_case(seed: int, family: str) -> tuple[float, float]:
         v = _xos_table(rng.uniform(0, 1, (2, m)))
     x = rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.85)
     a = concave_ext(v, x)
-    rows, values = SubsetTable(v, np.arange(m)).arrays()
+    rows, (values,) = mask_incidence(np.arange(1 << m), m), subset_values([v], range(m))
     b = sum(w * v.value(s) for s, w in vertex_columns(values, rows, x, range(m)))
     diff = abs(a.value - b)
     gap = abs(a.value - (a.q + float(a.prices @ x)))
@@ -135,7 +135,9 @@ def extension_case(seed: int, family: str) -> tuple[float, float]:
 
 def demand_case(seed: int, family: str) -> None:
     """The demand oracle against a brute force over all subsets of 2-12
-    items (at most 10 for tables), to 1e-12."""
+    items (at most 10 for tables), to 1e-12; the brute force prices every
+    subset by a matrix product, apart from the mask sums that price an
+    enumerated family's sets in `table_demand`."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 13))
     if family == "additive":
@@ -149,7 +151,7 @@ def demand_case(seed: int, family: str) -> None:
         v = _xos_table(rng.uniform(0, 1, (2, m)))
     prices = rng.uniform(-0.3, 1.2, m)
     res = demand(v, prices)
-    rows, values = SubsetTable(v, np.arange(m)).arrays()
+    rows, (values,) = mask_incidence(np.arange(1 << m), m), subset_values([v], range(m))
     best = float((values - rows @ prices).max())
     realized = v.value(res.items) - prices[sorted(res.items)].sum()
     if abs(res.utility - best) > 1e-12 or abs(realized - res.utility) > 1e-12:

@@ -9,10 +9,10 @@ last one only the 2^k submasks of the full mask, so n agents cost
 is monotone, so optima are bit-identical to enumerating all n^k
 assignments. The fractional optimum is an explicit `n*2^k`-column LP, and
 `scaled_optimum_check` holds the relaxation's targets to it.
-Caps (at most `EXHAUSTIVE_CAP` items for the DP's 2^k value tables,
-`NSW_DP_CAP` on its combinations, `CONFIG_LP_CAP` on the LP's columns)
-are module constants, read at each call, and hard errors, never silent
-truncation.
+Caps (`NSW_DP_CAP` on the DP's combinations, `CONFIG_LP_CAP` on the
+LP's columns, and `subset_values`'s `EXHAUSTIVE_CAP` items on the 2^k
+value tables) are module constants, read at each call, and hard errors,
+never silent truncation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from ._lp import maximize
 from .model import Allocation, ConfigSolution, Instance
 from .relaxation import EgResult
-from .valuations import EXHAUSTIVE_CAP, CapExceeded, mask_incidence, mask_items, subset_values
+from .valuations import CapExceeded, mask_incidence, mask_items, subset_values
 
 NSW_DP_CAP = 10**8
 CONFIG_LP_CAP = 10**6
@@ -95,8 +95,6 @@ def _subset_dp(tables: list[np.ndarray], combine) -> tuple[float, list[int]]:
 def _best_partition(inst: Instance, agents: list[int], items: list[int],
                     combine, scales=None) -> tuple[float, Allocation]:
     n, k = len(agents), len(items)
-    if k > EXHAUSTIVE_CAP:
-        raise CapExceeded(f"{k} items exceed the value-table cap of {EXHAUSTIVE_CAP}")
     products = max(n - 2, 0) * 3 ** k + 2 ** k
     if products > NSW_DP_CAP:
         raise CapExceeded(f"{products} subset-DP products exceed the cap of {NSW_DP_CAP}")

@@ -7,10 +7,12 @@ the LP value of the best distribution over item sets consistent with x.
 demand oracle is exactly the separation oracle of the dual, so each round
 either certifies optimality (no set beats its price) or contributes a new
 column, and each round solves its restricted master cold with
-`_lp.maximize`. The returned dual pair (q, p) satisfies q + p(S) >= v(S)
-for every set over the universe. The relaxation does not call it: it is
-the standalone, certified reference that the tests, `fuzz` and the demos
-check the relaxation against.
+`_lp.maximize`. The oracle is `demand` for an XOS valuation and otherwise
+`table_demand` over the valuation's one `subset_values` row. The
+returned dual pair (q, p) satisfies q + p(S) >= v(S) for every set over
+the universe. The relaxation does not call it: it is the standalone,
+certified reference that the tests, `fuzz` and the demos check the
+relaxation against.
 
 `solve_eg` maximizes sum_i log v+_i(x_i) over the per-item capacity
 polytope with an interior floor x >= eps. The floor is what converts
@@ -40,8 +42,9 @@ within the agent's masses, mixture value at least the certified value.
   `_config_barrier_eg`, over the configuration program itself: each
   agent puts mass on sets of the remaining items, priced over its values
   of every such set, which also bound its subproblem
-  (`table_subproblem_bound`) and pick the sets that join its columns.
-  One `subset_values` call values every agent's sets, an additive or XOS
+  (`table_subproblem_bound`, which prices every set with
+  `valuations.mask_sums`) and pick the sets that join its columns. One
+  `subset_values` call values every agent's sets, an additive or XOS
   agent's too. Each agent's columns are an optimal vertex over the sets
   it holds.
 
@@ -66,15 +69,15 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from ._lp import maximize
 from .model import CHECK_TOL, Instance, InvariantViolation, ItemFractional
 from .valuations import (
-    EXHAUSTIVE_CAP,
     CapExceeded,
-    SubsetTable,
     Valuation,
     Xos,
     demand,
     item_universe,
     mask_incidence,
+    mask_sums,
     subset_values,
+    table_demand,
 )
 
 COLGEN_TOL = 1e-9  # relative gap at which column generation stops
@@ -110,10 +113,12 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
     of the universe: the solve stops once no set's utility at the prices
     exceeds q by more than `COLGEN_TOL` (relative to the value), and
     raises `CapExceeded` after `COLGEN_MAX_ROUNDS` rounds; a stall or a
-    failed duality certificate raises `InvariantViolation`. The demand
-    queries share one `SubsetTable` of the universe, so a budgeted or
-    table valuation enumerates it once per call. The LP over every subset
-    is `vertex_columns` on the universe's whole table. Masses that are not
+    failed duality certificate raises `InvariantViolation`. An `Xos`
+    valuation's rounds send `demand` queries; any other valuation's
+    rounds price its one `subset_values` row of the universe, enumerated
+    once per call, with `table_demand`, so its universe must have at most
+    `EXHAUSTIVE_CAP` items. The LP over every subset is `vertex_columns`
+    on the universe's whole table. Masses that are not
     one per item of v, or outside [0, 1] on the universe, and a universe
     that `item_universe` rejects raise ValueError.
     """
@@ -126,7 +131,7 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
         raise ValueError("item masses must lie in [0, 1]")
     columns = [frozenset()] + [frozenset({int(j)}) for j in universe]
     values = [v.value(col) for col in columns]
-    table = SubsetTable(v, universe)
+    table = None if isinstance(v, Xos) else subset_values([v], universe)[0]
 
     rounds = 0
     while True:
@@ -140,7 +145,8 @@ def concave_ext(v: Valuation, x, items: Iterable[int] | None = None) -> ConcaveE
         prices = np.zeros(v.m)
         prices[universe] = p_univ
         rounds += 1
-        hit = demand(v, prices, items=universe, table=table)
+        hit = (demand(v, prices, items=universe) if table is None
+               else table_demand(table, prices, universe))
         gap = hit.utility - q
         if gap <= COLGEN_TOL * max(1.0, abs(res.value)):
             break
@@ -301,16 +307,6 @@ def xos_subproblem_bound(clauses: np.ndarray, prices: np.ndarray, eps: float,
             .sum(axis=-1).max(axis=-1))
 
 
-def _mask_sums(w: np.ndarray) -> np.ndarray:
-    """sum_{t in S} w_t for every set S of the last axis's k positions,
-    indexed by mask (bit t for position t), as `subset_values` is."""
-    k = w.shape[-1]
-    sums = np.zeros(w.shape[:-1] + (1 << k,))
-    for t in range(k):
-        np.add(sums[..., :1 << t], w[..., t, None], out=sums[..., 1 << t:2 << t])
-    return sums
-
-
 def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v0,
                            lam: np.ndarray):
     """An upper bound on max over x in [eps, 1]^m of log v+(x) - p.x for
@@ -331,7 +327,7 @@ def table_subproblem_bound(values: np.ndarray, prices: np.ndarray, eps: float, v
     `values` is.
     """
     v0 = np.asarray(v0, dtype=float)
-    utility = _mask_sums(-lam)
+    utility = mask_sums(-lam)
     utility += values / v0[..., None]
     return (np.log(v0) - 1.0 - eps * (prices - lam).sum(axis=-1) + utility.max(axis=-1),
             utility)
@@ -880,9 +876,6 @@ def solve_eg(inst: Instance, agents: Iterable[int], items: Iterable[int],
                    for k in range(len(vals))]
         mixture_agents = sorted(clause_masses)
     else:
-        if item_idx.size > EXHAUSTIVE_CAP:
-            raise CapExceeded(f"a configuration relaxation over {item_idx.size} items "
-                              f"exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
         table_values = np.stack(subset_values(vals, item_idx))
         x_mat, values, (col_mask, col_agent), trace, last_bound = _config_barrier_eg(
             table_values, eps)

@@ -9,11 +9,9 @@ valuation is an `Xos` with one clause, its weights, and every XOS oracle
 serves it as one; only its evaluation and serialization are its own.
 
 Budgeted-additive and table valuations have no analytic demand: their
-demand oracle searches a `SubsetTable`, every subset of the universe as a
-boolean indicator row with its value. One table serves every query over
-its universe; a `concave_ext` call, which repeats queries, holds one, and
-a call without one enumerates afresh. A table fills itself on first use,
-and two workers filling one at once compute the same arrays.
+demand is `table_demand` over the valuation's values of every subset of
+the universe, one `subset_values` row. A `demand` call enumerates the row
+afresh; a `concave_ext` call, which repeats queries, enumerates it once.
 
 This module alone enumerates subsets and owns their layout: bit t of a
 mask is the t-th item of its universe, and masks run in counter order,
@@ -22,8 +20,10 @@ mask, which is inclusion-minimal among the tied sets (a tied proper
 subset has the smaller mask), so the analytic and enumerated oracles
 return the same set on the same function. `subset_values` tabulates
 valuations over every subset, as the exact oracles and the configuration
-relaxation do; `mask_items` and `mask_incidence` decode masks for the
-modules that index such tables.
+relaxation do, and is the one enumeration that `EXHAUSTIVE_CAP` bounds;
+`mask_sums` prices every subset of a universe, as `table_demand` and the
+configuration relaxation do; `mask_items` and `mask_incidence` decode
+masks for the modules that index such tables.
 """
 
 from __future__ import annotations
@@ -56,6 +56,17 @@ def _nonnegative(values, ndim: int) -> np.ndarray:
     return array
 
 
+def _item_row(items: Iterable[int], m: int) -> np.ndarray:
+    """The boolean indicator row of `items` over range(m); ValueError if an
+    item lies outside it, where its index would wrap or overrun."""
+    items = tuple(items)
+    if items and (min(items) < 0 or max(items) >= m):
+        raise ValueError(f"items must lie in range({m})")
+    row = np.zeros(m, dtype=bool)
+    row[np.fromiter(items, dtype=np.intp, count=len(items))] = True
+    return row
+
+
 class Valuation:
     """Base class; subclasses provide vectorized evaluation over rows."""
 
@@ -69,9 +80,10 @@ class Valuation:
         A copy made by `run_copy` keeps a memo of v(S) keyed by the set, so
         it evaluates each set once; a miss runs the plain evaluation on the
         set, whose indicator row, and so whose value, does not depend on
-        item order or repeats. The memo lives as long as its copy: one
-        pipeline run holds the copies and drops them when it returns, so
-        no memo outlives its run and a valuation itself keeps none."""
+        item order or repeats; an item outside range(m) raises
+        ValueError. The memo lives as long as its copy: one pipeline run
+        holds the copies and drops them when it returns, so no memo
+        outlives its run and a valuation itself keeps none."""
         memo = self._memo
         if memo is None:
             return self._evaluate(items)
@@ -82,11 +94,7 @@ class Valuation:
         return found
 
     def _evaluate(self, items: Iterable[int]) -> float:
-        row = np.zeros((1, self.m), dtype=bool)
-        idx = np.fromiter(items, dtype=np.int64)
-        if idx.size:
-            row[0, idx] = True
-        return float(self.value_rows(row)[0])
+        return float(self.value_rows(_item_row(items, self.m)[None, :])[0])
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         """Evaluate v on a (k, m) boolean indicator matrix, one set per row.
@@ -238,8 +246,15 @@ def _all_subset_rows(universe: np.ndarray, m: int) -> np.ndarray:
 def subset_values(vals: Sequence[Valuation], universe: Sequence[int]) -> list[np.ndarray]:
     """Each valuation's value of every subset of `universe`, indexed by
     mask. The indicator rows are enumerated once per call, at the
-    valuations' shared width, and every valuation is evaluated on them."""
-    rows = _all_subset_rows(np.asarray(universe, dtype=np.int64), vals[0].m)
+    valuations' shared width, and every valuation is evaluated on them. A
+    universe past `EXHAUSTIVE_CAP` items raises `CapExceeded` before any
+    row is enumerated; at the cap with m = 16 the rows take 1 MB and each
+    valuation's values 0.5 MB."""
+    universe = np.asarray(universe, dtype=np.int64)
+    if universe.size > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"a subset table of {universe.size} items exceeds the "
+                          f"enumeration cap of {EXHAUSTIVE_CAP}")
+    rows = _all_subset_rows(universe, vals[0].m)
     return [v.value_rows(rows) for v in vals]
 
 
@@ -253,43 +268,32 @@ def mask_incidence(masks: np.ndarray, k: int) -> np.ndarray:
     return masks[:, None] >> np.arange(k) & 1
 
 
-class SubsetTable:
-    """The demand oracle's cache: every subset of one universe under one
-    valuation, enumerated on first use and then kept.
+def mask_sums(w: np.ndarray) -> np.ndarray:
+    """sum_{t in S} w_t for every set S of the last axis's k positions,
+    indexed by mask (bit t for position t), as `subset_values` is."""
+    k = w.shape[-1]
+    sums = np.zeros(w.shape[:-1] + (1 << k,))
+    for t in range(k):
+        np.add(sums[..., :1 << t], w[..., t, None], out=sums[..., 1 << t:2 << t])
+    return sums
 
-    It holds the boolean indicator rows at full width m in mask-counter
-    order, as they were enumerated, and their values under v. Valuations
-    are immutable, so the table never goes stale; it lives as long as its
-    holder, such as one `concave_ext` call. At the 16-item cap with m = 16
-    it takes about 1.5 MB (1 MB of rows, 0.5 MB of values); `demand`'s
-    `rows @ p` casts the rows to float64 for the product, 8 MB more for
-    the length of one query.
-    """
 
-    def __init__(self, v: Valuation, universe: np.ndarray):
-        self.v = v
-        self.universe = universe
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, values), enumerated on the first call; a universe past
-        `EXHAUSTIVE_CAP` items raises `CapExceeded` before any row is
-        enumerated."""
-        if self._arrays is None:
-            if self.universe.size > EXHAUSTIVE_CAP:
-                raise CapExceeded(
-                    f"no analytic demand for {self.v.kind}; a subset table of "
-                    f"{self.universe.size} items exceeds the enumeration cap of {EXHAUSTIVE_CAP}")
-            rows = _all_subset_rows(self.universe, self.v.m)
-            self._arrays = (rows, self.v.value_rows(rows))
-        return self._arrays
+def table_demand(values: np.ndarray, prices: np.ndarray, universe: np.ndarray) -> DemandResult:
+    """Demand at `prices` (one per item) over a sorted universe, for the
+    valuation whose values of the universe's subsets, indexed by mask, are
+    `values`: the first best set, of least mask. Each set's price is its
+    items' prices summed in position order from 0.0."""
+    utilities = values - mask_sums(prices[universe])
+    best = int(np.argmax(utilities))
+    return DemandResult(mask_items(best, universe), float(utilities[best]))
 
 
 def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarray:
     """The distinct items of `items` (every item by default), sorted, as an
     int64 array; ValueError if one is not an integer (Python or numpy) or
-    lies outside range(v.m). A sorted int64 array of distinct items (a
-    table's universe) is used as is, and only its ends are checked."""
+    lies outside range(v.m). A sorted int64 array of distinct items (such
+    as a universe this function returned) is used as is, and only its ends
+    are checked."""
     if items is None:
         return np.arange(v.m, dtype=np.int64)
     universe = items
@@ -304,8 +308,7 @@ def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarra
     return universe
 
 
-def demand(v: Valuation, prices, items: Iterable[int] | None = None,
-           table: SubsetTable | None = None) -> DemandResult:
+def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandResult:
     """Utility-maximizing set for v(S) - p(S), restricted to `items`.
 
     Every family breaks ties by the least mask over the sorted universe,
@@ -314,13 +317,12 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
     items of positive gain, and the best clause wins. Every tied set is
     such a set plus items of zero gain, so the least mask is the least of
     the best clauses' sets: at the last position where two sets differ,
-    the one without that item. Other families take the first best row of
-    the `SubsetTable` of the allowed universe, which therefore must have
-    at most 16 items (past that, the table raises `CapExceeded` before
-    enumerating). `table` is one held for v and this universe, so
-    that repeated queries enumerate once; without one, each call
-    enumerates afresh. `prices` holds one price per item of v, and the
-    universe is read by `item_universe`; either raises ValueError otherwise.
+    the one without that item. Other families take `table_demand` over v's
+    `subset_values` row of the allowed universe, enumerated afresh by each
+    call, so the universe must have at most `EXHAUSTIVE_CAP` items (past
+    that, `CapExceeded` is raised before enumerating). `prices` holds one
+    price per item of v, and the universe is read by `item_universe`;
+    either raises ValueError otherwise.
     """
     p = np.asarray(prices, dtype=float)
     if p.shape != (v.m,):
@@ -337,37 +339,25 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None,
                     util == best_util and pos[::-1].tolist() < best[::-1].tolist()):
                 best, best_util = pos, util
         return DemandResult(frozenset(universe[best].tolist()), best_util)
-    if table is None:
-        table = SubsetTable(v, universe)
-    elif table.v is not v or (table.universe is not universe
-                              and not np.array_equal(table.universe, universe)):
-        raise ValueError("subset table of another valuation or universe")
-    rows, values = table.arrays()
-    utilities = values - rows @ p
-    best = int(np.argmax(utilities))  # the first maximum, of least mask
-    return DemandResult(frozenset(np.flatnonzero(rows[best]).tolist()), float(utilities[best]))
+    (values,) = subset_values([v], universe)
+    return table_demand(values, p, universe)
 
 
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
     """A clause achieving v(S) on S; lowest clause index wins ties. A
     one-clause valuation (every `Additive`) returns a copy of its clause 0
-    without scoring it."""
+    without scoring it. An item outside range(v.m) raises ValueError."""
     if not isinstance(v, Xos):
         raise TypeError(f"XOS oracle called on a {v.kind} valuation")
+    row = _item_row(items, v.m)
     if len(v.clauses) == 1:
         return XosClause(0, v.clauses[0].copy())
-    row = np.zeros(v.m, dtype=bool)
-    idx = np.fromiter(items, dtype=np.int64)
-    if idx.size:
-        row[idx] = True
     scores = v.clauses @ row
     best = int(np.argmax(scores))  # argmax returns the first maximizer
     return XosClause(best, v.clauses[best].copy())
 
 
 def singleton_max(v: Valuation, items: Iterable[int]) -> float:
-    """max of v({j}) over j in `items`; 0 on the empty collection."""
-    idx = np.fromiter(items, dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    return float(v.singleton_values()[idx].max())
+    """max of v({j}) over j in `items`; 0 on the empty collection. An item
+    outside range(v.m) raises ValueError."""
+    return float(v.singleton_values()[_item_row(items, v.m)].max(initial=0.0))

@@ -55,9 +55,10 @@ class TestExactNsw:
         vals = [inst.valuations[i].value(res.witness.bundle(i)) for i in inst.agents]
         assert np.prod(vals) ** (1 / n) == pytest.approx(res.optimum, rel=1e-12)
 
-    @pytest.mark.parametrize("n, m", [(5, 16), (3, 17)])
+    @pytest.mark.parametrize("n, m", [(5, 16), (3, 17), (2, 17)])
     def test_default_caps(self, n, m):
-        # 5x16 needs 3 * 3^16 > 10^8 products; 17 items exceed the value tables
+        # 5x16 needs 3 * 3^16 > 10^8 products, as does 3x17 (3^17 + 2^17);
+        # 2x17 needs only 2^17, but 17 items exceed the value tables
         inst = make_instance(*[Additive(np.ones(m))] * n)
         with pytest.raises(CapExceeded):
             exact_nsw(inst)

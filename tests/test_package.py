@@ -124,18 +124,26 @@ def test_each_exact_oracle_shape_solves_as_the_benchmark_calls_it(workloads):
 
 def test_only_valuations_enumerates_subsets():
     # the subset tables' mask layout lives in `valuations`; every other
-    # module tabulates through `subset_values` or `SubsetTable`
+    # module tabulates through `subset_values` and prices sets through
+    # `mask_sums`, and no module keeps a subset-table class
     users = []
     for path in sorted((ROOT / "src" / "nswforge").glob("*.py")):
-        if path.stem == "valuations":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
             else:
-                names = [node.attr] if isinstance(node, ast.Attribute) else []
+                names = [node.attr] if isinstance(node, ast.Attribute) else (
+                    [node.id] if isinstance(node, ast.Name) else [])
+            if "SubsetTable" in names:
+                users.append((path.stem, "SubsetTable"))
+            if path.stem == "valuations":
+                continue
             if "_all_subset_rows" in names:
-                users.append(path.stem)
+                users.append((path.stem, "_all_subset_rows"))
+            if isinstance(node, ast.FunctionDef) and "mask_sum" in node.name:
+                users.append((path.stem, node.name))
     assert users == []
 
 

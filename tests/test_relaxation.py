@@ -3,7 +3,6 @@
 import itertools
 import math
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from nswforge.valuations import (
     BudgetedAdditive,
     CapExceeded,
     ExplicitTable,
-    SubsetTable,
     Xos,
     mask_incidence,
     subset_values,
@@ -243,9 +241,8 @@ class TestConcaveExt:
 @pytest.fixture
 def enumerations(monkeypatch):
     """Records each universe enumeration and each value_rows batch of more
-    than one row (value() evaluates a single row), and a weak reference to
-    every subset table that is filled."""
-    seen = {"rows": [], "values": [], "tables": []}
+    than one row (value() evaluates a single row)."""
+    seen = {"rows": [], "values": []}
     all_rows = valuations._all_subset_rows
     monkeypatch.setattr(valuations, "_all_subset_rows",
                         lambda u, m: seen["rows"].append(u.size) or all_rows(u, m))
@@ -255,13 +252,6 @@ def enumerations(monkeypatch):
                 seen["values"].append(rows.shape[0])
             return _f(v, rows)
         monkeypatch.setattr(cls, "value_rows", value_rows)
-    arrays = SubsetTable.arrays
-
-    def spy_arrays(table):
-        if table._arrays is None:
-            seen["tables"].append(weakref.ref(table))
-        return arrays(table)
-    monkeypatch.setattr(SubsetTable, "arrays", spy_arrays)
     return seen
 
 
@@ -270,7 +260,7 @@ class TestSubsetTableReuse:
     def test_each_master_enumerates_once_per_solve(self, family, enumerations, monkeypatch):
         # one enumeration values every agent's sets, which are priced at
         # every step; the only other batches value each agent's at most 9
-        # columns, and no subset table fills
+        # columns
         inst = generate(GenSpec(family, 3, 8, seed=4))
         # the generator enumerates and evaluates its tables' sources
         enumerations["rows"].clear()
@@ -281,15 +271,14 @@ class TestSubsetTableReuse:
         assert enumerations["rows"] == [8]
         assert enumerations["values"][:3] == [256, 256, 256]
         assert all(rows <= 9 for rows in enumerations["values"][3:])
-        assert enumerations["tables"] == []
 
     @pytest.mark.parametrize("family", ["additive", "xos"])
     def test_analytic_masters_build_no_table(self, family, enumerations):
         inst = generate(GenSpec(family, 3, 8, seed=4))
         enumerations["values"].clear()
         solve_eg(inst, range(3), range(8))
-        # no table; the only batches value a lifted agent's at most 9 columns
-        assert enumerations["rows"] == [] and enumerations["tables"] == []
+        # no enumeration; the only batches value a lifted agent's at most 9 columns
+        assert enumerations["rows"] == []
         assert all(rows <= 9 for rows in enumerations["values"])
 
 
@@ -606,7 +595,7 @@ class TestConfigBarrier:
         m = int(rng.integers(1, 7))
         eps = float(rng.uniform(0.01, 0.2))
         v = table_valuation(rng, m, family)
-        values = SubsetTable(v, np.arange(m)).arrays()[1]
+        (values,) = subset_values([v], range(m))
         vertices = [eps + (1 - eps) * np.array(bits, dtype=float)
                     for bits in itertools.product((0, 1), repeat=m)]
         points = vertices + [rng.uniform(eps, 1, m) for _ in range(20)]
@@ -628,7 +617,7 @@ class TestConfigBarrier:
         m, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         v = Xos(rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8))
         universe = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
-        values = SubsetTable(v, universe.astype(np.int64)).arrays()[1]
+        (values,) = subset_values([v], universe)
         for _ in range(20):
             p = rng.exponential(1.0, universe.size)
             lam = p * rng.uniform(0, 1, universe.size)
@@ -640,8 +629,8 @@ class TestConfigBarrier:
 
     def test_subproblem_bounds_stack_along_agents(self):
         rng = np.random.default_rng(19)
-        values = np.stack([SubsetTable(table_valuation(rng, 5, "budgeted_additive"),
-                                       np.arange(5)).arrays()[1] for _ in range(3)])
+        values = np.stack(subset_values([table_valuation(rng, 5, "budgeted_additive")
+                                         for _ in range(3)], range(5)))
         p = rng.exponential(1.0, 5)
         lam = p * rng.uniform(0, 1, (3, 5))
         v0 = rng.uniform(0.5, 2, 3)

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nswforge import valuations
+from nswforge.model import Instance
+from nswforge.relaxation import concave_ext, solve_eg, table_subproblem_bound
 from nswforge.valuations import (
     Additive,
     BudgetedAdditive,
     CapExceeded,
     DemandResult,
     ExplicitTable,
-    SubsetTable,
     Valuation,
     Xos,
     _all_subset_rows,
@@ -90,6 +91,22 @@ class TestValue:
 
     def test_budgeted_cap(self):
         assert BudgetedAdditive([3, 3], cap=4).value((0, 1)) == 4.0
+
+    @pytest.mark.parametrize("family", range(4), ids=["additive", "xos", "budgeted", "table"])
+    def test_items_outside_the_range_rejected(self, family):
+        # a negative item once wrapped to the last one (Additive([1, 2, 3])
+        # valued [-1, 2] at 3.0), and one past the end raised numpy's
+        # IndexError, in the memo miss, `xos_clause` and `singleton_max`
+        v = all_families(3, np.random.default_rng(8))[family]
+        oracles = [v.value, v.run_copy().value, lambda s: singleton_max(v, s)]
+        if isinstance(v, Xos):
+            oracles.append(lambda s: xos_clause(v, s))
+        for oracle in oracles:
+            for items in ([-1, 2], [3], [0, 3], (np.int64(-1),), np.array([-2]), frozenset({-1})):
+                with pytest.raises(ValueError, match=r"^items must lie in range\(3\)$"):
+                    oracle(items)
+            oracle([0, 2])
+            oracle(np.array([2], dtype=np.uint8))
 
 
 class TestRunCopy:
@@ -235,15 +252,20 @@ class TestDemand:
 
 
 def enumerated_demand_reference(v, prices, universe):
-    """`demand`'s enumeration body as it was before the subset table: fresh
-    boolean rows and values per call, and the first tied row, the one of
-    least mask."""
-    p = np.asarray(prices, dtype=float)
-    rows = _all_subset_rows(universe, v.m)
-    utilities = v.value_rows(rows) - rows @ p
-    best_util = utilities.max()
-    first = np.flatnonzero(utilities == best_util)[0]
-    return DemandResult(frozenset(int(j) for j in np.flatnonzero(rows[first])), float(best_util))
+    """The enumerated demand set by set, in mask order: each set's value
+    less its items' prices summed left to right from 0.0 in position
+    order, and the first best set, the one of least mask."""
+    values = v.value_rows(_all_subset_rows(universe, v.m))
+    best = None
+    for mask in range(1 << universe.size):
+        items = [int(j) for t, j in enumerate(universe) if mask >> t & 1]
+        price = 0.0
+        for j in items:
+            price += float(prices[j])
+        utility = float(values[mask]) - price
+        if best is None or utility > best.utility:
+            best = DemandResult(frozenset(items), utility)
+    return best
 
 
 def tie_heavy_valuation(family, m, rng):
@@ -284,52 +306,73 @@ class TestSubsetTableDemand:
                 _all_subset_rows(np.arange(m), m)), m)
         else:
             v = tie_heavy_valuation(family, m, rng)
-        table = SubsetTable(v, universe)
         for prices in price_vectors(v, rng):
             ref = enumerated_demand_reference(v, prices, universe)
-            for held in (table, None):
-                res = demand(v, prices, items=universe, table=held)
-                assert res.items == ref.items
-                assert np.float64(res.utility).tobytes() == np.float64(ref.utility).tobytes()
+            res = demand(v, prices, items=universe)
+            assert res.items == ref.items
+            assert np.float64(res.utility).tobytes() == np.float64(ref.utility).tobytes()
+
+    @pytest.mark.parametrize("family", ["budgeted_additive", "table"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_utility_is_the_configuration_bound_utility(self, family, seed):
+        # at v0 = 1 and lam = p, the configuration barrier's subproblem
+        # utilities are the demand utilities, bit for bit
+        rng = np.random.default_rng(600 + seed)
+        m = int(rng.integers(1, 10))
+        universe = np.sort(rng.choice(m, int(rng.integers(0, m + 1)), replace=False))
+        if seed % 2:
+            v = tie_heavy_valuation(family, m, rng)
+        elif family == "budgeted_additive":
+            v = BudgetedAdditive(rng.uniform(0, 1, m), cap=float(rng.uniform(0.5, 2.0)))
+        else:
+            v = ExplicitTable(Xos(rng.uniform(0, 1, (2, m))).value_rows(
+                _all_subset_rows(np.arange(m), m)), m)
+        (values,) = subset_values([v], universe)
+        for prices in price_vectors(v, rng):
+            p = prices[universe]
+            utility = table_subproblem_bound(values, p, 0.05, 1.0, p)[1]
+            res = demand(v, prices, items=universe)
+            assert res.utility.hex() == float(utility.max()).hex()
+            assert res.items == mask_items(int(np.argmax(utility)), universe)
 
     def test_ties_go_to_the_least_mask(self):
         v = BudgetedAdditive([1.0, 1.0, 1.0, 1.0], cap=2.0)
-        res = demand(v, np.zeros(4), table=SubsetTable(v, np.arange(4, dtype=np.int64)))
+        res = demand(v, np.zeros(4))
         assert res.items == frozenset({0, 1})
         assert res.utility == 2.0
 
-    def test_enumerates_once_for_many_queries(self, monkeypatch):
+    def test_concave_ext_enumerates_once_per_call(self, monkeypatch):
+        # a budgeted or table valuation's rounds price one enumeration;
+        # an XOS valuation's rounds send analytic queries and enumerate none
         calls = []
         all_rows = valuations._all_subset_rows
         monkeypatch.setattr(valuations, "_all_subset_rows",
                             lambda u, m: calls.append(u.size) or all_rows(u, m))
         rng = np.random.default_rng(7)
-        v = BudgetedAdditive(rng.uniform(0, 1, 6), cap=1.5)
-        table = SubsetTable(v, np.array([0, 2, 3, 5], dtype=np.int64))
-        for _ in range(5):
-            demand(v, rng.uniform(0, 1, 6), items=[5, 3, 2, 0], table=table)
-        assert calls == [4]
-        rows, values = table.arrays()
-        assert rows.dtype == bool and rows.shape == (16, 6) and values.dtype == np.float64
+        source = Xos(rng.uniform(0, 1, (2, 6)))
+        table = ExplicitTable(source.value_rows(all_rows(np.arange(6), 6)), 6)
+        for v, expected in ((BudgetedAdditive(rng.uniform(0, 1, 6), cap=1.5), [4]),
+                            (table, [4]), (source, []), (Additive(rng.uniform(0, 1, 6)), [])):
+            calls.clear()
+            ext = concave_ext(v, rng.uniform(0.2, 0.8, 6), items=[5, 3, 2, 0])
+            assert ext.rounds > 1 and calls == expected
 
     def test_cap_is_checked_before_any_table_is_built(self, monkeypatch):
+        # 17 items refuse through every caller of the enumeration, and
+        # before it runs
         calls = []
         monkeypatch.setattr(valuations, "_all_subset_rows", lambda *a: calls.append(a))
-        v = BudgetedAdditive(np.ones(17), cap=3.0)
-        table = SubsetTable(v, np.arange(17, dtype=np.int64))
-        for held in (table, None):
-            with pytest.raises(CapExceeded):
-                demand(v, np.zeros(17), table=held)
-        assert not calls and table._arrays is None
-
-    def test_table_of_another_valuation_or_universe_rejected(self):
-        v = BudgetedAdditive([1.0, 2.0, 3.0], cap=4.0)
-        other = BudgetedAdditive([1.0, 2.0, 3.0], cap=4.0)
-        table = SubsetTable(v, np.array([0, 1], dtype=np.int64))
-        with pytest.raises(ValueError, match="subset table"):
-            demand(v, np.zeros(3), items=(0, 2), table=table)
-        with pytest.raises(ValueError, match="subset table"):
-            demand(other, np.zeros(3), items=(0, 1), table=table)
+        rng = np.random.default_rng(4)
+        vals = [BudgetedAdditive(rng.uniform(0.1, 1, 17), cap=2.0) for _ in range(2)]
+        inst = Instance(("agent0", "agent1"), tuple(f"item{j}" for j in range(17)),
+                        tuple(vals))
+        for call in (lambda: demand(vals[0], np.zeros(17)),
+                     lambda: concave_ext(vals[0], np.full(17, 0.5)),
+                     lambda: solve_eg(inst, [0, 1], range(17))):
+            with pytest.raises(CapExceeded, match="^a subset table of 17 items exceeds "
+                                                  "the enumeration cap of 16$"):
+                call()
+        assert not calls
 
 
 class TestOneOrderOfSubsets:
