@@ -5,9 +5,15 @@ layering): `f_i[mask] = max over sub of f_(i-1)[mask ^ sub] (x) v_i[sub]`,
 with (x) the product for NSW and the sum of target-scaled values for
 welfare. A layer visits all 3^k (mask, submask) pairs of k items and the
 last one only the 2^k submasks of the full mask, so n agents cost
-`(n-2)*3^k + 2^k` combinations. Values combine in agent order and rounding
-is monotone, so optima are bit-identical to enumerating all n^k
-assignments. The fractional optimum is an explicit `n*2^k`-column LP, and
+`(n-2)*3^k + 2^k` combinations. A layer runs in chunks: a disjoint pair
+of masks of the high items picks a chunk, and in it the pair table of
+the `_CHUNK_ITEMS` low items lists their disjoint (rest, sub) pairs
+grouped by union, each union's submasks in increasing order, so one
+`maximum.reduceat` takes each union's best pair. Both pair tables are
+built once per call, their 16-bit union keys ordered by numpy's stable
+radix sort. Values combine in agent order and rounding is monotone, so
+optima are bit-identical to enumerating all n^k assignments. The
+fractional optimum is an explicit `n*2^k`-column LP, and
 `scaled_optimum_check` holds the relaxation's targets to it.
 Caps (`NSW_DP_CAP` on the DP's combinations, `CONFIG_LP_CAP` on the
 LP's columns, and `subset_values`'s `EXHAUSTIVE_CAP` items on the 2^k
@@ -46,14 +52,18 @@ def _item_list(inst: Instance, items: Iterable[int] | None) -> list[int]:
 
 def _disjoint_pairs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All 3^bits pairs (rest, sub) of disjoint masks, sorted by rest | sub,
-    and the offset at which each mask's run starts."""
-    rest = sub = np.zeros(1, dtype=np.int64)
+    and the offset at which each mask's run starts. The masks are built as
+    uint16, whose stable sort numpy runs as a radix sort, and returned as
+    int64 index arrays; a mask's run lists its submasks `sub` in
+    increasing order."""
+    rest = sub = np.zeros(1, dtype=np.uint16)
     for t in range(bits):
         rest, sub = (np.concatenate([rest, rest | 1 << t, rest]),
                      np.concatenate([sub, sub, sub | 1 << t]))
-    order = np.argsort(rest | sub, kind="stable")
-    rest, sub = rest[order], sub[order]
-    return rest, sub, np.flatnonzero(np.diff(rest | sub, prepend=-1))
+    union = rest | sub
+    order = np.argsort(union, kind="stable")
+    starts = np.searchsorted(union[order], np.arange(1 << bits, dtype=np.uint16))
+    return rest[order].astype(np.int64), sub[order].astype(np.int64), starts
 
 
 def _subset_dp(tables: list[np.ndarray], combine) -> tuple[float, list[int]]:

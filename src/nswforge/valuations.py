@@ -33,6 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 EXHAUSTIVE_CAP = 16  # largest universe enumerated by brute-force oracles
+_ROW_LOOP_ROWS = 8  # up to this many rows, numpy's per-row max beats a clause-major copy
 
 
 class CapExceeded(RuntimeError):
@@ -56,14 +57,22 @@ def _nonnegative(values, ndim: int) -> np.ndarray:
     return array
 
 
+# the item types `_item_row` and `item_universe` take: an integer read
+# would truncate a float (1.7 is item 1) and read a bool as item 0 or 1
+_INTEGER_TYPES = frozenset([int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])])
+
+
 def _item_row(items: Iterable[int], m: int) -> np.ndarray:
     """The boolean indicator row of `items` over range(m); ValueError if an
-    item lies outside it, where its index would wrap or overrun."""
+    item is not an integer (Python or numpy), or lies outside range(m),
+    where its index would wrap or overrun."""
     items = tuple(items)
+    if not _INTEGER_TYPES.issuperset(map(type, items)):
+        raise ValueError("items must be integers")
     if items and (min(items) < 0 or max(items) >= m):
         raise ValueError(f"items must lie in range({m})")
     row = np.zeros(m, dtype=bool)
-    row[np.fromiter(items, dtype=np.intp, count=len(items))] = True
+    row.put(items, True)
     return row
 
 
@@ -80,10 +89,11 @@ class Valuation:
         A copy made by `run_copy` keeps a memo of v(S) keyed by the set, so
         it evaluates each set once; a miss runs the plain evaluation on the
         set, whose indicator row, and so whose value, does not depend on
-        item order or repeats; an item outside range(m) raises
-        ValueError. The memo lives as long as its copy: one pipeline run
-        holds the copies and drops them when it returns, so no memo
-        outlives its run and a valuation itself keeps none."""
+        item order or repeats; there an item that is not an integer
+        (Python or numpy) or lies outside range(m) raises ValueError. The
+        memo lives as long as its copy: one pipeline run holds the copies
+        and drops them when it returns, so no memo outlives its run and a
+        valuation itself keeps none."""
         memo = self._memo
         if memo is None:
             return self._evaluate(items)
@@ -132,7 +142,18 @@ class Xos(Valuation):
         self.m = self.clauses.shape[1]
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
-        return (rows @ self.clauses.T).max(axis=1)
+        """Each row's best clause sum. `max(axis=1)` reduces each row's
+        few clause sums in its own step of a loop over the rows, about
+        50 ns a row, which is most of a 2^k-row subset table's cost. So
+        past `_ROW_LOOP_ROWS` rows the sums are copied clause-major and
+        reduced by elementwise maxima across the clauses, one pass over
+        all rows per clause (4,096 rows of 3 clauses: 0.23 -> 0.06 ms).
+        A maximum is exact, so both paths give the same bits; the product
+        is the same call on either."""
+        sums = rows @ self.clauses.T
+        if len(sums) <= _ROW_LOOP_ROWS:
+            return sums.max(axis=1)
+        return np.ascontiguousarray(sums.T).max(axis=0)
 
     def singleton_values(self) -> np.ndarray:
         return self.clauses.max(axis=0)
@@ -299,10 +320,10 @@ def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarra
     universe = items
     if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
             and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
-        listed = np.asarray(list(items))
-        if listed.ndim != 1 or (listed.size and listed.dtype.kind not in "iu"):
+        listed = list(items)
+        if not _INTEGER_TYPES.issuperset(map(type, listed)):
             raise ValueError("items must be integers")
-        universe = np.unique(listed.astype(np.int64))
+        universe = np.unique(np.asarray(listed).astype(np.int64))
     if universe.size and (universe[0] < 0 or universe[-1] >= v.m):
         raise ValueError(f"items must lie in range({v.m})")
     return universe
@@ -346,7 +367,8 @@ def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandRe
 def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
     """A clause achieving v(S) on S; lowest clause index wins ties. A
     one-clause valuation (every `Additive`) returns a copy of its clause 0
-    without scoring it. An item outside range(v.m) raises ValueError."""
+    without scoring it. An item that is not an integer (Python or numpy)
+    or lies outside range(v.m) raises ValueError."""
     if not isinstance(v, Xos):
         raise TypeError(f"XOS oracle called on a {v.kind} valuation")
     row = _item_row(items, v.m)
@@ -359,5 +381,6 @@ def xos_clause(v: Valuation, items: Iterable[int]) -> XosClause:
 
 def singleton_max(v: Valuation, items: Iterable[int]) -> float:
     """max of v({j}) over j in `items`; 0 on the empty collection. An item
-    outside range(v.m) raises ValueError."""
+    that is not an integer (Python or numpy) or lies outside range(v.m)
+    raises ValueError."""
     return float(v.singleton_values()[_item_row(items, v.m)].max(initial=0.0))

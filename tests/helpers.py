@@ -13,6 +13,25 @@ def column_masses(cols, m):
     return x
 
 
+def reference_xos_value_rows(clauses, rows):
+    """`Xos.value_rows` as first written: the clause sums `rows @
+    clauses.T`, and each row's maximum by numpy's per-row reduction."""
+    return (rows @ clauses.T).max(axis=1)
+
+
+def reference_disjoint_pairs(bits):
+    """`oracle._disjoint_pairs` as first written: int64 masks in their
+    enumeration order, a stable sort of the int64 unions, and each run's
+    start where the sorted union changes."""
+    rest = sub = np.zeros(1, dtype=np.int64)
+    for t in range(bits):
+        rest, sub = (np.concatenate([rest, rest | 1 << t, rest]),
+                     np.concatenate([sub, sub, sub | 1 << t]))
+    order = np.argsort(rest | sub, kind="stable")
+    rest, sub = rest[order], sub[order]
+    return rest, sub, np.flatnonzero(np.diff(rest | sub, prepend=-1))
+
+
 def reference_split_subadditive(columns, valuations, targets, nu):
     """The subadditive split as first written, kept as a plain reference:
     greedy parts in item order, each trimmed by `_reference_trim`, which

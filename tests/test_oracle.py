@@ -11,7 +11,7 @@ from nswforge.model import Instance
 from nswforge.oracle import exact_config_lp, exact_nsw, exact_scaled_welfare
 from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Xos
 
-from helpers import column_masses
+from helpers import column_masses, reference_disjoint_pairs
 
 
 def make_instance(*valuations):
@@ -269,6 +269,15 @@ def test_kernel_on_arbitrary_tables(seed, monkeypatch):
         value, masks = oracle._subset_dp(tables, combine)
         assert value == best
         assert masks in argbest
+
+
+@pytest.mark.parametrize("bits", range(9))
+def test_disjoint_pairs_are_the_sorted_enumeration(bits):
+    # the same three arrays, dtypes included, as a stable sort of the
+    # enumerated int64 pairs by their unions gives
+    got, want = oracle._disjoint_pairs(bits), reference_disjoint_pairs(bits)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_agent_valued_zero_everywhere_forces_zero_nsw():

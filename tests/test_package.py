@@ -4,6 +4,7 @@ package's exception classes."""
 
 import ast
 import builtins
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -113,13 +114,34 @@ def test_benchmark_pool_outputs_are_pinned(workloads, label):
     assert {i: sorted(b) for i, b in report.allocation.bundles.items()} == bundles
 
 
+# SHA-1 of `workloads.fingerprint` (optimum, nodes and witness) of every
+# exact-oracle op of the benchmark pool; they agree under one and two BLAS
+# threads
+EXACT_OUTPUTS = {
+    "config_lp_xos_3x10#0": "3d2f21b1f85a2db120f8edb17d422be904dade43",
+    "config_lp_xos_3x10#1": "f384207b0a19eba879af7f73ac93e81a333a8efc",
+    "config_lp_xos_3x10#2": "0e4f038f856c316f2c44d068bdaecefc82cc7628",
+    "exact_nsw_xos_3x12#0": "11ecf0070c69ac1e950b8113773f19e3078324cf",
+    "exact_nsw_xos_3x12#1": "b6d9643aaedde93587e1d3d35ec20378274084b4",
+    "exact_nsw_xos_3x12#2": "c943c82c6095388d376d2c27846e61629f6fd798",
+    "exact_nsw_xos_4x10#0": "21ee5ecf71921c2066fa2d6c2fa16330365c3423",
+}
+
+
 def test_each_exact_oracle_shape_solves_as_the_benchmark_calls_it(workloads):
     # a signature change to `exact_nsw` or `exact_config_lp` fails here
-    # rather than in a benchmark run
+    # rather than in a benchmark run, and a change in an oracle's last bit
+    # fails its op's pinned fingerprint
+    fingerprints = {}
     for shape in workloads.WORKLOADS["exact_oracles"]:
-        result = _solve_and_check(workloads, workloads.Op(shape, shape.seeds[0]))
-        assert result.nodes == (shape.n << shape.m if shape.op == "exact_config_lp"
-                                else shape.n ** shape.m)
+        for k in shape.seeds:
+            op = workloads.Op(shape, k)
+            result = _solve_and_check(workloads, op)
+            assert result.nodes == (shape.n << shape.m if shape.op == "exact_config_lp"
+                                    else shape.n ** shape.m)
+            fingerprint = workloads.fingerprint(op, op.shape.instance(k), result)
+            fingerprints[op.label] = hashlib.sha1(fingerprint.encode()).hexdigest()
+    assert fingerprints == EXACT_OUTPUTS
 
 
 def test_only_valuations_enumerates_subsets():

@@ -27,6 +27,8 @@ from nswforge.valuations import (
     xos_clause,
 )
 
+from helpers import reference_xos_value_rows
+
 
 def brute_force_demand(v, prices, items):
     """Independent enumeration over all subsets of the allowed universe."""
@@ -107,6 +109,24 @@ class TestValue:
                     oracle(items)
             oracle([0, 2])
             oracle(np.array([2], dtype=np.uint8))
+
+    @pytest.mark.parametrize("oracle", [
+        lambda v, s: v.value(s),
+        lambda v, s: v.run_copy().value(s),
+        xos_clause,
+        singleton_max,
+    ], ids=["value", "memo_miss", "xos_clause", "singleton_max"])
+    def test_non_integer_items_rejected(self, oracle):
+        # the integer read once truncated them: Additive([1, 2, 3]) valued
+        # [1.7] at 2.0 and [True, 2] at 5.0, and `singleton_max` of [1.5]
+        # was 2.0
+        for v in (Additive([1.0, 2.0, 3.0]), Xos([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])):
+            for items in ([1.7], [True, 2], [0.9], [np.float64(1.0)], [np.True_],
+                          np.array([0.5, 1.5]), [None], ["1"]):
+                with pytest.raises(ValueError, match=r"^items must be integers$"):
+                    oracle(v, items)
+            for items in ([1, 2], (np.int32(1), np.uint64(2)), np.array([2, 1], dtype=np.uint8)):
+                oracle(v, items)
 
 
 class TestRunCopy:
@@ -230,6 +250,7 @@ class TestDemand:
         ([0.0, 0.0, 0.0], np.array([0.5, 1.5]), r"items must be integers"),
         ([0.0, 0.0, 0.0], [True], r"items must be integers"),
         ([0.0, 0.0, 0.0], [[0, 1]], r"items must be integers"),
+        ([0.0, 0.0, 0.0], [True, 2], r"items must be integers"),
     ])
     def test_prices_and_universe_checked_against_the_items(self, prices, items, message):
         # a price per item of v and a universe of integers inside range(v.m),
@@ -466,6 +487,27 @@ class TestXosClause:
                 assert cl.weights[list(s)].sum() == pytest.approx(v.value(s), abs=1e-12)
                 for t in itertools.combinations(range(m), 2):
                     assert cl.weights[list(t)].sum() <= v.value(t) + 1e-12
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 8, 9, 64, 4096])
+@pytest.mark.parametrize("clauses", [1, 2, 3, 4])
+def test_xos_value_rows_is_the_per_row_maximum(rows, clauses):
+    # each row's best clause sum, bit for bit as numpy's per-row max gives
+    # it, on either side of the row count where the reduction turns
+    # clause-major; zero clauses, and rows of no item, included
+    rng = np.random.default_rng([rows, clauses])
+    for draw in range(3):
+        m = int(rng.integers(1, 17))
+        weights = rng.uniform(0, 1, (clauses, m))
+        if draw == 1:
+            weights[rng.uniform(size=clauses) < 0.5] = 0.0
+        elif draw == 2:
+            weights[:] = 0.0
+        sets = rng.uniform(size=(rows, m)) < rng.uniform(0, 1)
+        sets[rng.uniform(size=rows) < 0.2] = False
+        got, want = Xos(weights).value_rows(sets), reference_xos_value_rows(weights, sets)
+        assert got.shape == want.shape == (rows,) and got.dtype == want.dtype
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 @pytest.mark.parametrize("universe, m", [
