@@ -50,11 +50,14 @@ within the agent's masses, mixture value at least the certified value.
 
 Each step is one `_predictor_corrector` call, which factors the
 Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
-`dgetrs`. `_barrier_eg` assembles its system from a fixed pattern over
-its variables; `_config_barrier_eg` builds its system, masses, values and
-slack changes from one incidence matrix of the held columns. Every vertex
-is one cold `_lp.maximize` in `vertex_columns`, which keeps at most k + 1
-sets over k items.
+`dgetrs`. Those two routines are loaded from `scipy.linalg.lapack` at the
+first factorization of a process, not at import, so a process that never
+takes a Newton step (the exact oracles, `concave_ext`, instance
+generation) loads numpy alone. `_barrier_eg` assembles its system from a
+fixed pattern over its variables; `_config_barrier_eg` builds its system,
+masses, values and slack changes from one incidence matrix of the held
+columns. Every vertex is one cold `_lp.maximize` in `vertex_columns`,
+which keeps at most k + 1 sets over k items.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from ._lp import maximize
 from .model import CHECK_TOL, Instance, InvariantViolation, ItemFractional
@@ -86,6 +88,8 @@ ADMIT_PER_STEP = 4  # most sets one agent admits to its columns in one step
 ADMIT_SHARE = 0.03  # an admitted set beats the best held one by this share of the gap
 ADMIT_MISS = 1e-6  # most an admission ray with x_i fixed may move x_i or the agent's mass
 MAX_ITERATIONS = 600  # most Newton steps of one relaxation
+
+_lapack = None  # (dgetrf, dgetrs) from scipy.linalg.lapack, bound at the first factorization
 
 
 @dataclass
@@ -354,14 +358,21 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
     indefinite, so it is Jacobi-scaled in place, with each equality row
     scaled by its largest variable's scale, and factored by LAPACK's
     `dgetrf` (partial pivoting; in place when `system` is in Fortran
-    order). The factor serves two `dgetrs` solves: the affine step
-    (target lam g = 0) predicts mu_aff at its longest interior step, and
-    the corrector targets sigma mu with sigma = (mu_aff/mu)^3, where mu is
+    order); the first call in a process loads both routines from
+    `scipy.linalg.lapack` (about 0.2 s) and binds them to `_lapack`. The
+    factor serves two `dgetrs` solves: the affine step (target lam g = 0)
+    predicts mu_aff at its longest interior step, and the corrector
+    targets sigma mu with sigma = (mu_aff/mu)^3, where mu is
     the mean of lam g, less the affine step's second-order term. Returns
     the primal step, the duals' step and the step length, 0.99 of the
     longest that keeps every slack and dual positive, at most 1; None
     when the factorization meets an exactly zero pivot (`info > 0`).
     """
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+        _lapack = dgetrf, dgetrs
+    dgetrf, dgetrs = _lapack
     w = lam / g
     d = np.ones(system.shape[0])
     d[:size] = np.diag(system)[:size] ** -0.5

@@ -1,7 +1,11 @@
 """CLI contract: subcommands, exit codes, determinism, CSV schema."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from nswforge.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance, Matching, serialize_instance
 from nswforge.valuations import Additive
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -38,11 +44,20 @@ class TestSolve:
         assert doc["nsw"] > 0
 
     def test_byte_identical_reports(self, instance_file, tmp_path):
+        # a fresh process, so the first report comes from the solve that
+        # loads LAPACK and the second from one that finds it loaded
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (out1, out2):
-            assert main(["solve", "--instance", str(instance_file),
-                         "--pipeline", "xos", "--seed", "7",
-                         "--out", str(out)]) == EXIT_OK
+        code = ("import sys\n"
+                "from nswforge.cli import main\n"
+                "for out in sys.argv[2:]:\n"
+                "    assert main(['solve', '--instance', sys.argv[1], '--pipeline', 'xos',\n"
+                "                 '--seed', '7', '--out', out]) == 0\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run([sys.executable, "-c", code, str(instance_file), str(out1), str(out2)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert out1.read_bytes() == out2.read_bytes()
+        assert main(["solve", "--instance", str(instance_file), "--pipeline", "xos",
+                     "--seed", "7", "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_wrong_family_is_usage_error(self, budgeted_file, capsys):

@@ -1,11 +1,12 @@
 """The package's export list, the names the benchmark's tracer wraps,
-which modules may enumerate subsets or import the checkers, and the
-package's exception classes."""
+which modules may enumerate subsets or import the checkers, the
+package's exception classes, and the steps that run without scipy."""
 
 import ast
 import builtins
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -216,3 +217,44 @@ def test_import_leaves_out_scipy_optimize(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_steps_that_take_no_newton_step_leave_out_scipy(tmp_path):
+    # scipy.linalg costs about 0.2 s and 20 MB in every process that
+    # imports it; only the relaxation's Newton steps need it, so importing
+    # the package, generating, the exact oracles, the concave extension
+    # and the CLI's help, gen and exact load numpy alone
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = f"""
+import json, sys
+import numpy as np
+loaded = {{}}
+def step(name):
+    loaded[name] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+import nswforge
+step('import nswforge')
+from nswforge import cli
+step('import nswforge.cli')
+inst = nswforge.generate(nswforge.GenSpec('xos', 3, 6, seed=0))
+step('generate')
+nswforge.exact_nsw(inst)
+step('exact_nsw')
+nswforge.exact_config_lp(inst)
+step('exact_config_lp')
+nswforge.concave_ext(inst.valuations[0], np.full(inst.m, 0.5))
+step('concave_ext')
+assert cli.main(['--help']) == 0
+step('cli --help')
+assert cli.main(['gen', '--family', 'xos', '--n', '3', '--m', '6', '--count', '1',
+                 '--out', {str(tmp_path)!r}]) == 0
+step('cli gen')
+assert cli.main(['exact', '--instance', {str(tmp_path / "xos_3x6_0000.json")!r},
+                 '--out', {str(tmp_path / "exact.json")!r}]) == 0
+step('cli exact')
+print(json.dumps(loaded))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert len(loaded) == 9
+    assert loaded == {step: [] for step in loaded}

@@ -124,14 +124,17 @@ def assert_within_the_gap_of_fresh_extensions(inst, eg):
 def assert_breaks_off_at_a_zero_pivot(spec, monkeypatch):
     """From the sixth step on, LAPACK's factorization reports an exactly
     zero pivot (info > 0), as when the duals have outgrown double
-    precision: the solve returns the fifth step's point."""
-    factor, calls = relaxation.dgetrf, []
+    precision: the solve returns the fifth step's point. The routines are
+    patched through `relaxation._lapack`, the one binding the step loads
+    them into."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+    calls = []
 
     def singular(*args, **kwargs):
         calls.append(1)
-        lu, piv, info = factor(*args, **kwargs)
+        lu, piv, info = dgetrf(*args, **kwargs)
         return lu, piv, (info if len(calls) < 6 else 1)
-    monkeypatch.setattr(relaxation, "dgetrf", singular)
+    monkeypatch.setattr(relaxation, "_lapack", (singular, dgetrs))
     inst = generate(spec)
     _, _, remaining, active = initial_matching(inst)
     eg = solve_eg(inst, active, remaining)
