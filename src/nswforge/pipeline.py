@@ -192,7 +192,8 @@ def _run_instance(inst: Instance) -> Instance:
     """`inst` with a `Valuation.run_copy` of each valuation: every stage
     that values sets through it shares one memo per agent, so each
     (agent, set) is evaluated once per run. The copies, and so the memos,
-    are dropped when the run returns."""
+    are dropped when the run returns, or, when it raises, once the
+    exception is released; nothing the run builds holds them in a cycle."""
     return Instance(inst.agent_names, inst.item_names,
                     tuple(v.run_copy() for v in inst.valuations))
 

@@ -360,6 +360,13 @@ def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
     each group is searched once, each agent's supports are valued once per
     run, not once per group that holds them, and each group starts from
     the choices of the larger groups, searched before it, that contain it.
+
+    `search` recurses through its own closure cell, and a recursive
+    closure is a reference cycle: left alone it would keep the search's
+    closures, the agents' tables and `targets`, and through them the run's
+    valuation copies and memos, alive until the cycle collector ran. The
+    call clears that cell on every exit, raising ones included, so
+    reference counting frees all of it as the call returns.
     """
     del rng, round_index
     if not isinstance(targets, OracleTables):
@@ -446,13 +453,16 @@ def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
             if wide[k] > cut:  # a record found below an earlier child may raise the cut
                 search(profile + [supports[k]], tops[k], totals[k])
 
-    if bounded:
-        floor = targets.floor(agents)
-        if floor == -math.inf:
-            floor = _below(_dive([t.supports for t in tables], children, nodes, width))
-        cut = max(cut, floor)
-    dive_visits = visited
-    search([], np.zeros(width), 0.0)
+    try:
+        if bounded:
+            floor = targets.floor(agents)
+            if floor == -math.inf:
+                floor = _below(_dive([t.supports for t in tables], children, nodes, width))
+            cut = max(cut, floor)
+        dive_visits = visited
+        search([], np.zeros(width), 0.0)
+    finally:
+        search = None  # the cell that makes the recursion a cycle
     if best is None or best_welfare <= floor:
         raise InvariantViolation("the oracle's floor exceeds the group's best welfare")
     targets.choices[group] = best

@@ -92,8 +92,9 @@ class Valuation:
         item order or repeats; there an item that is not an integer
         (Python or numpy) or lies outside range(m) raises ValueError. The
         memo lives as long as its copy: one pipeline run holds the copies
-        and drops them when it returns, so no memo outlives its run and a
-        valuation itself keeps none."""
+        and drops them when it returns, or, when it raises, once the
+        exception is released, so no memo outlives its run and a valuation
+        itself keeps none."""
         memo = self._memo
         if memo is None:
             return self._evaluate(items)

@@ -1,6 +1,34 @@
 """Helpers shared by several test modules."""
 
+import gc
+
 import numpy as np
+
+
+def cyclic_garbage(call, raises=()):
+    """The number of unreachable objects the collector finds once `call()`
+    has returned, or raised one of `raises` (which must then be raised).
+    The call runs once first, so a lazy import it makes does not count.
+    Then the collector runs, is turned off for the measured call so nothing
+    the call leaves is collected early, and runs again; the exception info
+    is already released by then. The collector's state is restored in a
+    `finally`."""
+    def run():
+        try:
+            call()
+        except raises:
+            return
+        assert not raises, f"expected {raises}"
+    run()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def column_masses(cols, m):

@@ -1,7 +1,6 @@
 """End-to-end pipeline behavior, structure invariants, and determinism."""
 
 import dataclasses
-import gc
 import json
 import warnings
 import weakref
@@ -12,9 +11,12 @@ import pytest
 from nswforge import pipeline, rounding
 from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance
-from nswforge.oracle import exact_nsw
+from nswforge.oracle import exact_config_lp, exact_nsw
 from nswforge.pipeline import PipelineParams, run_subadditive, run_xos
+from nswforge.relaxation import concave_ext
 from nswforge.valuations import Additive, BudgetedAdditive, CapExceeded, Valuation, Xos
+
+from helpers import cyclic_garbage
 
 
 def make_instance(*valuations):
@@ -310,8 +312,35 @@ class TestRunMemo:
             reports.append(report.to_json(inst))
             assert all(v._memo is None for v in inst.valuations)
         assert counts[0] == counts[1] > 0 and reports[0] == reports[1]
-        gc.collect()
         assert len(copies) == 4 and all(ref() is None for ref in copies)
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_subadditive(near_uniform(2, 16, 0), PipelineParams(seed=0, proc="oracle")),
+        lambda: run_subadditive(near_uniform(3, 24, 1), PipelineParams(seed=1, proc="oracle")),
+        lambda: run_subadditive(near_uniform(2, 16, 0), PipelineParams(seed=0, proc="cr")),
+        lambda: run_subadditive(near_uniform(3, 24, 1), PipelineParams(seed=1, proc="cr")),
+        lambda: run_subadditive(generate(GenSpec("table", 3, 10, seed=0)),
+                                PipelineParams(seed=0)),
+        lambda: run_xos(generate(GenSpec("xos", 4, 12, seed=0)), PipelineParams(seed=0)),
+        lambda: exact_nsw(generate(GenSpec("xos", 3, 12, seed=0))),
+        lambda: exact_config_lp(generate(GenSpec("xos", 3, 10, seed=0))),
+        lambda: concave_ext(generate(GenSpec("xos", 1, 10, seed=0)).valuations[0],
+                            np.linspace(0.1, 1.0, 10)),
+    ], ids=["oracle_2x16", "oracle_3x24", "cr_2x16", "cr_3x24", "fallback_table_3x10",
+            "xos_4x12", "exact_nsw", "exact_config_lp", "concave_ext"])
+    def test_solves_leave_no_cyclic_garbage(self, call):
+        # the copies and memos a solve builds are freed by reference
+        # counting as it returns: the collector finds nothing left behind
+        assert cyclic_garbage(call) == 0
+
+    @pytest.mark.parametrize("cap", [2, 10])
+    def test_capped_oracle_run_leaves_no_cyclic_garbage(self, cap, monkeypatch):
+        # near-uniform 2x16 seed 0 refuses in the full group's dive under a
+        # budget of 2 and in its search under 10
+        monkeypatch.setattr(rounding, "ORACLE_NODE_CAP", cap)
+        inst = near_uniform(2, 16, 0)
+        assert cyclic_garbage(lambda: run_subadditive(inst, PipelineParams(seed=0, proc="oracle")),
+                              raises=CapExceeded) == 0
 
     @pytest.mark.parametrize("lane, inst, seed", [
         ("subadditive", near_uniform(3, 24, 1), 1),
