@@ -25,10 +25,10 @@ import numpy as np
 
 from . import fuzz
 from .concentration import tail_checks
-from .generators import FAMILIES, WEIGHT_DISTRIBUTIONS, GenSpec, generate
+from .generators import FAMILIES, TABLE_STYLES, WEIGHT_DISTRIBUTIONS, GenSpec, generate
 from .model import InvariantViolation, SchemaError, load_instance, serialize_instance
 from .oracle import exact_nsw
-from .pipeline import PipelineParams, run_subadditive, run_xos
+from .pipeline import PROCEDURES, PipelineParams, run_subadditive, run_xos
 from .relaxation import trace_csv
 from .valuations import CapExceeded
 
@@ -250,19 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=FAMILIES, default="additive")
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--m", type=int, default=6)
-        p.add_argument("--weights", choices=WEIGHT_DISTRIBUTIONS, default="uniform")
-        p.add_argument("--clauses", type=int, default=3)
-        p.add_argument("--cap-ratio", dest="cap_ratio", type=float, default=0.4)
+        p.add_argument("--weights", choices=WEIGHT_DISTRIBUTIONS, default=GenSpec.weights)
+        p.add_argument("--clauses", type=int, default=GenSpec.clauses)
+        p.add_argument("--cap-ratio", dest="cap_ratio", type=float, default=GenSpec.cap_ratio)
         p.add_argument("--table-style", dest="table_style",
-                       choices=("xos", "budgeted_mix"), default="xos")
+                       choices=TABLE_STYLES, default=GenSpec.table_style)
 
     def add_pipeline_flags(p):
         p.add_argument("--pipeline", choices=("xos", "subadditive"), required=True)
-        p.add_argument("--alpha", type=float, default=0.25)
+        p.add_argument("--alpha", type=float, default=PipelineParams.alpha)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--d", type=float, default=None)
-        p.add_argument("--proc", choices=("cr", "oracle"), default="oracle")
+        p.add_argument("--proc", choices=sorted(PROCEDURES), default=PipelineParams.proc)
         p.add_argument("--append-residual", action="store_true")
         p.add_argument("--check-rematch", action="store_true")
 

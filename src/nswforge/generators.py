@@ -12,6 +12,7 @@ from .valuations import Additive, BudgetedAdditive, ExplicitTable, Valuation, Xo
 
 FAMILIES = ("additive", "xos", "budgeted_additive", "table")
 WEIGHT_DISTRIBUTIONS = ("uniform", "integers", "heavy", "near_uniform")
+TABLE_STYLES = ("xos", "budgeted_mix")  # budgeted_mix: beyond-XOS coverage
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class GenSpec:
     weights: str = "uniform"
     clauses: int = 3
     cap_ratio: float = 0.4
-    table_style: str = "xos"  # or "budgeted_mix" for beyond-XOS coverage
+    table_style: str = "xos"
     seed: int = 0
 
     def validate(self) -> None:
@@ -36,7 +37,7 @@ class GenSpec:
             raise ValueError("clauses and cap_ratio must be positive")
         if self.family == "table" and self.m > 12:
             raise ValueError("table instances support at most 12 items")
-        if self.table_style not in ("xos", "budgeted_mix"):
+        if self.table_style not in TABLE_STYLES:
             raise ValueError(f"unknown table style {self.table_style!r}")
 
 

@@ -70,9 +70,6 @@ class PipelineParams:
         if self.proc not in PROCEDURES:
             raise ValueError(f"unknown rounding procedure {self.proc!r}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PipelineReport:
@@ -100,7 +97,7 @@ class PipelineReport:
         since wall clocks never reproduce byte-for-byte)."""
         doc: dict = {
             "pipeline": self.pipeline,
-            "params": self.params.as_dict(),
+            "params": asdict(self.params),
             "nsw": self.nsw,
             "allocation": {
                 inst.agent_names[i]: sorted(inst.item_names[j] for j in items)

@@ -361,12 +361,10 @@ def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
     run, not once per group that holds them, and each group starts from
     the choices of the larger groups, searched before it, that contain it.
 
-    `search` recurses through its own closure cell, and a recursive
-    closure is a reference cycle: left alone it would keep the search's
-    closures, the agents' tables and `targets`, and through them the run's
-    valuation copies and memos, alive until the cycle collector ran. The
-    call clears that cell on every exit, raising ones included, so
-    reference counting frees all of it as the call returns.
+    The search is one loop over an explicit stack of partial profiles, so
+    its depth is not bounded by the interpreter's recursion limit, and none
+    of its local functions refers to itself: reference counting frees its
+    tables and the run's copies as the call returns or raises.
     """
     del rng, round_index
     if not isinstance(targets, OracleTables):
@@ -434,11 +432,20 @@ def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
                 welfare += t.scaled(items)
             yield kept, welfare
 
-    def search(profile: list[frozenset[int]], top: np.ndarray, total: float) -> None:
-        """Visit the children of a partial profile in order; `top` holds each
-        item's largest scaled singleton among the chosen holders and `total`
-        the chosen sets' scaled values."""
-        nonlocal best_welfare, best, cut
+    if bounded:
+        floor = targets.floor(agents)
+        if floor == -math.inf:
+            floor = _below(_dive([t.supports for t in tables], children, nodes, width))
+        cut = max(cut, floor)
+    dive_visits = visited
+    # entries: a partial profile, its `top` row (each item's largest scaled
+    # singleton among the chosen holders), `total` (the chosen sets' scaled
+    # values) and its widened bound, entered only if that still beats the cut
+    stack = [([], np.zeros(width), 0.0, math.inf)]
+    while stack:
+        profile, top, total, bound = stack.pop()
+        if not bound > cut:  # a record found below an earlier sibling raised the cut
+            continue
         pos = len(profile)
         if pos == n:
             for kept, welfare in nodes(profile):
@@ -446,23 +453,11 @@ def oracle_procedure(columns: Columns, valuations: Sequence[Valuation],
                     best_welfare = welfare
                     best = dict(zip(agents, kept))
                     cut = max(best_welfare + 1e-15, floor)
-            return
+            continue
         tops, totals, wide = children(pos, top, total)
         supports = tables[pos].supports
-        for k in (wide > cut).nonzero()[0].tolist():
-            if wide[k] > cut:  # a record found below an earlier child may raise the cut
-                search(profile + [supports[k]], tops[k], totals[k])
-
-    try:
-        if bounded:
-            floor = targets.floor(agents)
-            if floor == -math.inf:
-                floor = _below(_dive([t.supports for t in tables], children, nodes, width))
-            cut = max(cut, floor)
-        dive_visits = visited
-        search([], np.zeros(width), 0.0)
-    finally:
-        search = None  # the cell that makes the recursion a cycle
+        for k in reversed((wide > cut).nonzero()[0].tolist()):  # entered in support order
+            stack.append((profile + [supports[k]], tops[k], totals[k], wide[k]))
     if best is None or best_welfare <= floor:
         raise InvariantViolation("the oracle's floor exceeds the group's best welfare")
     targets.choices[group] = best

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import InvariantViolation
 from .valuations import Valuation, xos_clause
@@ -100,6 +100,25 @@ def check_subadditive_split(out: SubaddSplitOutput, valuations: Sequence[Valuati
     _check_load(out.columns, 1.0)
 
 
+def _greedy_parts(order: Sequence[int], pieces: int,
+                  reached: Callable[[list[int]], bool]) -> list[list[int]]:
+    """Cut `order` into `pieces` consecutive parts: each but the last takes
+    items until `reached` holds of it or the items run out, and the last
+    takes the rest, so trailing parts may be empty."""
+    idx = 0
+    parts: list[list[int]] = []
+    for _ in range(pieces - 1):
+        cur: list[int] = []
+        while idx < len(order):
+            cur.append(order[idx])
+            idx += 1
+            if reached(cur):
+                break
+        parts.append(cur)
+    parts.append(list(order[idx:]))
+    return parts
+
+
 def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
               valuations: Sequence[Valuation], v_plus: Mapping[int, float]) -> XosSplitOutput:
     """XOS set splitting of each agent's columns (sets and weights, as
@@ -132,20 +151,9 @@ def split_xos(columns: Mapping[int, list[tuple[frozenset[int], float]]],
             large = order[0]
             pieces = math.floor(4.0 * val / target + 1e-9)
             part_target = threshold - weights[large]
-            rest = order[1:]
-            idx = 0
-            parts: list[list[int]] = []
-            for _ in range(pieces - 1):
-                cur: list[int] = []
-                cum = 0.0
-                while idx < len(rest):
-                    cur.append(rest[idx])
-                    cum += weights[rest[idx]]
-                    idx += 1
-                    if cum >= part_target - 1e-12:
-                        break
-                parts.append(cur)
-            parts.append(list(rest[idx:]))
+            parts = _greedy_parts(
+                order[1:], pieces,
+                lambda cur: sum(weights[j] for j in cur) >= part_target - 1e-12)
             parts_out.extend(SplitColumn(frozenset(part), 0.75 * weight, source, large)
                              for part in parts)
         if not parts_out:
@@ -210,18 +218,8 @@ def split_subadditive(columns: Mapping[int, list[tuple[frozenset[int], float]]],
             if val < keep_threshold - _B_TOL:
                 continue
             pieces = math.floor(3.0 * val / target + 1e-9)
-            order = sorted(source)
-            idx = 0
-            parts: list[list[int]] = []
-            for _ in range(pieces - 1):
-                cur: list[int] = []
-                while idx < len(order):
-                    cur.append(order[idx])
-                    idx += 1
-                    if v.value(cur) >= part_target - 1e-12:
-                        break
-                parts.append(cur)
-            parts.append(list(order[idx:]))
+            parts = _greedy_parts(sorted(source), pieces,
+                                  lambda cur: v.value(cur) >= part_target - 1e-12)
             for part in map(frozenset, parts):
                 if not part or v.value(part) < part_target - _B_TOL:
                     raise InvariantViolation(

@@ -313,21 +313,10 @@ def table_demand(values: np.ndarray, prices: np.ndarray, universe: np.ndarray) -
 def item_universe(v: Valuation, items: Iterable[int] | None = None) -> np.ndarray:
     """The distinct items of `items` (every item by default), sorted, as an
     int64 array; ValueError if one is not an integer (Python or numpy) or
-    lies outside range(v.m). A sorted int64 array of distinct items (such
-    as a universe this function returned) is used as is, and only its ends
-    are checked."""
+    lies outside range(v.m), as `_item_row` checks."""
     if items is None:
         return np.arange(v.m, dtype=np.int64)
-    universe = items
-    if not (isinstance(universe, np.ndarray) and universe.dtype == np.int64
-            and universe.ndim == 1 and (universe[1:] > universe[:-1]).all()):
-        listed = list(items)
-        if not _INTEGER_TYPES.issuperset(map(type, listed)):
-            raise ValueError("items must be integers")
-        universe = np.unique(np.asarray(listed).astype(np.int64))
-    if universe.size and (universe[0] < 0 or universe[-1] >= v.m):
-        raise ValueError(f"items must lie in range({v.m})")
-    return universe
+    return np.flatnonzero(_item_row(items, v.m)).astype(np.int64)
 
 
 def demand(v: Valuation, prices, items: Iterable[int] | None = None) -> DemandResult:

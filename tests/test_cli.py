@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from nswforge import fuzz
-from nswforge.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from nswforge.cli import (EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, _gen_spec,
+                          _pipeline_params, build_parser, main)
 from nswforge.generators import GenSpec, generate
 from nswforge.model import Instance, Matching, serialize_instance
+from nswforge.pipeline import PipelineParams
 from nswforge.valuations import Additive
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,6 +163,12 @@ class TestGenAndExact:
 
 
 class TestRatio:
+    def test_parser_defaults_are_the_dataclass_defaults(self):
+        # `ratio` takes both the generator and the pipeline flags
+        args = build_parser().parse_args(["ratio", "--pipeline", "xos"])
+        assert _pipeline_params(args) == PipelineParams()
+        assert replace(_gen_spec(args, 0), seed=0) == GenSpec(args.family, args.n, args.m)
+
     def test_generated_batch(self, tmp_path, capsys):
         out = tmp_path / "ratio.csv"
         code = main(["ratio", "--family", "additive", "--n", "2", "--m", "4",

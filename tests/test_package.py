@@ -188,6 +188,23 @@ def test_only_the_checkers_import_the_oracle_and_fuzz():
     assert sorted(users - {"oracle", "fuzz", "cli", "__init__"}) == []
 
 
+def test_no_nested_function_refers_to_itself():
+    # a nested function that names itself reaches itself through its own
+    # closure cell: a reference cycle that keeps all it closes over alive
+    # until the cycle collector runs
+    found = set()
+    for path in sorted((ROOT / "src" / "nswforge").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name) and node.id == inner.name
+                        for node in ast.walk(inner)):
+                    found.add(f"{path.stem}.{outer.name}.{inner.name}")
+    assert sorted(found) == []
+
+
 def test_two_typed_errors_carry_every_failure():
     # the CLI maps a failure to its exit code by type alone: `SchemaError`
     # 1, `InvariantViolation` 2 and `CapExceeded` 3, so no class carries a

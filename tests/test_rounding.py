@@ -340,6 +340,15 @@ class TestOracleProcedure:
     def test_no_agents(self):
         assert oracle_procedure({}, [], {}) == {}
 
+    def test_deep_group_is_searched_without_recursion(self):
+        # the search enters one level per agent: 1,200 levels, past the
+        # interpreter's default recursion limit of 1,000
+        n = 1200
+        vals = [Additive(row) for row in np.eye(n)]
+        cols = {i: [(frozenset({i}), 1.0)] for i in range(n)}
+        out = oracle_procedure(cols, vals, dict.fromkeys(range(n), 1.0))
+        assert out == {i: frozenset({i}) for i in range(n)}
+
     def test_one_huge_profile_refuses_before_enumerating(self, monkeypatch):
         # two agents share 24 items: their one profile has 2^24 winner nodes
         valued = []
