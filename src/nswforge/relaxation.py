@@ -54,10 +54,13 @@ Jacobi-scaled Newton system with LAPACK's `dgetrf` and solves with
 first factorization of a process, not at import, so a process that never
 takes a Newton step (the exact oracles, `concave_ext`, instance
 generation) loads numpy alone. `_barrier_eg` assembles its system from a
-fixed pattern over its variables; `_config_barrier_eg` builds its system,
-masses, values and slack changes from one incidence matrix of the held
-columns. Every vertex is one cold `_lp.maximize` in `vertex_columns`,
-which keeps at most k + 1 sets over k items.
+fixed pattern over its variables, built per pair of clause rows (each
+agent's block, and each item's variables across agents) with no array
+over every pair of variables, and writes it at unique flat indices;
+`_config_barrier_eg` builds its system, masses, values and slack changes
+from one incidence matrix of the held columns. Every vertex is one cold
+`_lp.maximize` in `vertex_columns`, which keeps at most k + 1 sets over
+k items.
 """
 
 from __future__ import annotations
@@ -219,6 +222,19 @@ class EgResult:
         return dict(self.agent_values)
 
 
+def _systematic_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The systematic-sampling sets of item masses x in [0, 1] (see
+    `systematic_columns`) as boolean membership rows over the items, one
+    per range of u between consecutive cuts, in order of u, and the cuts:
+    0, the fractional parts of the partial sums, and 1. Float partial sums
+    can make two ranges repeat a set."""
+    ends = np.concatenate([[0.0], np.cumsum(x)])
+    cuts = np.append(np.unique(ends - np.floor(ends)), 1.0)
+    mid = (cuts[:-1] + cuts[1:]) / 2.0
+    ranks = np.ceil(ends[None, :] - mid[:, None])
+    return ranks[:, 1:] > ranks[:, :-1], cuts
+
+
 def systematic_columns(x: np.ndarray,
                        items: Iterable[int]) -> list[tuple[frozenset[int], float]]:
     """Systematic-sampling decomposition of item masses x in [0, 1].
@@ -228,17 +244,17 @@ def systematic_columns(x: np.ndarray,
     changes at the fractional parts of the partial sums, so there are at
     most len(x) + 1 sets, each of floor or ceil of sum(x) items. Each set
     weighs the length of its range of u, and item j's marginal is x_j. The
-    decomposition is a function of x alone.
+    decomposition is a function of x alone. Its sets come from
+    `_systematic_rows`, one membership row per range of u, which
+    `clause_columns` reads too; a set that several ranges repeat is pooled
+    here.
     """
-    ends = np.concatenate([[0.0], np.cumsum(x)])
-    cuts = np.append(np.unique(ends - np.floor(ends)), 1.0)
-    mid = (cuts[:-1] + cuts[1:]) / 2.0
-    ranks = np.ceil(ends[None, :] - mid[:, None])
+    member, cuts = _systematic_rows(x)
     labels = np.fromiter(items, dtype=np.int64)
     columns: dict[frozenset[int], float] = {}
     # float partial sums can leave slivers of u that repeat a set; pool them
-    for member, width in zip(ranks[:, 1:] > ranks[:, :-1], np.diff(cuts)):
-        key = frozenset(labels[member].tolist())
+    for row, width in zip(member, np.diff(cuts)):
+        key = frozenset(labels[row].tolist())
         columns[key] = columns.get(key, 0.0) + float(width)
     return list(columns.items())
 
@@ -251,15 +267,16 @@ def clause_columns(clauses: np.ndarray, y: np.ndarray, beta: np.ndarray, x: np.n
     clause's sum. Those sets, weighted beta_k times their systematic
     weights, load item j with sum_k y_kj and are worth at least
     sum_k c_k.y_k, so with x = sum_k y_k the vertex is worth at least that
-    too.
+    too. The candidates are built as membership rows: the empty row, then
+    each clause's `_systematic_rows` in clause order (y / beta clipped to
+    [0, 1] in one call), each set kept at its first row.
     """
-    pool = dict.fromkeys([frozenset()])
-    for y_k, b_k in zip(y, beta):
-        pool.update((s, None) for s, _ in systematic_columns(np.clip(y_k / b_k, 0.0, 1.0), items))
-    position = {j: t for t, j in enumerate(items)}
-    inc = np.zeros((len(pool), len(items)), dtype=bool)
-    for r, s in enumerate(pool):
-        inc[r, [position[j] for j in s]] = True
+    ratios = np.minimum(np.maximum(y / beta[:, None], 0.0), 1.0)
+    rows = np.concatenate([np.zeros((1, len(items)), dtype=bool)]
+                          + [_systematic_rows(r)[0] for r in ratios])
+    # a dict over the rows' bytes keeps each set once, at its first row
+    inc = np.frombuffer(b"".join(dict.fromkeys(map(bytes, rows))), dtype=bool)
+    inc = inc.reshape(-1, len(items))
     return vertex_columns((inc @ clauses.T).max(axis=1), inc, x, items)
 
 
@@ -374,10 +391,10 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
         _lapack = dgetrf, dgetrs
     dgetrf, dgetrs = _lapack
     w = lam / g
-    d = np.ones(system.shape[0])
-    d[:size] = np.diag(system)[:size] ** -0.5
+    d = np.empty(system.shape[0])
+    d[:size] = system.diagonal()[:size] ** -0.5
     d[size:] = 1.0 / (system[size:, :size] * d[:size]).max(axis=1)
-    system *= np.outer(d, d).T  # symmetric, and in Fortran order as `system` is
+    system *= np.multiply.outer(d, d).T  # symmetric, and in Fortran order as `system` is
     lu, piv, info = dgetrf(system, overwrite_a=True)
     if info > 0:
         return None
@@ -400,8 +417,7 @@ def _predictor_corrector(system: np.ndarray, size: int, gain: np.ndarray, lift, 
     target = (sigma * mu - dg * dlam) / g
     du, dg_c = solve(gain + lift(target))
     dlam_c = target - lam - w * dg_c
-    reach = _reach(np.concatenate([g, lam]), np.concatenate([dg_c, dlam_c]))
-    return du, dlam_c, min(1.0, 0.99 * reach)
+    return du, dlam_c, min(1.0, 0.99 * min(_reach(g, dg_c), _reach(lam, dlam_c)))
 
 
 def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: float,
@@ -465,6 +481,44 @@ def _interior_point(u: np.ndarray, state, along, lift, newton, certify, eps: flo
     return result, trace, bound
 
 
+def _hessian_pattern(clauses: list[np.ndarray], var: np.ndarray, zero: int, dim: int):
+    """The pattern of `_barrier_eg`'s Newton system over the mass
+    variables of agents with clause matrices `clauses` (K_i x m): every
+    pair of variables of one agent (its objective's Hessian, and its floor
+    row where both are on one item) and every pair on one item of two
+    agents (their capacity row). `var` is each mass variable's index into
+    u, in (agent, clause, item) order, so clause row r's variable on item
+    j is var[r m + j]; the pairs are built per pair of clause rows, and no
+    array over every pair of variables is formed.
+
+    Returns, one entry per pair (a, b): its flat index var[a] +
+    var[b] dim in the dim x dim system in Fortran order; its capacity row
+    (item j where both are on item j) and floor row (m + i m + j where both
+    are agent i's on item j) as indices into the row weights, or `zero`
+    where the pair shares no such row; the agent of a; and the product of
+    a's and b's clause coefficients, or 0.0 across agents.
+    """
+    m_i = clauses[0].shape[1]
+    coef, at = np.concatenate(clauses), var.reshape(-1, m_i)
+    row_agent = np.repeat(np.arange(len(clauses)), [c.shape[0] for c in clauses])
+    same = row_agent[:, None] == row_agent
+    items = np.arange(m_i)
+    on_item = items[:, None] == items
+    # clause rows r1, r2 of one agent, on items j1, j2: entry (p, j1, j2)
+    r1, r2 = np.nonzero(same)
+    agent = row_agent[r1]
+    own = ((at[r1][:, :, None] + at[r2][:, None, :] * dim).ravel(),
+           np.repeat(np.where(on_item, items[:, None], zero)[None], r1.size, axis=0).ravel(),
+           np.where(on_item, (m_i + agent * m_i)[:, None, None] + items[:, None], zero).ravel(),
+           np.repeat(agent, m_i * m_i),
+           (coef[r1][:, :, None] * coef[r2][:, None, :]).ravel())
+    # clause rows s1, s2 of two agents, on one item j: entry (q, j)
+    s1, s2 = np.nonzero(~same)
+    cross = ((at[s1] + at[s2] * dim).ravel(), np.repeat(items[None], s1.size, axis=0).ravel(),
+             np.full(s1.size * m_i, zero), np.repeat(row_agent[s1], m_i), np.zeros(s1.size * m_i))
+    return tuple(np.concatenate(part) for part in zip(own, cross))
+
+
 def _barrier_eg(clauses: list[np.ndarray], eps: float):
     """`_interior_point` over clause blocks: max sum_i log v+_i(x_i) over
     x >= eps and sum_i x_ij <= 1 for XOS agents given by their clause
@@ -482,6 +536,12 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     s_j, the floor slacks x - eps, and a lifted agent's box slacks y and
     beta - y. The Newton system is the objective's Hessian c c^T / v^2 per
     agent plus lam/g on each row's pattern, with the beta equality rows.
+    Its pattern (`_hessian_pattern`) is fixed at set-up, from each agent's
+    block of variables and each item's variables across agents, and each
+    step writes it by assignment at unique flat indices into a fresh
+    system, so the order of its entries changes no bit. The steps read u
+    and the row weights through two buffers that end in a zero, and write
+    the slacks and their changes slice by slice into one array.
 
     The certified point is the iterate with each item's slack filled,
     which can only raise the objective: mass an agent holds above the
@@ -515,16 +575,6 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     var_item = np.tile(np.arange(m_i), int(rows.sum()))
     var_x = var_agent * m_i + var_item  # the flat (agent, item) each one adds to
     var_coef = np.concatenate([c.ravel() for c in clauses])
-    # Hessian pattern: pairs on one item (capacity), pairs of one agent
-    # (objective) and pairs on one item of one agent (floor)
-    a, b = np.meshgrid(np.arange(var.size), np.arange(var.size), indexing="ij")
-    a, b = a.ravel(), b.ravel()
-    same_item, same_agent = var_item[a] == var_item[b], var_agent[a] == var_agent[b]
-    keep = same_item | same_agent
-    a, b, same_item, same_agent = a[keep], b[keep], same_item[keep], same_agent[keep]
-    pat_r, pat_c = var[a], var[b]
-    pat_agent = var_agent[a]
-    pat_outer = np.where(same_agent, var_coef[a] * var_coef[b], 0.0)
     # every agent's clauses, padded to the most clauses with zero ones;
     # then the lifted agents' y and beta indices into u with one zero
     # appended (index `size`)
@@ -548,34 +598,44 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
     cap, floor = slice(0, m_i), slice(m_i, m_i + n_a * m_i)
     lo_rows = slice(floor.stop, floor.stop + box_y.size)
     hi_rows = slice(lo_rows.stop, lo_rows.stop + box_y.size)
-    # each pattern entry's capacity and floor rows, as indices into the row
-    # weights with one zero appended (index `hi_rows.stop`)
-    pat_cap = np.where(same_item, var_item[a], hi_rows.stop)
-    pat_floor = np.where(same_item & same_agent, floor.start + var_x[a], hi_rows.stop)
     # the Newton system's entries as flat indices in Fortran order: the
-    # pattern, a lifted agent's box rows on its y diagonal and between y and
-    # beta, beta's diagonal, and the beta equality rows
+    # Hessian pattern, with each entry's capacity and floor rows as indices
+    # into the row weights with one zero appended (index `hi_rows.stop`),
+    # a lifted agent's box rows on its y diagonal and between y and beta
+    # (both ways), beta's diagonal, and the beta equality rows
     dim = size + n_eq
-    pat_flat = pat_r + pat_c * dim
+    pat_flat, pat_cap, pat_floor, pat_agent, pat_outer = _hessian_pattern(
+        clauses, var, hi_rows.stop, dim)
     box_diag = box_y * (dim + 1)
-    box_off = np.concatenate([box_y + box_b * dim, box_b + box_y * dim])
+    box_yb, box_by = box_y + box_b * dim, box_b + box_y * dim
     beta_diag = beta_var * (dim + 1)
     eq_flat = np.concatenate([size + eq_row + beta_var * dim, beta_var + (size + eq_row) * dim])
+    # u and the row weights, each with one zero appended, refilled per call
+    uz, wz = np.zeros(size + 1), np.zeros(hi_rows.stop + 1)
 
     def state(u):
         """The masses, the agent values and every row's slack at u."""
         x = np.bincount(var_x, weights=u[var], minlength=n_a * m_i).reshape(n_a, m_i)
         v = (weights * x).sum(axis=1)
         if n_eq:
-            v[lifted] = (c_lifted * np.append(u, 0.0)[y_idx]).sum(axis=(1, 2))
-        return x, v, np.concatenate([1.0 - x.sum(axis=0), (x - eps).ravel(), u[box_y],
-                                     u[box_b] - u[box_y]])
+            uz[:size] = u
+            v[lifted] = (c_lifted * uz[y_idx]).sum(axis=(1, 2))
+        g = np.empty(hi_rows.stop)
+        g[cap] = 1.0 - x.sum(axis=0)
+        g[floor] = (x - eps).ravel()
+        g[lo_rows] = u[box_y]
+        g[hi_rows] = u[box_b] - g[lo_rows]
+        return x, v, g
 
     def along(du):
         """The change of every row's slack along a step du."""
         dx = np.bincount(var_x, weights=du[var], minlength=n_a * m_i)
-        return np.concatenate([-dx.reshape(n_a, m_i).sum(axis=0), dx, du[box_y],
-                               du[box_b] - du[box_y]])
+        dg = np.empty(hi_rows.stop)
+        dg[cap] = -dx.reshape(n_a, m_i).sum(axis=0)
+        dg[floor] = dx
+        dg[lo_rows] = du[box_y]
+        dg[hi_rows] = du[box_b] - dg[lo_rows]
+        return dg
 
     def lift(w):
         """Row weights w summed onto the variables through each row's
@@ -591,13 +651,13 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
         """The Newton system at row weights w and values v, and the
         gradient of sum_i log v_i."""
         flat = np.zeros(dim * dim)
-        wz = np.append(w, 0.0)
+        wz[:-1] = w
         # capacity rows couple agents; then each agent's objective, then the floor
         flat[pat_flat] = (wz[pat_cap] + (1.0 / v ** 2)[pat_agent] * pat_outer) + wz[pat_floor]
         if n_eq:
-            w_lo, w_hi = wz[lo_rows], wz[hi_rows]
+            w_lo, w_hi = w[lo_rows], w[hi_rows]
             flat[box_diag] += w_lo + w_hi
-            flat[box_off] = np.tile(-w_hi, 2)
+            flat[box_yb] = flat[box_by] = -w_hi
             flat[beta_diag] = np.bincount(box_beta, weights=w_hi, minlength=beta_var.size)
             flat[eq_flat] = 1.0
         gain = np.zeros(dim)
@@ -613,12 +673,12 @@ def _barrier_eg(clauses: list[np.ndarray], eps: float):
         values = (weights * filled).sum(axis=1)
         prices = lam[cap]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam_net = np.clip(prices - lam[floor].reshape(n_a, m_i), 0.0, prices)
+            lam_net = np.minimum(np.maximum(prices - lam[floor].reshape(n_a, m_i), 0.0), prices)
             row_bound = float(prices.sum()) + float(
                 xos_subproblem_bound(c_pad, prices, eps, v, lam_net).sum())
             y = beta = None
             if n_eq:
-                uz = np.append(u, 0.0)
+                uz[:size] = u
                 y = uz[y_idx] * (held[lifted] / x[lifted])[:, None, :]
                 beta = uz[b_idx]
                 room = beta[:, :, None] - y

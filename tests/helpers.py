@@ -119,3 +119,55 @@ def _reference_trim(part, v, cap):
     while part and v.value(part) > cap + 1e-9:
         part.pop(0)
     return sorted(part)
+
+
+def reference_hessian_pattern(clauses, var, zero, dim):
+    """`relaxation._hessian_pattern` as first written: every pair of mass
+    variables from a meshgrid, kept where the two are on one item or of
+    one agent. Returns the same five arrays: flat index, capacity row,
+    floor row, agent and outer product."""
+    m = clauses[0].shape[1]
+    rows = np.array([c.shape[0] for c in clauses])
+    var_agent = np.repeat(np.arange(len(clauses)), rows * m)
+    var_item = np.tile(np.arange(m), int(rows.sum()))
+    var_coef = np.concatenate([c.ravel() for c in clauses])
+    a, b = np.meshgrid(np.arange(var.size), np.arange(var.size), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    same_item, same_agent = var_item[a] == var_item[b], var_agent[a] == var_agent[b]
+    keep = same_item | same_agent
+    a, b, same_item, same_agent = a[keep], b[keep], same_item[keep], same_agent[keep]
+    return (var[a] + var[b] * dim, np.where(same_item, var_item[a], zero),
+            np.where(same_item & same_agent, m + var_agent[a] * m + var_item[a], zero),
+            var_agent[a], np.where(same_agent, var_coef[a] * var_coef[b], 0.0))
+
+
+def reference_systematic_columns(x, items):
+    """`relaxation.systematic_columns` as first written, with its own
+    cuts, ranks and pooled frozensets."""
+    ends = np.concatenate([[0.0], np.cumsum(x)])
+    cuts = np.append(np.unique(ends - np.floor(ends)), 1.0)
+    mid = (cuts[:-1] + cuts[1:]) / 2.0
+    ranks = np.ceil(ends[None, :] - mid[:, None])
+    labels = np.fromiter(items, dtype=np.int64)
+    columns = {}
+    for member, width in zip(ranks[:, 1:] > ranks[:, :-1], np.diff(cuts)):
+        key = frozenset(labels[member].tolist())
+        columns[key] = columns.get(key, 0.0) + float(width)
+    return list(columns.items())
+
+
+def reference_clause_columns(clauses, y, beta, x, items):
+    """`relaxation.clause_columns` as first written: a pool of frozensets
+    (the empty set, then each clause's systematic sets in order) and an
+    incidence rebuilt from it, into `vertex_columns`."""
+    from nswforge.relaxation import vertex_columns
+
+    pool = dict.fromkeys([frozenset()])
+    for y_k, b_k in zip(y, beta):
+        pool.update((s, None) for s, _ in
+                    reference_systematic_columns(np.clip(y_k / b_k, 0.0, 1.0), items))
+    position = {j: t for t, j in enumerate(items)}
+    inc = np.zeros((len(pool), len(items)), dtype=bool)
+    for r, s in enumerate(pool):
+        inc[r, [position[j] for j in s]] = True
+    return vertex_columns((inc @ clauses.T).max(axis=1), inc, x, items)

@@ -115,6 +115,33 @@ def test_benchmark_pool_outputs_are_pinned(workloads, label):
     assert {i: sorted(b) for i, b in report.allocation.bundles.items()} == bundles
 
 
+# the number of matrices `_predictor_corrector` passes to `dgetrf`, and the
+# SHA-1 of their bytes in Fortran order, in call order, on four pipeline
+# ops of the pool: a Newton system that moves in its last bit fails here
+# even where the op's output does not move
+NEWTON_SYSTEMS = {
+    "xos_3x6#0": (9, "1596497870dc8ea19545c08cee477bf0ed9f56f2"),
+    "additive_3x10#0": (7, "dc5677314a3920d8a12064b90988770b770456f9"),
+    "xos_4x12#0": (11, "299e7215a93d835f1b486446014c9c95758a2725"),
+    "near_uniform_3x24#1": (7, "e3931e0dc0a278f3e8c5eecd490a5d628a01c9a6"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NEWTON_SYSTEMS))
+def test_pool_newton_systems_are_pinned(workloads, monkeypatch, label):
+    from scipy.linalg.lapack import dgetrf, dgetrs
+    digest, shapes = hashlib.sha1(), []
+
+    def recorded(a, *args, **kwargs):
+        digest.update(a.tobytes(order="F"))
+        shapes.append(a.shape)
+        return dgetrf(a, *args, **kwargs)
+    monkeypatch.setattr(relaxation, "_lapack", (recorded, dgetrs))
+    op = _pool_ops(workloads)[label]
+    workloads.run_op(op, op.shape.instance(op.k))
+    assert (len(shapes), digest.hexdigest()) == NEWTON_SYSTEMS[label]
+
+
 # SHA-1 of `workloads.fingerprint` (optimum, nodes and witness) of every
 # exact-oracle op of the benchmark pool; they agree under one and two BLAS
 # threads

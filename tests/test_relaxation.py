@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from nswforge.valuations import (
     Xos,
     mask_incidence,
     subset_values,
+)
+
+from helpers import (
+    reference_clause_columns,
+    reference_hessian_pattern,
+    reference_systematic_columns,
 )
 
 
@@ -570,6 +577,58 @@ class TestXosBarrier:
         eg = solve_eg(inst, active, remaining)
         assert eg.converged and eg.iterations <= 20
 
+    @pytest.mark.parametrize("kind", ["one-clause", "lifted", "mixed"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hessian_pattern_is_the_meshgrid_one(self, kind, seed):
+        # the pattern built per pair of clause rows holds the entries, as a
+        # set, that every pair of variables filtered to one item or one
+        # agent gave: row, column, capacity row, floor row, agent and outer
+        # product
+        rng = np.random.default_rng(1400 + seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        rows = {"one-clause": np.ones(n, dtype=int), "lifted": rng.integers(2, 5, n),
+                "mixed": np.concatenate([[1], rng.integers(1, 5, n - 1)])}[kind]
+        if kind == "mixed" and n > 1:
+            rows[-1] = max(rows[-1], 2)  # a lifted agent beside the one-clause one
+        clauses = [rng.uniform(0, 1, (k, m)) * (rng.uniform(size=(k, m)) < 0.8) for k in rows]
+        # `_barrier_eg`'s layout: agent by agent, its masses (clause-major),
+        # then a lifted agent's beta; then the beta equality rows
+        widths = np.where(rows > 1, rows * (m + 1), m)
+        base = np.concatenate([[0], np.cumsum(widths)])
+        var = np.concatenate([base[k] + np.arange(rows[k] * m) for k in range(n)])
+        dim = int(base[-1]) + int((rows > 1).sum())
+        zero = m + n * m + 2 * m * int(rows[rows > 1].sum())
+
+        def entries(pattern):
+            flat, cap, floor, agent, outer = (part.tolist() for part in pattern)
+            return [(f % dim, f // dim, c, fl, a, o.hex())
+                    for f, c, fl, a, o in zip(flat, cap, floor, agent, outer)]
+        got = entries(relaxation._hessian_pattern(clauses, var, zero, dim))
+        want = entries(reference_hessian_pattern(clauses, var, zero, dim))
+        assert len(set(got)) == len(got) == len(want)
+        assert set(got) == set(want)
+
+    def test_set_up_at_xos_10x50_stays_small(self, monkeypatch):
+        # the set-up before the first Newton step, traced: about 14 MB at
+        # its peak with the pattern built per pair of clause rows, against
+        # 49 MB when every pair of variables was formed
+        class SetUpDone(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise SetUpDone
+        monkeypatch.setattr(relaxation, "_interior_point", stop)
+        inst = generate(GenSpec("xos", 10, 50, seed=0))
+        _, _, remaining, active = initial_matching(inst)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SetUpDone):
+                solve_eg(inst, active, remaining)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"set-up peaked at {peak / 1e6:.1f} MB"
+
     def test_xos_6x30_stays_finite(self):
         inst = generate(GenSpec("xos", 6, 30, seed=0))
         _, _, remaining, active = initial_matching(inst)
@@ -872,6 +931,34 @@ class TestClauseColumns:
             v, y, beta = clause_case(seed)
             clause_columns(v.clauses, y, beta, y.sum(axis=0), list(range(v.m)))
         assert max(excess) > 0
+
+    def test_columns_are_the_frozenset_pools(self):
+        # against the frozenset pool and its rebuilt incidence: the same
+        # columns in the same order, weights bit for bit. Ratios in tenths
+        # leave float slivers of u that repeat a set, and some agents have a
+        # clause with zero mass
+        repeats = zero_mass = 0
+        for seed in range(24):
+            rng = np.random.default_rng(1500 + seed)
+            k, m = int(rng.integers(2, 5)), int(rng.integers(1, 12))
+            v = Xos(rng.uniform(0, 1, (k, m)))
+            beta = rng.dirichlet(np.ones(k))
+            ratios = rng.integers(0, 11, (k, m)) / 10 if seed % 2 else rng.uniform(0, 1, (k, m))
+            if seed % 3 == 0:
+                ratios[int(rng.integers(k))] = 0.0
+            y = beta[:, None] * ratios
+            items = sorted(rng.choice(100, m, replace=False).tolist())
+            for y_k, b_k in zip(y, beta):
+                r = np.clip(y_k / b_k, 0.0, 1.0)
+                member = relaxation._systematic_rows(r)[0]
+                repeats += len(member) > len({row.tobytes() for row in member})
+                zero_mass += not y_k.any()
+                assert ([(s, w.hex()) for s, w in systematic_columns(r, items)]
+                        == [(s, w.hex()) for s, w in reference_systematic_columns(r, items)])
+            got = clause_columns(v.clauses, y, beta, y.sum(axis=0), items)
+            want = reference_clause_columns(v.clauses, y, beta, y.sum(axis=0), items)
+            assert [(s, w.hex()) for s, w in got] == [(s, w.hex()) for s, w in want]
+        assert repeats and zero_mass
 
 
 @pytest.mark.parametrize("family", ["additive", "xos", "budgeted_additive", "table"])
